@@ -14,7 +14,6 @@ from .segment import (
     LabelState,
     SegmentParams,
     extract_labels,
-    init_labels,
     run_segment,
     warm_start_labels,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "biased_noise_image",
     "extract_labels",
     "history_to_csv",
-    "init_labels",
     "junction_image",
     "label_scores",
     "linearize",

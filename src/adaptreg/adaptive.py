@@ -75,8 +75,9 @@ def nu_to_lambda(nu: np.ndarray, alpha: float) -> np.ndarray:
     return shrink(nu, alpha)
 
 
-def weight_fields(rho: np.ndarray, params: AdaptiveParams):
-    """Weight pair (lambda, 1 - lambda) for a residual field.
+def weight_fields(rho: np.ndarray, params: AdaptiveParams) -> np.ndarray:
+    """Fidelity weight lambda for a residual field; the regularizer
+    weight is 1 - lambda.
 
     With ``constant_lambda`` set the residual only fixes the output
     shape; otherwise lambda follows the residual pointwise.
@@ -86,4 +87,4 @@ def weight_fields(rho: np.ndarray, params: AdaptiveParams):
         lam = np.full_like(rho, float(params.constant_lambda))
     else:
         lam = nu_to_lambda(residual_to_nu(rho, params), params.alpha)
-    return lam, 1.0 - lam
+    return lam

@@ -117,7 +117,6 @@ def cmd_segment(args) -> int:
         solver=_solver_params(args),
         n_labels=args.labels,
         tau_excl=args.tau_excl,
-        seed=args.seed,
     )
     labels, state, history = run_segment(f, params)
     _write_history(args, history)
@@ -139,7 +138,6 @@ def cmd_segment(args) -> int:
             "constant_lambda": args.constant_lambda,
             "labels": args.labels,
             "tau_excl": args.tau_excl,
-            "seed": args.seed,
             "iters": args.iters,
             "tol": args.tol,
         },
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True)
     s.add_argument("--labels", type=int, required=True, help="number of labels (>= 2)")
     s.add_argument("--tau-excl", type=float, default=0.5, help="mutual exclusivity weight (default %(default)s)")
-    s.add_argument("--seed", type=int, default=0, help="label initialization seed (default %(default)s)")
     _add_solver_flags(s, mu=0.5, eta=0.5, alpha=0.01, beta=10.0, theta=1.0, iters=300)
     s.add_argument("--gt", metavar="LABELMAP", help="ground-truth label PGM for scoring")
     s.add_argument("--out-labels", metavar="PATH", help="write the label map as 8-bit PGM")

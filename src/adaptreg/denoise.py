@@ -45,7 +45,7 @@ class DenoiseState:
     def iterate(self):
         p = self.params
         rho = np.abs(self.r) + (self.f - self.u - self.r) ** 2 / (2.0 * p.mu)
-        self.lam, _ = weight_fields(rho, p.adaptive)
+        self.lam = weight_fields(rho, p.adaptive)
         self.r = shrink(self.f - self.u, p.mu)
         self.z = shrink_vec(gradient(self.v), p.eta)
         self.u = update_u(self, p)
@@ -66,16 +66,6 @@ class DenoiseState:
 
     def solution(self) -> np.ndarray:
         return self.u
-
-
-def denoise_residual(state: DenoiseState) -> np.ndarray:
-    """Envelope data residual huber(f - u, mu), pointwise."""
-    return huber(state.f - state.u, state.params.mu)
-
-
-def update_r(state: DenoiseState, mu: float) -> np.ndarray:
-    """r = shrink(f - u | mu)."""
-    return shrink(state.f - state.u, mu)
 
 
 def update_u(state: DenoiseState, params: SolverParams) -> np.ndarray:

@@ -15,9 +15,10 @@ ceil((1 - tau0)/dtau) steps; A and ft stay fixed between outer warps.
 Inner iterations follow the shared pattern: weights from the explicit
 residual, r by scalar shrink, u by a per-pixel 2x2 rank-one solve of
 (mu theta I + lambda A A^T) u = mu theta (v - w) + lambda (ft - r) A,
-then per component the gradient auxiliary, screened v-solve, and dual
-ascent.  The regularizer is per-partial-derivative by default
-(anisotropic_reg), or isotropic per component when disabled.
+then the gradient auxiliaries of both components, one screened v-solve
+over the component-first (2, H, W) stack, and dual ascent.  The
+regularizer is per-partial-derivative by default (anisotropic_reg), or
+isotropic per component when disabled.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class FlowParams:
     n_warps: int = 10
     pyramid_levels: int = 1
     anisotropic_reg: bool = True
-    appendix_gradient: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.tau0 <= 1.0:
@@ -71,28 +71,22 @@ def linearize(f1: np.ndarray, f2: np.ndarray, u0: np.ndarray, tau: float):
     """Symmetric warp linearization; returns (A, ft) with ft unfolded.
 
     f1 is warped by +tau u0 and f2 by -(1-tau) u0; ft is their
-    difference and A the tau-mixed central gradient of the warps.
+    difference and A the tau-mixed central gradient of the warps, the
+    mix consistent with the symmetric warp at tau = 0.5.
     """
-    return _linearize(f1, f2, u0, tau, appendix_gradient=False)
-
-
-def _linearize(f1, f2, u0, tau, appendix_gradient):
     f1 = scalar_grid(f1)
     f2 = scalar_grid(f2)
     if f1.shape != f2.shape:
         raise ValueError("frames must share a shape")
     f1w = warp_bilinear(f1, u0, scale=tau)
     f2w = warp_bilinear(f2, u0, scale=-(1.0 - tau))
-    ft = f2w - f1w
-    g1 = central_gradient(f1w)
-    g2 = central_gradient(f2w)
-    # The mixed-gradient form is the one consistent with the symmetric
-    # warp at tau = 0.5; the unmixed variant is kept for comparison.
-    if appendix_gradient:
-        a = g1 + tau * g2
-    else:
-        a = (1.0 - tau) * g2 + tau * g1
-    return a, ft
+    a = (1.0 - tau) * central_gradient(f2w) + tau * central_gradient(f1w)
+    return a, f2w - f1w
+
+
+# The module binding FlowState.relinearize calls, so wrapping it sees
+# every relinearization.
+_linearize = linearize
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,7 +94,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class FlowState:
-    """Velocity ADMM fields plus the frozen linearization (A, ft)."""
+    """Velocity ADMM fields plus the frozen linearization (A, ft).
+
+    u, v, w and A are (H, W, 2); the gradient auxiliary z is
+    component-first, (2, H, W, 2)."""
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams):
         self.f1 = scalar_grid(f1)
@@ -113,8 +110,7 @@ class FlowState:
         self.v = np.zeros(shape + (2,), dtype=np.float64)
         self.w = np.zeros(shape + (2,), dtype=np.float64)
         self.r = np.zeros(shape, dtype=np.float64)
-        self.z1 = np.zeros(shape + (2,), dtype=np.float64)
-        self.z2 = np.zeros(shape + (2,), dtype=np.float64)
+        self.z = np.zeros((2,) + shape + (2,), dtype=np.float64)
         self.lam = np.ones(shape, dtype=np.float64)
         self.tau_count = 0
         self.tau = tau_schedule(params.tau0, params.dtau, 0)
@@ -125,7 +121,7 @@ class FlowState:
         """Re-expand the data term around the current field at the
         current tau; the prior is folded into ft."""
         u0 = self.u.copy()
-        a, ft = _linearize(self.f1, self.f2, u0, self.tau, self.params.appendix_gradient)
+        a, ft = _linearize(self.f1, self.f2, u0, self.tau)
         self.A = a
         self.ft = ft + _dot(a, u0)
 
@@ -134,7 +130,7 @@ class FlowState:
         sp = p.solver
         au = _dot(self.A, self.u)
         rho = np.abs(self.r) + (self.ft - au - self.r) ** 2 / (2.0 * sp.mu)
-        self.lam, _ = weight_fields(rho, sp.adaptive)
+        self.lam = weight_fields(rho, sp.adaptive)
         self.r = shrink(self.ft - au, sp.mu)
         self.u = update_u(self, sp)
         update_v_w(self, sp)
@@ -162,11 +158,6 @@ class FlowState:
         return self.u
 
 
-def update_r(state: FlowState, mu: float) -> np.ndarray:
-    """r = shrink(ft - A . u | mu)."""
-    return shrink(state.ft - _dot(state.A, state.u), mu)
-
-
 def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
     """Per-pixel rank-one solve of (mu theta I + lambda A A^T) u = b,
     b = mu theta (v - w) + lambda (ft - r) A.
@@ -185,21 +176,16 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
 
 
 def update_v_w(state: FlowState, params: SolverParams) -> FlowState:
-    """Per velocity component: gradient auxiliary, screened v-solve,
-    dual ascent.  The auxiliary shrink is per partial derivative under
-    anisotropic_reg, else isotropic on the component's gradient."""
+    """Gradient auxiliaries, one screened v-solve over the
+    component-first (2, H, W) stack, dual ascent.  The auxiliary shrink
+    is per partial derivative under anisotropic_reg, else isotropic on
+    each component's gradient.  state.v is updated in place."""
     xi = (1.0 - state.lam) / (params.eta * params.theta)
-    zs = []
-    for comp in (0, 1):
-        g = gradient(state.v[..., comp])
-        if state.params.anisotropic_reg:
-            zs.append(shrink(g, params.eta))
-        else:
-            zs.append(shrink_vec(g, params.eta))
-    state.z1, state.z2 = zs
-    for comp, z in ((0, state.z1), (1, state.z2)):
-        rhs = state.u[..., comp] + state.w[..., comp] - xi * divergence(z)
-        state.v[..., comp] = screened_solve(rhs, xi, state.v[..., comp], params.gs_sweeps)
+    v = np.moveaxis(state.v, -1, 0)
+    g = np.stack([gradient(v[0]), gradient(v[1])])
+    state.z = shrink(g, params.eta) if state.params.anisotropic_reg else shrink_vec(g, params.eta)
+    rhs = np.moveaxis(state.u + state.w, -1, 0) - xi * divergence(state.z)
+    v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)
     state.w = state.w + (state.u - state.v)
     return state
 

@@ -60,20 +60,21 @@ def divergence(p: np.ndarray) -> np.ndarray:
     """Discrete divergence, the negative adjoint of :func:`gradient`.
 
     Backward differences with the boundary convention that makes
-    <grad u, p> + <u, div p> = 0 exactly for all u, p.
+    <grad u, p> + <u, div p> = 0 exactly for all u, p.  p may carry
+    leading stack axes, (..., H, W, 2) -> (..., H, W).
     """
-    h, w = p.shape[:2]
+    h, w = p.shape[-3:-1]
     px = p[..., 0]
     py = p[..., 1]
-    d = np.zeros((h, w), dtype=np.float64)
+    d = np.zeros(p.shape[:-1], dtype=np.float64)
     if w >= 2:
-        d[:, 0] += px[:, 0]
-        d[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
-        d[:, -1] -= px[:, -2]
+        d[..., :, 0] += px[..., :, 0]
+        d[..., :, 1:-1] += px[..., :, 1:-1] - px[..., :, :-2]
+        d[..., :, -1] -= px[..., :, -2]
     if h >= 2:
-        d[0, :] += py[0, :]
-        d[1:-1, :] += py[1:-1, :] - py[:-2, :]
-        d[-1, :] -= py[-2, :]
+        d[..., 0, :] += py[..., 0, :]
+        d[..., 1:-1, :] += py[..., 1:-1, :] - py[..., :-2, :]
+        d[..., -1, :] -= py[..., -2, :]
     return d
 
 

@@ -1,4 +1,4 @@
-"""Proximal kernels: Huber loss, soft shrinkage, and the constraint projections.
+"""Proximal kernels: Huber loss, soft shrinkage, and the label-stack projection.
 
 All operations accept scalars or numpy arrays and broadcast pointwise.
 The Huber loss is the Moreau-Yosida envelope of the absolute value,
@@ -63,25 +63,13 @@ def moreau_envelope_bruteforce(x: float, mu: float, grid_step: float):
     return float(values[i]), float(r[i])
 
 
-def project_nonneg(u: np.ndarray) -> np.ndarray:
-    """Pointwise projection onto {u >= 0}."""
-    return np.maximum(u, 0.0)
-
-
-def project_sum_to_one(stack: list) -> list:
-    """Euclidean projection of a stack of grids onto {sum_i v_i(x) = 1}.
+def project_stack_sum_to_one(arr: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a (n, H, W) stack onto {sum_i v_i(x) = 1}.
 
     Subtracts (sum_i v_i - 1)/n from every layer pointwise.
     """
-    if len(stack) == 0:
-        raise ValueError("empty label stack")
-    arr = np.stack([np.asarray(v, dtype=np.float64) for v in stack])
-    projected = project_stack_sum_to_one(arr)
-    return [projected[i] for i in range(projected.shape[0])]
-
-
-def project_stack_sum_to_one(arr: np.ndarray) -> np.ndarray:
-    """Array form of :func:`project_sum_to_one` on a (n, H, W) stack."""
     n = arr.shape[0]
+    if n == 0:
+        raise ValueError("empty label stack")
     correction = (arr.sum(axis=0) - 1.0) / n
     return arr - correction[None, ...]

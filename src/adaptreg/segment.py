@@ -12,11 +12,11 @@ sweeps the labels in ascending order; for label i:
     u_i          max(0, v_i - w_i - (lambda_i/theta) d_i
                         - (tau_excl/theta) sum_{j != i} u_j)
 
-then all v_i solve their screened systems and the stack is projected
-onto sum_i v_i = 1, and finally w_i += u_i - v_i.  The cross-label sum
-in the u-step uses the latest available u_j by default (labels already
-updated this iteration contribute their new values); jacobi_labels
-freezes the sum at the iteration start instead.
+then one screened solve covers the whole (n, H, W) stack of v_i, the
+stack is projected onto sum_i v_i = 1, and finally w_i += u_i - v_i.
+The cross-label sum in the u-step uses the latest available u_j by
+default (labels already updated this iteration contribute their new
+values); jacobi_labels freezes the sum at the iteration start instead.
 
 The final labeling is the pixelwise argmax of the memberships.
 """
@@ -31,7 +31,6 @@ from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import huber_vec, project_stack_sum_to_one, shrink, shrink_vec
 from .solver import SolverParams, rms, run_admm, screened_solve
-from .synth import Splitmix64
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -41,7 +40,6 @@ class SegmentParams:
     solver: SolverParams
     n_labels: int
     tau_excl: float = 0.5
-    seed: int = 0
     jacobi_labels: bool = False
 
     def __post_init__(self):
@@ -71,41 +69,6 @@ class LabelState:
     @property
     def n_labels(self) -> int:
         return self.u.shape[0]
-
-
-def _indicator_state(f: np.ndarray, assignment: np.ndarray, n_labels: int, c) -> LabelState:
-    u = np.zeros((n_labels,) + f.shape, dtype=np.float64)
-    for i in range(n_labels):
-        u[i] = assignment == i
-    return LabelState(
-        f=f,
-        u=u,
-        v=u.copy(),
-        w=np.zeros_like(u),
-        r=np.zeros_like(u),
-        z=np.zeros((n_labels,) + f.shape + (2,), dtype=np.float64),
-        lam=np.ones_like(u),
-        c=np.asarray(c, dtype=np.float64),
-    )
-
-
-def init_labels(f: np.ndarray, n_labels: int, seed: int) -> LabelState:
-    """Uniformly random label per pixel; memberships start as indicators.
-
-    c_i is the mean of f over label i's pixels, falling back to the
-    global mean for labels that drew no pixels.
-    """
-    if n_labels < 2:
-        raise ValueError("n_labels must be at least 2")
-    f = scalar_grid(f)
-    h, w = f.shape
-    assignment = Splitmix64(seed).integers(h * w, n_labels).reshape(h, w)
-    c = np.empty(n_labels, dtype=np.float64)
-    global_mean = float(f.mean())
-    for i in range(n_labels):
-        mask = assignment == i
-        c[i] = float(f[mask].mean()) if mask.any() else global_mean
-    return _indicator_state(f, assignment, n_labels, c)
 
 
 def _lloyd_1d(values: np.ndarray, centers: np.ndarray, iters: int = 50) -> np.ndarray:
@@ -152,7 +115,17 @@ def warm_start_labels(f: np.ndarray, n_labels: int, presmooth_sigma: float = 1.0
     seeds = np.quantile(fs, (np.arange(n_labels) + 0.5) / n_labels)
     c = _lloyd_1d(fs.ravel(), seeds)
     assignment = np.argmin(np.abs(f[None] - c[:, None, None]), axis=0)
-    return _indicator_state(f, assignment, n_labels, c)
+    u = (assignment[None] == np.arange(n_labels)[:, None, None]).astype(np.float64)
+    return LabelState(
+        f=f,
+        u=u,
+        v=u.copy(),
+        w=np.zeros_like(u),
+        r=np.zeros_like(u),
+        z=np.zeros(u.shape + (2,), dtype=np.float64),
+        lam=np.ones_like(u),
+        c=c,
+    )
 
 
 def misfit(state: LabelState, i: int, mu: float) -> np.ndarray:
@@ -194,19 +167,16 @@ def update_u(state: LabelState, i: int, params: SegmentParams, u_coupling=None) 
 
 
 def update_v_all(state: LabelState, params: SegmentParams) -> LabelState:
-    """Screened solve per label, then projection onto sum_i v_i = 1.
+    """One screened solve over the (n, H, W) label stack, then projection
+    onto sum_i v_i = 1.
 
-    The solves only read label i's own fields, so solving all labels
-    before the joint projection matches solving and projecting in one
-    pass over the stack.
+    Each label's system only reads that label's own fields, so the
+    stacked solve matches solving the labels one by one.
     """
     sp = params.solver
-    v_new = np.empty_like(state.v)
-    for i in range(state.n_labels):
-        xi = (1.0 - state.lam[i]) / (sp.eta * sp.theta)
-        rhs = state.u[i] + state.w[i] - xi * divergence(state.z[i])
-        v_new[i] = screened_solve(rhs, xi, state.v[i], sp.gs_sweeps)
-    state.v = project_stack_sum_to_one(v_new)
+    xi = (1.0 - state.lam) / (sp.eta * sp.theta)
+    rhs = state.u + state.w - xi * divergence(state.z)
+    state.v = project_stack_sum_to_one(screened_solve(rhs, xi, state.v, sp.gs_sweeps))
     return state
 
 
@@ -231,7 +201,7 @@ class SegmentState:
         u_ref = s.u.copy() if p.jacobi_labels else s.u
         for i in range(p.n_labels):
             rho = misfit(s, i, sp.mu) * s.u[i]
-            s.lam[i], _ = weight_fields(rho, sp.adaptive)
+            s.lam[i] = weight_fields(rho, sp.adaptive)
             s.c[i] = update_c(s, self.f, i)
             s.r[i] = update_r(s, self.f, i, sp.mu)
             s.z[i] = shrink_vec(gradient(s.v[i]), sp.eta)

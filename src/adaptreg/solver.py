@@ -124,24 +124,6 @@ def history_to_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _neighbor_sum(v: np.ndarray) -> np.ndarray:
-    """Sum of in-bounds 4-neighbors, missing neighbors contributing 0.
-
-    Pairwise summation (horizontal pair plus vertical pair) so that for
-    a constant field the result rounds identically to count * value,
-    which keeps constants exact fixed points of the screened solver.
-    """
-    left = np.zeros_like(v)
-    left[:, 1:] = v[:, :-1]
-    right = np.zeros_like(v)
-    right[:, :-1] = v[:, 1:]
-    up = np.zeros_like(v)
-    up[1:, :] = v[:-1, :]
-    down = np.zeros_like(v)
-    down[:-1, :] = v[1:, :]
-    return (left + right) + (up + down)
-
-
 def _neighbor_count(shape) -> np.ndarray:
     h, w = shape
     c = np.full((h, w), 4.0)
@@ -153,28 +135,49 @@ def _neighbor_count(shape) -> np.ndarray:
 
 
 def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int) -> np.ndarray:
-    """Gauss-Seidel sweeps for (1 - xi * laplacian) v = rhs.
+    """Gauss-Seidel sweeps for (1 - xi * laplacian) v = rhs on a stack.
 
-    Five-point Laplacian with replicate (Neumann) boundary, so boundary
-    pixels simply see fewer neighbors.  Red-black ordering: each half
-    sweep updates one checkerboard color from the other, which makes the
-    result independent of traversal order and trivially parallel.
+    rhs and v0 have shape (..., H, W); every leading index is a separate
+    grid, and xi broadcasts against rhs (one (H, W) weight can serve a
+    whole stack).  Five-point Laplacian with replicate (Neumann)
+    boundary, so boundary pixels simply see fewer neighbors.  Red-black
+    ordering: each half sweep updates one checkerboard color from the
+    other, which makes the result independent of traversal order.
+
+    A half sweep touches only its own color.  v lives in the interior of
+    one zero-padded buffer; each color is two strided sub-lattices
+    (row and column parity), and their four neighbors are shifted views
+    of the same buffer, where the zero pad stands in for a missing
+    neighbor.  The neighbor sum is taken pairwise, (left + right) +
+    (up + down), so that for a constant field it rounds identically to
+    count * value.
 
     The update is written as v = rhs + xi*(T - c*rhs)/(1 + xi*c) with T
     the neighbor sum and c the neighbor count: algebraically identical
     to (rhs + xi*T)/(1 + xi*c) but exact (bitwise) at xi = 0 and on
     constant fixed points.
     """
-    v = np.array(v0, dtype=np.float64, copy=True)
-    h, w = v.shape
+    h, w = rhs.shape[-2:]
+    pad = np.zeros(rhs.shape[:-2] + (h + 2, w + 2))
+    pad[..., 1:-1, 1:-1] = v0
     c = _neighbor_count((h, w))
-    parity = (np.add.outer(np.arange(h), np.arange(w)) % 2) == 0
-    masks = (parity, ~parity)
     cr = c * rhs
     denom = 1.0 + xi * c
+    lattices = []
+    # Row and column parities of the two red sub-lattices, then the two
+    # black ones; the two of one color never neighbor each other.
+    for py, px in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        # Offset k = 0, 1, 2 steps one row (column) before, onto and after
+        # the sub-lattice in the padded frame; k = 0 is the sub-lattice
+        # itself in the unpadded arrays.
+        r = [slice(py + k, h + k, 2) for k in range(3)]
+        q = [slice(px + k, w + k, 2) for k in range(3)]
+        neighbors = (
+            pad[..., r[1], q[0]], pad[..., r[1], q[2]], pad[..., r[0], q[1]], pad[..., r[2], q[1]]
+        )
+        fields = tuple(a[..., r[0], q[0]] for a in (rhs, xi, cr, denom))
+        lattices.append((pad[..., r[1], q[1]], neighbors, fields))
     for _ in range(sweeps):
-        for mask in masks:
-            t = _neighbor_sum(v)
-            vnew = rhs + xi * (t - cr) / denom
-            v[mask] = vnew[mask]
-    return v
+        for center, (left, right, up, down), (b, x, bc, d) in lattices:
+            center[...] = b + x * (((left + right) + (up + down)) - bc) / d
+    return pad[..., 1:-1, 1:-1].copy()

@@ -69,6 +69,38 @@ def assemble_screened_matrix(xi):
     return mat
 
 
+def screened_sweep_reference(rhs, xi, v0, sweeps):
+    """Full-grid red-black Gauss-Seidel for (1 - xi * laplacian) v = rhs
+    on one (H, W) grid: each half sweep computes the update everywhere
+    from zero-filled neighbor copies and keeps its color through a
+    parity mask.  Same update formula and pairwise neighbor sum as the
+    package solver, so the two agree bitwise."""
+    v = np.array(v0, dtype=np.float64, copy=True)
+    h, w = v.shape
+    cnt = np.full((h, w), 4.0)
+    cnt[0, :] -= 1
+    cnt[-1, :] -= 1
+    cnt[:, 0] -= 1
+    cnt[:, -1] -= 1
+    parity = (np.add.outer(np.arange(h), np.arange(w)) % 2) == 0
+    cr = cnt * rhs
+    denom = 1.0 + xi * cnt
+    for _ in range(sweeps):
+        for mask in (parity, ~parity):
+            left = np.zeros_like(v)
+            left[:, 1:] = v[:, :-1]
+            right = np.zeros_like(v)
+            right[:, :-1] = v[:, 1:]
+            up = np.zeros_like(v)
+            up[1:, :] = v[:-1, :]
+            down = np.zeros_like(v)
+            down[:-1, :] = v[1:, :]
+            t = (left + right) + (up + down)
+            vnew = rhs + xi * (t - cr) / denom
+            v[mask] = vnew[mask]
+    return v
+
+
 def reference_color_wheel():
     """Independent 55-entry flow color wheel, built segment by segment."""
     segments = ((15, "RY"), (6, "YG"), (4, "GC"), (11, "CB"), (13, "BM"), (6, "MR"))

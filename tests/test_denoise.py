@@ -7,9 +7,7 @@ import pytest
 from adaptreg.adaptive import AdaptiveParams
 from adaptreg.denoise import (
     DenoiseState,
-    denoise_residual,
     run_denoise,
-    update_r,
     update_u,
     update_v,
 )
@@ -65,17 +63,14 @@ def test_rejects_non_finite_input():
         run_denoise(f, adaptive_defaults())
 
 
-def test_data_residual_is_pointwise_envelope():
-    st = random_state(501)
-    assert np.array_equal(denoise_residual(st), huber(st.f - st.u, st.params.mu))
-
-
 def test_update_r_minimizes_the_envelope():
     st = random_state(502, n=3)
-    r = update_r(st, st.params.mu)
-    assert np.array_equal(r, shrink(st.f - st.u, st.params.mu))
+    residual = st.f - st.u
+    st.iterate()
+    r = st.r
+    assert np.array_equal(r, shrink(residual, st.params.mu))
     # each entry is the argmin of |r| + (x - r)^2 / (2 mu)
-    for x, ri in zip((st.f - st.u).ravel(), r.ravel()):
+    for x, ri in zip(residual.ravel(), r.ravel()):
         _, arg = moreau_envelope_bruteforce(float(x), st.params.mu, 1e-4)
         assert abs(ri - arg) <= 2e-4
 

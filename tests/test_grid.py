@@ -60,6 +60,16 @@ def test_divergence_is_negative_adjoint_of_gradient():
         assert abs(lhs + rhs) <= 1e-10 * (
             np.linalg.norm(u) * np.linalg.norm(p) + 1.0
         )
+    # a stack of fields: each slice is the divergence of its own field
+    ps = rng.normals(3 * 512).reshape(3, 16, 16, 2)
+    d = divergence(ps)
+    assert d.shape == (3, 16, 16)
+    for i in range(3):
+        assert np.array_equal(d[i], divergence(ps[i]))
+        u = rand_grid(rng, 16, 16)
+        lhs = float(np.sum(gradient(u) * ps[i]))
+        rhs = float(np.sum(u * d[i]))
+        assert abs(lhs + rhs) <= 1e-10 * (np.linalg.norm(u) * np.linalg.norm(ps[i]) + 1.0)
 
 
 def test_divergence_of_constant_horizontal_field():

@@ -7,9 +7,7 @@ from adaptreg.prox import (
     huber,
     huber_vec,
     moreau_envelope_bruteforce,
-    project_nonneg,
     project_stack_sum_to_one,
-    project_sum_to_one,
     shrink,
     shrink_vec,
 )
@@ -123,62 +121,43 @@ def test_moreau_envelope_rejects_bad_step():
         moreau_envelope_bruteforce(1.0, 1.0, 0.0)
 
 
-def test_project_nonneg():
-    x = np.array([-1.0, 0.0, 2.5])
-    assert np.array_equal(project_nonneg(x), np.array([0.0, 0.0, 2.5]))
-
-
 def test_project_sum_to_one_symmetric_example():
-    out = project_sum_to_one([np.array([[0.0]]), np.array([[0.0]])])
-    assert out[0][0, 0] == 0.5
-    assert out[1][0, 0] == 0.5
+    out = project_stack_sum_to_one(np.zeros((2, 1, 1)))
+    assert out[0, 0, 0] == 0.5
+    assert out[1, 0, 0] == 0.5
 
 
 def test_project_sum_to_one_fixed_point():
     a = np.array([[0.2, 0.9]])
-    b = 1.0 - a
-    out = project_sum_to_one([a, b])
-    assert np.allclose(out[0], a, atol=1e-15)
-    assert np.allclose(out[1], b, atol=1e-15)
+    stack = np.stack([a, 1.0 - a])
+    out = project_stack_sum_to_one(stack)
+    assert np.allclose(out, stack, atol=1e-15)
 
 
 def test_project_sum_to_one_sums_to_one():
     rng = Splitmix64(205)
-    planes = [rng.normals(24).reshape(4, 6) for _ in range(5)]
-    out = project_sum_to_one(planes)
-    total = sum(out)
-    assert np.allclose(total, 1.0, atol=1e-12)
+    stack = rng.normals(5 * 24).reshape(5, 4, 6)
+    out = project_stack_sum_to_one(stack)
+    assert np.allclose(out.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_project_sum_to_one_idempotent():
     rng = Splitmix64(206)
-    planes = [rng.normals(16).reshape(4, 4) for _ in range(3)]
-    once = project_sum_to_one(planes)
-    twice = project_sum_to_one(once)
-    for a, b in zip(once, twice):
-        assert np.allclose(a, b, atol=1e-14)
+    once = project_stack_sum_to_one(rng.normals(3 * 16).reshape(3, 4, 4))
+    twice = project_stack_sum_to_one(once)
+    assert np.allclose(once, twice, atol=1e-14)
 
 
 def test_project_sum_to_one_moves_along_ones():
     # Euclidean projection onto the affine constraint shifts every plane
     # by the same per-pixel amount.
     rng = Splitmix64(207)
-    planes = [rng.normals(9).reshape(3, 3) for _ in range(4)]
-    out = project_sum_to_one(planes)
-    shifts = [o - p for o, p in zip(out, planes)]
+    stack = rng.normals(4 * 9).reshape(4, 3, 3)
+    shifts = project_stack_sum_to_one(stack) - stack
     for s in shifts[1:]:
         assert np.allclose(s, shifts[0], atol=1e-12)
 
 
 def test_project_sum_to_one_empty_raises():
     with pytest.raises(ValueError):
-        project_sum_to_one([])
-
-
-def test_project_stack_matches_list_variant():
-    rng = Splitmix64(208)
-    stack = rng.normals(3 * 16).reshape(3, 4, 4)
-    out = project_stack_sum_to_one(stack)
-    ref = project_sum_to_one([stack[i] for i in range(3)])
-    for i in range(3):
-        assert np.allclose(out[i], ref[i], atol=1e-15)
+        project_stack_sum_to_one(np.zeros((0, 2, 2)))

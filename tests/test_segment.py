@@ -12,7 +12,6 @@ from adaptreg.segment import (
     SegmentParams,
     SegmentState,
     extract_labels,
-    init_labels,
     misfit,
     run_segment,
     update_c,
@@ -58,37 +57,9 @@ def test_params_validation():
         seg_params(tau=-0.1)
 
 
-def test_init_labels_contract():
-    rng = Splitmix64(600)
-    f = rng.uniforms(64).reshape(8, 8)
-    a = init_labels(f, 3, seed=4)
-    b = init_labels(f, 3, seed=4)
-    assert np.array_equal(a.u, b.u)
-    assert np.array_equal(a.c, b.c)
-    # memberships are indicators partitioning the image
-    assert set(np.unique(a.u)) <= {0.0, 1.0}
-    assert np.array_equal(a.u.sum(axis=0), np.ones((8, 8)))
-    assert np.array_equal(a.v, a.u)
-    # region means match the assignment
-    lab = np.argmax(a.u, axis=0)
-    for i in range(3):
-        if (lab == i).any():
-            assert abs(a.c[i] - f[lab == i].mean()) <= 1e-12
-
-
-def test_init_labels_empty_region_gets_global_mean():
-    f = np.array([[0.1, 0.9], [0.4, 0.6]])
-    st = init_labels(f, 8, seed=0)  # 8 labels, 4 pixels: most are empty
-    lab = np.argmax(st.u, axis=0)
-    used = set(np.unique(lab))
-    for i in range(8):
-        if i not in used:
-            assert st.c[i] == pytest.approx(f.mean(), abs=1e-15)
-
-
-def test_init_labels_rejects_single_label():
+def test_warm_start_rejects_single_label():
     with pytest.raises(ValueError):
-        init_labels(np.zeros((4, 4)), 1, seed=0)
+        warm_start_labels(np.zeros((4, 4)), 1)
 
 
 def test_warm_start_separates_two_levels():

@@ -14,7 +14,7 @@ from adaptreg.solver import (
     screened_solve,
 )
 from adaptreg.synth import Splitmix64
-from helpers import assemble_screened_matrix
+from helpers import assemble_screened_matrix, screened_sweep_reference
 
 _AP = AdaptiveParams(beta=1.0, alpha=0.01)
 
@@ -160,28 +160,58 @@ def test_rms_values():
     assert rms(np.array([[-2.0]])) == 2.0
 
 
+# Leading shapes of the solver input: one (H, W) grid, and a stack of three.
+LEADS = ((), (3,))
+
+
 def test_screened_solve_xi_zero_returns_rhs_bitwise():
     rng = Splitmix64(400)
-    rhs = rng.normals(64).reshape(8, 8)
-    v0 = rng.normals(64).reshape(8, 8)
-    out = screened_solve(rhs, np.zeros((8, 8)), v0, sweeps=3)
-    assert np.array_equal(out, rhs)
+    for lead in LEADS:
+        shape = lead + (8, 8)
+        rhs = rng.normals(int(np.prod(shape))).reshape(shape)
+        v0 = rng.normals(int(np.prod(shape))).reshape(shape)
+        out = screened_solve(rhs, np.zeros(shape), v0, 3)
+        assert np.array_equal(out, rhs)
 
 
 def test_screened_solve_constant_is_exact_fixed_point():
-    rhs = np.full((6, 7), 0.3)
-    xi = np.full((6, 7), 2.5)
-    out = screened_solve(rhs, xi, rhs.copy(), sweeps=10)
-    assert np.array_equal(out, rhs)
+    for lead in LEADS:
+        rhs = np.full(lead + (6, 7), 0.3)
+        xi = np.full(lead + (6, 7), 2.5)
+        out = screened_solve(rhs, xi, rhs.copy(), 10)
+        assert np.array_equal(out, rhs)
 
 
 def test_screened_solve_does_not_mutate_start():
     rng = Splitmix64(401)
-    rhs = rng.normals(16).reshape(4, 4)
-    v0 = rng.normals(16).reshape(4, 4)
-    keep = v0.copy()
-    screened_solve(rhs, np.full((4, 4), 1.0), v0, sweeps=5)
-    assert np.array_equal(v0, keep)
+    for lead in LEADS:
+        shape = lead + (4, 4)
+        rhs = rng.normals(int(np.prod(shape))).reshape(shape)
+        v0 = rng.normals(int(np.prod(shape))).reshape(shape)
+        keep = v0.copy()
+        screened_solve(rhs, np.full(shape, 1.0), v0, 5)
+        assert np.array_equal(v0, keep)
+
+
+@pytest.mark.parametrize("hw", [(128, 128), (127, 130), (1, 5), (5, 1), (1, 1), (8, 8)],
+                         ids=lambda hw: "%dx%d" % hw)
+def test_screened_solve_stack_matches_slices_and_full_grid_sweep(hw):
+    n = 3
+    size = n * hw[0] * hw[1]
+    rng = Splitmix64(404)
+    rhs = rng.normals(size).reshape((n,) + hw)
+    v0 = rng.normals(size).reshape((n,) + hw)
+    xi = rng.uniforms(size).reshape((n,) + hw) * 12.0
+    xi[:, ::3, ::2] = 0.0
+    stacked = screened_solve(rhs, xi, v0, 20)
+    for i in range(n):
+        single = screened_solve(rhs[i], xi[i], v0[i], 20)
+        assert np.array_equal(stacked[i], single)
+        assert np.array_equal(single, screened_sweep_reference(rhs[i], xi[i], v0[i], 20))
+    # one (H, W) weight shared by the whole stack, as the flow solver uses it
+    shared = screened_solve(rhs, xi[0], v0, 20)
+    for i in range(n):
+        assert np.array_equal(shared[i], screened_sweep_reference(rhs[i], xi[0], v0[i], 20))
 
 
 def test_screened_solve_matches_dense_oracle():
