@@ -73,7 +73,6 @@ def _solver_params(args) -> SolverParams:
         adaptive=adaptive,
         max_iters=args.iters,
         tol_primal=args.tol,
-        check_every=1,
     )
 
 

@@ -16,7 +16,7 @@ the auxiliaries r (data) and z (gradient), and alternates:
     w            w + u - v
 
 Initialization u = v = f, everything else zero.  A constant image is a
-fixed point: the first checkpoint sees a zero primal residual.
+fixed point: the first iteration already has a zero primal residual.
 """
 
 from __future__ import annotations

@@ -143,12 +143,14 @@ class FlowState:
     def energy(self) -> float:
         sp = self.params.solver
         data = self.lam * huber(self.ft - _dot(self.A, self.u), sp.mu)
+        g = gradient(np.moveaxis(self.v, -1, 0))
+        # Huber per component: on the whole (2, H, W, 2) stack its
+        # temporaries are large enough that glibc malloc hands them back
+        # to the OS and page-faults them in again on every call.
         if self.params.anisotropic_reg:
-            reg = huber(gradient(self.v[..., 0]), sp.eta).sum(axis=-1)
-            reg = reg + huber(gradient(self.v[..., 1]), sp.eta).sum(axis=-1)
+            reg = huber(g[0], sp.eta).sum(axis=-1) + huber(g[1], sp.eta).sum(axis=-1)
         else:
-            reg = huber_vec(gradient(self.v[..., 0]), sp.eta)
-            reg = reg + huber_vec(gradient(self.v[..., 1]), sp.eta)
+            reg = huber_vec(g[0], sp.eta) + huber_vec(g[1], sp.eta)
         return float(np.sum(data) + np.sum((1.0 - self.lam) * reg))
 
     def mean_lambda(self) -> float:
@@ -182,7 +184,7 @@ def update_v_w(state: FlowState, params: SolverParams) -> FlowState:
     each component's gradient.  state.v is updated in place."""
     xi = (1.0 - state.lam) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
-    g = np.stack([gradient(v[0]), gradient(v[1])])
+    g = gradient(v)
     state.z = shrink(g, params.eta) if state.params.anisotropic_reg else shrink_vec(g, params.eta)
     rhs = np.moveaxis(state.u + state.w, -1, 0) - xi * divergence(state.z)
     v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)

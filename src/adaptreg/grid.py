@@ -41,18 +41,16 @@ def vector_grid(data) -> np.ndarray:
 
 
 def gradient(u: np.ndarray) -> np.ndarray:
-    """Forward-difference gradient of a scalar grid.
+    """Forward-difference gradient of a scalar grid or a stack of them.
 
-    Returns a vector grid with (grad u)_x(y, x) = u(y, x+1) - u(y, x) and
+    (..., H, W) -> (..., H, W, 2): every leading index is a separate
+    grid, with (grad u)_x(y, x) = u(y, x+1) - u(y, x) and
     (grad u)_y(y, x) = u(y+1, x) - u(y, x); the last column/row of each
     component is zero (replicate boundary).
     """
-    h, w = u.shape
-    g = np.zeros((h, w, 2), dtype=np.float64)
-    if w >= 2:
-        g[:, :-1, 0] = u[:, 1:] - u[:, :-1]
-    if h >= 2:
-        g[:-1, :, 1] = u[1:, :] - u[:-1, :]
+    g = np.zeros(u.shape + (2,), dtype=np.float64)
+    g[..., :, :-1, 0] = u[..., :, 1:] - u[..., :, :-1]
+    g[..., :-1, :, 1] = u[..., 1:, :] - u[..., :-1, :]
     return g
 
 
@@ -113,9 +111,11 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian smoothing; sigma = 0 returns the input unchanged.
 
-    The kernel is truncated at radius ceil(3*sigma) and renormalized to
-    sum 1. Mirror padding keeps the mean of the field exactly preserved
-    (the effective smoothing matrix is doubly stochastic).
+    u has shape (..., H, W); every leading index is a separate grid,
+    smoothed exactly as it would be on its own.  The kernel is truncated
+    at radius ceil(3*sigma) and renormalized to sum 1. Mirror padding
+    keeps the mean of the field exactly preserved (the effective
+    smoothing matrix is doubly stochastic).
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -123,22 +123,22 @@ def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:
         return u.copy()
     k = gaussian_kernel(sigma)
     radius = (len(k) - 1) // 2
-    out = _convolve_axis(u, k, radius, axis=1)
-    out = _convolve_axis(out, k, radius, axis=0)
+    out = _convolve_axis(u, k, radius, axis=-1)
+    out = _convolve_axis(out, k, radius, axis=-2)
     return out
 
 
 def _convolve_axis(u, k, radius, axis):
-    padding = [(0, 0), (0, 0)]
+    padding = [(0, 0)] * u.ndim
     padding[axis] = (radius, radius)
     padded = np.pad(u, padding, mode="symmetric")
     n = u.shape[axis]
     acc = np.zeros_like(u)
     for t, weight in enumerate(k):
-        if axis == 1:
-            acc += weight * padded[:, t : t + n]
+        if axis == -1:
+            acc += weight * padded[..., t : t + n]
         else:
-            acc += weight * padded[t : t + n, :]
+            acc += weight * padded[..., t : t + n, :]
     return acc
 
 

@@ -1,22 +1,24 @@
 """Convex-relaxed multi-label segmentation with adaptive weights.
 
 Each label i carries a relaxed membership u_i in [0, 1], a region
-intensity c_i, and its own split/dual/auxiliary fields.  One iteration
-sweeps the labels in ascending order; for label i:
+intensity c_i, and its own split/dual/auxiliary fields, all stacked
+label-major.  One iteration runs these steps on the whole stack:
 
-    d_i          |r_i| + (f - c_i - r_i)^2 / (2 mu)       (previous c, r)
-    nu, lambda   from the residual d_i * u_i
-    c_i          sum(lambda_i (f - r_i) u_i) / sum(lambda_i u_i)
-    r_i          shrink(f - c_i | mu)
-    z_i          vector shrink of grad v_i
-    u_i          max(0, v_i - w_i - (lambda_i/theta) d_i
-                        - (tau_excl/theta) sum_{j != i} u_j)
+    d            |r_i| + (f - c_i - r_i)^2 / (2 mu)       (previous c, r)
+    lambda       from the residual d * u
+    c            c_i = sum(lambda_i (f - r_i) u_i) / sum(lambda_i u_i)
+    r            shrink(f - c_i | mu)
+    z            vector shrink of grad v
+    u            u_i = max(0, v_i - w_i - (lambda_i/theta) d_i
+                                - (tau_excl/theta) sum_{j != i} u_j)
+    v            one screened solve, projected onto sum_i v_i = 1
+    w            w += u - v
 
-then one screened solve covers the whole (n, H, W) stack of v_i, the
-stack is projected onto sum_i v_i = 1, and finally w_i += u_i - v_i.
-The cross-label sum in the u-step uses the latest available u_j by
-default (labels already updated this iteration contribute their new
-values); jacobi_labels freezes the sum at the iteration start instead.
+All steps but u are pointwise per label.  The exclusivity sum couples
+the labels, so the u-step sweeps them in ascending order and by default
+uses the latest available u_j (labels already updated this iteration
+contribute their new values); jacobi_labels freezes the sum at the
+iteration start instead.
 
 The final labeling is the pixelwise argmax of the memberships.
 """
@@ -128,42 +130,40 @@ def warm_start_labels(f: np.ndarray, n_labels: int, presmooth_sigma: float = 1.0
     )
 
 
-def misfit(state: LabelState, i: int, mu: float) -> np.ndarray:
-    """d_i = |r_i| + (f - c_i - r_i)^2 / (2 mu) at the current fields."""
-    return np.abs(state.r[i]) + (state.f - state.c[i] - state.r[i]) ** 2 / (2.0 * mu)
+def misfit(state: LabelState, mu: float) -> np.ndarray:
+    """d_i = |r_i| + (f - c_i - r_i)^2 / (2 mu) at the current fields, (n, H, W)."""
+    return np.abs(state.r) + (state.f - state.c[:, None, None] - state.r) ** 2 / (2.0 * mu)
 
 
-def update_c(state: LabelState, f: np.ndarray, i: int) -> float:
-    """Weighted region intensity; keeps the previous value when the
-    region weight sum degenerates (empty region)."""
-    weights = state.lam[i] * state.u[i]
-    den = float(np.sum(weights))
-    if den <= DEGENERATE_REGION_WEIGHT:
-        state.degenerate_events.append((state.iteration, i))
-        return float(state.c[i])
-    return float(np.sum(weights * (f - state.r[i]))) / den
+def update_c(state: LabelState) -> np.ndarray:
+    """Weighted region intensities, (n,).  A label whose region weight
+    sum degenerates (empty region) keeps its previous value and is
+    logged; labels are logged in ascending order."""
+    weights = state.lam * state.u
+    den = np.sum(weights, axis=(1, 2))
+    num = np.sum(weights * (state.f - state.r), axis=(1, 2))
+    degenerate = den <= DEGENERATE_REGION_WEIGHT
+    state.degenerate_events.extend((state.iteration, int(i)) for i in np.flatnonzero(degenerate))
+    return np.divide(num, den, out=state.c.copy(), where=~degenerate)
 
 
-def update_r(state: LabelState, f: np.ndarray, i: int, mu: float) -> np.ndarray:
-    """r_i = shrink(f - c_i | mu); independent of the membership."""
-    return shrink(f - state.c[i], mu)
-
-
-def update_u(state: LabelState, i: int, params: SegmentParams, u_coupling=None) -> np.ndarray:
+def update_u(state: LabelState, params: SegmentParams) -> np.ndarray:
     """Membership step: gradient of the linear data and exclusivity
-    terms against the augmentation, clipped at zero."""
+    terms against the augmentation, clipped at zero.
+
+    The labels are swept in ascending order.  The exclusivity sum reads
+    the memberships already updated in this sweep, or only those of the
+    iteration start under jacobi_labels.
+    """
     sp = params.solver
-    if u_coupling is None:
-        u_coupling = state.u
-    others = np.sum(u_coupling[np.arange(state.n_labels) != i], axis=0)
-    d = misfit(state, i, sp.mu)
-    u_tilde = (
-        state.v[i]
-        - state.w[i]
-        - (state.lam[i] / sp.theta) * d
-        - (params.tau_excl / sp.theta) * others
-    )
-    return np.maximum(0.0, u_tilde)
+    base = state.v - state.w - (state.lam / sp.theta) * misfit(state, sp.mu)
+    u = state.u.copy()
+    coupling = state.u if params.jacobi_labels else u
+    labels = np.arange(state.n_labels)
+    for i in labels:
+        others = np.sum(coupling[labels != i], axis=0)
+        u[i] = np.maximum(0.0, base[i] - (params.tau_excl / sp.theta) * others)
+    return u
 
 
 def update_v_all(state: LabelState, params: SegmentParams) -> LabelState:
@@ -186,26 +186,29 @@ def extract_labels(state: LabelState) -> np.ndarray:
 
 
 class SegmentState:
-    """Driver adapter wrapping a LabelState and its parameters."""
+    """Driver adapter wrapping a LabelState built for f and its parameters."""
 
     def __init__(self, f: np.ndarray, params: SegmentParams, state: LabelState | None = None):
-        self.f = scalar_grid(f)
+        f = scalar_grid(f)
+        if state is None:
+            state = warm_start_labels(f, params.n_labels)
+        elif not np.array_equal(state.f, f):
+            raise ValueError("the label state was built for a different image")
+        elif state.n_labels != params.n_labels:
+            raise ValueError("the label state has %d labels, not %d" % (state.n_labels, params.n_labels))
         self.params = params
-        self.s = state if state is not None else warm_start_labels(self.f, params.n_labels)
+        self.s = state
 
     def iterate(self):
         p = self.params
         sp = p.solver
         s = self.s
         s.iteration += 1
-        u_ref = s.u.copy() if p.jacobi_labels else s.u
-        for i in range(p.n_labels):
-            rho = misfit(s, i, sp.mu) * s.u[i]
-            s.lam[i] = weight_fields(rho, sp.adaptive)
-            s.c[i] = update_c(s, self.f, i)
-            s.r[i] = update_r(s, self.f, i, sp.mu)
-            s.z[i] = shrink_vec(gradient(s.v[i]), sp.eta)
-            s.u[i] = update_u(s, i, p, u_ref)
+        s.lam = weight_fields(misfit(s, sp.mu) * s.u, sp.adaptive)
+        s.c = update_c(s)
+        s.r = shrink(s.f - s.c[:, None, None], sp.mu)
+        s.z = shrink_vec(gradient(s.v), sp.eta)
+        s.u = update_u(s, p)
         update_v_all(s, p)
         s.w = s.w + (s.u - s.v)
 
@@ -216,11 +219,11 @@ class SegmentState:
         p = self.params
         sp = p.solver
         s = self.s
-        total = 0.0
-        for i in range(p.n_labels):
-            d = misfit(s, i, sp.mu)
-            total += float(np.sum(s.lam[i] * d * s.u[i]))
-            total += float(np.sum((1.0 - s.lam[i]) * huber_vec(gradient(s.v[i]), sp.eta)))
+        data = np.sum(s.lam * misfit(s, sp.mu) * s.u, axis=(1, 2))
+        reg = np.sum((1.0 - s.lam) * huber_vec(gradient(s.v), sp.eta), axis=(1, 2))
+        # A strict left-to-right sum, label by label and data before
+        # regularizer; np.sum and sum() group the terms and round otherwise.
+        total = float(np.add.accumulate(np.column_stack((data, reg)).ravel())[-1])
         overlap = (np.sum(s.u, axis=0) ** 2 - np.sum(s.u**2, axis=0)) / 2.0
         return total + p.tau_excl * float(np.sum(overlap))
 
@@ -230,15 +233,13 @@ class SegmentState:
     def solution(self):
         return self
 
-    def pairwise_overlap(self) -> float:
-        """Mean over pixels of sum_{i != j} u_i u_j (both orders)."""
-        s = self.s
-        overlap = np.sum(s.u, axis=0) ** 2 - np.sum(s.u**2, axis=0)
-        return float(np.mean(overlap))
-
 
 def run_segment(f: np.ndarray, params: SegmentParams, state: LabelState | None = None, on_check=None):
-    """Segment f (normalized to [0,1]); returns (labels, LabelState, history)."""
+    """Segment f (normalized to [0,1]); returns (labels, LabelState, history).
+
+    A given state must have been built for f with params.n_labels
+    labels; otherwise ValueError.
+    """
     wrapper = SegmentState(f, params, state=state)
     _, history = run_admm(wrapper, params.solver, on_check=on_check)
     return extract_labels(wrapper.s), wrapper.s, history

@@ -30,8 +30,8 @@ class SolverParams:
 
     mu and eta are the Huber thresholds of the data and regularizer
     terms, theta the scalar augmentation weight.  Iteration control:
-    the driver stops at max_iters or when the primal residual drops to
-    tol_primal at a checkpoint (every check_every iterations).
+    the driver stops at max_iters or after the first iteration whose
+    primal residual is at most tol_primal.
     gs_sweeps bounds the inner Gauss-Seidel passes of each v-update.
     """
 
@@ -41,7 +41,6 @@ class SolverParams:
     adaptive: AdaptiveParams
     max_iters: int = 300
     tol_primal: float = 1e-6
-    check_every: int = 1
     gs_sweeps: int = 20
 
     def __post_init__(self):
@@ -53,8 +52,6 @@ class SolverParams:
             raise ValueError("max_iters must be nonnegative")
         if self.tol_primal <= 0:
             raise ValueError("tol_primal must be positive")
-        if self.check_every < 1:
-            raise ValueError("check_every must be a positive integer")
         if self.gs_sweeps < 1:
             raise ValueError("gs_sweeps must be a positive integer")
 
@@ -84,18 +81,16 @@ def rms(a: np.ndarray) -> float:
 def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):
     """Drive a problem state to convergence or the iteration cap.
 
-    Returns (solution, history).  history holds one IterationRecord per
-    checkpoint (every check_every-th iteration, 1-based, offset by
-    start_iter so chained runs keep a global counter).  Early stop only
-    happens at a checkpoint with primal_residual <= tol_primal; a
-    non-finite energy at a checkpoint raises DivergenceError.  on_check,
-    if given, is called as on_check(state, record) at every checkpoint.
+    Returns (solution, history).  Every iteration is checked: history
+    holds one IterationRecord per iteration (1-based, offset by
+    start_iter so chained runs keep a global counter).  The run stops
+    early after the first iteration with primal_residual <= tol_primal;
+    a non-finite energy raises DivergenceError.  on_check, if given, is
+    called as on_check(state, record) after every iteration.
     """
     history: list[IterationRecord] = []
     for k in range(1, params.max_iters + 1):
         state.iterate()
-        if k % params.check_every != 0:
-            continue
         it = start_iter + k
         energy = state.energy()
         if not math.isfinite(energy):

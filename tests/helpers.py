@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from adaptreg.grid import gaussian_kernel
+from adaptreg.adaptive import weight_fields
+from adaptreg.grid import gaussian_kernel, gradient
 from adaptreg.metrics import match_labels
+from adaptreg.prox import huber_vec, shrink, shrink_vec
+from adaptreg.segment import DEGENERATE_REGION_WEIGHT, update_v_all
 
 
 def make_scene(n):
@@ -99,6 +102,54 @@ def screened_sweep_reference(rhs, xi, v0, sweeps):
             vnew = rhs + xi * (t - cr) / denom
             v[mask] = vnew[mask]
     return v
+
+
+def _label_misfit(s, i, mu):
+    return np.abs(s.r[i]) + (s.f - s.c[i] - s.r[i]) ** 2 / (2.0 * mu)
+
+
+def segment_iterate_reference(s, params):
+    """One segmentation iteration on the LabelState s, label by label.
+
+    For label i in ascending order: weights, region value, r, z and u,
+    each from that label's own (H, W) fields; then the shared v-step and
+    the dual step.  This is the step order the stacked iteration must
+    reproduce bitwise."""
+    sp = params.solver
+    s.iteration += 1
+    u_ref = s.u.copy() if params.jacobi_labels else s.u
+    labels = np.arange(s.n_labels)
+    for i in labels:
+        d = _label_misfit(s, i, sp.mu)
+        s.lam[i] = weight_fields(d * s.u[i], sp.adaptive)
+        weights = s.lam[i] * s.u[i]
+        den = float(np.sum(weights))
+        if den <= DEGENERATE_REGION_WEIGHT:
+            s.degenerate_events.append((s.iteration, int(i)))
+        else:
+            s.c[i] = float(np.sum(weights * (s.f - s.r[i]))) / den
+        s.r[i] = shrink(s.f - s.c[i], sp.mu)
+        s.z[i] = shrink_vec(gradient(s.v[i]), sp.eta)
+        d = _label_misfit(s, i, sp.mu)
+        others = np.sum(u_ref[labels != i], axis=0)
+        s.u[i] = np.maximum(
+            0.0,
+            s.v[i] - s.w[i] - (s.lam[i] / sp.theta) * d - (params.tau_excl / sp.theta) * others,
+        )
+    update_v_all(s, params)
+    s.w = s.w + (s.u - s.v)
+
+
+def segment_energy_reference(s, params):
+    """Segmentation energy summed label by label, data term first."""
+    sp = params.solver
+    total = 0.0
+    for i in range(s.n_labels):
+        d = _label_misfit(s, i, sp.mu)
+        total += float(np.sum(s.lam[i] * d * s.u[i]))
+        total += float(np.sum((1.0 - s.lam[i]) * huber_vec(gradient(s.v[i]), sp.eta)))
+    overlap = (np.sum(s.u, axis=0) ** 2 - np.sum(s.u**2, axis=0)) / 2.0
+    return total + params.tau_excl * float(np.sum(overlap))
 
 
 def reference_color_wheel():

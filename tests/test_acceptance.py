@@ -219,10 +219,9 @@ def test_criterion_08_exclusivity_suppresses_overlap():
                           adaptive=AdaptiveParams(beta=10.0, alpha=0.01),
                           max_iters=200, tol_primal=1e-15)
         pr = SegmentParams(solver=sp, n_labels=4, tau_excl=tau)
-        box = {}
-        labels, _, _ = run_segment(img, pr, state=warm_start_labels(img, 4),
-                                   on_check=lambda w, rec: box.__setitem__("s", w))
-        overlaps[tau] = box["s"].pairwise_overlap()
+        labels, st, _ = run_segment(img, pr, state=warm_start_labels(img, 4))
+        # mean over pixels of sum_{i != j} u_i u_j, both orders
+        overlaps[tau] = float(np.mean(np.sum(st.u, axis=0) ** 2 - np.sum(st.u**2, axis=0)))
         labels_by_tau[tau] = labels
     precs = sector_precisions(labels_by_tau[0.5], gt, disc_label=4)
     ok = overlaps[0.5] < overlaps[0.0] and min(precs) >= 0.95

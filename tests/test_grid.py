@@ -44,6 +44,17 @@ def test_gradient_matches_loop_oracle():
             gy = u[y + 1, x] - u[y, x] if y < 7 else 0.0
             assert g[y, x, 0] == gx
             assert g[y, x, 1] == gy
+    # a stack, also one seen through a non-contiguous view: each slice is
+    # the gradient of its own grid
+    for stack in (rng.normals(3 * 56).reshape(3, 7, 8), rng.normals(2 * 40).reshape(5, 8, 2)):
+        for view in (stack, np.moveaxis(stack, -1, 0)):
+            gs = gradient(view)
+            assert gs.shape == view.shape + (2,)
+            for i in range(view.shape[0]):
+                assert np.array_equal(gs[i], gradient(view[i]))
+    for shape in ((2, 1, 5), (2, 5, 1), (2, 1, 1)):
+        s = rng.normals(int(np.prod(shape))).reshape(shape)
+        assert np.array_equal(gradient(s), np.stack([gradient(s[0]), gradient(s[1])]))
 
 
 def test_divergence_of_zero_is_zero():
@@ -136,6 +147,14 @@ def test_convolve_preserves_mean():
     for sigma in (0.7, 2.0):
         out = convolve_gaussian(u, sigma)
         assert abs(out.mean() - u.mean()) <= 1e-10 * (1.0 + abs(u.mean()))
+    # a stack is smoothed slice by slice, bitwise, also when the kernel
+    # radius exceeds the grid
+    for shape in ((3, 20, 14), (2, 3, 2)):
+        stack = rng.normals(int(np.prod(shape))).reshape(shape)
+        for sigma in (0.0, 0.7, 2.0):
+            out = convolve_gaussian(stack, sigma)
+            for i in range(shape[0]):
+                assert np.array_equal(out[i], convolve_gaussian(stack[i], sigma))
 
 
 def test_gaussian_kernel_normalized():

@@ -6,7 +6,7 @@ import pytest
 
 from adaptreg.adaptive import AdaptiveParams
 from adaptreg.grid import divergence
-from adaptreg.prox import project_stack_sum_to_one, shrink
+from adaptreg.prox import project_stack_sum_to_one
 from adaptreg.segment import (
     LabelState,
     SegmentParams,
@@ -15,14 +15,17 @@ from adaptreg.segment import (
     misfit,
     run_segment,
     update_c,
-    update_r,
     update_u,
     update_v_all,
     warm_start_labels,
 )
 from adaptreg.solver import SolverParams
 from adaptreg.synth import Splitmix64, add_gaussian_noise, noisy_rectangles
-from helpers import assemble_screened_matrix
+from helpers import (
+    assemble_screened_matrix,
+    segment_energy_reference,
+    segment_iterate_reference,
+)
 
 
 def seg_params(n_labels=2, tau=0.5, beta=10.0, alpha=0.01, const=None,
@@ -84,69 +87,80 @@ def test_warm_start_is_deterministic():
 def test_misfit_formula():
     st = random_label_state(602)
     mu = 0.5
+    d = misfit(st, mu)
+    assert d.shape == st.u.shape
     for i in range(2):
         ref = np.abs(st.r[i]) + (st.f - st.c[i] - st.r[i]) ** 2 / (2.0 * mu)
-        assert np.array_equal(misfit(st, i, mu), ref)
+        assert np.array_equal(d[i], ref)
 
 
 def test_update_c_weighted_mean():
-    st = random_label_state(603)
-    c = update_c(st, st.f, 0)
-    w = st.lam[0] * st.u[0]
-    assert c == pytest.approx(float(np.sum(w * (st.f - st.r[0])) / np.sum(w)), rel=1e-14)
+    st = random_label_state(603, n=3)
+    c = update_c(st)
+    assert c.shape == (3,)
+    for i in range(3):
+        w = st.lam[i] * st.u[i]
+        assert c[i] == pytest.approx(float(np.sum(w * (st.f - st.r[i])) / np.sum(w)), rel=1e-14)
     assert st.degenerate_events == []
 
 
 def test_update_c_degenerate_region_keeps_value_and_logs():
-    st = random_label_state(604)
-    st.u[1] = 0.0
+    st = random_label_state(604, n=3)
+    st.u[2] = 0.0
+    st.u[0] = 0.0
     st.iteration = 7
-    old = float(st.c[1])
-    assert update_c(st, st.f, 1) == old
-    assert st.degenerate_events == [(7, 1)]
-
-
-def test_update_r_shrinks_against_region_value():
-    st = random_label_state(605)
-    for i in range(2):
-        assert np.array_equal(update_r(st, st.f, i, 0.5), shrink(st.f - st.c[i], 0.5))
+    old = st.c.copy()
+    c = update_c(st)
+    assert c[0] == old[0] and c[2] == old[2]
+    assert c[1] != old[1]
+    assert np.array_equal(st.c, old)  # the state itself is left alone
+    assert st.degenerate_events == [(7, 0), (7, 2)]
 
 
 def test_update_u_matches_formula():
     st = random_label_state(606, n=3)
     params = seg_params(n_labels=3, tau=0.7)
     sp = params.solver
+    d = misfit(st, sp.mu)
+    ref = st.u.copy()
     for i in range(3):
-        others = np.sum(st.u[[j for j in range(3) if j != i]], axis=0)
-        d = misfit(st, i, sp.mu)
-        ref = np.maximum(
+        # Gauss-Seidel: labels before i already carry their new values
+        others = np.sum(ref[[j for j in range(3) if j != i]], axis=0)
+        ref[i] = np.maximum(
             0.0,
-            st.v[i] - st.w[i] - (st.lam[i] / sp.theta) * d
+            st.v[i] - st.w[i] - (st.lam[i] / sp.theta) * d[i]
             - (params.tau_excl / sp.theta) * others,
         )
-        assert np.array_equal(update_u(st, i, params), ref)
+    old = st.u.copy()
+    assert np.array_equal(update_u(st, params), ref)
+    assert np.array_equal(st.u, old)
 
 
-def test_update_u_explicit_coupling_overrides_state():
+def test_update_u_jacobi_couples_to_iteration_start():
     st = random_label_state(607, n=2)
-    params = seg_params(n_labels=2, tau=1.0)
-    frozen = st.u.copy()
-    st.u[1] += 10.0  # would change the exclusivity term if read from state
-    out = update_u(st, 0, params, u_coupling=frozen)
-    d = misfit(st, 0, params.solver.mu)
-    ref = np.maximum(
-        0.0,
-        st.v[0] - st.w[0] - (st.lam[0] / params.solver.theta) * d
-        - (params.tau_excl / params.solver.theta) * frozen[1],
-    )
-    assert np.array_equal(out, ref)
+    params = seg_params(n_labels=2, tau=1.0, jacobi_labels=True)
+    sp = params.solver
+    d = misfit(st, sp.mu)
+    out = update_u(st, params)
+    for i, j in ((0, 1), (1, 0)):
+        ref = np.maximum(
+            0.0,
+            st.v[i] - st.w[i] - (st.lam[i] / sp.theta) * d[i]
+            - (params.tau_excl / sp.theta) * st.u[j],
+        )
+        assert np.array_equal(out[i], ref)
+    # without jacobi_labels, label 1 sees the new label 0 instead
+    params.jacobi_labels = False
+    gs = update_u(st, params)
+    assert np.array_equal(gs[0], out[0])
+    assert not np.array_equal(gs[1], out[1])
 
 
 def test_update_u_nonnegative():
     st = random_label_state(608)
     st.w += 5.0  # push u_tilde negative
     params = seg_params()
-    assert np.all(update_u(st, 0, params) == 0.0)
+    assert np.all(update_u(st, params) == 0.0)
 
 
 def test_update_v_all_full_fidelity_reduces_to_projection():
@@ -188,11 +202,59 @@ def test_extract_labels_argmax_with_low_tie():
 
 
 def test_pairwise_overlap_hand_value():
-    params = seg_params(n_labels=2)
-    wrapper = SegmentState(np.full((2, 2), 0.5), params)
-    wrapper.s.u = np.stack([np.full((2, 2), 0.5), np.full((2, 2), 0.25)])
-    # sum_{i != j} u_i u_j counts both orders: 2 * 0.5 * 0.25
-    assert wrapper.pairwise_overlap() == pytest.approx(0.25, abs=1e-15)
+    f = np.full((2, 2), 0.5)
+    state = warm_start_labels(f, 2)
+    state.u = np.stack([np.full((2, 2), 0.5), np.full((2, 2), 0.25)])
+    with_penalty = SegmentState(f, seg_params(n_labels=2, tau=1.0), state=state).energy()
+    without = SegmentState(f, seg_params(n_labels=2, tau=0.0), state=state).energy()
+    # the exclusivity term sums u_0 u_1 = 0.5 * 0.25 over the 4 pixels
+    assert with_penalty - without == pytest.approx(4 * 0.125, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "n, jacobi, sigma, const, empty",
+    [
+        (2, False, 1.5, None, None),
+        (3, True, 1.5, None, None),
+        (4, False, 1.5, None, None),
+        (4, True, 0.0, None, None),
+        (3, False, 0.0, 0.3, None),
+        (4, False, 1.5, None, 2),
+    ],
+)
+def test_stacked_iterate_matches_per_label_reference(n, jacobi, sigma, const, empty):
+    img, _ = noisy_rectangles(32, seed=4)
+    ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=sigma, constant_lambda=const)
+    sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=ap, max_iters=6, tol_primal=1e-15)
+    params = SegmentParams(solver=sp, n_labels=n, tau_excl=0.5, jacobi_labels=jacobi)
+
+    def start():
+        s = warm_start_labels(img, n)
+        if empty is not None:
+            s.u[empty] = 0.0
+        return s
+
+    wrapper = SegmentState(img, params, state=start())
+    ref = start()
+    for _ in range(6):
+        wrapper.iterate()
+        segment_iterate_reference(ref, params)
+        assert wrapper.energy() == segment_energy_reference(ref, params)
+    for name in ("u", "v", "w", "r", "z", "lam", "c"):
+        assert np.array_equal(getattr(wrapper.s, name), getattr(ref, name)), name
+    assert wrapper.s.degenerate_events == ref.degenerate_events
+    assert (empty is not None) == bool(ref.degenerate_events)
+
+
+def test_run_segment_rejects_state_of_another_image():
+    f = np.where(np.arange(16)[None, :] < 8, 0.2, 0.8) * np.ones((16, 16))
+    params = seg_params(iters=2)
+    other = f.copy()
+    other[3, 3] = 0.5
+    for g, n in ((other, 2), (f[:, :12], 2), (f, 3)):
+        with pytest.raises(ValueError):
+            run_segment(f, params, state=warm_start_labels(g, n))
+    run_segment(f, params, state=warm_start_labels(f.copy(), 2))
 
 
 def test_label_permutation_equivariance_bitwise():

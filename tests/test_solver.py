@@ -58,7 +58,6 @@ def test_params_validation():
         dict(theta=-2.0),
         dict(max_iters=-1),
         dict(tol_primal=0.0),
-        dict(check_every=0),
         dict(gs_sweeps=0),
     ):
         with pytest.raises(ValueError):
@@ -81,33 +80,12 @@ def test_early_stop_at_first_passing_checkpoint():
     assert hist[-1].primal_residual == 1e-9
 
 
-def test_checkpoint_spacing_controls_stop_and_history():
-    # residual already tiny at iteration 1, but the first checkpoint is
-    # iteration 2 with a large residual; the run stops at iteration 4
-    state = ScriptedState([1.0] * 10, [1e-9, 1.0, 0.9, 1e-9] + [1.0] * 6)
-    sol, hist = run_admm(
-        state, make_params(max_iters=10, tol_primal=1e-6, check_every=2)
-    )
-    assert sol == 4
-    assert [r.iter for r in hist] == [2, 4]
-
-
 def test_divergence_raises_with_iteration_number():
     state = ScriptedState([1.0, float("nan")], [1.0, 1.0])
     with pytest.raises(DivergenceError) as exc:
         run_admm(state, make_params(max_iters=5))
     assert exc.value.iteration == 2
     assert "divergence detected at iteration 2" in str(exc.value)
-
-
-def test_divergence_only_checked_at_checkpoints():
-    # NaN at iteration 1 goes unnoticed because the checkpoint is at 2
-    state = ScriptedState([float("nan"), 1.0], [1.0, 1e-9])
-    sol, hist = run_admm(
-        state, make_params(max_iters=2, tol_primal=1e-6, check_every=2)
-    )
-    assert sol == 2
-    assert len(hist) == 1
 
 
 def test_infinite_energy_also_diverges():
