@@ -17,6 +17,7 @@ the classical constant-weight model used as a baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,12 @@ class AdaptiveParams:
     constant_lambda: float | None = None
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        if self.smoothing_sigma < 0:
-            raise ValueError("smoothing_sigma must be nonnegative")
+        if not 0.0 <= self.smoothing_sigma < math.inf:
+            raise ValueError("smoothing_sigma must be nonnegative and finite")
         if self.constant_lambda is not None and not 0.0 <= self.constant_lambda <= 1.0:
             raise ValueError("constant_lambda must lie in [0, 1]")
 

@@ -83,11 +83,13 @@ def _write_history(args, history):
 
 
 def cmd_denoise(args) -> int:
+    every = args.dump_lambda_every
+    if every is not None and every < 1:
+        raise ValueError("--dump-lambda-every must be a positive integer")
     f = _read_gray(args.input)
     params = _solver_params(args)
     on_check = None
-    if args.dump_lambda_every:
-        every = args.dump_lambda_every
+    if every is not None:
 
         def on_check(state, record):
             if record.iter % every == 0:
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--input", required=True, help="input PGM/PPM (PPM is averaged to gray)")
     d.add_argument("--output", required=True, help="output PGM path")
     _add_solver_flags(d, mu=0.16, eta=0.08, alpha=0.01, beta=1.0, theta=1.0, iters=150)
-    d.add_argument("--dump-lambda-every", type=int, metavar="K", help="write the fidelity-weight field every K iterations")
+    d.add_argument("--dump-lambda-every", type=int, metavar="K", help="write the fidelity-weight field as a heatmap every K >= 1 iterations")
     d.add_argument("--metrics-ref", metavar="CLEAN", help="clean reference for PSNR/SSIM")
     d.add_argument("--csv", metavar="PATH", help="write metric rows to this CSV")
     d.set_defaults(func=cmd_denoise)

@@ -46,8 +46,8 @@ class FlowParams:
     def __post_init__(self):
         if not 0.0 <= self.tau0 <= 1.0:
             raise ValueError("tau0 must lie in [0, 1]")
-        if self.dtau < 0:
-            raise ValueError("dtau must be nonnegative")
+        if not 0.0 <= self.dtau < math.inf:
+            raise ValueError("dtau must be nonnegative and finite")
         if self.n_warps < 1:
             raise ValueError("n_warps must be a positive integer")
         if self.pyramid_levels < 1:

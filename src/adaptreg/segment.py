@@ -25,6 +25,7 @@ The final labeling is the pixelwise argmax of the memberships.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class SegmentParams:
     def __post_init__(self):
         if self.n_labels < 2:
             raise ValueError("n_labels must be at least 2")
-        if self.tau_excl < 0:
-            raise ValueError("tau_excl must be nonnegative")
+        if not 0.0 <= self.tau_excl < math.inf:
+            raise ValueError("tau_excl must be nonnegative and finite")
 
 
 class LabelState:

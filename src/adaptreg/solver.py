@@ -32,7 +32,9 @@ class SolverParams:
     terms, theta the scalar augmentation weight.  Iteration control:
     the driver stops at max_iters or after the first iteration whose
     primal residual is at most tol_primal.
-    gs_sweeps bounds the inner Gauss-Seidel passes of each v-update.
+    gs_sweeps is the exact number of inner Gauss-Seidel passes of each
+    v-update; the inner solve has no early exit.
+    Non-finite mu, eta, theta or tol_primal raise ValueError.
     """
 
     mu: float
@@ -44,14 +46,14 @@ class SolverParams:
     gs_sweeps: int = 20
 
     def __post_init__(self):
-        if self.mu <= 0 or self.eta <= 0:
-            raise ValueError("Huber thresholds mu and eta must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not (0.0 < self.mu < math.inf and 0.0 < self.eta < math.inf):
+            raise ValueError("Huber thresholds mu and eta must be positive and finite")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.tol_primal <= 0:
-            raise ValueError("tol_primal must be positive")
+        if not 0.0 < self.tol_primal < math.inf:
+            raise ValueError("tol_primal must be positive and finite")
         if self.gs_sweeps < 1:
             raise ValueError("gs_sweeps must be a positive integer")
 
@@ -119,18 +121,85 @@ def history_to_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _neighbor_count(shape) -> np.ndarray:
-    h, w = shape
-    c = np.full((h, w), 4.0)
-    c[0, :] -= 1.0
-    c[-1, :] -= 1.0
-    c[:, 0] -= 1.0
-    c[:, -1] -= 1.0
-    return c
+# Row and column parity of the four sub-lattices in sweep order: the two
+# red ones, then the two black ones.  The two of one color never neighbor
+# each other.
+_SUBLATTICES = ((0, 0), (1, 1), (0, 1), (1, 0))
+
+
+def _neighbor_count(n: int, parity: int) -> np.ndarray:
+    """Neighbors along an axis of length n, at the indices of one parity."""
+    idx = np.arange(parity, n, 2)
+    return 2.0 - (idx == 0) - (idx == n - 1)
+
+
+def _cells(h: int, w: int, py: int, px: int):
+    """Index of sub-lattice (py, px) of an (H, W) grid inside its plane."""
+    return (Ellipsis, slice(1, 1 + (h - py + 1) // 2), slice(1, 1 + (w - px + 1) // 2))
+
+
+def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame) -> np.ndarray:
+    """rhs, xi, c*rhs and 1 + xi*c of every sub-lattice, c the neighbor
+    count, as a (4 sub-lattices, 4 fields, ..., *frame) block of planes.
+    Pad cells hold rhs = xi = c*rhs = 0 and 1 + xi*c = 1."""
+    h, w = rhs.shape[-2:]
+    fields = np.zeros((4, 4) + rhs.shape[:-2] + frame)
+    fields[:, 3] = 1.0
+    for (py, px), plane_fields in zip(_SUBLATTICES, fields):
+        cells = _cells(h, w, py, px)
+        b, x, bc, d = (f[cells] for f in plane_fields)
+        b[...] = rhs[..., py::2, px::2]
+        x[...] = xi[..., py::2, px::2]
+        c = _neighbor_count(h, py)[:, None] + _neighbor_count(w, px)
+        np.multiply(c, b, out=bc)
+        np.multiply(x, c, out=d)
+        d += 1.0
+    return fields
+
+
+def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
+    """Red-black Gauss-Seidel sweeps in place on the (4, ..., *frame)
+    parity planes of v."""
+    stride = planes.shape[-1]
+    v = planes.reshape(4, -1)
+    fields = fields.reshape(4, 4, -1)
+    lo, hi = stride + 1, v.shape[1] - stride - 1
+
+    def shifted(k, s):
+        return v[k, lo + s : hi + s]
+
+    steps = []
+    for k, (py, px) in enumerate(_SUBLATTICES):
+        # Left and right neighbors sit in the plane of the other column
+        # parity, up and down in the plane of the other row parity.  At
+        # column (row) parity 0 the right (down) neighbor shares the
+        # center's frame cell and the left (up) one lies a cell (frame
+        # row) before it; at parity 1 the left (up) one shares it.
+        across = _SUBLATTICES.index((py, 1 - px))
+        along = _SUBLATTICES.index((1 - py, px))
+        neighbors = (
+            shifted(across, px - 1),
+            shifted(across, px),
+            shifted(along, (py - 1) * stride),
+            shifted(along, py * stride),
+        )
+        steps.append((v[k, lo:hi], neighbors, fields[k, :, lo:hi]))
+    scratch = np.empty_like(steps[0][0])
+    for _ in range(sweeps):
+        for center, (left, right, up, down), (b, x, bc, d) in steps:
+            # center = b + x * (((left + right) + (up + down)) - bc) / d
+            np.add(left, right, out=scratch)
+            np.add(up, down, out=center)
+            center += scratch
+            center -= bc
+            center *= x
+            center /= d
+            center += b
 
 
 def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int) -> np.ndarray:
-    """Gauss-Seidel sweeps for (1 - xi * laplacian) v = rhs on a stack.
+    """Exactly `sweeps` Gauss-Seidel sweeps for (1 - xi * laplacian) v = rhs
+    on a stack, starting from v0.
 
     rhs and v0 have shape (..., H, W); every leading index is a separate
     grid, and xi broadcasts against rhs (one (H, W) weight can serve a
@@ -139,11 +208,21 @@ def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int)
     ordering: each half sweep updates one checkerboard color from the
     other, which makes the result independent of traversal order.
 
-    A half sweep touches only its own color.  v lives in the interior of
-    one zero-padded buffer; each color is two strided sub-lattices
-    (row and column parity), and their four neighbors are shifted views
-    of the same buffer, where the zero pad stands in for a missing
-    neighbor.  The neighbor sum is taken pairwise, (left + right) +
+    Parity-plane layout: each of the four sub-lattices of row and column
+    parity lives in its own zero-padded plane, and all planes share one
+    frame (ceil(H/2) + 2, ceil(W/2) + 2) per stack entry.  Sub-lattice
+    cell (i, j) sits at frame cell (i + 1, j + 1) in every plane.
+    Flattened over the whole stack, a sub-lattice update is one
+    contiguous run that skips the first and last frame row, and its four
+    neighbors are the same run shifted by 0 or 1 (left, right) in the
+    plane of the other column parity and by 0 or one frame row (up,
+    down) in the plane of the other row parity.  The run also covers the
+    pad cells between its rows and between stack entries.  Pad cells
+    carry rhs = xi = c*rhs = 0 and 1 + xi*c = 1, so the update writes
+    +0.0 there while the neighbors are finite, and a pad cell keeps
+    standing in for a missing neighbor.  (A non-finite value turns its
+    pad neighbors to NaN, which then reach the next row and the next
+    stack entry.)  The neighbor sum is taken pairwise, (left + right) +
     (up + down), so that for a constant field it rounds identically to
     count * value.
 
@@ -151,28 +230,33 @@ def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int)
     the neighbor sum and c the neighbor count: algebraically identical
     to (rhs + xi*T)/(1 + xi*c) but exact (bitwise) at xi = 0 and on
     constant fixed points.
+
+    Raises ValueError when rhs is not a stack of grids, v0 does not have
+    the shape of rhs, xi does not broadcast to it, or sweeps < 0.
     """
+    rhs = np.asarray(rhs)
+    v0 = np.asarray(v0)
+    if rhs.ndim < 2:
+        raise ValueError("rhs must have shape (..., H, W), got %s" % (rhs.shape,))
+    if v0.shape != rhs.shape:
+        raise ValueError("v0 shape %s differs from rhs shape %s" % (v0.shape, rhs.shape))
+    try:
+        xi = np.broadcast_to(xi, rhs.shape)
+    except ValueError:
+        raise ValueError(
+            "xi shape %s does not broadcast to rhs shape %s" % (np.shape(xi), rhs.shape)
+        ) from None
+    if sweeps < 0:
+        raise ValueError("sweeps must be nonnegative, got %d" % sweeps)
     h, w = rhs.shape[-2:]
-    pad = np.zeros(rhs.shape[:-2] + (h + 2, w + 2))
-    pad[..., 1:-1, 1:-1] = v0
-    c = _neighbor_count((h, w))
-    cr = c * rhs
-    denom = 1.0 + xi * c
-    lattices = []
-    # Row and column parities of the two red sub-lattices, then the two
-    # black ones; the two of one color never neighbor each other.
-    for py, px in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        # Offset k = 0, 1, 2 steps one row (column) before, onto and after
-        # the sub-lattice in the padded frame; k = 0 is the sub-lattice
-        # itself in the unpadded arrays.
-        r = [slice(py + k, h + k, 2) for k in range(3)]
-        q = [slice(px + k, w + k, 2) for k in range(3)]
-        neighbors = (
-            pad[..., r[1], q[0]], pad[..., r[1], q[2]], pad[..., r[0], q[1]], pad[..., r[2], q[1]]
-        )
-        fields = tuple(a[..., r[0], q[0]] for a in (rhs, xi, cr, denom))
-        lattices.append((pad[..., r[1], q[1]], neighbors, fields))
-    for _ in range(sweeps):
-        for center, (left, right, up, down), (b, x, bc, d) in lattices:
-            center[...] = b + x * (((left + right) + (up + down)) - bc) / d
-    return pad[..., 1:-1, 1:-1].copy()
+    frame = ((h + 1) // 2 + 2, (w + 1) // 2 + 2)
+    fields = _plane_fields(rhs, xi, frame)
+    planes = np.zeros((4,) + rhs.shape[:-2] + frame)
+    for plane, (py, px) in zip(planes, _SUBLATTICES):
+        plane[_cells(h, w, py, px)] = v0[..., py::2, px::2]
+    _sweep(planes, fields, sweeps)
+    del fields  # free before allocating the output, so the sweep sets the peak
+    out = np.empty(rhs.shape)
+    for plane, (py, px) in zip(planes, _SUBLATTICES):
+        out[..., py::2, px::2] = plane[_cells(h, w, py, px)]
+    return out

@@ -93,6 +93,13 @@ def test_weight_fields_constant_mode_ignores_residual():
     assert lam.shape == rho.shape
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["beta", "smoothing_sigma"])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        AdaptiveParams(**{"beta": 1.0, "alpha": 0.1, name: value})
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AdaptiveParams(beta=0.0, alpha=0.1)

@@ -234,6 +234,40 @@ def test_error_exit_codes(tmp_path):
     assert entry(["denoise", "--input", str(noisy_path), "--output", out, "--threads", "0"]) == 2
 
 
+@pytest.mark.parametrize("command, flag, value, name", [
+    ("denoise", "--mu", "nan", "mu"),
+    ("denoise", "--mu", "inf", "mu"),
+    ("denoise", "--eta", "nan", "eta"),
+    ("denoise", "--theta", "nan", "theta"),
+    ("denoise", "--beta", "nan", "beta"),
+    ("denoise", "--tol", "nan", "tol_primal"),
+    ("denoise", "--smooth-sigma", "nan", "smoothing_sigma"),
+    ("flow", "--dtau", "nan", "dtau"),
+    ("segment", "--tau-excl", "inf", "tau_excl"),
+])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value, name):
+    _, noisy_path, _ = _denoise_fixture(tmp_path)
+    inputs = {
+        "denoise": ["--input", str(noisy_path), "--output", str(tmp_path / "x.pgm")],
+        "segment": ["--input", str(noisy_path), "--labels", "2"],
+        "flow": ["--frame1", str(noisy_path), "--frame2", str(noisy_path)],
+    }[command]
+    assert entry([command] + inputs + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err
+
+
+@pytest.mark.parametrize("every", ["0", "-1"])
+def test_dump_lambda_every_rejects_nonpositive(tmp_path, capsys, every):
+    _, noisy_path, _ = _denoise_fixture(tmp_path)
+    out = tmp_path / "out.pgm"
+    rc = entry(["denoise", "--input", str(noisy_path), "--output", str(out),
+                "--iters", "2", "--dump-lambda-every", every])
+    assert rc == 2
+    assert "--dump-lambda-every" in capsys.readouterr().err
+    assert list(tmp_path.glob("out.pgm*")) == []
+
+
 def test_usage_errors_raise_system_exit(tmp_path):
     with pytest.raises(SystemExit):
         entry([])

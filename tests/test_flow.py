@@ -44,6 +44,12 @@ def test_params_validation():
     FlowParams(solver=sp, tau0=1.0, dtau=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_params_reject_non_finite_dtau(value):
+    with pytest.raises(ValueError, match="dtau"):
+        FlowParams(solver=flow_solver(), dtau=value)
+
+
 def test_tau_schedule_values_and_exact_clamp():
     assert tau_schedule(0.5, 0.005, 0) == 0.5
     assert tau_schedule(0.5, 0.005, 10) == pytest.approx(0.55, abs=1e-15)

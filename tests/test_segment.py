@@ -60,6 +60,12 @@ def test_params_validation():
         seg_params(tau=-0.1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_params_reject_non_finite_tau_excl(value):
+    with pytest.raises(ValueError, match="tau_excl"):
+        seg_params(tau=value)
+
+
 def test_warm_start_rejects_single_label():
     with pytest.raises(ValueError):
         warm_start_labels(np.zeros((4, 4)), 1)

@@ -1,5 +1,7 @@
 """ADMM driver mechanics and the screened Gauss-Seidel inner solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,13 @@ def test_params_validation():
         with pytest.raises(ValueError):
             make_params(**bad)
     make_params(max_iters=0)  # zero iterations is allowed
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["mu", "eta", "theta", "tol_primal"])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        make_params(**{name: value})
 
 
 def test_zero_iterations_returns_initial_solution():
@@ -171,8 +180,16 @@ def test_screened_solve_does_not_mutate_start():
         assert np.array_equal(v0, keep)
 
 
-@pytest.mark.parametrize("hw", [(128, 128), (127, 130), (1, 5), (5, 1), (1, 1), (8, 8)],
-                         ids=lambda hw: "%dx%d" % hw)
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize(
+    "hw", [(128, 128), (127, 130), (1, 5), (5, 1), (1, 1), (2, 2), (7, 9), (8, 8)],
+    ids=lambda hw: "%dx%d" % hw,
+)
 def test_screened_solve_stack_matches_slices_and_full_grid_sweep(hw):
     n = 3
     size = n * hw[0] * hw[1]
@@ -181,15 +198,53 @@ def test_screened_solve_stack_matches_slices_and_full_grid_sweep(hw):
     v0 = rng.normals(size).reshape((n,) + hw)
     xi = rng.uniforms(size).reshape((n,) + hw) * 12.0
     xi[:, ::3, ::2] = 0.0
-    stacked = screened_solve(rhs, xi, v0, 20)
-    for i in range(n):
-        single = screened_solve(rhs[i], xi[i], v0[i], 20)
-        assert np.array_equal(stacked[i], single)
-        assert np.array_equal(single, screened_sweep_reference(rhs[i], xi[i], v0[i], 20))
-    # one (H, W) weight shared by the whole stack, as the flow solver uses it
-    shared = screened_solve(rhs, xi[0], v0, 20)
-    for i in range(n):
-        assert np.array_equal(shared[i], screened_sweep_reference(rhs[i], xi[0], v0[i], 20))
+    # signed zeros: where xi = 0 too, the sign of the result follows the
+    # sign of the neighbor sum
+    rhs[:, ::4, 1::3] = -0.0
+    v0[:, 1::2, ::5] = -0.0
+    for sweeps in (0, 1, 20):
+        stacked = screened_solve(rhs, xi, v0, sweeps)
+        # one (H, W) weight shared by the whole stack, as the flow solver uses it
+        shared = screened_solve(rhs, xi[0], v0, sweeps)
+        for i in range(n):
+            single = screened_solve(rhs[i], xi[i], v0[i], sweeps)
+            assert_bitwise(stacked[i], single)
+            assert_bitwise(single, screened_sweep_reference(rhs[i], xi[i], v0[i], sweeps))
+            assert_bitwise(shared[i], screened_sweep_reference(rhs[i], xi[0], v0[i], sweeps))
+
+
+def test_screened_solve_rejects_mismatched_inputs():
+    rhs = np.zeros((3, 4, 5))
+    xi = np.ones((4, 5))
+    v0 = np.zeros_like(rhs)
+    with pytest.raises(ValueError, match="v0"):
+        screened_solve(rhs, xi, np.zeros((4, 5)), 1)  # would broadcast over the stack
+    for bad_xi in (np.ones((5, 4)), np.ones((2, 4, 5)), np.ones((2, 3, 4, 5))):
+        with pytest.raises(ValueError, match="xi"):
+            screened_solve(rhs, bad_xi, v0, 1)
+    with pytest.raises(ValueError, match="sweeps"):
+        screened_solve(rhs, xi, v0, -1)
+    with pytest.raises(ValueError, match="rhs"):
+        screened_solve(np.zeros(5), np.ones(5), np.zeros(5), 1)
+
+
+def test_screened_solve_peak_memory():
+    # The planes of v and of rhs, xi, c*rhs and 1 + xi*c take 5 rhs sizes
+    # plus their pad, and one scratch plane a quarter more (5.33 in all at
+    # 512^2).  The bound leaves no room for a full-size temporary, nor for
+    # holding the fields planes while the output is allocated.
+    rng = Splitmix64(405)
+    shape = (512, 512)
+    rhs = rng.normals(shape[0] * shape[1]).reshape(shape)
+    xi = rng.uniforms(shape[0] * shape[1]).reshape(shape) * 12.0
+    v0 = rhs.copy()
+    tracemalloc.start()
+    try:
+        screened_solve(rhs, xi, v0, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * rhs.nbytes
 
 
 def test_screened_solve_matches_dense_oracle():
