@@ -67,8 +67,10 @@ def residual_to_nu(rho: np.ndarray, params: AdaptiveParams) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.float64)
     if np.any(rho < 0):
         raise ValueError("residual must be nonnegative")
-    smoothed = convolve_gaussian(rho, params.smoothing_sigma)
-    return np.exp(-smoothed / params.beta)
+    nu = convolve_gaussian(rho, params.smoothing_sigma)
+    np.negative(nu, out=nu)
+    nu /= params.beta
+    return np.exp(nu, out=nu)
 
 
 def nu_to_lambda(nu: np.ndarray, alpha: float) -> np.ndarray:

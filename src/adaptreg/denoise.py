@@ -57,8 +57,10 @@ class DenoiseState:
 
     def energy(self) -> float:
         p = self.params
-        data = self.lam * huber(self.f - self.u, p.mu)
-        reg = (1.0 - self.lam) * huber_vec(gradient(self.v), p.eta)
+        data = huber(self.f - self.u, p.mu)
+        data *= self.lam
+        reg = huber_vec(gradient(self.v), p.eta)
+        reg *= 1.0 - self.lam
         return float(np.sum(data) + np.sum(reg))
 
     def mean_lambda(self) -> float:

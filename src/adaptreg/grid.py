@@ -134,11 +134,13 @@ def _convolve_axis(u, k, radius, axis):
     padded = np.pad(u, padding, mode="symmetric")
     n = u.shape[axis]
     acc = np.zeros_like(u)
+    term = np.empty_like(u)
     for t, weight in enumerate(k):
         if axis == -1:
-            acc += weight * padded[..., t : t + n]
+            np.multiply(weight, padded[..., t : t + n], out=term)
         else:
-            acc += weight * padded[..., t : t + n, :]
+            np.multiply(weight, padded[..., t : t + n, :], out=term)
+        acc += term
     return acc
 
 

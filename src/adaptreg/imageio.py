@@ -177,7 +177,7 @@ def flow_to_color(u: np.ndarray, max_magnitude: float | None = None) -> np.ndarr
     u = vector_grid(u)
     wheel = color_wheel() / 255.0
     ncols = wheel.shape[0]
-    rad = np.sqrt(np.sum(u * u, axis=-1))
+    rad = np.sqrt(u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1])
     if max_magnitude is None:
         norm = float(np.percentile(rad, 99))
     else:

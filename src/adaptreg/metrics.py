@@ -125,19 +125,29 @@ def label_scores(pred: np.ndarray, gt: np.ndarray):
     return precision, recall, f_measure
 
 
+def _check_flow_pair(u, gt):
+    u, gt = _check_same_shape(u, gt)
+    if u.ndim == 0 or u.shape[-1] != 2:
+        raise ValueError("flow fields must have shape (..., 2)")
+    return u, gt
+
+
 def aee(u, gt) -> float:
     """Average endpoint error: mean Euclidean distance per pixel."""
-    u, gt = _check_same_shape(u, gt)
-    diff = u - gt
-    return float(np.mean(np.sqrt(np.sum(diff * diff, axis=-1))))
+    u, gt = _check_flow_pair(u, gt)
+    dx = u[..., 0] - gt[..., 0]
+    dy = u[..., 1] - gt[..., 1]
+    return float(np.mean(np.sqrt(dx * dx + dy * dy)))
 
 
 def aae(u, gt) -> float:
     """Average angular error (radians) between homogeneous extensions
     (u1, u2, 1) and (g1, g2, 1)."""
-    u, gt = _check_same_shape(u, gt)
-    num = 1.0 + np.sum(u * gt, axis=-1)
-    den = np.sqrt(1.0 + np.sum(u * u, axis=-1)) * np.sqrt(1.0 + np.sum(gt * gt, axis=-1))
+    u, gt = _check_flow_pair(u, gt)
+    u1, u2 = u[..., 0], u[..., 1]
+    g1, g2 = gt[..., 0], gt[..., 1]
+    num = 1.0 + (u1 * g1 + u2 * g2)
+    den = np.sqrt(1.0 + (u1 * u1 + u2 * u2)) * np.sqrt(1.0 + (g1 * g1 + g2 * g2))
     return float(np.mean(np.arccos(np.clip(num / den, -1.0, 1.0))))
 
 

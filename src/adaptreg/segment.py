@@ -4,10 +4,11 @@ Each label i carries a relaxed membership u_i in [0, 1], a region
 intensity c_i, and its own split/dual/auxiliary fields, all stacked
 label-major.  One iteration runs these steps on the whole stack:
 
-    d            |r_i| + (f - c_i - r_i)^2 / (2 mu)       (previous c, r)
-    lambda       from the residual d * u
+    lambda       from the residual d * u, d the misfit of the previous c, r
     c            c_i = sum(lambda_i (f - r_i) u_i) / sum(lambda_i u_i)
     r            shrink(f - c_i | mu)
+    d            |r_i| + (f - c_i - r_i)^2 / (2 mu), computed once here and
+                 read by the u-step, the energy and the next weight step
     z            vector shrink of grad v
     u            u_i = max(0, v_i - w_i - (lambda_i/theta) d_i
                                 - (tau_excl/theta) sum_{j != i} u_j)
@@ -133,7 +134,13 @@ def warm_start_labels(f: np.ndarray, n_labels: int, presmooth_sigma: float = 1.0
 
 def misfit(state: LabelState, mu: float) -> np.ndarray:
     """d_i = |r_i| + (f - c_i - r_i)^2 / (2 mu) at the current fields, (n, H, W)."""
-    return np.abs(state.r) + (state.f - state.c[:, None, None] - state.r) ** 2 / (2.0 * mu)
+    q = np.subtract(state.f, state.c[:, None, None])
+    q -= state.r
+    np.square(q, out=q)
+    q /= 2.0 * mu
+    d = np.abs(state.r)
+    d += q
+    return d
 
 
 def update_c(state: LabelState) -> np.ndarray:
@@ -148,16 +155,17 @@ def update_c(state: LabelState) -> np.ndarray:
     return np.divide(num, den, out=state.c.copy(), where=~degenerate)
 
 
-def update_u(state: LabelState, params: SegmentParams) -> np.ndarray:
+def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndarray:
     """Membership step: gradient of the linear data and exclusivity
-    terms against the augmentation, clipped at zero.
+    terms against the augmentation, clipped at zero.  d is
+    misfit(state, mu) at the current c and r.
 
     The labels are swept in ascending order.  The exclusivity sum reads
     the memberships already updated in this sweep, or only those of the
     iteration start under jacobi_labels.
     """
     sp = params.solver
-    base = state.v - state.w - (state.lam / sp.theta) * misfit(state, sp.mu)
+    base = state.v - state.w - (state.lam / sp.theta) * d
     u = state.u.copy()
     coupling = state.u if params.jacobi_labels else u
     labels = np.arange(state.n_labels)
@@ -199,17 +207,21 @@ class SegmentState:
             raise ValueError("the label state has %d labels, not %d" % (state.n_labels, params.n_labels))
         self.params = params
         self.s = state
+        # misfit(s, mu) at the current c and r, recomputed whenever they
+        # change: the weight step, the u-step and the energy all read it.
+        self.d = misfit(state, params.solver.mu)
 
     def iterate(self):
         p = self.params
         sp = p.solver
         s = self.s
         s.iteration += 1
-        s.lam = weight_fields(misfit(s, sp.mu) * s.u, sp.adaptive)
+        s.lam = weight_fields(self.d * s.u, sp.adaptive)
         s.c = update_c(s)
         s.r = shrink(s.f - s.c[:, None, None], sp.mu)
+        self.d = misfit(s, sp.mu)
         s.z = shrink_vec(gradient(s.v), sp.eta)
-        s.u = update_u(s, p)
+        s.u = update_u(s, p, self.d)
         update_v_all(s, p)
         s.w = s.w + (s.u - s.v)
 
@@ -220,8 +232,12 @@ class SegmentState:
         p = self.params
         sp = p.solver
         s = self.s
-        data = np.sum(s.lam * misfit(s, sp.mu) * s.u, axis=(1, 2))
-        reg = np.sum((1.0 - s.lam) * huber_vec(gradient(s.v), sp.eta), axis=(1, 2))
+        data = s.lam * self.d
+        data *= s.u
+        data = np.sum(data, axis=(1, 2))
+        reg = huber_vec(gradient(s.v), sp.eta)
+        reg *= 1.0 - s.lam
+        reg = np.sum(reg, axis=(1, 2))
         # A strict left-to-right sum, label by label and data before
         # regularizer; np.sum and sum() group the terms and round otherwise.
         total = float(np.add.accumulate(np.column_stack((data, reg)).ravel())[-1])

@@ -2,10 +2,8 @@
 
 import numpy as np
 
-from adaptreg.adaptive import weight_fields
 from adaptreg.grid import gaussian_kernel, gradient
 from adaptreg.metrics import match_labels
-from adaptreg.prox import huber_vec, shrink, shrink_vec
 from adaptreg.segment import DEGENERATE_REGION_WEIGHT, update_v_all
 
 
@@ -104,6 +102,67 @@ def screened_sweep_reference(rhs, xi, v0, sweeps):
     return v
 
 
+# Frozen textbook formulas of the pointwise kernels, written with one
+# full-size temporary per operation and np.sum over the component axis.
+# The package kernels must equal them bitwise.
+
+
+def huber_reference(x, mu):
+    x = np.asarray(x, dtype=np.float64)
+    ax = np.abs(x)
+    out = np.where(ax <= mu, x * x / (2.0 * mu), ax - mu / 2.0)
+    return out if out.ndim else float(out)
+
+
+def huber_vec_reference(v, mu):
+    v = np.asarray(v, dtype=np.float64)
+    return huber_reference(np.sqrt(np.sum(v * v, axis=-1)), mu)
+
+
+def shrink_reference(x, t):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    return out if out.ndim else float(out)
+
+
+def shrink_vec_reference(v, t):
+    v = np.asarray(v, dtype=np.float64)
+    norm = np.sqrt(np.sum(v * v, axis=-1))
+    factor = np.maximum(0.0, 1.0 - t / np.where(norm > 0.0, norm, 1.0))
+    return v * factor[..., None]
+
+
+def convolve_axis_reference(u, k, radius, axis):
+    padding = [(0, 0)] * u.ndim
+    padding[axis] = (radius, radius)
+    padded = np.pad(u, padding, mode="symmetric")
+    n = u.shape[axis]
+    acc = np.zeros_like(u)
+    for t, weight in enumerate(k):
+        if axis == -1:
+            acc += weight * padded[..., t : t + n]
+        else:
+            acc += weight * padded[..., t : t + n, :]
+    return acc
+
+
+def convolve_gaussian_reference(u, sigma):
+    if sigma == 0:
+        return u.copy()
+    k = gaussian_kernel(sigma)
+    radius = (len(k) - 1) // 2
+    return convolve_axis_reference(convolve_axis_reference(u, k, radius, -1), k, radius, -2)
+
+
+def weight_fields_reference(rho, params):
+    """Fidelity weight lambda from the frozen smoothing and shrink formulas."""
+    rho = np.asarray(rho, dtype=np.float64)
+    if params.constant_lambda is not None:
+        return np.full_like(rho, float(params.constant_lambda))
+    nu = np.exp(-convolve_gaussian_reference(rho, params.smoothing_sigma) / params.beta)
+    return shrink_reference(nu, params.alpha)
+
+
 def _label_misfit(s, i, mu):
     return np.abs(s.r[i]) + (s.f - s.c[i] - s.r[i]) ** 2 / (2.0 * mu)
 
@@ -121,15 +180,15 @@ def segment_iterate_reference(s, params):
     labels = np.arange(s.n_labels)
     for i in labels:
         d = _label_misfit(s, i, sp.mu)
-        s.lam[i] = weight_fields(d * s.u[i], sp.adaptive)
+        s.lam[i] = weight_fields_reference(d * s.u[i], sp.adaptive)
         weights = s.lam[i] * s.u[i]
         den = float(np.sum(weights))
         if den <= DEGENERATE_REGION_WEIGHT:
             s.degenerate_events.append((s.iteration, int(i)))
         else:
             s.c[i] = float(np.sum(weights * (s.f - s.r[i]))) / den
-        s.r[i] = shrink(s.f - s.c[i], sp.mu)
-        s.z[i] = shrink_vec(gradient(s.v[i]), sp.eta)
+        s.r[i] = shrink_reference(s.f - s.c[i], sp.mu)
+        s.z[i] = shrink_vec_reference(gradient(s.v[i]), sp.eta)
         d = _label_misfit(s, i, sp.mu)
         others = np.sum(u_ref[labels != i], axis=0)
         s.u[i] = np.maximum(
@@ -147,7 +206,7 @@ def segment_energy_reference(s, params):
     for i in range(s.n_labels):
         d = _label_misfit(s, i, sp.mu)
         total += float(np.sum(s.lam[i] * d * s.u[i]))
-        total += float(np.sum((1.0 - s.lam[i]) * huber_vec(gradient(s.v[i]), sp.eta)))
+        total += float(np.sum((1.0 - s.lam[i]) * huber_vec_reference(gradient(s.v[i]), sp.eta)))
     overlap = (np.sum(s.u, axis=0) ** 2 - np.sum(s.u**2, axis=0)) / 2.0
     return total + params.tau_excl * float(np.sum(overlap))
 

@@ -16,7 +16,7 @@ from adaptreg.prox import huber, huber_vec, moreau_envelope_bruteforce, shrink
 from adaptreg.solver import SolverParams
 from adaptreg.synth import Splitmix64, add_gaussian_noise, biased_noise_image
 from adaptreg.metrics import ssim
-from helpers import assemble_screened_matrix, make_scene
+from helpers import assemble_screened_matrix, huber_reference, huber_vec_reference, make_scene
 
 
 def adaptive_defaults(**kw):
@@ -97,6 +97,14 @@ def test_update_u_agreeing_targets_short_circuit():
     st.v = st.f.copy()  # both targets equal f
     assert np.array_equal(update_u(st, st.params), st.f)
 
+
+
+def test_energy_matches_frozen_formula():
+    st = random_state(311, n=9)
+    p = st.params
+    data = st.lam * huber_reference(st.f - st.u, p.mu)
+    reg = (1.0 - st.lam) * huber_vec_reference(gradient(st.v), p.eta)
+    assert st.energy() == float(np.sum(data) + np.sum(reg))
 
 def test_update_v_full_fidelity_skips_smoothing():
     st = random_state(506)

@@ -14,11 +14,12 @@ from adaptreg.flow import (
     update_u,
     update_v_w,
 )
-from adaptreg.grid import central_gradient
+from adaptreg.grid import central_gradient, gradient
 from adaptreg.metrics import aee
 from adaptreg.prox import shrink
 from adaptreg.solver import SolverParams
 from adaptreg.synth import Splitmix64, shifted_pair, smooth_texture
+from helpers import huber_reference, huber_vec_reference
 
 
 def flow_solver(**kw):
@@ -151,6 +152,25 @@ def test_update_r_shrinks_linearized_residual():
     st.iterate()
     assert np.array_equal(st.r, shrink(residual, mu))
 
+
+
+@pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
+def test_energy_matches_frozen_formula(anisotropic):
+    # Small grids and many of them: on a large grid the total absorbs a
+    # last-bit change in how the four partial derivatives are grouped.
+    for seed in range(20):
+        st = random_flow_state(730 + seed, n=4)
+        st.params.anisotropic_reg = anisotropic
+        sp = st.params.solver
+        au = st.A[..., 0] * st.u[..., 0] + st.A[..., 1] * st.u[..., 1]
+        data = st.lam * huber_reference(st.ft - au, sp.mu)
+        g = gradient(np.moveaxis(st.v, -1, 0))
+        if anisotropic:
+            reg = (huber_reference(g[0], sp.eta).sum(axis=-1)
+                   + huber_reference(g[1], sp.eta).sum(axis=-1))
+        else:
+            reg = huber_vec_reference(g[0], sp.eta) + huber_vec_reference(g[1], sp.eta)
+        assert st.energy() == float(np.sum(data) + np.sum((1.0 - st.lam) * reg))
 
 def test_update_u_degenerate_rows_pass_through_bitwise():
     st = random_flow_state(704)

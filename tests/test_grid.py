@@ -1,5 +1,7 @@
 """Differential operators, convolution, and interpolation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,22 @@ def test_convolve_preserves_mean():
             for i in range(shape[0]):
                 assert np.array_equal(out[i], convolve_gaussian(stack[i], sigma))
 
+
+
+def test_convolve_peak_memory():
+    # The second pass holds the first pass's output, its padded copy
+    # (1.02 fields at sigma 2 on 512^2), the accumulator and the one
+    # reusable term buffer: 4.02 fields.  The bound leaves no room for a
+    # full-size temporary per tap.
+    rng = Splitmix64(106)
+    u = rand_grid(rng, 512, 512)
+    tracemalloc.start()
+    try:
+        convolve_gaussian(u, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * u.nbytes
 
 def test_gaussian_kernel_normalized():
     for sigma in (0.5, 1.5, 4.0):

@@ -201,6 +201,17 @@ def test_flow_to_color_default_normalization():
     assert out.dtype == np.uint8
 
 
+
+def test_flow_to_color_default_norm_is_summed_formula_percentile():
+    # the default normalization is the 99th percentile of
+    # sqrt(sum(u * u, axis=-1)), bit for bit
+    rng = Splitmix64(906)
+    u = rng.normals(2 * 23 * 17).reshape(23, 17, 2) * 2.0
+    u[0, 0] = (-0.0, 0.0)
+    radius = np.sqrt(np.sum(u * u, axis=-1))
+    explicit = flow_to_color(u, max_magnitude=float(np.percentile(radius, 99)))
+    assert np.array_equal(flow_to_color(u), explicit)
+
 def test_grayscale_heatmap_affine_and_clamped():
     u = np.array([[-1.0, 0.0, 0.5, 1.0, 2.0]])
     out = grayscale_heatmap(u, 0.0, 1.0)

@@ -148,6 +148,29 @@ def test_aae_matches_loop_oracle():
     assert aae(u, gt) == pytest.approx(float(np.mean(vals)), abs=1e-12)
 
 
+
+def test_flow_errors_match_summed_formula_bitwise():
+    rng = Splitmix64(805)
+    u = rng.normals(140).reshape(2, 5, 7, 2) * 3.0
+    gt = rng.normals(140).reshape(2, 5, 7, 2) * 3.0
+    u[0, 0, 0] = (-0.0, -0.0)
+    gt[0, 0, 0] = (0.0, 0.0)
+    u[0, 1, 1] = (5e-324, -1e-310)
+    gt[1, 2, 3] = (1e150, -1e150)
+    diff = u - gt
+    assert aee(u, gt) == float(np.mean(np.sqrt(np.sum(diff * diff, axis=-1))))
+    num = 1.0 + np.sum(u * gt, axis=-1)
+    den = np.sqrt(1.0 + np.sum(u * u, axis=-1)) * np.sqrt(1.0 + np.sum(gt * gt, axis=-1))
+    assert aae(u, gt) == float(np.mean(np.arccos(np.clip(num / den, -1.0, 1.0))))
+
+
+def test_flow_errors_reject_non_vector_fields():
+    for shape in ((), (4, 4, 3), (4, 4, 1)):
+        with pytest.raises(ValueError):
+            aee(np.zeros(shape), np.zeros(shape))
+        with pytest.raises(ValueError):
+            aae(np.zeros(shape), np.zeros(shape))
+
 def test_metrics_csv_round_trip():
     text = metrics_csv([("psnr", 22.5), ("ssim", 1.0 / 3.0)])
     lines = text.splitlines()

@@ -1,5 +1,7 @@
 """Huber penalties, shrinkage, and simplex projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,29 @@ def test_project_sum_to_one_moves_along_ones():
 def test_project_sum_to_one_empty_raises():
     with pytest.raises(ValueError):
         project_stack_sum_to_one(np.zeros((0, 2, 2)))
+
+
+def peak_bytes(kernel, *args):
+    """Peak of the memory traced while kernel(*args) runs, result included."""
+    tracemalloc.start()
+    try:
+        kernel(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_peak_memory():
+    # Peaks in units of one 512^2 scalar field (2 MiB), result included:
+    # huber holds |x|, x^2/(2 mu), the branch mask (1/8) and the result,
+    # 3.13; huber_vec the norm, the same square and mask, and the result,
+    # 3.13; shrink |x| and sign(x), 2.0; shrink_vec the norm and the
+    # 2-field result, 3.0.  Each bound leaves less than one field of room.
+    rng = Splitmix64(209)
+    v = rng.normals(512 * 512 * 2).reshape(512, 512, 2)
+    x = np.ascontiguousarray(v[..., 0])
+    field = x.nbytes
+    assert peak_bytes(huber, x, 0.08) <= 3.5 * field
+    assert peak_bytes(huber_vec, v, 0.08) <= 3.5 * field
+    assert peak_bytes(shrink, x, 0.08) <= 2.5 * field
+    assert peak_bytes(shrink_vec, v, 0.08) <= 3.5 * field

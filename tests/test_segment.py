@@ -138,7 +138,7 @@ def test_update_u_matches_formula():
             - (params.tau_excl / sp.theta) * others,
         )
     old = st.u.copy()
-    assert np.array_equal(update_u(st, params), ref)
+    assert np.array_equal(update_u(st, params, d), ref)
     assert np.array_equal(st.u, old)
 
 
@@ -147,7 +147,7 @@ def test_update_u_jacobi_couples_to_iteration_start():
     params = seg_params(n_labels=2, tau=1.0, jacobi_labels=True)
     sp = params.solver
     d = misfit(st, sp.mu)
-    out = update_u(st, params)
+    out = update_u(st, params, d)
     for i, j in ((0, 1), (1, 0)):
         ref = np.maximum(
             0.0,
@@ -157,7 +157,7 @@ def test_update_u_jacobi_couples_to_iteration_start():
         assert np.array_equal(out[i], ref)
     # without jacobi_labels, label 1 sees the new label 0 instead
     params.jacobi_labels = False
-    gs = update_u(st, params)
+    gs = update_u(st, params, d)
     assert np.array_equal(gs[0], out[0])
     assert not np.array_equal(gs[1], out[1])
 
@@ -166,7 +166,7 @@ def test_update_u_nonnegative():
     st = random_label_state(608)
     st.w += 5.0  # push u_tilde negative
     params = seg_params()
-    assert np.all(update_u(st, params) == 0.0)
+    assert np.all(update_u(st, params, misfit(st, params.solver.mu)) == 0.0)
 
 
 def test_update_v_all_full_fidelity_reduces_to_projection():
@@ -245,6 +245,8 @@ def test_stacked_iterate_matches_per_label_reference(n, jacobi, sigma, const, em
     for _ in range(6):
         wrapper.iterate()
         segment_iterate_reference(ref, params)
+        # the misfit kept across the iteration is the one of the current c, r
+        assert np.array_equal(wrapper.d, misfit(wrapper.s, sp.mu))
         assert wrapper.energy() == segment_energy_reference(ref, params)
     for name in ("u", "v", "w", "r", "z", "lam", "c"):
         assert np.array_equal(getattr(wrapper.s, name), getattr(ref, name)), name
