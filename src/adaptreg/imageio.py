@@ -40,7 +40,9 @@ def _next_token(buf: bytes, pos: int):
 def read_pnm(path) -> np.ndarray:
     """Read a binary PGM (P5) or PPM (P6) as float64 scaled to [0,1].
 
-    Returns (H, W) for P5 and (H, W, 3) for P6.
+    Returns (H, W) for P5 and (H, W, 3) for P6.  Bytes after the payload
+    are ignored: Netpbm allows several images in one file, and this reads
+    the first.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -105,7 +107,10 @@ def write_pnm(path, img: np.ndarray, maxval: int = 255):
 
 
 def read_flo(path) -> np.ndarray:
-    """Read a Middlebury .flo file as a float64 (H, W, 2) field."""
+    """Read a Middlebury .flo file as a float64 (H, W, 2) field.
+
+    The file must end with the payload; trailing bytes raise ValueError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12:
@@ -117,10 +122,14 @@ def read_flo(path) -> np.ndarray:
     if width < 1 or height < 1:
         raise ValueError("not a flow file (bad dimensions %dx%d)" % (width, height))
     need = 8 * width * height
-    payload = data[12 : 12 + need]
+    payload = data[12:]
     if len(payload) < need:
         raise ValueError(
             "truncated flow file: need %d bytes, have %d" % (need, len(payload))
+        )
+    if len(payload) > need:
+        raise ValueError(
+            "trailing data in flow file: %d bytes after the payload" % (len(payload) - need)
         )
     samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     return samples.reshape(height, width, 2)

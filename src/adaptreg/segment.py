@@ -168,9 +168,13 @@ def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndar
     base = state.v - state.w - (state.lam / sp.theta) * d
     u = state.u.copy()
     coupling = state.u if params.jacobi_labels else u
-    labels = np.arange(state.n_labels)
-    for i in labels:
-        others = np.sum(coupling[labels != i], axis=0)
+    others = np.empty_like(base[0])
+    for i in range(state.n_labels):
+        # Ascending from +0.0, as np.sum over the other labels adds them.
+        others.fill(0.0)
+        for j in range(state.n_labels):
+            if j != i:
+                others += coupling[j]
         u[i] = np.maximum(0.0, base[i] - (params.tau_excl / sp.theta) * others)
     return u
 

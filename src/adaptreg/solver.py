@@ -140,35 +140,38 @@ def _cells(h: int, w: int, py: int, px: int):
 
 def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame) -> np.ndarray:
     """rhs, xi, c*rhs and 1 + xi*c of every sub-lattice, c the neighbor
-    count, as a (4 sub-lattices, 4 fields, ..., *frame) block of planes.
-    Pad cells hold rhs = xi = c*rhs = 0 and 1 + xi*c = 1."""
+    count, as a field-major (4 fields, 4 sub-lattices, ..., *frame) block
+    of planes: one field of both sub-lattices of a color is one
+    contiguous run.  Pad cells hold rhs = xi = c*rhs = 0 and 1 + xi*c = 1."""
     h, w = rhs.shape[-2:]
     fields = np.zeros((4, 4) + rhs.shape[:-2] + frame)
-    fields[:, 3] = 1.0
-    for (py, px), plane_fields in zip(_SUBLATTICES, fields):
+    b, x, bc, d = fields
+    # One count plane per sub-lattice, broadcast over the stack; 0 on pad.
+    count = np.zeros((4,) + (1,) * (rhs.ndim - 2) + frame)
+    for k, (py, px) in enumerate(_SUBLATTICES):
         cells = _cells(h, w, py, px)
-        b, x, bc, d = (f[cells] for f in plane_fields)
-        b[...] = rhs[..., py::2, px::2]
-        x[...] = xi[..., py::2, px::2]
-        c = _neighbor_count(h, py)[:, None] + _neighbor_count(w, px)
-        np.multiply(c, b, out=bc)
-        np.multiply(x, c, out=d)
-        d += 1.0
+        b[k][cells] = rhs[..., py::2, px::2]
+        x[k][cells] = xi[..., py::2, px::2]
+        np.add(_neighbor_count(h, py)[:, None], _neighbor_count(w, px), out=count[k][cells])
+    np.multiply(count, b, out=bc)
+    np.multiply(x, count, out=d)
+    d += 1.0
     return fields
 
 
 def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
     """Red-black Gauss-Seidel sweeps in place on the (4, ..., *frame)
-    parity planes of v."""
+    parity planes of v, with the field-major block of _plane_fields."""
+    n = planes[0].size
     stride = planes.shape[-1]
-    v = planes.reshape(4, -1)
-    fields = fields.reshape(4, 4, -1)
-    lo, hi = stride + 1, v.shape[1] - stride - 1
+    v = planes.reshape(-1)
+    fields = fields.reshape(4, -1)
+    lo, hi = stride + 1, n - stride - 1
 
-    def shifted(k, s):
-        return v[k, lo + s : hi + s]
+    def run(k, s=0):
+        return v[k * n + lo + s : k * n + hi + s]
 
-    steps = []
+    sums = []
     for k, (py, px) in enumerate(_SUBLATTICES):
         # Left and right neighbors sit in the plane of the other column
         # parity, up and down in the plane of the other row parity.  At
@@ -177,20 +180,28 @@ def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
         # row) before it; at parity 1 the left (up) one shares it.
         across = _SUBLATTICES.index((py, 1 - px))
         along = _SUBLATTICES.index((1 - py, px))
-        neighbors = (
-            shifted(across, px - 1),
-            shifted(across, px),
-            shifted(along, (py - 1) * stride),
-            shifted(along, py * stride),
-        )
-        steps.append((v[k, lo:hi], neighbors, fields[k, :, lo:hi]))
-    scratch = np.empty_like(steps[0][0])
+        sums.append((
+            run(k),
+            run(across, px - 1),
+            run(across, px),
+            run(along, (py - 1) * stride),
+            run(along, py * stride),
+        ))
+    # The two planes of a color are adjacent, so one run from the first
+    # plane's run start to the second's run end covers both.  The pad rows
+    # in between hold zero fields and 1 + xi*c = 1, so they stay +0.0.
+    colors = []
+    for k in (0, 2):
+        tail = slice(k * n + lo, (k + 1) * n + hi)
+        colors.append((sums[k : k + 2], v[tail], fields[:, tail]))
+    scratch = np.empty(hi - lo)
     for _ in range(sweeps):
-        for center, (left, right, up, down), (b, x, bc, d) in steps:
+        for color_sums, center, (b, x, bc, d) in colors:
             # center = b + x * (((left + right) + (up + down)) - bc) / d
-            np.add(left, right, out=scratch)
-            np.add(up, down, out=center)
-            center += scratch
+            for total, left, right, up, down in color_sums:
+                np.add(left, right, out=scratch)
+                np.add(up, down, out=total)
+                total += scratch
             center -= bc
             center *= x
             center /= d
@@ -212,19 +223,25 @@ def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int)
     parity lives in its own zero-padded plane, and all planes share one
     frame (ceil(H/2) + 2, ceil(W/2) + 2) per stack entry.  Sub-lattice
     cell (i, j) sits at frame cell (i + 1, j + 1) in every plane.
-    Flattened over the whole stack, a sub-lattice update is one
+    Flattened over the whole stack, a sub-lattice's neighbor sum is one
     contiguous run that skips the first and last frame row, and its four
     neighbors are the same run shifted by 0 or 1 (left, right) in the
     plane of the other column parity and by 0 or one frame row (up,
     down) in the plane of the other row parity.  The run also covers the
-    pad cells between its rows and between stack entries.  Pad cells
-    carry rhs = xi = c*rhs = 0 and 1 + xi*c = 1, so the update writes
-    +0.0 there while the neighbors are finite, and a pad cell keeps
-    standing in for a missing neighbor.  (A non-finite value turns its
-    pad neighbors to NaN, which then reach the next row and the next
-    stack entry.)  The neighbor sum is taken pairwise, (left + right) +
-    (up + down), so that for a constant field it rounds identically to
-    count * value.
+    pad cells between its rows and between stack entries.  The fields
+    rhs, xi, c*rhs and 1 + xi*c sit in one field-major block (4 fields,
+    4 sub-lattices, ..., *frame), so the two planes of one color are
+    adjacent in v and in every field, and the pointwise rest of the
+    update runs once per color over a single run that spans both planes,
+    the pad rows between them included.  A sweep thus takes 20 ufunc
+    calls: 3 per sub-lattice for the neighbor sum and 4 per color for
+    the rest.  Pad cells carry rhs = xi = c*rhs = 0 and 1 + xi*c = 1, so
+    the update writes +0.0 there while the neighbors are finite, and a
+    pad cell keeps standing in for a missing neighbor.  (A non-finite
+    value turns its pad neighbors to NaN, which then reach the next row
+    and the next stack entry.)  The neighbor sum is taken pairwise,
+    (left + right) + (up + down), so that for a constant field it rounds
+    identically to count * value.
 
     The update is written as v = rhs + xi*(T - c*rhs)/(1 + xi*c) with T
     the neighbor sum and c the neighbor count: algebraically identical

@@ -7,6 +7,7 @@ shared by the two criteria that consume it.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 from helpers import (
@@ -380,7 +381,7 @@ def test_criterion_15_thread_flag_determinism(tmp_path):
         ]
         assert rc == [0, 0, 0]
         outputs[threads] = [
-            open(tag + suffix, "rb").read()
+            Path(tag + suffix).read_bytes()
             for suffix in ("_d.pgm", "_s.pgm", "_s.json", "_f.flo")
         ]
     ok = outputs["1"] == outputs["4"]

@@ -1,6 +1,7 @@
 """End-to-end command-line runs over temporary files."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_threads_flag_does_not_change_output(tmp_path, subcommand):
                     "--threads", threads]
             files = [str(tag) + ".flo"]
         assert entry(argv) == 0
-        outputs.append([open(f, "rb").read() for f in files])
+        outputs.append([Path(f).read_bytes() for f in files])
     assert outputs[0] == outputs[1]
 
 
@@ -232,6 +233,10 @@ def test_error_exit_codes(tmp_path):
     _, noisy_path, _ = _denoise_fixture(tmp_path)
     assert entry(["segment", "--input", str(noisy_path), "--labels", "1"]) == 2
     assert entry(["denoise", "--input", str(noisy_path), "--output", out, "--threads", "0"]) == 2
+    p1, p2, pgt = _flow_fixture(tmp_path)
+    pgt.write_bytes(pgt.read_bytes() + b"\0")
+    assert entry(["flow", "--frame1", str(p1), "--frame2", str(p2), "--warps", "1",
+                  "--iters", "1", "--gt", str(pgt)]) == 2
 
 
 @pytest.mark.parametrize("command, flag, value, name", [

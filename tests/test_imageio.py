@@ -1,10 +1,15 @@
 """Binary PNM and .flo round-trips, flow color coding, heatmaps."""
 
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import reference_color_wheel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptreg.imageio import (
     color_wheel,
@@ -154,6 +159,89 @@ def test_flo_error_paths(tmp_path):
     path.write_bytes(bytes(4))
     with pytest.raises(ValueError, match="truncated flow file"):
         read_flo(path)
+    # A .flo file holds one field, so bytes after it are an error.
+    path.write_bytes(struct.pack("<f", 202021.25) + struct.pack("<ii", 1, 1) + bytes(9))
+    with pytest.raises(ValueError, match="trailing data in flow file"):
+        read_flo(path)
+
+
+def test_pnm_reads_the_first_of_concatenated_images(tmp_path):
+    # Netpbm allows several images in one file, so bytes after the
+    # payload are not an error.
+    path = tmp_path / "two.pgm"
+    path.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]) + b"P5\n1 1\n255\n" + bytes([7]))
+    img = read_pnm(path)
+    assert img.shape == (1, 2)
+    assert list(img[0]) == [0.0, 1.0]
+
+
+_SEP = rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*\n)"
+# The PNM header grammar, written independently of the reader's tokenizer.
+_PNM_HEADER = re.compile(
+    rb"P([56])" + _SEP + rb"*(\d+)" + _SEP + rb"+(\d+)" + _SEP + rb"+(\d+)[ \t\r\n\x0b\x0c]"
+)
+
+
+def _declared_shape(kind, data):
+    """The array shape a file's header declares, or None if the header
+    does not parse."""
+    if kind == "flo":
+        if len(data) < 12 or data[:4] != struct.pack("<f", 202021.25):
+            return None
+        width, height = struct.unpack("<ii", data[4:12])
+        return (height, width, 2)
+    m = _PNM_HEADER.match(data)
+    if m is None:
+        return None
+    width, height = int(m.group(2)), int(m.group(3))
+    return (height, width) if m.group(1) == b"5" else (height, width, 3)
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid PGM (8 or 16 bit), PPM or .flo file, then up to three
+    truncations, byte replacements, insertions or deletions, most of
+    them in or next to the header."""
+    kind = draw(st.sampled_from(("pgm", "pgm16", "ppm", "flo")))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if kind == "flo":
+        header = struct.pack("<f", 202021.25) + struct.pack("<ii", w, h)
+        payload = bytes(8 * h * w)
+    else:
+        maxval = 65535 if kind == "pgm16" else 255
+        magic = b"P6" if kind == "ppm" else b"P5"
+        header = magic + b"\n%d %d\n%d\n" % (w, h, maxval)
+        channels = 3 if kind == "ppm" else 1
+        payload = bytes(range(7, 7 + h * w * channels * (2 if maxval > 255 else 1)))
+    data = bytearray(header + payload)
+    interesting = st.sampled_from(b" \n\t#0123456789-+xP\x00\xff")
+    for op in draw(st.lists(st.sampled_from(("truncate", "replace", "insert", "delete")), max_size=3)):
+        pos = draw(st.integers(0, min(len(data), len(header) + 2)))
+        if op == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif op == "insert":
+            data.insert(pos, draw(st.one_of(interesting, st.integers(0, 255))))
+        elif pos < len(data):
+            if op == "replace":
+                data[pos] = draw(st.one_of(interesting, st.integers(0, 255)))
+            else:
+                del data[pos]
+    return kind, bytes(data)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_files())
+def test_mutated_headers_raise_value_error_or_read_the_declared_shape(case):
+    kind, data = case
+    reader = read_flo if kind == "flo" else read_pnm
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        path.write_bytes(data)
+        try:
+            out = reader(path)
+        except ValueError:
+            return
+    assert out.shape == _declared_shape(kind, data)
 
 
 def test_color_wheel_matches_reference_table():

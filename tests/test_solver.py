@@ -186,31 +186,54 @@ def assert_bitwise(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+GRIDS = ((128, 128), (127, 130), (1, 5), (5, 1), (1, 1), (2, 2), (7, 9), (8, 8))
+
+
 @pytest.mark.parametrize(
-    "hw", [(128, 128), (127, 130), (1, 5), (5, 1), (1, 1), (2, 2), (7, 9), (8, 8)],
-    ids=lambda hw: "%dx%d" % hw,
+    "lead, hw",
+    # two leading axes: the per-color runs cross planes and stack entries
+    [((3,), hw) for hw in GRIDS] + [((2, 3), (7, 9))],
+    ids=["%dx%d" % hw for hw in GRIDS] + ["2x3x7x9"],
 )
-def test_screened_solve_stack_matches_slices_and_full_grid_sweep(hw):
-    n = 3
-    size = n * hw[0] * hw[1]
+def test_screened_solve_stack_matches_slices_and_full_grid_sweep(lead, hw):
+    shape = lead + hw
+    size = int(np.prod(shape))
     rng = Splitmix64(404)
-    rhs = rng.normals(size).reshape((n,) + hw)
-    v0 = rng.normals(size).reshape((n,) + hw)
-    xi = rng.uniforms(size).reshape((n,) + hw) * 12.0
-    xi[:, ::3, ::2] = 0.0
+    rhs = rng.normals(size).reshape(shape)
+    v0 = rng.normals(size).reshape(shape)
+    xi = rng.uniforms(size).reshape(shape) * 12.0
+    xi[..., ::3, ::2] = 0.0
     # signed zeros: where xi = 0 too, the sign of the result follows the
     # sign of the neighbor sum
-    rhs[:, ::4, 1::3] = -0.0
-    v0[:, 1::2, ::5] = -0.0
+    rhs[..., ::4, 1::3] = -0.0
+    v0[..., 1::2, ::5] = -0.0
+    first = (0,) * len(lead)
     for sweeps in (0, 1, 20):
         stacked = screened_solve(rhs, xi, v0, sweeps)
         # one (H, W) weight shared by the whole stack, as the flow solver uses it
-        shared = screened_solve(rhs, xi[0], v0, sweeps)
-        for i in range(n):
+        shared = screened_solve(rhs, xi[first], v0, sweeps)
+        for i in np.ndindex(lead):
             single = screened_solve(rhs[i], xi[i], v0[i], sweeps)
             assert_bitwise(stacked[i], single)
             assert_bitwise(single, screened_sweep_reference(rhs[i], xi[i], v0[i], sweeps))
-            assert_bitwise(shared[i], screened_sweep_reference(rhs[i], xi[0], v0[i], sweeps))
+            assert_bitwise(shared[i], screened_sweep_reference(rhs[i], xi[first], v0[i], sweeps))
+
+
+def test_screened_solve_nan_reaches_the_next_stack_entry():
+    # Stack entries share pad cells, and 0 * nan = nan there, so a
+    # non-finite value in one entry spreads into the next, as the
+    # docstring states.  A layout that gives each entry pad cells of its
+    # own changes this, and must change this test with it.
+    rng = Splitmix64(407)
+    shape = (2, 6, 6)
+    rhs = rng.normals(72).reshape(shape)
+    xi = rng.uniforms(72).reshape(shape) * 12.0
+    rhs[0, 5, 5] = np.nan
+    out = screened_solve(rhs, xi, np.zeros(shape), 5)
+    assert np.isnan(out[0, 5, 5])
+    assert not np.all(np.isfinite(out[1]))
+    # each entry alone stays finite
+    assert np.all(np.isfinite(screened_solve(rhs[1], xi[1], np.zeros(shape[1:]), 5)))
 
 
 def test_screened_solve_rejects_mismatched_inputs():
