@@ -87,7 +87,5 @@ def weight_fields(rho: np.ndarray, params: AdaptiveParams) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=np.float64)
     if params.constant_lambda is not None:
-        lam = np.full_like(rho, float(params.constant_lambda))
-    else:
-        lam = nu_to_lambda(residual_to_nu(rho, params), params.alpha)
-    return lam
+        return np.full_like(rho, float(params.constant_lambda))
+    return nu_to_lambda(residual_to_nu(rho, params), params.alpha)

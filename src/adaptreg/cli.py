@@ -43,6 +43,12 @@ def _read_labelmap(path) -> np.ndarray:
     return np.rint(img * 255.0).astype(np.int64)
 
 
+def _check_reference(ref: np.ndarray, shape, what: str) -> np.ndarray:
+    if ref.shape != shape:
+        raise ValueError("%s has shape %s, the input needs %s" % (what, ref.shape, shape))
+    return ref
+
+
 def _add_solver_flags(sp, mu, eta, alpha, beta, theta, iters):
     sp.add_argument("--mu", type=float, default=mu, help="data Huber threshold (default %(default)s)")
     sp.add_argument("--eta", type=float, default=eta, help="regularizer Huber threshold (default %(default)s)")
@@ -87,6 +93,7 @@ def cmd_denoise(args) -> int:
     if every is not None and every < 1:
         raise ValueError("--dump-lambda-every must be a positive integer")
     f = _read_gray(args.input)
+    ref = _check_reference(_read_gray(args.metrics_ref), f.shape, "--metrics-ref") if args.metrics_ref else None
     params = _solver_params(args)
     on_check = None
     if every is not None:
@@ -99,8 +106,7 @@ def cmd_denoise(args) -> int:
     u, history = run_denoise(f, params, on_check=on_check)
     write_pnm(args.output, u)
     _write_history(args, history)
-    if args.metrics_ref:
-        ref = _read_gray(args.metrics_ref)
+    if ref is not None:
         rows = [("psnr", metrics.psnr(u, ref)), ("ssim", metrics.ssim(u, ref))]
         block = metrics.metrics_csv(rows)
         if args.csv:
@@ -114,6 +120,7 @@ def cmd_segment(args) -> int:
     if args.labels < 2:
         raise ValueError("--labels must be at least 2")
     f = _read_gray(args.input)
+    gt = _check_reference(_read_labelmap(args.gt), f.shape, "--gt") if args.gt else None
     params = SegmentParams(
         solver=_solver_params(args),
         n_labels=args.labels,
@@ -143,8 +150,7 @@ def cmd_segment(args) -> int:
             "tol": args.tol,
         },
     }
-    if args.gt:
-        gt = _read_labelmap(args.gt)
+    if gt is not None:
         precision, recall, f_measure = metrics.label_scores(labels, gt)
         sidecar["scores"] = {
             "precision": precision,
@@ -166,6 +172,7 @@ def cmd_segment(args) -> int:
 def cmd_flow(args) -> int:
     f1 = _read_gray(args.frame1)
     f2 = _read_gray(args.frame2)
+    gt = _check_reference(read_flo(args.gt), f1.shape + (2,), "--gt") if args.gt else None
     params = FlowParams(
         solver=_solver_params(args),
         tau0=args.tau0,
@@ -180,8 +187,7 @@ def cmd_flow(args) -> int:
         write_flo(args.out_flo, u)
     if args.out_color:
         write_pnm(args.out_color, flow_to_color(u))
-    if args.gt:
-        gt = read_flo(args.gt)
+    if gt is not None:
         rows = [("aee", metrics.aee(u, gt)), ("aae", metrics.aae(u, gt))]
         block = metrics.metrics_csv(rows)
         if args.csv:

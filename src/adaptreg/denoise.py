@@ -4,10 +4,10 @@ Model: per pixel, lambda * phi_mu(f - u) + (1 - lambda) * phi_eta(|grad u|),
 with lambda driven by the data residual.  ADMM splits u = v, soft-shrinks
 the auxiliaries r (data) and z (gradient), and alternates:
 
-    nu, lambda   from the explicit residual |r| + (f - u - r)^2 / (2 mu)
-                 evaluated at the previous r (taken literally from the
-                 update sequence rather than recomputing r first)
-    r            shrink(f - u | mu)
+    nu, lambda   from the explicit residual envelope_at(f - u, r, mu) =
+                 |r| + (f - u - r)^2 / (2 mu) at the previous r (taken
+                 literally from the update sequence, not recomputed)
+    r            shrink(f - u | mu), from the same data gap f - u
     z            vector shrink of grad v
     u            pointwise solve of (lambda + mu theta) u
                      = mu theta (v - w) + lambda (f - r)
@@ -25,7 +25,7 @@ import numpy as np
 
 from .adaptive import weight_fields
 from .grid import divergence, gradient, scalar_grid
-from .prox import huber, huber_vec, shrink, shrink_vec
+from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
 from .solver import SolverParams, rms, run_admm, screened_solve
 
 
@@ -44,9 +44,10 @@ class DenoiseState:
 
     def iterate(self):
         p = self.params
-        rho = np.abs(self.r) + (self.f - self.u - self.r) ** 2 / (2.0 * p.mu)
-        self.lam = weight_fields(rho, p.adaptive)
-        self.r = shrink(self.f - self.u, p.mu)
+        q = self.f - self.u
+        self.lam = weight_fields(envelope_at(q, self.r, p.mu), p.adaptive)
+        self.r = shrink(q, p.mu)
+        del q  # not held through the v-solve, the memory peak
         self.z = shrink_vec(gradient(self.v), p.eta)
         self.u = update_u(self, p)
         self.v = update_v(self, p)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .adaptive import weight_fields
 from .grid import central_gradient, divergence, gradient, scalar_grid, warp_bilinear
-from .prox import huber, huber_vec, shrink, shrink_vec
+from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
 from .solver import SolverParams, rms, run_admm, screened_solve
 
 
@@ -120,18 +120,16 @@ class FlowState:
     def relinearize(self):
         """Re-expand the data term around the current field at the
         current tau; the prior is folded into ft."""
-        u0 = self.u.copy()
-        a, ft = _linearize(self.f1, self.f2, u0, self.tau)
-        self.A = a
-        self.ft = ft + _dot(a, u0)
+        self.A, ft = _linearize(self.f1, self.f2, self.u, self.tau)
+        self.ft = ft + _dot(self.A, self.u)
 
     def iterate(self):
         p = self.params
         sp = p.solver
-        au = _dot(self.A, self.u)
-        rho = np.abs(self.r) + (self.ft - au - self.r) ** 2 / (2.0 * sp.mu)
-        self.lam = weight_fields(rho, sp.adaptive)
-        self.r = shrink(self.ft - au, sp.mu)
+        q = self.ft - _dot(self.A, self.u)
+        self.lam = weight_fields(envelope_at(q, self.r, sp.mu), sp.adaptive)
+        self.r = shrink(q, sp.mu)
+        del q  # not held through the v-solve, the memory peak
         self.u = update_u(self, sp)
         update_v_w(self, sp)
         self.tau_count += 1
@@ -183,7 +181,7 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
     return base + ((coeff / mu_theta) - scale)[..., None] * state.A
 
 
-def update_v_w(state: FlowState, params: SolverParams) -> FlowState:
+def update_v_w(state: FlowState, params: SolverParams) -> None:
     """Gradient auxiliaries, one screened v-solve over the
     component-first (2, H, W) stack, dual ascent.  The auxiliary shrink
     is per partial derivative under anisotropic_reg, else isotropic on
@@ -195,7 +193,6 @@ def update_v_w(state: FlowState, params: SolverParams) -> FlowState:
     rhs = np.moveaxis(state.u + state.w, -1, 0) - xi * divergence(state.z)
     v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)
     state.w = state.w + (state.u - state.v)
-    return state
 
 
 def _downsample(f: np.ndarray) -> np.ndarray:

@@ -72,9 +72,11 @@ def read_pnm(path) -> np.ndarray:
         raise ValueError(
             "truncated PNM payload: need %d bytes, have %d" % (need, len(payload))
         )
-    values = np.frombuffer(payload, dtype=dtype).astype(np.float64) / maxval
+    samples = np.frombuffer(payload, dtype=dtype)
+    if samples.max() > maxval:
+        raise ValueError("PNM sample %d above maxval %d" % (samples.max(), maxval))
     shape = (height, width) if channels == 1 else (height, width, 3)
-    return values.reshape(shape)
+    return (samples.astype(np.float64) / maxval).reshape(shape)
 
 
 def write_pnm(path, img: np.ndarray, maxval: int = 255):

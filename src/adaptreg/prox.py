@@ -4,11 +4,11 @@ The Huber loss is the Moreau-Yosida envelope of the absolute value,
 
     phi_mu(x) = inf_r { |r| + (x - r)^2 / (2 mu) },
 
-whose minimizer is the soft shrinkage T(x | mu).  A brute-force
-minimizer of the envelope is provided as an independent oracle for that
-identity.
+whose minimizer is the soft shrinkage T(x | mu); envelope_at evaluates
+the objective at a given r.  A brute-force minimizer of the envelope is
+an independent oracle for the identity.
 
-Kernel contract of huber, huber_vec, shrink and shrink_vec:
+Kernel contract of huber, huber_vec, envelope_at, shrink and shrink_vec:
 
 * the two components of a 2-vector field (last axis) are read directly,
   never reduced over, and every intermediate is written with out= into
@@ -17,8 +17,8 @@ Kernel contract of huber, huber_vec, shrink and shrink_vec:
   formula evaluated with full-size temporaries (NaN stays NaN, its
   payload may differ);
 * a scalar or 0-d input gives a Python float, arrays broadcast
-  pointwise, and the threshold t of shrink may be an array that
-  broadcasts against x.
+  pointwise, the threshold t of shrink may be an array that broadcasts
+  against x, and so may r of envelope_at.
 """
 
 from __future__ import annotations
@@ -59,6 +59,17 @@ def huber_vec(v, mu: float):
     norm = _norm(np.asarray(v, dtype=np.float64))
     # |norm| is norm itself
     out = _huber(norm, norm, mu)
+    return out if out.ndim else float(out)
+
+
+def envelope_at(x, r, mu: float):
+    """The envelope's objective at r: |r| + (x - r)^2 / (2 mu)."""
+    x = np.asarray(x, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    out = np.subtract(x, r, out=np.empty(np.broadcast_shapes(x.shape, r.shape)))
+    np.square(out, out=out)
+    out /= 2.0 * mu
+    out += np.abs(r)
     return out if out.ndim else float(out)
 
 

@@ -16,10 +16,8 @@ label-major.  One iteration runs these steps on the whole stack:
     w            w += u - v
 
 All steps but u are pointwise per label.  The exclusivity sum couples
-the labels, so the u-step sweeps them in ascending order and by default
-uses the latest available u_j (labels already updated this iteration
-contribute their new values); jacobi_labels freezes the sum at the
-iteration start instead.
+the labels, so the u-step sweeps them in ascending order, Gauss-Seidel
+style: labels already updated this iteration contribute their new u_j.
 
 The final labeling is the pixelwise argmax of the memberships.
 """
@@ -33,7 +31,7 @@ import numpy as np
 
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
-from .prox import huber_vec, project_stack_sum_to_one, shrink, shrink_vec
+from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
 from .solver import SolverParams, rms, run_admm, screened_solve
 
 DEGENERATE_REGION_WEIGHT = 1e-12
@@ -44,7 +42,6 @@ class SegmentParams:
     solver: SolverParams
     n_labels: int
     tau_excl: float = 0.5
-    jacobi_labels: bool = False
 
     def __post_init__(self):
         if self.n_labels < 2:
@@ -96,10 +93,10 @@ def _lloyd_1d(values: np.ndarray, centers: np.ndarray, iters: int = 50) -> np.nd
     return np.sort(centers)
 
 
-def warm_start_labels(f: np.ndarray, n_labels: int, presmooth_sigma: float = 1.0) -> LabelState:
+def warm_start_labels(f: np.ndarray, n_labels: int) -> LabelState:
     """Deterministic intensity warm start: c_i from 1-D k-means on a
-    low-pass copy of f (seeded at evenly spaced quantiles), each pixel
-    assigned to the c_i nearest its raw value.
+    Gaussian (sigma 1) low-pass copy of f (seeded at evenly spaced
+    quantiles), each pixel assigned to the c_i nearest its raw value.
 
     The relaxed iteration cannot separate region intensities that start
     collapsed: under a per-pixel random layout the first c step averages
@@ -115,7 +112,7 @@ def warm_start_labels(f: np.ndarray, n_labels: int, presmooth_sigma: float = 1.0
     if n_labels < 2:
         raise ValueError("n_labels must be at least 2")
     f = scalar_grid(f)
-    fs = convolve_gaussian(f, presmooth_sigma) if presmooth_sigma > 0 else f
+    fs = convolve_gaussian(f, 1.0)
     seeds = np.quantile(fs, (np.arange(n_labels) + 0.5) / n_labels)
     c = _lloyd_1d(fs.ravel(), seeds)
     assignment = np.argmin(np.abs(f[None] - c[:, None, None]), axis=0)
@@ -134,13 +131,7 @@ def warm_start_labels(f: np.ndarray, n_labels: int, presmooth_sigma: float = 1.0
 
 def misfit(state: LabelState, mu: float) -> np.ndarray:
     """d_i = |r_i| + (f - c_i - r_i)^2 / (2 mu) at the current fields, (n, H, W)."""
-    q = np.subtract(state.f, state.c[:, None, None])
-    q -= state.r
-    np.square(q, out=q)
-    q /= 2.0 * mu
-    d = np.abs(state.r)
-    d += q
-    return d
+    return envelope_at(state.f - state.c[:, None, None], state.r, mu)
 
 
 def update_c(state: LabelState) -> np.ndarray:
@@ -158,28 +149,25 @@ def update_c(state: LabelState) -> np.ndarray:
 def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndarray:
     """Membership step: gradient of the linear data and exclusivity
     terms against the augmentation, clipped at zero.  d is
-    misfit(state, mu) at the current c and r.
-
-    The labels are swept in ascending order.  The exclusivity sum reads
-    the memberships already updated in this sweep, or only those of the
-    iteration start under jacobi_labels.
+    misfit(state, mu) at the current c and r.  The labels are swept in
+    ascending order, and the exclusivity sum reads the memberships
+    already updated in this sweep (Gauss-Seidel).
     """
     sp = params.solver
     base = state.v - state.w - (state.lam / sp.theta) * d
     u = state.u.copy()
-    coupling = state.u if params.jacobi_labels else u
     others = np.empty_like(base[0])
     for i in range(state.n_labels):
         # Ascending from +0.0, as np.sum over the other labels adds them.
         others.fill(0.0)
         for j in range(state.n_labels):
             if j != i:
-                others += coupling[j]
+                others += u[j]
         u[i] = np.maximum(0.0, base[i] - (params.tau_excl / sp.theta) * others)
     return u
 
 
-def update_v_all(state: LabelState, params: SegmentParams) -> LabelState:
+def update_v_all(state: LabelState, params: SegmentParams) -> None:
     """One screened solve over the (n, H, W) label stack, then projection
     onto sum_i v_i = 1.
 
@@ -190,7 +178,6 @@ def update_v_all(state: LabelState, params: SegmentParams) -> LabelState:
     xi = (1.0 - state.lam) / (sp.eta * sp.theta)
     rhs = state.u + state.w - xi * divergence(state.z)
     state.v = project_stack_sum_to_one(screened_solve(rhs, xi, state.v, sp.gs_sweeps))
-    return state
 
 
 def extract_labels(state: LabelState) -> np.ndarray:

@@ -53,10 +53,6 @@ class Splitmix64:
         angle = 2.0 * np.pi * u2
         return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
 
-    def integers(self, n: int, bound: int) -> np.ndarray:
-        """n integers uniform over {0, ..., bound-1}."""
-        return np.minimum((self.uniforms(n) * bound).astype(np.int64), bound - 1)
-
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n)."""
         perm = np.arange(n)

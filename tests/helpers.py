@@ -119,6 +119,13 @@ def huber_vec_reference(v, mu):
     return huber_reference(np.sqrt(np.sum(v * v, axis=-1)), mu)
 
 
+def envelope_reference(x, r, mu):
+    x = np.asarray(x, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    out = np.abs(r) + (x - r) ** 2 / (2.0 * mu)
+    return out if out.ndim else float(out)
+
+
 def shrink_reference(x, t):
     x = np.asarray(x, dtype=np.float64)
     out = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
@@ -164,7 +171,7 @@ def weight_fields_reference(rho, params):
 
 
 def _label_misfit(s, i, mu):
-    return np.abs(s.r[i]) + (s.f - s.c[i] - s.r[i]) ** 2 / (2.0 * mu)
+    return envelope_reference(s.f - s.c[i], s.r[i], mu)
 
 
 def segment_iterate_reference(s, params):
@@ -176,7 +183,6 @@ def segment_iterate_reference(s, params):
     reproduce bitwise."""
     sp = params.solver
     s.iteration += 1
-    u_ref = s.u.copy() if params.jacobi_labels else s.u
     labels = np.arange(s.n_labels)
     for i in labels:
         d = _label_misfit(s, i, sp.mu)
@@ -190,7 +196,7 @@ def segment_iterate_reference(s, params):
         s.r[i] = shrink_reference(s.f - s.c[i], sp.mu)
         s.z[i] = shrink_vec_reference(gradient(s.v[i]), sp.eta)
         d = _label_misfit(s, i, sp.mu)
-        others = np.sum(u_ref[labels != i], axis=0)
+        others = np.sum(s.u[labels != i], axis=0)
         s.u[i] = np.maximum(
             0.0,
             s.v[i] - s.w[i] - (s.lam[i] / sp.theta) * d - (params.tau_excl / sp.theta) * others,

@@ -239,6 +239,29 @@ def test_error_exit_codes(tmp_path):
                   "--iters", "1", "--gt", str(pgt)]) == 2
 
 
+@pytest.mark.parametrize("command", ["denoise", "segment", "flow"])
+def test_bad_reference_exits_2_before_solving(tmp_path, capsys, command):
+    # the reference is read and shape-checked first: no output, no history
+    clean_path, noisy_path, gt_path = _denoise_fixture(tmp_path)
+    out = tmp_path / "out"
+    history = tmp_path / "history.csv"
+    if command == "flow":
+        p1, p2, pgt = _flow_fixture(tmp_path)
+        pgt.write_bytes(pgt.read_bytes() + b"\0")
+        argv = ["flow", "--frame1", str(p1), "--frame2", str(p2), "--out-flo", str(out),
+                "--gt", str(pgt)]
+    else:
+        small = tmp_path / "small.pgm"
+        write_pnm(small, np.zeros((48, 40), dtype=np.uint8))
+        argv = {
+            "denoise": ["denoise", "--output", str(out), "--metrics-ref", str(small)],
+            "segment": ["segment", "--labels", "2", "--out-labels", str(out), "--gt", str(small)],
+        }[command] + ["--input", str(noisy_path)]
+    assert entry(argv + ["--history-csv", str(history)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() and not history.exists()
+
+
 @pytest.mark.parametrize("command, flag, value, name", [
     ("denoise", "--mu", "nan", "mu"),
     ("denoise", "--mu", "inf", "mu"),

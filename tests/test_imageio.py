@@ -49,6 +49,15 @@ def test_pgm_16bit_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_pgm_sample_above_maxval_raises(tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P5 2 1 100\n" + bytes([50, 200]))
+    with pytest.raises(ValueError, match="maxval"):
+        read_pnm(path)
+    path.write_bytes(b"P5 2 1 100\n" + bytes([50, 100]))
+    assert np.array_equal(read_pnm(path), [[0.5, 1.0]])
+
+
 def test_ppm_round_trip(tmp_path):
     rng = Splitmix64(902)
     img = rng.uniforms(6 * 5 * 3).reshape(6, 5, 3)

@@ -1,6 +1,7 @@
 """The single-pass pointwise kernels against their frozen textbook formulas.
 
-huber, huber_vec, shrink, shrink_vec and the separable Gaussian must
+huber, huber_vec, envelope_at, shrink, shrink_vec and the separable
+Gaussian must
 equal the formulas in helpers bitwise, sign of zero included, on every
 layout the solvers hand them.  NaN must land on the same entries; its
 payload may differ.
@@ -17,10 +18,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adaptreg.grid import _convolve_axis, convolve_gaussian, gaussian_kernel
-from adaptreg.prox import huber, huber_vec, shrink, shrink_vec
+from adaptreg.prox import envelope_at, huber, huber_vec, shrink, shrink_vec
 from helpers import (
     convolve_axis_reference,
     convolve_gaussian_reference,
+    envelope_reference,
     huber_reference,
     huber_vec_reference,
     shrink_reference,
@@ -122,10 +124,30 @@ def test_shrink_matches_frozen_formula_with_broadcast_threshold(data, scalar_t):
         assert_same_bits(shrink(x, t), shrink_reference(x, t))
 
 
+@KERNEL_SETTINGS
+@given(data=st.data(), mu=THRESHOLDS)
+def test_envelope_at_matches_frozen_formula_with_broadcast_r(data, mu):
+    x = data.draw(fields(vector=False))
+    # r is a scalar or an array that broadcasts against x, possibly to a
+    # larger shape than x's own
+    r_shape = data.draw(st.one_of(st.none(), hnp.broadcastable_shapes(x.shape, max_dims=x.ndim + 1)))
+    if r_shape is None:
+        r = data.draw(ELEMENTS)
+    else:
+        r = data.draw(hnp.arrays(np.float64, r_shape, elements=ELEMENTS))
+    x_before = x.copy()
+    r_before = np.copy(r)
+    with np.errstate(all="ignore"):
+        assert_same_bits(envelope_at(x, r, mu), envelope_reference(x, r, mu))
+    assert np.array_equal(x, x_before, equal_nan=True)
+    assert np.array_equal(r, r_before, equal_nan=True)
+
+
 def test_scalar_inputs_give_python_floats():
     for x in (0.25, -0.0, np.float64(3.0), np.array(-2.0)):
         assert type(huber(x, 1.0)) is float
         assert type(shrink(x, 0.5)) is float
+        assert type(envelope_at(x, 0.5, 1.0)) is float
     assert type(huber_vec(np.array([3.0, 4.0]), 1.0)) is float
     assert huber_vec(np.array([3.0, 4.0]), 1.0) == 4.5
     assert shrink_vec(np.array([3.0, 4.0]), 1.0).shape == (2,)

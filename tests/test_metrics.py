@@ -81,7 +81,7 @@ def test_match_labels_identity():
 
 def test_match_labels_absorbs_permutation():
     rng = Splitmix64(803)
-    gt = rng.integers(100, 4).reshape(10, 10)
+    gt = (rng.uniforms(100) * 4).astype(np.int64).reshape(10, 10)
     perm = np.array([2, 3, 1, 0])
     pred = perm[gt]
     m = match_labels(pred, gt)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adaptreg.prox import (
+    envelope_at,
     huber,
     huber_vec,
     moreau_envelope_bruteforce,
@@ -118,6 +119,16 @@ def test_moreau_envelope_matches_huber():
         assert abs(arg - shrink(float(x), float(mu))) <= 2.0 * step
 
 
+def test_envelope_at_its_minimizer_is_huber():
+    rng = Splitmix64(205)
+    x = rng.uniforms(200) * 6.0 - 3.0
+    mu = 0.16
+    r = shrink(x, mu)
+    assert np.allclose(envelope_at(x, r, mu), huber(x, mu), rtol=1e-14, atol=1e-15)
+    # any other r gives a larger value
+    assert np.all(envelope_at(x, r + 0.01, mu) > huber(x, mu))
+
+
 def test_moreau_envelope_rejects_bad_step():
     with pytest.raises(ValueError):
         moreau_envelope_bruteforce(1.0, 1.0, 0.0)
@@ -179,13 +190,15 @@ def test_kernels_peak_memory():
     # Peaks in units of one 512^2 scalar field (2 MiB), result included:
     # huber holds |x|, x^2/(2 mu), the branch mask (1/8) and the result,
     # 3.13; huber_vec the norm, the same square and mask, and the result,
-    # 3.13; shrink |x| and sign(x), 2.0; shrink_vec the norm and the
-    # 2-field result, 3.0.  Each bound leaves less than one field of room.
+    # 3.13; envelope_at the result and |r|, 2.0; shrink |x| and sign(x),
+    # 2.0; shrink_vec the norm and the 2-field result, 3.0.  Each bound
+    # leaves less than one field of room.
     rng = Splitmix64(209)
     v = rng.normals(512 * 512 * 2).reshape(512, 512, 2)
     x = np.ascontiguousarray(v[..., 0])
     field = x.nbytes
     assert peak_bytes(huber, x, 0.08) <= 3.5 * field
     assert peak_bytes(huber_vec, v, 0.08) <= 3.5 * field
+    assert peak_bytes(envelope_at, x, np.ascontiguousarray(v[..., 1]), 0.08) <= 2.5 * field
     assert peak_bytes(shrink, x, 0.08) <= 2.5 * field
     assert peak_bytes(shrink_vec, v, 0.08) <= 3.5 * field

@@ -1,5 +1,6 @@
-"""Multi-label segmentation: initialization, per-label updates, label
-permutation symmetry, and membership invariants."""
+"""Multi-label segmentation: initialization, per-label updates, the
+stacked iteration against a label-by-label reference, and membership
+invariants."""
 
 import numpy as np
 import pytest
@@ -142,24 +143,25 @@ def test_update_u_matches_formula():
     assert np.array_equal(st.u, old)
 
 
-def test_update_u_jacobi_couples_to_iteration_start():
+def test_update_u_gauss_seidel_couples_to_the_new_memberships():
     st = random_label_state(607, n=2)
-    params = seg_params(n_labels=2, tau=1.0, jacobi_labels=True)
+    params = seg_params(n_labels=2, tau=1.0)
     sp = params.solver
     d = misfit(st, sp.mu)
     out = update_u(st, params, d)
-    for i, j in ((0, 1), (1, 0)):
-        ref = np.maximum(
+
+    def step(i, other):
+        return np.maximum(
             0.0,
             st.v[i] - st.w[i] - (st.lam[i] / sp.theta) * d[i]
-            - (params.tau_excl / sp.theta) * st.u[j],
+            - (params.tau_excl / sp.theta) * other,
         )
-        assert np.array_equal(out[i], ref)
-    # without jacobi_labels, label 1 sees the new label 0 instead
-    params.jacobi_labels = False
-    gs = update_u(st, params, d)
-    assert np.array_equal(gs[0], out[0])
-    assert not np.array_equal(gs[1], out[1])
+
+    # label 0 couples to the iteration-start u_1, label 1 to the new u_0
+    assert np.array_equal(out[0], step(0, st.u[1]))
+    assert np.array_equal(out[1], step(1, out[0]))
+    # and not to the iteration-start u_0, which gives other values here
+    assert not np.array_equal(out[1], step(1, st.u[0]))
 
 
 def test_update_u_nonnegative():
@@ -218,21 +220,21 @@ def test_pairwise_overlap_hand_value():
 
 
 @pytest.mark.parametrize(
-    "n, jacobi, sigma, const, empty",
+    "n, sigma, const, empty",
     [
-        (2, False, 1.5, None, None),
-        (3, True, 1.5, None, None),
-        (4, False, 1.5, None, None),
-        (4, True, 0.0, None, None),
-        (3, False, 0.0, 0.3, None),
-        (4, False, 1.5, None, 2),
+        (2, 1.5, None, None),
+        (3, 1.5, None, None),
+        (4, 1.5, None, None),
+        (4, 0.0, None, None),
+        (3, 0.0, 0.3, None),
+        (4, 1.5, None, 2),
     ],
 )
-def test_stacked_iterate_matches_per_label_reference(n, jacobi, sigma, const, empty):
+def test_stacked_iterate_matches_per_label_reference(n, sigma, const, empty):
     img, _ = noisy_rectangles(32, seed=4)
     ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=sigma, constant_lambda=const)
     sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=ap, max_iters=6, tol_primal=1e-15)
-    params = SegmentParams(solver=sp, n_labels=n, tau_excl=0.5, jacobi_labels=jacobi)
+    params = SegmentParams(solver=sp, n_labels=n, tau_excl=0.5)
 
     def start():
         s = warm_start_labels(img, n)
@@ -263,36 +265,6 @@ def test_run_segment_rejects_state_of_another_image():
         with pytest.raises(ValueError):
             run_segment(f, params, state=warm_start_labels(g, n))
     run_segment(f, params, state=warm_start_labels(f.copy(), 2))
-
-
-def test_label_permutation_equivariance_bitwise():
-    img, _ = noisy_rectangles(64, noise_levels=(0.0, 0.02, 0.05, 0.1), seed=0)
-    ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=1.5)
-    sp = SolverParams(
-        mu=0.5, eta=0.5, theta=1.0, adaptive=ap,
-        max_iters=40, tol_primal=1e-15,
-    )
-    params = SegmentParams(solver=sp, n_labels=2, tau_excl=0.5, jacobi_labels=True)
-
-    def run_from(state):
-        wrapper = SegmentState(img, params, state=state)
-        for _ in range(40):
-            wrapper.iterate()
-        return wrapper
-
-    s0 = warm_start_labels(img, 2)
-    plain = run_from(
-        LabelState(s0.f, s0.u.copy(), s0.v.copy(), s0.w.copy(),
-                   s0.r.copy(), s0.z.copy(), s0.lam.copy(), s0.c.copy())
-    )
-    swapped = run_from(
-        LabelState(s0.f, s0.u[::-1].copy(), s0.v[::-1].copy(), s0.w[::-1].copy(),
-                   s0.r[::-1].copy(), s0.z[::-1].copy(), s0.lam[::-1].copy(),
-                   s0.c[::-1].copy())
-    )
-    assert np.array_equal(plain.s.u, swapped.s.u[::-1])
-    assert np.array_equal(plain.s.c, swapped.s.c[::-1])
-    assert np.array_equal(extract_labels(plain.s), 1 - extract_labels(swapped.s))
 
 
 def test_constant_image_collapses_to_shared_intensity():

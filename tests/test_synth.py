@@ -46,14 +46,6 @@ def test_splitmix_normals_moments():
     assert np.array_equal(odd, Splitmix64(1003).normals(7))
 
 
-def test_splitmix_integers_in_range():
-    k = Splitmix64(1004).integers(5000, 7)
-    assert k.dtype == np.int64
-    assert k.min() >= 0
-    assert k.max() <= 6
-    assert len(np.unique(k)) == 7
-
-
 def test_splitmix_permutation():
     perm = Splitmix64(1005).permutation(40)
     assert sorted(perm.tolist()) == list(range(40))
