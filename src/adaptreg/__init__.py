@@ -21,6 +21,7 @@ from .solver import (
     DivergenceError,
     IterationRecord,
     SolverParams,
+    exact_screened_solve,
     history_to_csv,
     run_admm,
     screened_solve,
@@ -52,6 +53,7 @@ __all__ = [
     "aee",
     "add_gaussian_noise",
     "biased_noise_image",
+    "exact_screened_solve",
     "extract_labels",
     "history_to_csv",
     "junction_image",

@@ -93,7 +93,10 @@ def cmd_denoise(args) -> int:
     if every is not None and every < 1:
         raise ValueError("--dump-lambda-every must be a positive integer")
     f = _read_gray(args.input)
-    ref = _check_reference(_read_gray(args.metrics_ref), f.shape, "--metrics-ref") if args.metrics_ref else None
+    ref = None
+    if args.metrics_ref:
+        ref = _check_reference(_read_gray(args.metrics_ref), f.shape, "--metrics-ref")
+        metrics.check_ssim_shape(ref.shape)
     params = _solver_params(args)
     on_check = None
     if every is not None:
@@ -119,6 +122,8 @@ def cmd_denoise(args) -> int:
 def cmd_segment(args) -> int:
     if args.labels < 2:
         raise ValueError("--labels must be at least 2")
+    if args.out_labels and args.labels > 256:
+        raise ValueError("cannot write more than 256 labels as 8-bit")
     f = _read_gray(args.input)
     gt = _check_reference(_read_labelmap(args.gt), f.shape, "--gt") if args.gt else None
     params = SegmentParams(
@@ -129,8 +134,6 @@ def cmd_segment(args) -> int:
     labels, state, history = run_segment(f, params)
     _write_history(args, history)
     if args.out_labels:
-        if args.labels > 256:
-            raise ValueError("cannot write more than 256 labels as 8-bit")
         write_pnm(args.out_labels, labels.astype(np.uint8))
     sidecar = {
         "c": [float(c) for c in state.c],

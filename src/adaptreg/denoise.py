@@ -12,7 +12,9 @@ the auxiliaries r (data) and z (gradient), and alternates:
     u            pointwise solve of (lambda + mu theta) u
                      = mu theta (v - w) + lambda (f - r)
     v            screened system (1 - xi Laplacian) v = u + w - xi div z,
-                 xi = (1 - lambda)/(eta theta), Gauss-Seidel sweeps
+                 xi = (1 - lambda)/(eta theta): solved exactly by the DCT
+                 when lambda is constant, else by red-black Gauss-Seidel
+                 sweeps
     w            w + u - v
 
 Initialization u = v = f, everything else zero.  A constant image is a
@@ -26,7 +28,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import divergence, gradient, scalar_grid
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import SolverParams, rms, run_admm, screened_solve
+from .solver import SolverParams, exact_screened_solve, rms, run_admm, screened_solve
 
 
 class DenoiseState:
@@ -84,10 +86,14 @@ def update_u(state: DenoiseState, params: SolverParams) -> np.ndarray:
 
 
 def update_v(state: DenoiseState, params: SolverParams) -> np.ndarray:
-    """Screened solve of (1 - xi Laplacian) v = u + w - xi div z."""
-    xi = (1.0 - state.lam) / (params.eta * params.theta)
+    """Screened solve of (1 - xi Laplacian) v = u + w - xi div z: exact
+    for a constant weight, gs_sweeps Gauss-Seidel sweeps from v otherwise."""
+    lam0 = params.adaptive.constant_lambda
+    xi = (1.0 - (state.lam if lam0 is None else lam0)) / (params.eta * params.theta)
     rhs = state.u + state.w - xi * divergence(state.z)
-    return screened_solve(rhs, xi, state.v, params.gs_sweeps)
+    if lam0 is None:
+        return screened_solve(rhs, xi, state.v, params.gs_sweeps)
+    return exact_screened_solve(rhs, xi)
 
 
 def run_denoise(f: np.ndarray, params: SolverParams, on_check=None):

@@ -16,7 +16,8 @@ Inner iterations follow the shared pattern: weights from the explicit
 residual, r by scalar shrink, u by a per-pixel 2x2 rank-one solve of
 (mu theta I + lambda A A^T) u = mu theta (v - w) + lambda (ft - r) A,
 then the gradient auxiliaries of both components, one screened v-solve
-over the component-first (2, H, W) stack, and dual ascent.  The
+over the component-first (2, H, W) stack (exact by the DCT for a
+constant lambda, else red-black Gauss-Seidel sweeps), and dual ascent.  The
 regularizer is per-partial-derivative by default (anisotropic_reg), or
 isotropic per component when disabled.
 """
@@ -31,7 +32,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import central_gradient, divergence, gradient, scalar_grid, warp_bilinear
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import SolverParams, rms, run_admm, screened_solve
+from .solver import SolverParams, check_count, exact_screened_solve, rms, run_admm, screened_solve
 
 
 @dataclass
@@ -48,10 +49,8 @@ class FlowParams:
             raise ValueError("tau0 must lie in [0, 1]")
         if not 0.0 <= self.dtau < math.inf:
             raise ValueError("dtau must be nonnegative and finite")
-        if self.n_warps < 1:
-            raise ValueError("n_warps must be a positive integer")
-        if self.pyramid_levels < 1:
-            raise ValueError("pyramid_levels must be a positive integer")
+        check_count("n_warps", self.n_warps, 1)
+        check_count("pyramid_levels", self.pyramid_levels, 1)
 
 
 def tau_schedule(tau0: float, dtau: float, k: int) -> float:
@@ -183,15 +182,21 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
 
 def update_v_w(state: FlowState, params: SolverParams) -> None:
     """Gradient auxiliaries, one screened v-solve over the
-    component-first (2, H, W) stack, dual ascent.  The auxiliary shrink
-    is per partial derivative under anisotropic_reg, else isotropic on
-    each component's gradient.  state.v is updated in place."""
-    xi = (1.0 - state.lam) / (params.eta * params.theta)
+    component-first (2, H, W) stack (exact for a constant weight,
+    gs_sweeps Gauss-Seidel sweeps from v otherwise), dual ascent.  The
+    auxiliary shrink is per partial derivative under anisotropic_reg,
+    else isotropic on each component's gradient.  state.v is updated in
+    place."""
+    lam0 = params.adaptive.constant_lambda
+    xi = (1.0 - (state.lam if lam0 is None else lam0)) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
     g = gradient(v)
     state.z = shrink(g, params.eta) if state.params.anisotropic_reg else shrink_vec(g, params.eta)
     rhs = np.moveaxis(state.u + state.w, -1, 0) - xi * divergence(state.z)
-    v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)
+    if lam0 is None:
+        v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)
+    else:
+        v[...] = exact_screened_solve(rhs, xi)
     state.w = state.w + (state.u - state.v)
 
 

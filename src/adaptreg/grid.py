@@ -77,8 +77,26 @@ def divergence(p: np.ndarray) -> np.ndarray:
 
 
 def laplacian(u: np.ndarray) -> np.ndarray:
-    """5-point Laplacian with Neumann boundary, defined as div(grad(u))."""
-    return divergence(gradient(u))
+    """5-point Laplacian with Neumann boundary of a (..., H, W) stack.
+
+    Bitwise equal to divergence(gradient(u)), without the (..., H, W, 2)
+    gradient in between.  Along x it adds px(j) to zero and then
+    subtracts px(j - 1), which rounds exactly like adding the difference
+    px(j) - px(j - 1) to zero; along y the differences are added to the
+    x part as divergence adds them.  Exactly zero on a constant grid.
+    """
+    h, w = u.shape[-2:]
+    d = np.zeros(u.shape, dtype=np.float64)
+    if w >= 2:
+        px = u[..., :, 1:] - u[..., :, :-1]
+        d[..., :, :-1] += px
+        d[..., :, 1:] -= px
+    if h >= 2:
+        py = u[..., 1:, :] - u[..., :-1, :]
+        d[..., 0, :] += py[..., 0, :]
+        d[..., 1:-1, :] += py[..., 1:, :] - py[..., :-1, :]
+        d[..., -1, :] -= py[..., -1, :]
+    return d
 
 
 def central_gradient(u: np.ndarray) -> np.ndarray:

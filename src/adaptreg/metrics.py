@@ -47,6 +47,13 @@ def _filter_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out2
 
 
+def check_ssim_shape(shape) -> None:
+    """Raise ValueError unless images of this shape fit one SSIM window."""
+    n = gaussian_kernel(SSIM_SIGMA).size
+    if min(shape) < n:
+        raise ValueError("images must be at least %dx%d for SSIM" % (n, n))
+
+
 def ssim(u, ref) -> float:
     """Mean structural similarity, 11x11 Gaussian window (sigma 1.5),
     K1 = 0.01, K2 = 0.03, dynamic range 1.
@@ -55,10 +62,8 @@ def ssim(u, ref) -> float:
     so ssim(u, u) is exactly 1.
     """
     u, ref = _check_same_shape(u, ref)
+    check_ssim_shape(u.shape)
     kernel = gaussian_kernel(SSIM_SIGMA)
-    n = kernel.size
-    if min(u.shape) < n:
-        raise ValueError("images must be at least %dx%d for SSIM" % (n, n))
     c1 = SSIM_K1**2
     c2 = SSIM_K2**2
     mu1 = _filter_valid(u, kernel)

@@ -12,7 +12,9 @@ label-major.  One iteration runs these steps on the whole stack:
     z            vector shrink of grad v
     u            u_i = max(0, v_i - w_i - (lambda_i/theta) d_i
                                 - (tau_excl/theta) sum_{j != i} u_j)
-    v            one screened solve, projected onto sum_i v_i = 1
+    v            one screened solve (exact by the DCT for a constant
+                 lambda, else Gauss-Seidel sweeps), projected onto
+                 sum_i v_i = 1
     w            w += u - v
 
 All steps but u are pointwise per label.  The exclusivity sum couples
@@ -32,7 +34,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
-from .solver import SolverParams, rms, run_admm, screened_solve
+from .solver import SolverParams, check_count, exact_screened_solve, rms, run_admm, screened_solve
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -44,8 +46,7 @@ class SegmentParams:
     tau_excl: float = 0.5
 
     def __post_init__(self):
-        if self.n_labels < 2:
-            raise ValueError("n_labels must be at least 2")
+        check_count("n_labels", self.n_labels, 2)
         if not 0.0 <= self.tau_excl < math.inf:
             raise ValueError("tau_excl must be nonnegative and finite")
 
@@ -169,15 +170,21 @@ def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndar
 
 def update_v_all(state: LabelState, params: SegmentParams) -> None:
     """One screened solve over the (n, H, W) label stack, then projection
-    onto sum_i v_i = 1.
+    onto sum_i v_i = 1.  The solve is exact for a constant weight and
+    gs_sweeps Gauss-Seidel sweeps from v otherwise.
 
     Each label's system only reads that label's own fields, so the
     stacked solve matches solving the labels one by one.
     """
     sp = params.solver
-    xi = (1.0 - state.lam) / (sp.eta * sp.theta)
+    lam0 = sp.adaptive.constant_lambda
+    xi = (1.0 - (state.lam if lam0 is None else lam0)) / (sp.eta * sp.theta)
     rhs = state.u + state.w - xi * divergence(state.z)
-    state.v = project_stack_sum_to_one(screened_solve(rhs, xi, state.v, sp.gs_sweeps))
+    if lam0 is None:
+        v = screened_solve(rhs, xi, state.v, sp.gs_sweeps)
+    else:
+        v = exact_screened_solve(rhs, xi)
+    state.v = project_stack_sum_to_one(v)
 
 
 def extract_labels(state: LabelState) -> np.ndarray:

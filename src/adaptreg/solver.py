@@ -17,11 +17,14 @@ lives inside the per-pixel updates and is bitwise deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .adaptive import AdaptiveParams
+from .grid import laplacian
 
 
 @dataclass
@@ -33,8 +36,12 @@ class SolverParams:
     the driver stops at max_iters or after the first iteration whose
     primal residual is at most tol_primal.
     gs_sweeps is the exact number of inner Gauss-Seidel passes of each
-    v-update; the inner solve has no early exit.
-    Non-finite mu, eta, theta or tol_primal raise ValueError.
+    v-update with a spatially varying weight (screened_solve); the inner
+    solve has no early exit.  With a constant weight
+    (adaptive.constant_lambda set) the v-update is the exact direct
+    solve, exact_screened_solve, and gs_sweeps has no effect.
+    Non-finite mu, eta, theta or tol_primal, and max_iters or gs_sweeps
+    that are not integers, raise ValueError.
     """
 
     mu: float
@@ -50,12 +57,16 @@ class SolverParams:
             raise ValueError("Huber thresholds mu and eta must be positive and finite")
         if not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        check_count("max_iters", self.max_iters, 0)
         if not 0.0 < self.tol_primal < math.inf:
             raise ValueError("tol_primal must be positive and finite")
-        if self.gs_sweeps < 1:
-            raise ValueError("gs_sweeps must be a positive integer")
+        check_count("gs_sweeps", self.gs_sweeps, 1)
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
 
 
 @dataclass
@@ -276,4 +287,131 @@ def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int)
     out = np.empty(rhs.shape)
     for plane, (py, px) in zip(planes, _SUBLATTICES):
         out[..., py::2, px::2] = plane[_cells(h, w, py, px)]
+    return out
+
+
+
+@lru_cache(maxsize=8)
+def _twiddle(n: int) -> np.ndarray:
+    """exp(-i pi k / 2n) for k = 0 .. n // 2: the factors that turn the
+    FFT of a length-n sequence in even-odd order into its DCT-II."""
+    twiddle = np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1))
+    twiddle.flags.writeable = False
+    return twiddle
+
+
+def _even_odd(x: np.ndarray, axis: int) -> np.ndarray:
+    """x reordered along axis as x0, x2, x4, ..., x5, x3, x1."""
+    out = np.empty(x.shape)
+    src, dst = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
+    m = (src.shape[-1] + 1) // 2
+    dst[..., :m] = src[..., ::2]
+    dst[..., m:] = src[..., 1::2][..., ::-1]
+    return out
+
+
+def _natural(v: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Inverse of _even_odd, written into out."""
+    src, dst = np.moveaxis(v, axis, -1), np.moveaxis(out, axis, -1)
+    m = (src.shape[-1] + 1) // 2
+    dst[..., ::2] = src[..., :m]
+    dst[..., 1::2][..., ::-1] = src[..., m:]
+    return out
+
+
+def _dct_rows(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-II along the last axis,
+    X_k = sum_j x_j cos(pi k (2j + 1) / 2n), through one real FFT (Makhoul):
+    with Z_k = exp(-i pi k / 2n) rfft(even-odd x)_k, X_k = Re Z_k and
+    X_{n-k} = -Im Z_k."""
+    n = x.shape[-1]
+    m = (n + 1) // 2
+    z = np.fft.rfft(_even_odd(x, -1), axis=-1)
+    z *= _twiddle(n)
+    out = np.empty(x.shape)
+    out[..., : n // 2 + 1] = z.real
+    # np.multiply, not np.negative: numpy 2.4's negative miscomputes
+    # strided inputs written to differently strided outputs.
+    np.multiply(z.imag[..., 1:m], -1.0, out=out[..., n - 1 : n - m : -1])
+    return out
+
+
+def _idct_rows(c: np.ndarray) -> np.ndarray:
+    """Inverse of _dct_rows: Z_k = c_k - i c_{n-k} (c_n = 0), undo the
+    twiddle, inverse real FFT, natural order."""
+    n = c.shape[-1]
+    half = n // 2 + 1
+    z = np.empty(c.shape[:-1] + (half,), dtype=np.complex128)
+    z.real = c[..., :half]
+    z.imag[..., 0] = 0.0
+    np.multiply(c[..., n - 1 : n - half : -1], -1.0, out=z.imag[..., 1:])
+    z *= _twiddle(n).conj()
+    return _natural(np.fft.irfft(z, n=n, axis=-1), -1, np.empty(c.shape))
+
+
+def _kappa(n: int) -> np.ndarray:
+    """Eigenvalues 2 - 2 cos(pi k / n) = 4 sin^2(pi k / 2n) of the negated
+    Neumann second difference of length n; the DCT-II diagonalizes it."""
+    return 4.0 * np.sin(0.5 * np.pi / n * np.arange(n)) ** 2
+
+
+@lru_cache(maxsize=4)
+def _column_gains(h: int, w: int, xi: float):
+    """Gain xi / (1 + xi (kappa_y + kappa_x)) in the half-spectrum
+    layout of the column transform, where Z_k = c_k - i c_{h-k}: the
+    factor of Re Z_k (frequency k) and of Im Z_k (frequency h - k), as
+    (h // 2 + 1, W) arrays, with the twiddle column and its conjugate."""
+    gain = np.add.outer(_kappa(h), _kappa(w))
+    gain *= xi
+    gain += 1.0
+    np.divide(xi, gain, out=gain)
+    half = h // 2 + 1
+    g_imag = np.zeros((half, w))
+    g_imag[1:] = gain[h - 1 : h - half : -1]
+    twiddle = _twiddle(h)[:, None]
+    out = (gain[:half].copy(), g_imag, twiddle, twiddle.conj())
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def exact_screened_solve(rhs: np.ndarray, xi: float) -> np.ndarray:
+    """Exact solve of (1 - xi * laplacian) v = rhs for one scalar xi >= 0.
+
+    rhs has shape (..., H, W); every leading index is a separate grid.
+    Same five-point Neumann Laplacian as screened_solve, which the
+    DCT-II diagonalizes: frequency k along an axis of length n has
+    eigenvalue -kappa_k, kappa_k = 2 - 2 cos(pi k / n).  So the solve
+    transforms along both axes, divides by 1 + xi (kappa_y + kappa_x)
+    and transforms back.  Each transform is one real FFT of the
+    even-odd reordered sequence (Makhoul, IEEE TASSP 1980).  Along the
+    rows the DCT coefficients are formed explicitly; along the columns
+    the gain is applied to the real and imaginary parts of the twiddled
+    half spectrum, which hold frequencies k and H - k.  numpy's FFT runs
+    on one thread, so the result does not depend on any thread setting.
+
+    Residual form: v = rhs + e with (1 - xi laplacian) e = xi laplacian
+    rhs, the Laplacian of rhs taken in space.  A constant rhs has an
+    exactly zero Laplacian and xi = 0 a zero gain, so both return rhs
+    bitwise.
+
+    Raises ValueError when rhs is not a stack of grids or xi is not a
+    finite nonnegative scalar.
+    """
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim < 2:
+        raise ValueError("rhs must have shape (..., H, W), got %s" % (rhs.shape,))
+    if np.ndim(xi) != 0 or not 0.0 <= xi < math.inf:
+        raise ValueError("xi must be a finite nonnegative scalar, got %r" % (xi,))
+    h, w = rhs.shape[-2:]
+    g_real, g_imag, twiddle, twiddle_conj = _column_gains(h, w, float(xi))
+    rows = _dct_rows(laplacian(rhs))
+    z = np.fft.rfft(_even_odd(rows, -2), axis=-2)
+    z *= twiddle
+    z.real *= g_real
+    z.imag *= g_imag
+    z *= twiddle_conj
+    _natural(np.fft.irfft(z, n=h, axis=-2), -2, rows)
+    out = _idct_rows(rows)
+    out += rhs
     return out

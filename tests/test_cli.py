@@ -262,6 +262,23 @@ def test_bad_reference_exits_2_before_solving(tmp_path, capsys, command):
     assert not out.exists() and not history.exists()
 
 
+@pytest.mark.parametrize("command, message", [("denoise", "SSIM"), ("segment", "256 labels")])
+def test_unwritable_request_exits_2_before_solving(tmp_path, capsys, command, message):
+    # an 8x8 image cannot be scored by SSIM (11x11 window), and 300 labels
+    # do not fit an 8-bit label map: both are known before the solve
+    small = tmp_path / "small.pgm"
+    write_pnm(small, add_gaussian_noise(np.full((8, 8), 0.5), 0.1, seed=1))
+    out = tmp_path / "out.pgm"
+    history = tmp_path / "history.csv"
+    argv = {
+        "denoise": ["denoise", "--output", str(out), "--metrics-ref", str(small)],
+        "segment": ["segment", "--labels", "300", "--out-labels", str(out)],
+    }[command]
+    assert entry(argv + ["--input", str(small), "--iters", "20", "--history-csv", str(history)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not history.exists()
+
+
 @pytest.mark.parametrize("command, flag, value, name", [
     ("denoise", "--mu", "nan", "mu"),
     ("denoise", "--mu", "inf", "mu"),

@@ -104,6 +104,16 @@ def test_laplacian_equals_div_grad_bitwise():
         assert np.array_equal(laplacian(u), divergence(gradient(u)))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (2, 3, 7, 9)])
+def test_laplacian_equals_div_grad_on_thin_grids_and_stacks(shape):
+    rng = Splitmix64(108)
+    u = rng.normals(int(np.prod(shape))).reshape(shape)
+    u[..., ::3, ::2] = -0.0
+    lap, ref = laplacian(u), divergence(gradient(u))
+    assert np.array_equal(lap, ref)
+    assert np.array_equal(np.signbit(lap), np.signbit(ref))
+
+
 def test_laplacian_five_point_stencil_on_delta():
     u = np.zeros((7, 7))
     u[3, 3] = 1.0

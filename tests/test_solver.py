@@ -1,21 +1,32 @@
-"""ADMM driver mechanics and the screened Gauss-Seidel inner solver."""
+"""ADMM driver mechanics, the screened Gauss-Seidel inner solver and the
+exact constant-weight solve."""
 
+import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adaptreg
 from adaptreg.adaptive import AdaptiveParams
+from adaptreg.denoise import run_denoise
+from adaptreg.flow import FlowParams, run_flow
+from adaptreg.segment import SegmentParams, run_segment
 from adaptreg.solver import (
     DivergenceError,
     IterationRecord,
     SolverParams,
+    exact_screened_solve,
     history_to_csv,
     rms,
     run_admm,
     screened_solve,
 )
-from adaptreg.synth import Splitmix64
+from adaptreg.synth import Splitmix64, shifted_pair, smooth_texture
 from helpers import assemble_screened_matrix, screened_sweep_reference
 
 _AP = AdaptiveParams(beta=1.0, alpha=0.01)
@@ -65,6 +76,24 @@ def test_params_validation():
         with pytest.raises(ValueError):
             make_params(**bad)
     make_params(max_iters=0)  # zero iterations is allowed
+
+
+COUNT_FIELDS = {
+    "max_iters": lambda v: make_params(max_iters=v),
+    "gs_sweeps": lambda v: make_params(gs_sweeps=v),
+    "n_labels": lambda v: SegmentParams(solver=make_params(), n_labels=v),
+    "n_warps": lambda v: FlowParams(solver=make_params(), n_warps=v),
+    "pyramid_levels": lambda v: FlowParams(solver=make_params(), pyramid_levels=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True], ids=["2.5", "3.0", "str", "bool"])
+@pytest.mark.parametrize("name", list(COUNT_FIELDS))
+def test_count_fields_reject_non_integers(name, value):
+    # 2.5 labels would otherwise run with np.arange(2.5), three labels
+    with pytest.raises(ValueError, match=name):
+        COUNT_FIELDS[name](value)
+    COUNT_FIELDS[name](np.int64(3))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -287,3 +316,108 @@ def test_screened_solve_deterministic():
     a = screened_solve(rhs, xi, np.zeros((10, 10)), sweeps=7)
     b = screened_solve(rhs, xi, np.zeros((10, 10)), sweeps=7)
     assert np.array_equal(a, b)
+
+
+EXACT_GRIDS = ((1, 1), (1, 6), (6, 1), (2, 2), (7, 9), (8, 8), (16, 11))
+
+
+@pytest.mark.parametrize("hw", EXACT_GRIDS, ids=["%dx%d" % hw for hw in EXACT_GRIDS])
+def test_exact_screened_solve_matches_dense_oracle(hw):
+    rng = Splitmix64(410)
+    for xi in (0.0, 0.05, 1.0, 3.7, 250.0):
+        rhs = rng.normals(hw[0] * hw[1]).reshape(hw)
+        v = exact_screened_solve(rhs, xi)
+        ref = np.linalg.solve(assemble_screened_matrix(np.full(hw, xi)), rhs.ravel()).reshape(hw)
+        assert rms(v - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("hw", [(7, 9), (16, 13)], ids=["7x9", "16x13"])
+def test_exact_screened_solve_stack_matches_slices(hw):
+    shape = (2, 3) + hw
+    rhs = Splitmix64(411).normals(int(np.prod(shape))).reshape(shape)
+    stacked = exact_screened_solve(rhs, 2.5)
+    for i in np.ndindex(shape[:2]):
+        assert_bitwise(stacked[i], exact_screened_solve(rhs[i], 2.5))
+
+
+def test_exact_screened_solve_keeps_constants_and_xi_zero():
+    rng = Splitmix64(412)
+    for lead in LEADS:
+        rhs = np.full(lead + (6, 7), 0.3)
+        assert np.array_equal(exact_screened_solve(rhs, 2.5), rhs)
+        rhs = rng.normals(int(np.prod(lead)) * 42).reshape(lead + (6, 7))
+        assert np.array_equal(exact_screened_solve(rhs, 0.0), rhs)
+
+
+def test_exact_screened_solve_rejects_bad_input():
+    with pytest.raises(ValueError, match="rhs"):
+        exact_screened_solve(np.zeros(5), 1.0)
+    for xi in (-0.5, float("nan"), float("inf"), np.ones((4, 5))):
+        with pytest.raises(ValueError, match="xi"):
+            exact_screened_solve(np.zeros((4, 5)), xi)
+
+
+def _run_problem(problem, sp):
+    tex = smooth_texture(16, seed=3)
+    if problem == "denoise":
+        run_denoise(tex, sp)
+    elif problem == "segment":
+        run_segment(tex, SegmentParams(solver=sp, n_labels=3))
+    else:
+        f1, f2, _ = shifted_pair(tex, (1.0, 0.0))
+        run_flow(f1, f2, FlowParams(solver=sp, n_warps=1))
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "adaptive"])
+@pytest.mark.parametrize("problem", ["denoise", "segment", "flow"])
+def test_v_step_solves_exactly_only_for_a_constant_weight(monkeypatch, problem, constant):
+    module = importlib.import_module("adaptreg." + problem)
+    calls = {"exact_screened_solve": 0, "screened_solve": 0}
+    for name in calls:
+        def counted(*args, _solve=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(module, name, counted)
+    ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=0.4 if constant else None)
+    _run_problem(problem, make_params(adaptive=ap, max_iters=3, tol_primal=1e-300))
+    expected = {"exact_screened_solve": 3, "screened_solve": 0}
+    if not constant:
+        expected = {"exact_screened_solve": 0, "screened_solve": 3}
+    assert calls == expected
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from adaptreg.adaptive import AdaptiveParams
+from adaptreg.denoise import run_denoise
+from adaptreg.segment import SegmentParams, run_segment
+from adaptreg.solver import SolverParams, exact_screened_solve
+from adaptreg.synth import Splitmix64, smooth_texture
+
+digest = hashlib.sha256()
+rng = Splitmix64(413)
+for shape in ((100, 100), (2, 127, 130)):
+    rhs = rng.normals(int(np.prod(shape))).reshape(shape)
+    digest.update(exact_screened_solve(rhs, 3.7).tobytes())
+ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=0.4)
+sp = SolverParams(mu=0.16, eta=0.08, theta=1.0, adaptive=ap, max_iters=5)
+tex = smooth_texture(40, seed=2)
+digest.update(run_denoise(tex, sp)[0].tobytes())
+digest.update(run_segment(tex, SegmentParams(solver=sp, n_labels=3))[1].v.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_exact_screened_solve_ignores_the_blas_thread_count():
+    # Shapes on which BLAS matrix products round differently with one
+    # and two threads: a DCT by matrix products would fail here.
+    src = str(Path(adaptreg.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
