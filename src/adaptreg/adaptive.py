@@ -68,8 +68,7 @@ def residual_to_nu(rho: np.ndarray, params: AdaptiveParams) -> np.ndarray:
     if np.any(rho < 0):
         raise ValueError("residual must be nonnegative")
     nu = convolve_gaussian(rho, params.smoothing_sigma)
-    np.negative(nu, out=nu)
-    nu /= params.beta
+    nu /= -params.beta
     return np.exp(nu, out=nu)
 
 

@@ -150,33 +150,35 @@ def _cells(h: int, w: int, py: int, px: int):
 
 
 def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame) -> np.ndarray:
-    """rhs, xi, c*rhs and 1 + xi*c of every sub-lattice, c the neighbor
-    count, as a field-major (4 fields, 4 sub-lattices, ..., *frame) block
-    of planes: one field of both sub-lattices of a color is one
-    contiguous run.  Pad cells hold rhs = xi = c*rhs = 0 and 1 + xi*c = 1."""
+    """rhs, c*rhs and the gain xi/(1 + xi*c) of every sub-lattice, c the
+    neighbor count, as a field-major (3 fields, 4 sub-lattices, ...,
+    *frame) block of planes: one field of both sub-lattices of a color
+    is one contiguous run.  Pad cells hold 0 in all three."""
     h, w = rhs.shape[-2:]
-    fields = np.zeros((4, 4) + rhs.shape[:-2] + frame)
-    b, x, bc, d = fields
+    fields = np.zeros((3, 4) + rhs.shape[:-2] + frame)
+    b, bc, e = fields
     # One count plane per sub-lattice, broadcast over the stack; 0 on pad.
     count = np.zeros((4,) + (1,) * (rhs.ndim - 2) + frame)
     for k, (py, px) in enumerate(_SUBLATTICES):
         cells = _cells(h, w, py, px)
         b[k][cells] = rhs[..., py::2, px::2]
-        x[k][cells] = xi[..., py::2, px::2]
+        e[k][cells] = xi[..., py::2, px::2]
         np.add(_neighbor_count(h, py)[:, None], _neighbor_count(w, px), out=count[k][cells])
+    # The gain in place: 1 + xi*c goes into the c*rhs slot for the divide.
+    np.multiply(e, count, out=bc)
+    bc += 1.0
+    e /= bc
     np.multiply(count, b, out=bc)
-    np.multiply(x, count, out=d)
-    d += 1.0
     return fields
 
 
 def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
     """Red-black Gauss-Seidel sweeps in place on the (4, ..., *frame)
-    parity planes of v, with the field-major block of _plane_fields."""
+    parity planes of v: v = rhs + (T - c*rhs) * gain, 18 ufunc calls each."""
     n = planes[0].size
     stride = planes.shape[-1]
     v = planes.reshape(-1)
-    fields = fields.reshape(4, -1)
+    fields = fields.reshape(3, -1)
     lo, hi = stride + 1, n - stride - 1
 
     def run(k, s=0):
@@ -200,22 +202,21 @@ def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
         ))
     # The two planes of a color are adjacent, so one run from the first
     # plane's run start to the second's run end covers both.  The pad rows
-    # in between hold zero fields and 1 + xi*c = 1, so they stay +0.0.
+    # in between hold zero fields, so they stay +0.0.
     colors = []
     for k in (0, 2):
         tail = slice(k * n + lo, (k + 1) * n + hi)
         colors.append((sums[k : k + 2], v[tail], fields[:, tail]))
     scratch = np.empty(hi - lo)
     for _ in range(sweeps):
-        for color_sums, center, (b, x, bc, d) in colors:
-            # center = b + x * (((left + right) + (up + down)) - bc) / d
+        for color_sums, center, (b, bc, e) in colors:
+            # center = b + (((left + right) + (up + down)) - bc) * e
             for total, left, right, up, down in color_sums:
                 np.add(left, right, out=scratch)
                 np.add(up, down, out=total)
                 total += scratch
             center -= bc
-            center *= x
-            center /= d
+            center *= e
             center += b
 
 
@@ -240,27 +241,28 @@ def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int)
     plane of the other column parity and by 0 or one frame row (up,
     down) in the plane of the other row parity.  The run also covers the
     pad cells between its rows and between stack entries.  The fields
-    rhs, xi, c*rhs and 1 + xi*c sit in one field-major block (4 fields,
+    rhs, c*rhs and the gain e sit in one field-major block (3 fields,
     4 sub-lattices, ..., *frame), so the two planes of one color are
     adjacent in v and in every field, and the pointwise rest of the
     update runs once per color over a single run that spans both planes,
-    the pad rows between them included.  A sweep thus takes 20 ufunc
-    calls: 3 per sub-lattice for the neighbor sum and 4 per color for
-    the rest.  Pad cells carry rhs = xi = c*rhs = 0 and 1 + xi*c = 1, so
-    the update writes +0.0 there while the neighbors are finite, and a
-    pad cell keeps standing in for a missing neighbor.  (A non-finite
-    value turns its pad neighbors to NaN, which then reach the next row
-    and the next stack entry.)  The neighbor sum is taken pairwise,
-    (left + right) + (up + down), so that for a constant field it rounds
-    identically to count * value.
+    the pad rows between them included.  A sweep thus takes 18 ufunc
+    calls: 3 per sub-lattice for the neighbor sum and 3 per color for
+    the rest.  Pad cells carry 0 in all three fields, so the update
+    writes +0.0 there while the neighbors are finite, and a pad cell
+    keeps standing in for a missing neighbor.  (A non-finite value turns
+    its pad neighbors to NaN, which then reach the next row and the next
+    stack entry.)  The neighbor sum is taken pairwise, (left + right) +
+    (up + down), so that for a constant field it rounds identically to
+    count * value.
 
-    The update is written as v = rhs + xi*(T - c*rhs)/(1 + xi*c) with T
-    the neighbor sum and c the neighbor count: algebraically identical
-    to (rhs + xi*T)/(1 + xi*c) but exact (bitwise) at xi = 0 and on
-    constant fixed points.
+    The update (rhs + xi*T)/(1 + xi*c), T the neighbor sum and c the
+    neighbor count, runs as v = rhs + (T - c*rhs) * e with the gain
+    e = xi/(1 + xi*c) formed once per call: no divide in a sweep, and
+    exact (bitwise) at xi = 0 (e = 0) and on constants (T = c*rhs).
 
     Raises ValueError when rhs is not a stack of grids, v0 does not have
-    the shape of rhs, xi does not broadcast to it, or sweeps < 0.
+    the shape of rhs, xi does not broadcast to it or is not finite and
+    nonnegative, or sweeps is not an integer >= 0.
     """
     rhs = np.asarray(rhs)
     v0 = np.asarray(v0)
@@ -268,14 +270,15 @@ def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int)
         raise ValueError("rhs must have shape (..., H, W), got %s" % (rhs.shape,))
     if v0.shape != rhs.shape:
         raise ValueError("v0 shape %s differs from rhs shape %s" % (v0.shape, rhs.shape))
+    if not (0.0 <= np.min(xi) and np.max(xi) < math.inf):
+        raise ValueError("xi must be finite and nonnegative")
     try:
         xi = np.broadcast_to(xi, rhs.shape)
     except ValueError:
         raise ValueError(
             "xi shape %s does not broadcast to rhs shape %s" % (np.shape(xi), rhs.shape)
         ) from None
-    if sweeps < 0:
-        raise ValueError("sweeps must be nonnegative, got %d" % sweeps)
+    check_count("sweeps", sweeps, 0)
     h, w = rhs.shape[-2:]
     frame = ((h + 1) // 2 + 2, (w + 1) // 2 + 2)
     fields = _plane_fields(rhs, xi, frame)

@@ -97,7 +97,7 @@ def screened_sweep_reference(rhs, xi, v0, sweeps):
             down = np.zeros_like(v)
             down[:-1, :] = v[1:, :]
             t = (left + right) + (up + down)
-            vnew = rhs + xi * (t - cr) / denom
+            vnew = rhs + (t - cr) * (xi / denom)
             v[mask] = vnew[mask]
     return v
 

@@ -274,17 +274,26 @@ def test_screened_solve_rejects_mismatched_inputs():
     for bad_xi in (np.ones((5, 4)), np.ones((2, 4, 5)), np.ones((2, 3, 4, 5))):
         with pytest.raises(ValueError, match="xi"):
             screened_solve(rhs, bad_xi, v0, 1)
-    with pytest.raises(ValueError, match="sweeps"):
-        screened_solve(rhs, xi, v0, -1)
+    for bad_sweeps in (-1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="sweeps"):
+            screened_solve(rhs, xi, v0, bad_sweeps)
+    # negative, non-finite, and -1/c, which would make 1 + xi*c zero
+    for bad in (-0.25, -1.0 / 3.0, np.inf, np.nan):
+        field = np.full((4, 5), 0.5)
+        field[2, 3] = bad
+        for bad_xi in (bad, field):
+            with pytest.raises(ValueError, match="xi"):
+                screened_solve(rhs, bad_xi, v0, 1)
     with pytest.raises(ValueError, match="rhs"):
         screened_solve(np.zeros(5), np.ones(5), np.zeros(5), 1)
 
 
 def test_screened_solve_peak_memory():
-    # The planes of v and of rhs, xi, c*rhs and 1 + xi*c take 5 rhs sizes
-    # plus their pad, and one scratch plane a quarter more (5.33 in all at
-    # 512^2).  The bound leaves no room for a full-size temporary, nor for
-    # holding the fields planes while the output is allocated.
+    # The three field planes (rhs, c*rhs and the gain) and the v planes
+    # take 4 rhs sizes plus their pad, and one scratch plane a quarter
+    # more (4.32 in all at 512^2).  The bound leaves no room for a
+    # full-size temporary (a fourth field plane or the 1 + xi*c divisor),
+    # nor for holding the fields planes while the output is allocated.
     rng = Splitmix64(405)
     shape = (512, 512)
     rhs = rng.normals(shape[0] * shape[1]).reshape(shape)
@@ -296,7 +305,7 @@ def test_screened_solve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * rhs.nbytes
+    assert peak <= 4.5 * rhs.nbytes
 
 
 def test_screened_solve_matches_dense_oracle():
@@ -307,6 +316,19 @@ def test_screened_solve_matches_dense_oracle():
         v = screened_solve(rhs, xi, np.zeros((8, 8)), sweeps=500)
         ref = np.linalg.solve(assemble_screened_matrix(xi), rhs.ravel()).reshape(8, 8)
         assert rms(v - ref) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 7, 9), (1, 6), (6, 1), (3, 2, 2)], ids=["2x7x9", "1x6", "6x1", "3x2x2"]
+)
+def test_screened_solve_converges_to_the_exact_solve(shape):
+    # A scalar xi broadcast to a field: run to convergence from zeros,
+    # the sweeps must reach the exact DCT solve on odd and thin grids,
+    # whose boundary and pad cells the 8x8 dense oracle does not reach.
+    rhs = Splitmix64(413).normals(int(np.prod(shape))).reshape(shape)
+    for xi in (0.05, 1.0, 3.7):
+        v = screened_solve(rhs, np.full(shape[-2:], xi), np.zeros(shape), sweeps=500)
+        assert rms(v - exact_screened_solve(rhs, xi)) <= 1e-10
 
 
 def test_screened_solve_deterministic():
