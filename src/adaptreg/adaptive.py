@@ -12,7 +12,8 @@ shrinkage keeps 1 - lambda in [alpha, 1], so the regularizer never
 switches off entirely.
 
 Setting ``constant_lambda`` bypasses the residual entirely and yields
-the classical constant-weight model used as a baseline.
+the classical constant-weight model used as a baseline; lambda is then
+a float that broadcasts against every field.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class AdaptiveParams:
         Standard deviation of the Gaussian applied to the residual
         before the exponential; 0 disables smoothing.
     constant_lambda : float or None
-        If set, lambda is this constant everywhere and the residual is
-        ignored (constant-regularization baseline).
+        If set, lambda is this constant as a float and the residual is
+        ignored (constant-regularization baseline).  The v-steps then
+        get a scalar xi, which screened_solve solves exactly by the DCT.
     """
 
     beta: float
@@ -77,14 +79,14 @@ def nu_to_lambda(nu: np.ndarray, alpha: float) -> np.ndarray:
     return shrink(nu, alpha)
 
 
-def weight_fields(rho: np.ndarray, params: AdaptiveParams) -> np.ndarray:
+def weight_fields(rho: np.ndarray, params: AdaptiveParams) -> np.ndarray | float:
     """Fidelity weight lambda for a residual field; the regularizer
     weight is 1 - lambda.
 
-    With ``constant_lambda`` set the residual only fixes the output
-    shape; otherwise lambda follows the residual pointwise.
+    With ``constant_lambda`` set, lambda is that constant as a float,
+    which broadcasts against rho, and the residual is not read;
+    otherwise lambda is a field that follows the residual pointwise.
     """
-    rho = np.asarray(rho, dtype=np.float64)
     if params.constant_lambda is not None:
-        return np.full_like(rho, float(params.constant_lambda))
+        return float(params.constant_lambda)
     return nu_to_lambda(residual_to_nu(rho, params), params.alpha)

@@ -104,7 +104,9 @@ def cmd_denoise(args) -> int:
         def on_check(state, record):
             if record.iter % every == 0:
                 path = "%s.lambda%04d.pgm" % (args.output, record.iter)
-                write_pnm(path, grayscale_heatmap(state.lam, 0.0, 1.0))
+                # a constant weight is a float
+                lam = np.broadcast_to(state.lam, state.f.shape)
+                write_pnm(path, grayscale_heatmap(lam, 0.0, 1.0))
 
     u, history = run_denoise(f, params, on_check=on_check)
     write_pnm(args.output, u)

@@ -12,9 +12,10 @@ the auxiliaries r (data) and z (gradient), and alternates:
     u            pointwise solve of (lambda + mu theta) u
                      = mu theta (v - w) + lambda (f - r)
     v            screened system (1 - xi Laplacian) v = u + w - xi div z,
-                 xi = (1 - lambda)/(eta theta): solved exactly by the DCT
-                 when lambda is constant, else by red-black Gauss-Seidel
-                 sweeps
+                 xi = (1 - lambda)/(eta theta): a constant weight is a
+                 float lambda, so xi is a scalar and screened_solve
+                 solves exactly by the DCT; a weight field takes
+                 red-black Gauss-Seidel sweeps
     w            w + u - v
 
 Initialization u = v = f, everything else zero.  A constant image is a
@@ -28,11 +29,14 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import divergence, gradient, scalar_grid
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import SolverParams, exact_screened_solve, rms, run_admm, screened_solve
+from .solver import SolverParams, rms, run_admm, screened_solve
 
 
 class DenoiseState:
-    """Fields of the denoising ADMM: f, u, v, w, r, z, lam."""
+    """Fields of the denoising ADMM: f, u, v, w, r, z, lam.
+
+    lam is an (H, W) field, or a float that broadcasts against the
+    fields when the weight is constant."""
 
     def __init__(self, f: np.ndarray, params: SolverParams):
         self.f = scalar_grid(f)
@@ -87,13 +91,11 @@ def update_u(state: DenoiseState, params: SolverParams) -> np.ndarray:
 
 def update_v(state: DenoiseState, params: SolverParams) -> np.ndarray:
     """Screened solve of (1 - xi Laplacian) v = u + w - xi div z: exact
-    for a constant weight, gs_sweeps Gauss-Seidel sweeps from v otherwise."""
-    lam0 = params.adaptive.constant_lambda
-    xi = (1.0 - (state.lam if lam0 is None else lam0)) / (params.eta * params.theta)
+    for a float lambda (scalar xi), gs_sweeps Gauss-Seidel sweeps from v
+    for a weight field."""
+    xi = (1.0 - state.lam) / (params.eta * params.theta)
     rhs = state.u + state.w - xi * divergence(state.z)
-    if lam0 is None:
-        return screened_solve(rhs, xi, state.v, params.gs_sweeps)
-    return exact_screened_solve(rhs, xi)
+    return screened_solve(rhs, xi, state.v, params.gs_sweeps)
 
 
 def run_denoise(f: np.ndarray, params: SolverParams, on_check=None):

@@ -17,7 +17,8 @@ residual, r by scalar shrink, u by a per-pixel 2x2 rank-one solve of
 (mu theta I + lambda A A^T) u = mu theta (v - w) + lambda (ft - r) A,
 then the gradient auxiliaries of both components, one screened v-solve
 over the component-first (2, H, W) stack (exact by the DCT for a
-constant lambda, else red-black Gauss-Seidel sweeps), and dual ascent.  The
+constant weight, a float lambda and so a scalar xi; else red-black
+Gauss-Seidel sweeps), and dual ascent.  The
 regularizer is per-partial-derivative by default (anisotropic_reg), or
 isotropic per component when disabled.
 """
@@ -32,7 +33,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import central_gradient, divergence, gradient, scalar_grid, warp_bilinear
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import SolverParams, check_count, exact_screened_solve, rms, run_admm, screened_solve
+from .solver import SolverParams, check_count, rms, run_admm, screened_solve
 
 
 @dataclass
@@ -96,7 +97,8 @@ class FlowState:
     """Velocity ADMM fields plus the frozen linearization (A, ft).
 
     u, v, w and A are (H, W, 2); the gradient auxiliary z is
-    component-first, (2, H, W, 2)."""
+    component-first, (2, H, W, 2).  lam is an (H, W) field, or a float
+    that broadcasts against the fields when the weight is constant."""
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams):
         self.f1 = scalar_grid(f1)
@@ -182,21 +184,17 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
 
 def update_v_w(state: FlowState, params: SolverParams) -> None:
     """Gradient auxiliaries, one screened v-solve over the
-    component-first (2, H, W) stack (exact for a constant weight,
-    gs_sweeps Gauss-Seidel sweeps from v otherwise), dual ascent.  The
+    component-first (2, H, W) stack (exact for a float lambda, gs_sweeps
+    Gauss-Seidel sweeps from v for a weight field), dual ascent.  The
     auxiliary shrink is per partial derivative under anisotropic_reg,
     else isotropic on each component's gradient.  state.v is updated in
     place."""
-    lam0 = params.adaptive.constant_lambda
-    xi = (1.0 - (state.lam if lam0 is None else lam0)) / (params.eta * params.theta)
+    xi = (1.0 - state.lam) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
     g = gradient(v)
     state.z = shrink(g, params.eta) if state.params.anisotropic_reg else shrink_vec(g, params.eta)
     rhs = np.moveaxis(state.u + state.w, -1, 0) - xi * divergence(state.z)
-    if lam0 is None:
-        v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)
-    else:
-        v[...] = exact_screened_solve(rhs, xi)
+    v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)
     state.w = state.w + (state.u - state.v)
 
 

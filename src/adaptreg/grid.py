@@ -21,22 +21,28 @@ import numpy as np
 
 
 def scalar_grid(data) -> np.ndarray:
-    """Coerce array-like data to a (H, W) float64 grid and check it is finite."""
+    """Coerce array-like data to a nonempty (H, W) float64 grid and check
+    it is finite."""
     a = np.asarray(data, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"scalar grid must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("scalar grid contains non-finite values")
-    return a
+    return _nonempty_finite(a, "scalar")
 
 
 def vector_grid(data) -> np.ndarray:
-    """Coerce array-like data to a (H, W, 2) float64 grid and check it is finite."""
+    """Coerce array-like data to a nonempty (H, W, 2) float64 grid and
+    check it is finite."""
     a = np.asarray(data, dtype=np.float64)
     if a.ndim != 3 or a.shape[2] != 2:
         raise ValueError(f"vector grid must have shape (H, W, 2), got {a.shape}")
+    return _nonempty_finite(a, "vector")
+
+
+def _nonempty_finite(a: np.ndarray, kind: str) -> np.ndarray:
+    if a.size == 0:
+        raise ValueError(f"{kind} grid is empty, shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("vector grid contains non-finite values")
+        raise ValueError(f"{kind} grid contains non-finite values")
     return a
 
 
@@ -133,10 +139,11 @@ def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:
     smoothed exactly as it would be on its own.  The kernel is truncated
     at radius ceil(3*sigma) and renormalized to sum 1. Mirror padding
     keeps the mean of the field exactly preserved (the effective
-    smoothing matrix is doubly stochastic).
+    smoothing matrix is doubly stochastic).  sigma must be nonnegative
+    and finite, else ValueError.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be nonnegative and finite, got %r" % (sigma,))
     if sigma == 0:
         return u.copy()
     k = gaussian_kernel(sigma)

@@ -83,7 +83,9 @@ def write_pnm(path, img: np.ndarray, maxval: int = 255):
     """Write a grid as binary PGM (2-D) or PPM (H, W, 3).
 
     Float input is clamped to [0,1] and quantized with round-half-to-
-    even; uint8 input is written as-is (maxval must then be 255).
+    even; uint8 input is written as-is (maxval must then be 255).  An
+    empty image or a non-finite sample raises ValueError, as read_pnm
+    would reject the file.
     """
     img = np.asarray(img)
     if img.ndim == 2:
@@ -92,6 +94,8 @@ def write_pnm(path, img: np.ndarray, maxval: int = 255):
         magic = b"P6"
     else:
         raise ValueError("expected a (H, W) or (H, W, 3) array")
+    if img.size == 0:
+        raise ValueError("cannot write an empty image, shape %s" % (img.shape,))
     if not 1 <= maxval <= 65535:
         raise ValueError("maxval must lie in [1, 65535]")
     if img.dtype == np.uint8:
@@ -99,6 +103,8 @@ def write_pnm(path, img: np.ndarray, maxval: int = 255):
             raise ValueError("uint8 input requires maxval 255")
         q = img
     else:
+        if not np.all(np.isfinite(img)):
+            raise ValueError("image samples must be finite")
         scaled = np.rint(np.clip(img.astype(np.float64), 0.0, 1.0) * maxval)
         q = scaled.astype(np.uint8 if maxval < 256 else np.dtype(">u2"))
     h, w = img.shape[:2]
@@ -138,7 +144,8 @@ def read_flo(path) -> np.ndarray:
 
 
 def write_flo(path, u: np.ndarray):
-    """Write a (H, W, 2) field as .flo (float32 little-endian)."""
+    """Write a nonempty, finite (H, W, 2) field as .flo (float32
+    little-endian); anything else raises ValueError."""
     u = vector_grid(u)
     h, w = u.shape[:2]
     with open(path, "wb") as fh:

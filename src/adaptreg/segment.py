@@ -13,8 +13,8 @@ label-major.  One iteration runs these steps on the whole stack:
     u            u_i = max(0, v_i - w_i - (lambda_i/theta) d_i
                                 - (tau_excl/theta) sum_{j != i} u_j)
     v            one screened solve (exact by the DCT for a constant
-                 lambda, else Gauss-Seidel sweeps), projected onto
-                 sum_i v_i = 1
+                 weight, a float lambda and so a scalar xi; else
+                 Gauss-Seidel sweeps), projected onto sum_i v_i = 1
     w            w += u - v
 
 All steps but u are pointwise per label.  The exclusivity sum couples
@@ -34,7 +34,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
-from .solver import SolverParams, check_count, exact_screened_solve, rms, run_admm, screened_solve
+from .solver import SolverParams, check_count, rms, run_admm, screened_solve
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -53,8 +53,9 @@ class SegmentParams:
 
 class LabelState:
     """Per-label fields, stacked label-major: u, v, w, r (n,H,W),
-    z (n,H,W,2), lam (n,H,W), c (n,).  Degenerate region updates are
-    logged as (iteration, label) pairs."""
+    z (n,H,W,2), lam (n,H,W), c (n,).  lam is a float that broadcasts
+    against the stack when the weight is constant.  Degenerate region
+    updates are logged as (iteration, label) pairs."""
 
     def __init__(self, f, u, v, w, r, z, lam, c):
         self.f = f
@@ -170,21 +171,16 @@ def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndar
 
 def update_v_all(state: LabelState, params: SegmentParams) -> None:
     """One screened solve over the (n, H, W) label stack, then projection
-    onto sum_i v_i = 1.  The solve is exact for a constant weight and
-    gs_sweeps Gauss-Seidel sweeps from v otherwise.
+    onto sum_i v_i = 1.  The solve is exact for a float lambda (scalar
+    xi) and gs_sweeps Gauss-Seidel sweeps from v for a weight field.
 
     Each label's system only reads that label's own fields, so the
     stacked solve matches solving the labels one by one.
     """
     sp = params.solver
-    lam0 = sp.adaptive.constant_lambda
-    xi = (1.0 - (state.lam if lam0 is None else lam0)) / (sp.eta * sp.theta)
+    xi = (1.0 - state.lam) / (sp.eta * sp.theta)
     rhs = state.u + state.w - xi * divergence(state.z)
-    if lam0 is None:
-        v = screened_solve(rhs, xi, state.v, sp.gs_sweeps)
-    else:
-        v = exact_screened_solve(rhs, xi)
-    state.v = project_stack_sum_to_one(v)
+    state.v = project_stack_sum_to_one(screened_solve(rhs, xi, state.v, sp.gs_sweeps))
 
 
 def extract_labels(state: LabelState) -> np.ndarray:

@@ -37,9 +37,10 @@ class SolverParams:
     primal residual is at most tol_primal.
     gs_sweeps is the exact number of inner Gauss-Seidel passes of each
     v-update with a spatially varying weight (screened_solve); the inner
-    solve has no early exit.  With a constant weight
-    (adaptive.constant_lambda set) the v-update is the exact direct
-    solve, exact_screened_solve, and gs_sweeps has no effect.
+    solve has no early exit.  A constant weight
+    (adaptive.constant_lambda set) is a float lambda, so xi is a scalar
+    and screened_solve takes the exact DCT solve, on which gs_sweeps has
+    no effect.
     Non-finite mu, eta, theta or tol_primal, and max_iters or gs_sweeps
     that are not integers, raise ValueError.
     """
@@ -220,16 +221,33 @@ def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
             center += b
 
 
-def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int) -> np.ndarray:
-    """Exactly `sweeps` Gauss-Seidel sweeps for (1 - xi * laplacian) v = rhs
-    on a stack, starting from v0.
+def _check_system(rhs, xi) -> np.ndarray:
+    """rhs as float64, after the checks both screened solves share: rhs
+    is a stack of nonempty (H, W) grids and xi is finite and
+    nonnegative."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim < 2 or rhs.size == 0:
+        raise ValueError("rhs must be a nonempty (..., H, W) stack, got shape %s" % (rhs.shape,))
+    if not (0.0 <= np.min(xi) and np.max(xi) < math.inf):
+        raise ValueError("xi must be finite and nonnegative")
+    return rhs
+
+
+def screened_solve(rhs: np.ndarray, xi, v0: np.ndarray, sweeps: int) -> np.ndarray:
+    """Solve (1 - xi * laplacian) v = rhs on a stack: exactly for a scalar
+    xi, by exactly `sweeps` Gauss-Seidel sweeps from v0 for a field xi.
 
     rhs and v0 have shape (..., H, W); every leading index is a separate
     grid, and xi broadcasts against rhs (one (H, W) weight can serve a
     whole stack).  Five-point Laplacian with replicate (Neumann)
-    boundary, so boundary pixels simply see fewer neighbors.  Red-black
-    ordering: each half sweep updates one checkerboard color from the
-    other, which makes the result independent of traversal order.
+    boundary, so boundary pixels simply see fewer neighbors.  A scalar
+    (0-d) xi, which a constant weight gives, returns
+    exact_screened_solve(rhs, xi); v0 and sweeps are then checked but
+    not used.  A field xi takes the sweeps, even when it is uniform.
+
+    The sweeps use red-black ordering: each half sweep updates one
+    checkerboard color from the other, which makes the result
+    independent of traversal order.
 
     Parity-plane layout: each of the four sub-lattices of row and column
     parity lives in its own zero-padded plane, and all planes share one
@@ -260,25 +278,23 @@ def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int)
     e = xi/(1 + xi*c) formed once per call: no divide in a sweep, and
     exact (bitwise) at xi = 0 (e = 0) and on constants (T = c*rhs).
 
-    Raises ValueError when rhs is not a stack of grids, v0 does not have
-    the shape of rhs, xi does not broadcast to it or is not finite and
-    nonnegative, or sweeps is not an integer >= 0.
+    Raises ValueError when rhs is not a stack of nonempty grids, v0 does
+    not have the shape of rhs, xi does not broadcast to it or is not
+    finite and nonnegative, or sweeps is not an integer >= 0.
     """
-    rhs = np.asarray(rhs)
+    rhs = _check_system(rhs, xi)
     v0 = np.asarray(v0)
-    if rhs.ndim < 2:
-        raise ValueError("rhs must have shape (..., H, W), got %s" % (rhs.shape,))
     if v0.shape != rhs.shape:
         raise ValueError("v0 shape %s differs from rhs shape %s" % (v0.shape, rhs.shape))
-    if not (0.0 <= np.min(xi) and np.max(xi) < math.inf):
-        raise ValueError("xi must be finite and nonnegative")
+    check_count("sweeps", sweeps, 0)
+    if np.ndim(xi) == 0:
+        return exact_screened_solve(rhs, xi)
     try:
         xi = np.broadcast_to(xi, rhs.shape)
     except ValueError:
         raise ValueError(
             "xi shape %s does not broadcast to rhs shape %s" % (np.shape(xi), rhs.shape)
         ) from None
-    check_count("sweeps", sweeps, 0)
     h, w = rhs.shape[-2:]
     frame = ((h + 1) // 2 + 2, (w + 1) // 2 + 2)
     fields = _plane_fields(rhs, xi, frame)
@@ -291,7 +307,6 @@ def screened_solve(rhs: np.ndarray, xi: np.ndarray, v0: np.ndarray, sweeps: int)
     for plane, (py, px) in zip(planes, _SUBLATTICES):
         out[..., py::2, px::2] = plane[_cells(h, w, py, px)]
     return out
-
 
 
 @lru_cache(maxsize=8)
@@ -398,14 +413,12 @@ def exact_screened_solve(rhs: np.ndarray, xi: float) -> np.ndarray:
     exactly zero Laplacian and xi = 0 a zero gain, so both return rhs
     bitwise.
 
-    Raises ValueError when rhs is not a stack of grids or xi is not a
-    finite nonnegative scalar.
+    Raises ValueError when rhs is not a stack of nonempty grids or xi
+    is not a finite nonnegative scalar.
     """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.ndim < 2:
-        raise ValueError("rhs must have shape (..., H, W), got %s" % (rhs.shape,))
-    if np.ndim(xi) != 0 or not 0.0 <= xi < math.inf:
-        raise ValueError("xi must be a finite nonnegative scalar, got %r" % (xi,))
+    if np.ndim(xi) != 0:
+        raise ValueError("xi must be a scalar, got shape %s" % (np.shape(xi),))
+    rhs = _check_system(rhs, xi)
     h, w = rhs.shape[-2:]
     g_real, g_imag, twiddle, twiddle_conj = _column_gains(h, w, float(xi))
     rows = _dct_rows(laplacian(rhs))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import convolve_gaussian, scalar_grid, warp_bilinear
+from .solver import check_count
 
 _U = np.uint64
 _GAMMA = 0x9E3779B97F4A7C15
@@ -72,10 +73,8 @@ def junction_image(n_regions: int, size: int, disc_radius_frac: float = 0.25, se
     assigned to regions in seed-shuffled order.  Returns (image, labels)
     with labels 0..n-2 for the sectors and n-1 for the disc.
     """
-    if n_regions < 3:
-        raise ValueError("junction needs at least 3 regions")
-    if size < 2:
-        raise ValueError("size must be at least 2")
+    check_count("n_regions", n_regions, 3)
+    check_count("size", size, 2)
     n_sectors = n_regions - 1
     cy = (size - 1) / 2.0
     cx = (size - 1) / 2.0
@@ -111,13 +110,15 @@ def noisy_rectangles(size: int, noise_levels=(0.0, 0.02, 0.05, 0.40), seed: int 
     """White background plus three gray rectangles, per-region noise.
 
     noise_levels gives the Gaussian sigma for (background, rect1, rect2,
-    rect3) in that order; the result is clamped to [0,1].  Returns
-    (image, labels) with label 0 for the background.
+    rect3) in that order, each nonnegative and finite; the result is
+    clamped to [0,1].  size must be an integer >= 1.  Returns (image, labels)
+    with label 0 for the background.
     """
+    check_count("size", size, 1)
     if len(noise_levels) != 4:
         raise ValueError("noise_levels must list 4 sigmas (background + 3 rectangles)")
-    if any(s < 0 for s in noise_levels):
-        raise ValueError("noise sigmas must be nonnegative")
+    if not all(0.0 <= s < np.inf for s in noise_levels):
+        raise ValueError("noise sigmas must be nonnegative and finite")
     labels = np.zeros((size, size), dtype=np.int64)
     image = np.ones((size, size), dtype=np.float64)
     for k, (top, bottom, left, right, level) in enumerate(_RECTS):
@@ -140,10 +141,11 @@ def biased_noise_image(clean: np.ndarray, sigma_max: float, bias_profile: str = 
     the 8 columns right of the midline and holds sigma_max beyond.
     'radial': sigma grows linearly with distance from the center,
     reaching sigma_max at the inscribed-circle radius.  Clamped to [0,1].
+    sigma_max must be nonnegative and finite.
     """
     clean = scalar_grid(clean)
-    if sigma_max < 0:
-        raise ValueError("sigma_max must be nonnegative")
+    if not 0.0 <= sigma_max < np.inf:
+        raise ValueError("sigma_max must be nonnegative and finite")
     h, w = clean.shape
     if bias_profile == "half":
         x = np.arange(w, dtype=np.float64)
@@ -160,10 +162,11 @@ def biased_noise_image(clean: np.ndarray, sigma_max: float, bias_profile: str = 
 
 
 def add_gaussian_noise(clean: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
-    """Uniform-sigma additive Gaussian noise, clamped to [0,1]."""
+    """Uniform-sigma additive Gaussian noise, clamped to [0,1]; sigma must
+    be nonnegative and finite."""
     clean = scalar_grid(clean)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     noise = Splitmix64(seed).normals(clean.size).reshape(clean.shape)
     return np.clip(clean + sigma * noise, 0.0, 1.0)
 
@@ -185,7 +188,11 @@ def shifted_pair(base: np.ndarray, shift):
 
 
 def smooth_texture(size: int, seed: int = 0, sigma: float = 6.0) -> np.ndarray:
-    """Smooth random texture: blurred white noise rescaled to [0,1]."""
+    """Smooth random texture: blurred white noise rescaled to [0,1].
+
+    size must be an integer >= 1 and sigma nonnegative and finite.
+    """
+    check_count("size", size, 1)
     noise = Splitmix64(seed).normals(size * size).reshape(size, size)
     tex = convolve_gaussian(noise, sigma)
     lo, hi = float(tex.min()), float(tex.max())

@@ -162,10 +162,11 @@ def convolve_gaussian_reference(u, sigma):
 
 
 def weight_fields_reference(rho, params):
-    """Fidelity weight lambda from the frozen smoothing and shrink formulas."""
+    """Fidelity weight lambda from the frozen smoothing and shrink
+    formulas; a constant weight is a float."""
     rho = np.asarray(rho, dtype=np.float64)
     if params.constant_lambda is not None:
-        return np.full_like(rho, float(params.constant_lambda))
+        return float(params.constant_lambda)
     nu = np.exp(-convolve_gaussian_reference(rho, params.smoothing_sigma) / params.beta)
     return shrink_reference(nu, params.alpha)
 
@@ -186,8 +187,12 @@ def segment_iterate_reference(s, params):
     labels = np.arange(s.n_labels)
     for i in labels:
         d = _label_misfit(s, i, sp.mu)
-        s.lam[i] = weight_fields_reference(d * s.u[i], sp.adaptive)
-        weights = s.lam[i] * s.u[i]
+        lam = weight_fields_reference(d * s.u[i], sp.adaptive)
+        if np.ndim(lam):
+            s.lam[i] = lam
+        else:
+            s.lam = lam  # a constant weight stays a float, so xi is a scalar
+        weights = lam * s.u[i]
         den = float(np.sum(weights))
         if den <= DEGENERATE_REGION_WEIGHT:
             s.degenerate_events.append((s.iteration, int(i)))
@@ -199,7 +204,7 @@ def segment_iterate_reference(s, params):
         others = np.sum(s.u[labels != i], axis=0)
         s.u[i] = np.maximum(
             0.0,
-            s.v[i] - s.w[i] - (s.lam[i] / sp.theta) * d - (params.tau_excl / sp.theta) * others,
+            s.v[i] - s.w[i] - (lam / sp.theta) * d - (params.tau_excl / sp.theta) * others,
         )
     update_v_all(s, params)
     s.w = s.w + (s.u - s.v)
@@ -209,10 +214,11 @@ def segment_energy_reference(s, params):
     """Segmentation energy summed label by label, data term first."""
     sp = params.solver
     total = 0.0
+    lam = np.broadcast_to(s.lam, s.u.shape)
     for i in range(s.n_labels):
         d = _label_misfit(s, i, sp.mu)
-        total += float(np.sum(s.lam[i] * d * s.u[i]))
-        total += float(np.sum((1.0 - s.lam[i]) * huber_vec_reference(gradient(s.v[i]), sp.eta)))
+        total += float(np.sum(lam[i] * d * s.u[i]))
+        total += float(np.sum((1.0 - lam[i]) * huber_vec_reference(gradient(s.v[i]), sp.eta)))
     overlap = (np.sum(s.u, axis=0) ** 2 - np.sum(s.u**2, axis=0)) / 2.0
     return total + params.tau_excl * float(np.sum(overlap))
 

@@ -302,6 +302,40 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value, na
     assert name in err and "finite" in err
 
 
+@pytest.mark.parametrize("generator, flag, values", [
+    ("texture", "--sigma", ["inf"]),
+    ("texture", "--sigma", ["nan"]),
+    ("rectangles", "--noise", ["0", "0", "0", "nan"]),
+    ("rectangles", "--noise", ["inf", "0", "0", "0"]),
+    ("biased", "--sigma-max", ["nan"]),
+    ("biased", "--sigma-max", ["inf"]),
+])
+def test_non_finite_synth_parameters_exit_2(tmp_path, capsys, generator, flag, values):
+    rc = entry(["synth", generator, "--out", str(tmp_path / "s"), "--size", "16", flag] + values)
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("generator", ["rectangles", "texture", "biased", "shifted-pair"])
+def test_synth_empty_canvas_exits_2(tmp_path, capsys, generator):
+    assert entry(["synth", generator, "--out", str(tmp_path / "s"), "--size", "0"]) == 2
+    assert "size" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_constant_lambda_dumps_are_uniform_full_size(tmp_path):
+    _, noisy_path, _ = _denoise_fixture(tmp_path)
+    out = tmp_path / "out.pgm"
+    rc = entry(["denoise", "--input", str(noisy_path), "--output", str(out), "--iters", "4",
+                "--tol", "1e-300", "--constant-lambda", "0.3", "--dump-lambda-every", "2"])
+    assert rc == 0
+    for k in (2, 4):
+        lam = read_pnm(tmp_path / ("out.pgm.lambda%04d.pgm" % k))
+        assert lam.shape == (48, 48)
+        assert np.all(lam == np.rint(0.3 * 255) / 255)
+
+
 @pytest.mark.parametrize("every", ["0", "-1"])
 def test_dump_lambda_every_rejects_nonpositive(tmp_path, capsys, every):
     _, noisy_path, _ = _denoise_fixture(tmp_path)

@@ -301,6 +301,6 @@ def test_constant_mode_pins_weights():
     ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=0.3)
     sp = SolverParams(mu=0.16, eta=0.08, theta=1.0, adaptive=ap, max_iters=10, tol_primal=1e-12)
     box = []
-    run_denoise(f, sp, on_check=lambda st, rec: box.append(st.lam.copy()))
+    run_denoise(f, sp, on_check=lambda st, rec: box.append(st.lam))
     for lam in box:
         assert np.all(lam == 0.3)

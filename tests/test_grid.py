@@ -258,6 +258,20 @@ def test_scalar_grid_rejects_wrong_rank():
         scalar_grid(np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_grids_reject_zero_size(shape):
+    with pytest.raises(ValueError, match="empty"):
+        scalar_grid(np.zeros(shape))
+    with pytest.raises(ValueError, match="empty"):
+        vector_grid(np.zeros(shape + (2,)))
+
+
+@pytest.mark.parametrize("sigma", [np.inf, np.nan, -0.5])
+def test_convolve_gaussian_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        convolve_gaussian(np.zeros((4, 4)), sigma)
+
+
 def test_vector_grid_rejects_wrong_shape():
     with pytest.raises(ValueError):
         vector_grid(np.zeros((4, 4)))

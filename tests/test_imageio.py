@@ -131,6 +131,33 @@ def test_pnm_error_paths(tmp_path):
         write_pnm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 4, 3)])
+def test_write_pnm_rejects_empty_images(tmp_path, shape):
+    path = tmp_path / "e.pnm"
+    for img in (np.zeros(shape), np.zeros(shape, dtype=np.uint8)):
+        with pytest.raises(ValueError, match="empty"):
+            write_pnm(path, img)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_pnm_rejects_non_finite_samples(tmp_path, bad):
+    path = tmp_path / "n.pgm"
+    img = np.full((3, 4), 0.5)
+    img[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        write_pnm(path, img)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 2), (5, 0, 2)])
+def test_write_flo_rejects_empty_fields(tmp_path, shape):
+    path = tmp_path / "e.flo"
+    with pytest.raises(ValueError, match="empty"):
+        write_flo(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_flo_round_trip_bitwise(tmp_path):
     rng = Splitmix64(903)
     u = rng.normals(7 * 5 * 2).reshape(7, 5, 2).astype(np.float32).astype(np.float64)

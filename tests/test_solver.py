@@ -1,7 +1,6 @@
 """ADMM driver mechanics, the screened Gauss-Seidel inner solver and the
 exact constant-weight solve."""
 
-import importlib
 import os
 import subprocess
 import sys
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 import adaptreg
+from adaptreg import solver
 from adaptreg.adaptive import AdaptiveParams
 from adaptreg.denoise import run_denoise
 from adaptreg.flow import FlowParams, run_flow
@@ -371,6 +371,38 @@ def test_exact_screened_solve_keeps_constants_and_xi_zero():
         assert np.array_equal(exact_screened_solve(rhs, 0.0), rhs)
 
 
+@pytest.mark.parametrize("lead", LEADS, ids=["grid", "stack"])
+def test_screened_solve_scalar_xi_is_the_exact_solve(lead):
+    # A scalar xi takes the exact DCT solve whatever v0 and sweeps are;
+    # the checks still run on that path.
+    shape = lead + (7, 9)
+    rng = Splitmix64(414)
+    rhs = rng.normals(int(np.prod(shape))).reshape(shape)
+    for xi in (0.0, 3.7, np.float64(0.25), np.array(12.5)):
+        exact = exact_screened_solve(rhs, xi)
+        for v0 in (np.zeros(shape), rng.normals(rhs.size).reshape(shape)):
+            for sweeps in (0, 1, 20):
+                assert_bitwise(screened_solve(rhs, xi, v0, sweeps), exact)
+    with pytest.raises(ValueError, match="v0"):
+        screened_solve(rhs, 1.0, np.zeros((7, 8)), 1)
+    for bad in (-0.25, np.inf, np.nan):
+        with pytest.raises(ValueError, match="xi"):
+            screened_solve(rhs, bad, rhs, 1)
+    for bad_sweeps in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="sweeps"):
+            screened_solve(rhs, 1.0, rhs, bad_sweeps)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (2, 0, 5)], ids=["0x5", "5x0", "2x0x5"])
+def test_both_solves_reject_an_empty_grid(shape):
+    rhs = np.zeros(shape)
+    for xi in (1.0, np.ones(shape[-2:])):
+        with pytest.raises(ValueError, match="nonempty"):
+            screened_solve(rhs, xi, rhs, 3)
+    with pytest.raises(ValueError, match="nonempty"):
+        exact_screened_solve(rhs, 1.0)
+
+
 def test_exact_screened_solve_rejects_bad_input():
     with pytest.raises(ValueError, match="rhs"):
         exact_screened_solve(np.zeros(5), 1.0)
@@ -380,32 +412,58 @@ def test_exact_screened_solve_rejects_bad_input():
 
 
 def _run_problem(problem, sp):
+    """Run one problem on a 16x16 texture; returns the history."""
     tex = smooth_texture(16, seed=3)
     if problem == "denoise":
-        run_denoise(tex, sp)
-    elif problem == "segment":
-        run_segment(tex, SegmentParams(solver=sp, n_labels=3))
-    else:
-        f1, f2, _ = shifted_pair(tex, (1.0, 0.0))
-        run_flow(f1, f2, FlowParams(solver=sp, n_warps=1))
+        return run_denoise(tex, sp)[1]
+    if problem == "segment":
+        return run_segment(tex, SegmentParams(solver=sp, n_labels=3))[2]
+    f1, f2, _ = shifted_pair(tex, (1.0, 0.0))
+    return run_flow(f1, f2, FlowParams(solver=sp, n_warps=1))[1]
 
 
 @pytest.mark.parametrize("constant", [True, False], ids=["constant", "adaptive"])
 @pytest.mark.parametrize("problem", ["denoise", "segment", "flow"])
 def test_v_step_solves_exactly_only_for_a_constant_weight(monkeypatch, problem, constant):
-    module = importlib.import_module("adaptreg." + problem)
-    calls = {"exact_screened_solve": 0, "screened_solve": 0}
+    # Counted inside the solver: every v-step calls screened_solve, which
+    # takes the exact solve or the sweeps.
+    calls = {"exact_screened_solve": 0, "_sweep": 0}
     for name in calls:
-        def counted(*args, _solve=getattr(module, name), _name=name):
+        def counted(*args, _solve=getattr(solver, name), _name=name):
             calls[_name] += 1
             return _solve(*args)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(solver, name, counted)
     ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=0.4 if constant else None)
     _run_problem(problem, make_params(adaptive=ap, max_iters=3, tol_primal=1e-300))
-    expected = {"exact_screened_solve": 3, "screened_solve": 0}
+    expected = {"exact_screened_solve": 3, "_sweep": 0}
     if not constant:
-        expected = {"exact_screened_solve": 0, "screened_solve": 3}
+        expected = {"exact_screened_solve": 0, "_sweep": 3}
     assert calls == expected
+
+
+@pytest.mark.parametrize("problem", ["denoise", "segment", "flow"])
+def test_constant_weight_history_reports_the_constant(problem):
+    # A constant weight is the float itself, so its mean is exact, not
+    # the rounded mean of a filled field (0.29999999999999993 on 16^2).
+    ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=0.3)
+    history = _run_problem(problem, make_params(adaptive=ap, max_iters=3, tol_primal=1e-300))
+    assert [rec.mean_lambda for rec in history] == [0.3] * 3
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0)], ids=["0x5", "5x0"])
+@pytest.mark.parametrize("problem", ["denoise", "segment", "flow"])
+def test_empty_grid_fails_clearly(problem, shape):
+    empty = np.zeros(shape)
+    for constant in (None, 0.4):
+        sp = make_params(adaptive=AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=constant),
+                         max_iters=2)
+        run = {
+            "denoise": lambda: run_denoise(empty, sp),
+            "segment": lambda: run_segment(empty, SegmentParams(solver=sp, n_labels=3)),
+            "flow": lambda: run_flow(empty, empty, FlowParams(solver=sp, n_warps=1)),
+        }[problem]
+        with pytest.raises(ValueError, match="grid is empty"):
+            run()
 
 
 _THREAD_PROBE = """

@@ -117,6 +117,27 @@ def test_noisy_rectangles_validation():
         noisy_rectangles(64, noise_levels=(0.0, -0.1, 0.1, 0.1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_noise_generators_reject_non_finite_sigmas(bad):
+    clean = np.full((8, 8), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        noisy_rectangles(16, noise_levels=(0.0, 0.0, 0.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        biased_noise_image(clean, bad, "half")
+    with pytest.raises(ValueError, match="finite"):
+        add_gaussian_noise(clean, bad)
+    with pytest.raises(ValueError, match="finite"):
+        smooth_texture(16, sigma=bad)
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_generators_reject_empty_canvases(size):
+    with pytest.raises(ValueError, match="size"):
+        noisy_rectangles(size)
+    with pytest.raises(ValueError, match="size"):
+        smooth_texture(size)
+
+
 def test_noisy_rectangles_deterministic():
     a = noisy_rectangles(64, seed=5)[0]
     assert np.array_equal(a, noisy_rectangles(64, seed=5)[0])
