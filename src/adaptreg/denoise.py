@@ -4,11 +4,12 @@ Model: per pixel, lambda * phi_mu(f - u) + (1 - lambda) * phi_eta(|grad u|),
 with lambda driven by the data residual.  ADMM splits u = v, soft-shrinks
 the auxiliaries r (data) and z (gradient), and alternates:
 
+    z            vector shrink of grad v (it reads only v, so it runs
+                 first, from the grad v the energy already computed)
     nu, lambda   from the explicit residual envelope_at(f - u, r, mu) =
                  |r| + (f - u - r)^2 / (2 mu) at the previous r (taken
                  literally from the update sequence, not recomputed)
     r            shrink(f - u | mu), from the same data gap f - u
-    z            vector shrink of grad v
     u            pointwise solve of (lambda + mu theta) u
                      = mu theta (v - w) + lambda (f - r)
     v            screened system (1 - xi Laplacian) v = u + w - xi div z,
@@ -29,14 +30,16 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import divergence, gradient, scalar_grid
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import SolverParams, rms, run_admm, screened_solve
+from .solver import ObjectCache, SolverParams, rms, run_admm, screened_solve
 
 
 class DenoiseState:
     """Fields of the denoising ADMM: f, u, v, w, r, z, lam.
 
     lam is an (H, W) field, or a float that broadcasts against the
-    fields when the weight is constant."""
+    fields when the weight is constant.  grad v is computed once per v
+    object and kept in grad_v, which the energy and the next z-step
+    both read; code that writes v in place must call grad_v.clear()."""
 
     def __init__(self, f: np.ndarray, params: SolverParams):
         self.f = scalar_grid(f)
@@ -47,14 +50,20 @@ class DenoiseState:
         self.r = np.zeros_like(self.f)
         self.z = np.zeros(self.f.shape + (2,), dtype=np.float64)
         self.lam = np.ones_like(self.f)
+        self.grad_v = ObjectCache()
 
     def iterate(self):
         p = self.params
+        # z reads only v, so it goes first and grad v is not held through
+        # the smoothing or the v-solve, the memory peaks.  The old z goes
+        # before the new one is made, which can then take its memory.
+        self.z = None
+        self.z = shrink_vec(self.grad_v.get(self.v, gradient), p.eta)
+        self.grad_v.clear()
         q = self.f - self.u
         self.lam = weight_fields(envelope_at(q, self.r, p.mu), p.adaptive)
         self.r = shrink(q, p.mu)
         del q  # not held through the v-solve, the memory peak
-        self.z = shrink_vec(gradient(self.v), p.eta)
         self.u = update_u(self, p)
         self.v = update_v(self, p)
         self.w = self.w + (self.u - self.v)
@@ -66,7 +75,7 @@ class DenoiseState:
         p = self.params
         data = huber(self.f - self.u, p.mu)
         data *= self.lam
-        reg = huber_vec(gradient(self.v), p.eta)
+        reg = huber_vec(self.grad_v.get(self.v, gradient), p.eta)
         reg *= 1.0 - self.lam
         return float(np.sum(data) + np.sum(reg))
 

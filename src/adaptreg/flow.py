@@ -12,13 +12,13 @@ tau starts at tau0 (0.5 keeps the energy symmetric in the two frames)
 and grows by dtau per inner iteration, clamped to exactly 1 after
 ceil((1 - tau0)/dtau) steps; A and ft stay fixed between outer warps.
 
-Inner iterations follow the shared pattern: weights from the explicit
+Inner iterations follow the shared pattern: the gradient auxiliaries of
+both components first (they read only v), weights from the explicit
 residual, r by scalar shrink, u by a per-pixel 2x2 rank-one solve of
 (mu theta I + lambda A A^T) u = mu theta (v - w) + lambda (ft - r) A,
-then the gradient auxiliaries of both components, one screened v-solve
-over the component-first (2, H, W) stack (exact by the DCT for a
-constant weight, a float lambda and so a scalar xi; else red-black
-Gauss-Seidel sweeps), and dual ascent.  The
+then one screened v-solve over the component-first (2, H, W) stack
+(exact by the DCT for a constant weight, a float lambda and so a scalar
+xi; else red-black Gauss-Seidel sweeps), and dual ascent.  The
 regularizer is per-partial-derivative by default (anisotropic_reg), or
 isotropic per component when disabled.
 """
@@ -33,7 +33,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import central_gradient, divergence, gradient, scalar_grid, warp_bilinear
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import SolverParams, check_count, rms, run_admm, screened_solve
+from .solver import ObjectCache, SolverParams, check_count, rms, run_admm, screened_solve
 
 
 @dataclass
@@ -93,12 +93,21 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
+def _component_gradient(v: np.ndarray) -> np.ndarray:
+    """Gradients of both components of an (H, W, 2) field, (2, H, W, 2)."""
+    return gradient(np.moveaxis(v, -1, 0))
+
+
 class FlowState:
     """Velocity ADMM fields plus the frozen linearization (A, ft).
 
     u, v, w and A are (H, W, 2); the gradient auxiliary z is
     component-first, (2, H, W, 2).  lam is an (H, W) field, or a float
-    that broadcasts against the fields when the weight is constant."""
+    that broadcasts against the fields when the weight is constant.
+    The component gradients of v are computed once per v object and
+    kept in grad_v, which the energy and the next z-step both read; code
+    that writes v in place, as update_v_w does, must call
+    grad_v.clear()."""
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams):
         self.f1 = scalar_grid(f1)
@@ -117,6 +126,7 @@ class FlowState:
         self.tau = tau_schedule(params.tau0, params.dtau, 0)
         self.A = np.zeros(shape + (2,), dtype=np.float64)
         self.ft = np.zeros(shape, dtype=np.float64)
+        self.grad_v = ObjectCache()
 
     def relinearize(self):
         """Re-expand the data term around the current field at the
@@ -127,6 +137,14 @@ class FlowState:
     def iterate(self):
         p = self.params
         sp = p.solver
+        # z reads only v, so it goes first and grad v is not held through
+        # the smoothing or the v-solve, the memory peaks.  The old z goes
+        # before the new one is made, which can then take its memory.
+        self.z = None
+        g = self.grad_v.get(self.v, _component_gradient)
+        self.z = shrink(g, sp.eta) if p.anisotropic_reg else shrink_vec(g, sp.eta)
+        del g
+        self.grad_v.clear()
         q = self.ft - _dot(self.A, self.u)
         self.lam = weight_fields(envelope_at(q, self.r, sp.mu), sp.adaptive)
         self.r = shrink(q, sp.mu)
@@ -143,7 +161,7 @@ class FlowState:
         sp = self.params.solver
         data = huber(self.ft - _dot(self.A, self.u), sp.mu)
         data *= self.lam
-        g = gradient(np.moveaxis(self.v, -1, 0))
+        g = self.grad_v.get(self.v, _component_gradient)
         # One Huber call per component: a single call on the whole
         # (2, H, W, 2) stack measured about 3% slower end to end on the
         # 128^2 flow benchmark (slower in 5 of 6 paired runs, 2-core x86).
@@ -183,18 +201,15 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
 
 
 def update_v_w(state: FlowState, params: SolverParams) -> None:
-    """Gradient auxiliaries, one screened v-solve over the
-    component-first (2, H, W) stack (exact for a float lambda, gs_sweeps
-    Gauss-Seidel sweeps from v for a weight field), dual ascent.  The
-    auxiliary shrink is per partial derivative under anisotropic_reg,
-    else isotropic on each component's gradient.  state.v is updated in
-    place."""
+    """One screened v-solve over the component-first (2, H, W) stack
+    (exact for a float lambda, gs_sweeps Gauss-Seidel sweeps from v for
+    a weight field) from the gradient auxiliaries z, then dual ascent.
+    state.v is updated in place, so its cached gradient is cleared."""
     xi = (1.0 - state.lam) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
-    g = gradient(v)
-    state.z = shrink(g, params.eta) if state.params.anisotropic_reg else shrink_vec(g, params.eta)
     rhs = np.moveaxis(state.u + state.w, -1, 0) - xi * divergence(state.z)
     v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)
+    state.grad_v.clear()
     state.w = state.w + (state.u - state.v)
 
 

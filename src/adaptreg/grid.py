@@ -125,11 +125,31 @@ def central_gradient(u: np.ndarray) -> np.ndarray:
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Discrete Gaussian of standard deviation sigma, radius ceil(3*sigma), sum 1."""
+    """Discrete Gaussian of standard deviation sigma, radius ceil(3*sigma), sum 1.
+
+    sigma = 0 gives the single tap [1.0], the identity that
+    convolve_gaussian applies at sigma 0.  A negative or non-finite
+    sigma raises ValueError.
+    """
+    _check_sigma(sigma)
+    if sigma == 0:
+        return np.ones(1)
     radius = math.ceil(3.0 * sigma)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(x * x) / (2.0 * sigma * sigma))
     return k / k.sum()
+
+
+def _check_sigma(sigma):
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be nonnegative and finite, got %r" % (sigma,))
+
+
+# Bytes per operand of one band of the smoothing loop, 32 rows at
+# W = 512: a band's accumulator, term buffer and source rows then stay in
+# cache together.  A field of at most one band runs each tap over the
+# whole array instead, which saves the loop on a single 128^2 grid.
+BAND_BYTES = 128 * 1024
 
 
 def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:
@@ -141,9 +161,15 @@ def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:
     keeps the mean of the field exactly preserved (the effective
     smoothing matrix is doubly stochastic).  sigma must be nonnegative
     and finite, else ValueError.
+
+    Each pass adds the taps in order into a zeroed accumulator.  A field
+    larger than BAND_BYTES runs the taps over bands of output rows, one
+    stack entry at a time, so that a band's operands stay in cache;
+    every output entry still sees the same products added in the same
+    order, so the result is bitwise that of the unbanded whole-array
+    loop.
     """
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("sigma must be nonnegative and finite, got %r" % (sigma,))
+    _check_sigma(sigma)
     if sigma == 0:
         return u.copy()
     k = gaussian_kernel(sigma)
@@ -157,16 +183,31 @@ def _convolve_axis(u, k, radius, axis):
     padding = [(0, 0)] * u.ndim
     padding[axis] = (radius, radius)
     padded = np.pad(u, padding, mode="symmetric")
-    n = u.shape[axis]
     acc = np.zeros_like(u)
-    term = np.empty_like(u)
+    if u.nbytes <= BAND_BYTES:
+        _add_taps(acc, padded, k, axis, np.empty_like(u))
+        return acc
+    h, w = u.shape[-2:]
+    rows = max(1, BAND_BYTES // (w * u.itemsize))
+    term = np.empty((min(rows, h), w))
+    for entry in np.ndindex(u.shape[:-2]):
+        for top in range(0, h, rows):
+            bottom = min(top + rows, h)
+            # Padded rows top .. bottom + 2 radius feed a vertical band.
+            source = padded[entry][top : bottom + 2 * radius if axis == -2 else bottom]
+            _add_taps(acc[entry][top:bottom], source, k, axis, term[: bottom - top])
+    return acc
+
+
+def _add_taps(acc, padded, k, axis, term):
+    """acc += k[t] * (tap t's window of padded), t in order, through term."""
+    n = acc.shape[axis]
     for t, weight in enumerate(k):
         if axis == -1:
             np.multiply(weight, padded[..., t : t + n], out=term)
         else:
             np.multiply(weight, padded[..., t : t + n, :], out=term)
         acc += term
-    return acc
 
 
 def bilinear_sample(f: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:

@@ -4,12 +4,13 @@ Each label i carries a relaxed membership u_i in [0, 1], a region
 intensity c_i, and its own split/dual/auxiliary fields, all stacked
 label-major.  One iteration runs these steps on the whole stack:
 
+    z            vector shrink of grad v (it reads only v, so it runs
+                 first, from the grad v the energy already computed)
     lambda       from the residual d * u, d the misfit of the previous c, r
     c            c_i = sum(lambda_i (f - r_i) u_i) / sum(lambda_i u_i)
     r            shrink(f - c_i | mu)
     d            |r_i| + (f - c_i - r_i)^2 / (2 mu), computed once here and
                  read by the u-step, the energy and the next weight step
-    z            vector shrink of grad v
     u            u_i = max(0, v_i - w_i - (lambda_i/theta) d_i
                                 - (tau_excl/theta) sum_{j != i} u_j)
     v            one screened solve (exact by the DCT for a constant
@@ -34,7 +35,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
-from .solver import SolverParams, check_count, rms, run_admm, screened_solve
+from .solver import ObjectCache, SolverParams, check_count, rms, run_admm, screened_solve
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -189,7 +190,11 @@ def extract_labels(state: LabelState) -> np.ndarray:
 
 
 class SegmentState:
-    """Driver adapter wrapping a LabelState built for f and its parameters."""
+    """run_admm adapter wrapping a LabelState built for f and its parameters.
+
+    grad v of the label stack is computed once per s.v object and kept
+    in grad_v, which the energy and the next z-step both read; code that
+    writes s.v in place must call grad_v.clear()."""
 
     def __init__(self, f: np.ndarray, params: SegmentParams, state: LabelState | None = None):
         f = scalar_grid(f)
@@ -204,17 +209,23 @@ class SegmentState:
         # misfit(s, mu) at the current c and r, recomputed whenever they
         # change: the weight step, the u-step and the energy all read it.
         self.d = misfit(state, params.solver.mu)
+        self.grad_v = ObjectCache()
 
     def iterate(self):
         p = self.params
         sp = p.solver
         s = self.s
         s.iteration += 1
+        # z reads only v, so it goes first and grad v is not held through
+        # the smoothing or the v-solve, the memory peaks.  The old z goes
+        # before the new one is made, which can then take its memory.
+        s.z = None
+        s.z = shrink_vec(self.grad_v.get(s.v, gradient), sp.eta)
+        self.grad_v.clear()
         s.lam = weight_fields(self.d * s.u, sp.adaptive)
         s.c = update_c(s)
         s.r = shrink(s.f - s.c[:, None, None], sp.mu)
         self.d = misfit(s, sp.mu)
-        s.z = shrink_vec(gradient(s.v), sp.eta)
         s.u = update_u(s, p, self.d)
         update_v_all(s, p)
         s.w = s.w + (s.u - s.v)
@@ -229,7 +240,7 @@ class SegmentState:
         data = s.lam * self.d
         data *= s.u
         data = np.sum(data, axis=(1, 2))
-        reg = huber_vec(gradient(s.v), sp.eta)
+        reg = huber_vec(self.grad_v.get(s.v, gradient), sp.eta)
         reg *= 1.0 - s.lam
         reg = np.sum(reg, axis=(1, 2))
         # A strict left-to-right sum, label by label and data before

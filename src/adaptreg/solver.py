@@ -92,6 +92,26 @@ def rms(a: np.ndarray) -> float:
     return float(np.sqrt(np.mean(a * a)))
 
 
+class ObjectCache:
+    """One value derived from one object, kept while that same object
+    (by identity) is asked for again.  The states keep grad v in one, so
+    the energy and the next z-step share a single gradient per v.  Code
+    that writes the object in place must clear() the cache."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._key = self._value = None
+
+    def get(self, key, compute):
+        """compute(key), or the value kept for this very key object."""
+        if self._key is not key:
+            self._value = compute(key)
+            self._key = key
+        return self._value
+
+
 def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):
     """Drive a problem state to convergence or the iteration cap.
 

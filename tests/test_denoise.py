@@ -4,6 +4,7 @@ behavior (fixed points, energy descent under heavy damping, GD oracle)."""
 import numpy as np
 import pytest
 
+from adaptreg import denoise
 from adaptreg.adaptive import AdaptiveParams
 from adaptreg.denoise import (
     DenoiseState,
@@ -12,7 +13,7 @@ from adaptreg.denoise import (
     update_v,
 )
 from adaptreg.grid import divergence, gradient
-from adaptreg.prox import huber, huber_vec, moreau_envelope_bruteforce, shrink
+from adaptreg.prox import huber, huber_vec, moreau_envelope_bruteforce, shrink, shrink_vec
 from adaptreg.solver import SolverParams
 from adaptreg.synth import Splitmix64, add_gaussian_noise, biased_noise_image
 from adaptreg.metrics import ssim
@@ -99,12 +100,64 @@ def test_update_u_agreeing_targets_short_circuit():
 
 
 
-def test_energy_matches_frozen_formula():
-    st = random_state(311, n=9)
+def frozen_energy(st):
     p = st.params
     data = st.lam * huber_reference(st.f - st.u, p.mu)
     reg = (1.0 - st.lam) * huber_vec_reference(gradient(st.v), p.eta)
-    assert st.energy() == float(np.sum(data) + np.sum(reg))
+    return float(np.sum(data) + np.sum(reg))
+
+
+def test_energy_matches_frozen_formula():
+    st = random_state(311, n=9)
+    assert st.energy() == frozen_energy(st)
+
+
+def smoothed_state():
+    f = biased_noise_image(make_scene(16), 0.2, seed=3)
+    ap = AdaptiveParams(beta=0.05, alpha=0.1, smoothing_sigma=1.0)
+    return DenoiseState(f, adaptive_defaults(adaptive=ap))
+
+
+def test_energy_reads_the_gradient_of_the_current_v():
+    st = smoothed_state()
+    for _ in range(5):
+        v = st.v
+        st.iterate()
+        assert st.v is not v
+        assert st.energy() == frozen_energy(st)
+        assert st.energy() == frozen_energy(st)
+
+
+def test_assigning_v_invalidates_the_gradient_cache():
+    st = smoothed_state()
+    st.iterate()
+    st.energy()
+    st.v = 2.0 * st.v + 0.25
+    assert st.energy() == frozen_energy(st)
+    v = st.v.copy()
+    st.iterate()
+    # the z-step shrinks the gradient of the v assigned above
+    assert np.array_equal(st.z, shrink_vec(gradient(v), st.params.eta))
+
+
+def test_gradient_computed_once_per_iteration(monkeypatch):
+    st = smoothed_state()
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return gradient(u)
+
+    monkeypatch.setattr(denoise, "gradient", counted)
+    per_iteration = []
+    for _ in range(5):
+        before = len(calls)
+        st.iterate()
+        st.energy()
+        per_iteration.append(len(calls) - before)
+    # the first iteration also differentiates the initial v
+    assert per_iteration == [2, 1, 1, 1, 1]
+
 
 def test_update_v_full_fidelity_skips_smoothing():
     st = random_state(506)

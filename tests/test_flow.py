@@ -4,6 +4,7 @@ and the warp/pyramid drivers."""
 import numpy as np
 import pytest
 
+from adaptreg import flow
 from adaptreg.adaptive import AdaptiveParams
 from adaptreg.flow import (
     FlowParams,
@@ -154,6 +155,19 @@ def test_update_r_shrinks_linearized_residual():
 
 
 
+def frozen_energy(st):
+    sp = st.params.solver
+    au = st.A[..., 0] * st.u[..., 0] + st.A[..., 1] * st.u[..., 1]
+    data = st.lam * huber_reference(st.ft - au, sp.mu)
+    g = gradient(np.moveaxis(st.v, -1, 0))
+    if st.params.anisotropic_reg:
+        reg = (huber_reference(g[0], sp.eta).sum(axis=-1)
+               + huber_reference(g[1], sp.eta).sum(axis=-1))
+    else:
+        reg = huber_vec_reference(g[0], sp.eta) + huber_vec_reference(g[1], sp.eta)
+    return float(np.sum(data) + np.sum((1.0 - st.lam) * reg))
+
+
 @pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
 def test_energy_matches_frozen_formula(anisotropic):
     # Small grids and many of them: on a large grid the total absorbs a
@@ -161,16 +175,66 @@ def test_energy_matches_frozen_formula(anisotropic):
     for seed in range(20):
         st = random_flow_state(730 + seed, n=4)
         st.params.anisotropic_reg = anisotropic
-        sp = st.params.solver
-        au = st.A[..., 0] * st.u[..., 0] + st.A[..., 1] * st.u[..., 1]
-        data = st.lam * huber_reference(st.ft - au, sp.mu)
-        g = gradient(np.moveaxis(st.v, -1, 0))
-        if anisotropic:
-            reg = (huber_reference(g[0], sp.eta).sum(axis=-1)
-                   + huber_reference(g[1], sp.eta).sum(axis=-1))
-        else:
-            reg = huber_vec_reference(g[0], sp.eta) + huber_vec_reference(g[1], sp.eta)
-        assert st.energy() == float(np.sum(data) + np.sum((1.0 - st.lam) * reg))
+        assert st.energy() == frozen_energy(st)
+
+
+def smoothed_flow_state(anisotropic=True):
+    f1, f2, _ = shifted_pair(smooth_texture(16, seed=5), (0.5, 0.25))
+    sp = flow_solver(adaptive=AdaptiveParams(beta=10.0, alpha=0.01, smoothing_sigma=1.0))
+    st = FlowState(f1, f2, FlowParams(solver=sp, anisotropic_reg=anisotropic))
+    st.relinearize()
+    return st
+
+
+@pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
+def test_energy_reads_the_gradient_of_the_current_v(anisotropic):
+    st = smoothed_flow_state(anisotropic)
+    for _ in range(4):
+        st.iterate()
+        assert st.energy() == frozen_energy(st)
+        assert st.energy() == frozen_energy(st)
+    # relinearizing moves A and ft but keeps v and its cached gradient
+    v = st.v
+    st.relinearize()
+    assert st.v is v
+    assert st.energy() == frozen_energy(st)
+    # update_v_w writes v in place and must drop the gradient kept for it
+    update_v_w(st, st.params.solver)
+    assert st.v is v
+    assert st.energy() == frozen_energy(st)
+
+
+def test_assigning_v_invalidates_the_gradient_cache():
+    st = smoothed_flow_state()
+    st.iterate()
+    st.energy()
+    st.v = 2.0 * st.v + 0.25
+    assert st.energy() == frozen_energy(st)
+    v = st.v.copy()
+    st.iterate()
+    # the z-step shrinks the gradient of the v assigned above
+    assert np.array_equal(st.z, shrink(gradient(np.moveaxis(v, -1, 0)), st.params.solver.eta))
+
+
+def test_gradient_computed_once_per_iteration(monkeypatch):
+    st = smoothed_flow_state()
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return gradient(u)
+
+    monkeypatch.setattr(flow, "gradient", counted)
+    per_iteration = []
+    for k in range(6):
+        if k == 3:
+            st.relinearize()
+        before = len(calls)
+        st.iterate()
+        st.energy()
+        per_iteration.append(len(calls) - before)
+    # the first iteration also differentiates the initial v
+    assert per_iteration == [2, 1, 1, 1, 1, 1]
 
 def test_update_u_degenerate_rows_pass_through_bitwise():
     st = random_flow_state(704)

@@ -1,5 +1,6 @@
 """Differential operators, convolution, and interpolation."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -172,9 +173,10 @@ def test_convolve_preserves_mean():
 
 def test_convolve_peak_memory():
     # The second pass holds the first pass's output, its padded copy
-    # (1.02 fields at sigma 2 on 512^2), the accumulator and the one
-    # reusable term buffer: 4.02 fields.  The bound leaves no room for a
-    # full-size temporary per tap.
+    # (1.02 fields at sigma 2 on 512^2), the accumulator and the term
+    # buffer of one band of rows (0.06 fields): 3.09 fields.  The bound
+    # leaves no room for a field-sized term buffer, let alone a full-size
+    # temporary per tap.
     rng = Splitmix64(106)
     u = rand_grid(rng, 512, 512)
     tracemalloc.start()
@@ -183,13 +185,29 @@ def test_convolve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * u.nbytes
+    assert peak <= 3.3 * u.nbytes
+
 
 def test_gaussian_kernel_normalized():
     for sigma in (0.5, 1.5, 4.0):
         k = gaussian_kernel(sigma)
         assert k.size == 2 * int(np.ceil(3.0 * sigma)) + 1
         assert abs(k.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_kernel_of_sigma_zero_is_the_identity_tap():
+    k = gaussian_kernel(0.0)
+    assert k.dtype == np.float64 and np.array_equal(k, [1.0])
+    u = rand_grid(Splitmix64(107), 5, 4)
+    assert np.array_equal(convolve_gaussian(u, 0.0), u)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [-0.5, -5e-324, -math.inf, math.inf, math.nan])
+def test_gaussian_kernel_rejects_negative_or_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_kernel(sigma)
 
 
 def test_warp_zero_displacement_is_identity():

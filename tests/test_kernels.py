@@ -3,7 +3,8 @@
 huber, huber_vec, envelope_at, shrink, shrink_vec and the separable
 Gaussian must
 equal the formulas in helpers bitwise, sign of zero included, on every
-layout the solvers hand them.  NaN must land on the same entries; its
+layout the solvers hand them.  The Gaussian is also checked on fields
+large enough for its banded loop.  NaN must land on the same entries; its
 payload may differ.
 """
 
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from adaptreg.grid import _convolve_axis, convolve_gaussian, gaussian_kernel
+from adaptreg.grid import BAND_BYTES, _convolve_axis, convolve_gaussian, gaussian_kernel
 from adaptreg.prox import envelope_at, huber, huber_vec, shrink, shrink_vec
+from adaptreg.synth import Splitmix64
 from helpers import (
     convolve_axis_reference,
     convolve_gaussian_reference,
@@ -172,5 +174,48 @@ def test_convolve_matches_frozen_formula(u, sigma, axis):
         if sigma > 0:
             k = gaussian_kernel(sigma)
             radius = (len(k) - 1) // 2
+            assert_same_bits(_convolve_axis(u, k, radius, axis), convolve_axis_reference(u, k, radius, axis))
+        assert_same_bits(convolve_gaussian(u, sigma), convolve_gaussian_reference(u, sigma))
+
+
+def _banded_field(shape, seed, component_first=False):
+    """Normal noise with +-0.0, +-inf and NaN on the first and last rows
+    of the first two bands of rows, where neighboring bands meet.  The
+    zero rows run the full width, so the sum of their products keeps
+    the sign of zero the accumulator gives it."""
+    if component_first:
+        shape = shape[1:] + shape[:1]
+    u = Splitmix64(seed).normals(int(np.prod(shape))).reshape(shape)
+    if component_first:
+        u = np.moveaxis(u, -1, 0)
+    h, w = u.shape[-2:]
+    rows = max(1, BAND_BYTES // (w * u.itemsize))
+    edges = sorted({min(r, h - 1) for r in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, h - 1)})
+    for i, y in enumerate(edges):
+        u[..., y, :] = (0.0, -0.0)[i % 2]
+        x = (37 * i) % w
+        u[..., y, x] = (math.inf, -math.inf, math.nan)[i % 3]
+    return u
+
+
+@pytest.mark.parametrize(
+    "shape, sigma, component_first",
+    [
+        ((512, 512), 2.0, False),
+        ((512, 512), 20.0, False),  # radius 60 spans more than a band
+        ((4, 128, 128), 1.5, False),  # one band per label
+        ((2, 260, 513), 1.5, False),
+        ((2, 260, 513), 1.5, True),
+        ((1, 70000), 2.0, False),
+        ((70000, 1), 2.0, False),
+    ],
+)
+def test_banded_convolve_matches_frozen_formula(shape, sigma, component_first):
+    u = _banded_field(shape, 120, component_first)
+    assert u.nbytes > BAND_BYTES  # the banded path runs
+    k = gaussian_kernel(sigma)
+    radius = (len(k) - 1) // 2
+    with np.errstate(all="ignore"):
+        for axis in (-1, -2):
             assert_same_bits(_convolve_axis(u, k, radius, axis), convolve_axis_reference(u, k, radius, axis))
         assert_same_bits(convolve_gaussian(u, sigma), convolve_gaussian_reference(u, sigma))

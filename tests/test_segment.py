@@ -5,9 +5,10 @@ invariants."""
 import numpy as np
 import pytest
 
+from adaptreg import segment
 from adaptreg.adaptive import AdaptiveParams
-from adaptreg.grid import divergence
-from adaptreg.prox import project_stack_sum_to_one
+from adaptreg.grid import divergence, gradient
+from adaptreg.prox import project_stack_sum_to_one, shrink_vec
 from adaptreg.segment import (
     LabelState,
     SegmentParams,
@@ -254,6 +255,55 @@ def test_stacked_iterate_matches_per_label_reference(n, sigma, const, empty):
         assert np.array_equal(getattr(wrapper.s, name), getattr(ref, name)), name
     assert wrapper.s.degenerate_events == ref.degenerate_events
     assert (empty is not None) == bool(ref.degenerate_events)
+
+
+def smoothed_segment_state():
+    img, _ = noisy_rectangles(24, seed=4)
+    ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=1.5)
+    sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=ap, max_iters=6, tol_primal=1e-15)
+    params = SegmentParams(solver=sp, n_labels=3, tau_excl=0.5)
+    return SegmentState(img, params), params
+
+
+def test_energy_reads_the_gradient_of_the_current_v():
+    wrapper, params = smoothed_segment_state()
+    for _ in range(5):
+        v = wrapper.s.v
+        wrapper.iterate()
+        assert wrapper.s.v is not v
+        assert wrapper.energy() == segment_energy_reference(wrapper.s, params)
+        assert wrapper.energy() == segment_energy_reference(wrapper.s, params)
+
+
+def test_assigning_v_invalidates_the_gradient_cache():
+    wrapper, params = smoothed_segment_state()
+    wrapper.iterate()
+    wrapper.energy()
+    wrapper.s.v = project_stack_sum_to_one(wrapper.s.v[::-1] + 0.25)
+    assert wrapper.energy() == segment_energy_reference(wrapper.s, params)
+    v = wrapper.s.v.copy()
+    wrapper.iterate()
+    # the z-step shrinks the gradient of the v assigned above
+    assert np.array_equal(wrapper.s.z, shrink_vec(gradient(v), params.solver.eta))
+
+
+def test_gradient_computed_once_per_iteration(monkeypatch):
+    wrapper, _ = smoothed_segment_state()
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return gradient(u)
+
+    monkeypatch.setattr(segment, "gradient", counted)
+    per_iteration = []
+    for _ in range(5):
+        before = len(calls)
+        wrapper.iterate()
+        wrapper.energy()
+        per_iteration.append(len(calls) - before)
+    # the first iteration also differentiates the warm-start v
+    assert per_iteration == [2, 1, 1, 1, 1]
 
 
 def test_run_segment_rejects_state_of_another_image():
