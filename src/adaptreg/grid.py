@@ -147,8 +147,7 @@ def _check_sigma(sigma):
 
 # Bytes per operand of one band of the smoothing loop, 32 rows at
 # W = 512: a band's accumulator, term buffer and source rows then stay in
-# cache together.  A field of at most one band runs each tap over the
-# whole array instead, which saves the loop on a single 128^2 grid.
+# cache together.
 BAND_BYTES = 128 * 1024
 
 
@@ -162,10 +161,10 @@ def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:
     smoothing matrix is doubly stochastic).  sigma must be nonnegative
     and finite, else ValueError.
 
-    Each pass adds the taps in order into a zeroed accumulator.  A field
-    larger than BAND_BYTES runs the taps over bands of output rows, one
-    stack entry at a time, so that a band's operands stay in cache;
-    every output entry still sees the same products added in the same
+    Each pass adds the taps in order into a zeroed accumulator, over
+    bands of output rows of about BAND_BYTES, one stack entry at a time,
+    so that a band's operands stay in cache (a 128^2 grid is one band).
+    Every output entry still sees the same products added in the same
     order, so the result is bitwise that of the unbanded whole-array
     loop.
     """
@@ -184,12 +183,9 @@ def _convolve_axis(u, k, radius, axis):
     padding[axis] = (radius, radius)
     padded = np.pad(u, padding, mode="symmetric")
     acc = np.zeros_like(u)
-    if u.nbytes <= BAND_BYTES:
-        _add_taps(acc, padded, k, axis, np.empty_like(u))
-        return acc
     h, w = u.shape[-2:]
     rows = max(1, BAND_BYTES // (w * u.itemsize))
-    term = np.empty((min(rows, h), w))
+    term = np.empty((min(rows, h), w), dtype=u.dtype)
     for entry in np.ndindex(u.shape[:-2]):
         for top in range(0, h, rows):
             bottom = min(top + rows, h)

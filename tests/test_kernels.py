@@ -212,7 +212,7 @@ def _banded_field(shape, seed, component_first=False):
 )
 def test_banded_convolve_matches_frozen_formula(shape, sigma, component_first):
     u = _banded_field(shape, 120, component_first)
-    assert u.nbytes > BAND_BYTES  # the banded path runs
+    assert u.nbytes > BAND_BYTES  # more than one band
     k = gaussian_kernel(sigma)
     radius = (len(k) - 1) // 2
     with np.errstate(all="ignore"):
