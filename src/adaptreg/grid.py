@@ -11,6 +11,13 @@ The discrete gradient uses forward differences with a zero last
 column/row, and the divergence is its exact negative adjoint (backward
 differences), so that <grad u, p> = -<u, div p> holds in exact
 arithmetic for every pair of fields.
+
+The stencils and the Gaussian's x pass take their last-axis (and row)
+shifts over the flattened (..., H*W) grid, as one contiguous run instead
+of one short loop per row.  Such a run also computes entries that wrap
+from one row's end into the next row's start; each kernel overwrites or
+zeroes them before anything reads them, so every output entry sees the
+same operands in the same order as a pass over 2-D slices would.
 """
 
 from __future__ import annotations
@@ -53,10 +60,20 @@ def gradient(u: np.ndarray) -> np.ndarray:
     grid, with (grad u)_x(y, x) = u(y, x+1) - u(y, x) and
     (grad u)_y(y, x) = u(y+1, x) - u(y, x); the last column/row of each
     component is zero (replicate boundary).
+
+    Each component is one flat run over the (..., H*W) grid, u shifted
+    by 1 (x) or by W (y) minus u.  The x run's entries in the last
+    column wrap into the next row; they are zeroed with the last row of
+    the y component before anything reads them.
     """
-    g = np.zeros(u.shape + (2,), dtype=np.float64)
-    g[..., :, :-1, 0] = u[..., :, 1:] - u[..., :, :-1]
-    g[..., :-1, :, 1] = u[..., 1:, :] - u[..., :-1, :]
+    h, w = u.shape[-2:]
+    flat = u.reshape(u.shape[:-2] + (h * w,))
+    g = np.empty(u.shape + (2,), dtype=np.float64)
+    gf = g.reshape(flat.shape + (2,))
+    np.subtract(flat[..., 1:], flat[..., :-1], out=gf[..., :-1, 0])
+    np.subtract(flat[..., w:], flat[..., :-w], out=gf[..., : h * w - w, 1])
+    g[..., :, -1, 0] = 0.0
+    g[..., -1, :, 1] = 0.0
     return g
 
 
@@ -66,18 +83,31 @@ def divergence(p: np.ndarray) -> np.ndarray:
     Backward differences with the boundary convention that makes
     <grad u, p> + <u, div p> = 0 exactly for all u, p.  p may carry
     leading stack axes, (..., H, W, 2) -> (..., H, W).
+
+    The x differences are one flat run over the (..., H*W) grid, then
+    added to +0.0, which only turns a -0.0 into +0.0; the entries of
+    column 0, which wrap in from the previous row, and column W - 1 are
+    then overwritten by their boundary terms.  The y differences of the
+    interior rows are one flat run too.  Every entry thus gets the value
+    of adding each pass to a zeroed field.
     """
     h, w = p.shape[-3:-1]
     px = p[..., 0]
     py = p[..., 1]
-    d = np.zeros(p.shape[:-1], dtype=np.float64)
+    d = np.empty(p.shape[:-1], dtype=np.float64)
     if w >= 2:
-        d[..., :, 0] += px[..., :, 0]
-        d[..., :, 1:-1] += px[..., :, 1:-1] - px[..., :, :-2]
-        d[..., :, -1] -= px[..., :, -2]
+        pxf = px.reshape(d.shape[:-2] + (h * w,))
+        df = d.reshape(pxf.shape)
+        np.subtract(pxf[..., 1:], pxf[..., :-1], out=df[..., 1:])
+        df += 0.0
+        np.add(0.0, px[..., :, 0], out=d[..., :, 0])
+        np.subtract(0.0, px[..., :, -2], out=d[..., :, -1])
+    else:
+        d.fill(0.0)
     if h >= 2:
         d[..., 0, :] += py[..., 0, :]
-        d[..., 1:-1, :] += py[..., 1:-1, :] - py[..., :-2, :]
+        pyf = py.reshape(d.shape[:-2] + (h * w,))
+        d.reshape(pyf.shape)[..., w:-w] += pyf[..., w:-w] - pyf[..., : -2 * w]
         d[..., -1, :] -= py[..., -2, :]
     return d
 
@@ -90,19 +120,30 @@ def laplacian(u: np.ndarray) -> np.ndarray:
     subtracts px(j - 1), which rounds exactly like adding the difference
     px(j) - px(j - 1) to zero; along y the differences are added to the
     x part as divergence adds them.  Exactly zero on a constant grid.
+
+    Both passes run over the flattened (..., H*W) grid.  The x
+    differences are one flat run whose wrap entries (last column) are
+    zeroed, so adding and subtracting them changes no value and no sign
+    of zero; the y differences and their interior-row differences are
+    flat runs too, the latter in the x buffer.
     """
     h, w = u.shape[-2:]
-    d = np.zeros(u.shape, dtype=np.float64)
+    n = h * w
+    flat = u.reshape(u.shape[:-2] + (n,))
+    d = np.zeros(flat.shape, dtype=np.float64)
+    diff = np.empty(flat.shape, dtype=np.float64)
     if w >= 2:
-        px = u[..., :, 1:] - u[..., :, :-1]
-        d[..., :, :-1] += px
-        d[..., :, 1:] -= px
+        np.subtract(flat[..., 1:], flat[..., :-1], out=diff[..., :-1])
+        diff.reshape(u.shape)[..., :, -1] = 0.0
+        d += diff
+        d[..., 1:] -= diff[..., :-1]
     if h >= 2:
-        py = u[..., 1:, :] - u[..., :-1, :]
-        d[..., 0, :] += py[..., 0, :]
-        d[..., 1:-1, :] += py[..., 1:, :] - py[..., :-1, :]
-        d[..., -1, :] -= py[..., -1, :]
-    return d
+        py = flat[..., w:] - flat[..., :-w]
+        d[..., :w] += py[..., :w]
+        np.subtract(py[..., w:], py[..., :-w], out=diff[..., : n - 2 * w])
+        d[..., w : n - w] += diff[..., : n - 2 * w]
+        d[..., n - w :] -= py[..., n - 2 * w :]
+    return d.reshape(u.shape)
 
 
 def central_gradient(u: np.ndarray) -> np.ndarray:
@@ -164,9 +205,13 @@ def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:
     Each pass adds the taps in order into a zeroed accumulator, over
     bands of output rows of about BAND_BYTES, one stack entry at a time,
     so that a band's operands stay in cache (a 128^2 grid is one band).
-    Every output entry still sees the same products added in the same
-    order, so the result is bitwise that of the unbanded whole-array
-    loop.
+    Every tap is one flat run over the band: along x the band's padded
+    rows, W + 2 radius wide, into an accumulator of that width whose
+    first W columns are copied out (the other 2 radius mix a row with the
+    next one and are dropped); along y the padded rows shifted by whole
+    rows.  Every output entry still sees the same products added in the
+    same order, so the result is bitwise that of the unbanded
+    whole-array loop over 2-D slices.
     """
     _check_sigma(sigma)
     if sigma == 0:
@@ -182,27 +227,36 @@ def _convolve_axis(u, k, radius, axis):
     padding = [(0, 0)] * u.ndim
     padding[axis] = (radius, radius)
     padded = np.pad(u, padding, mode="symmetric")
-    acc = np.zeros_like(u)
     h, w = u.shape[-2:]
-    rows = max(1, BAND_BYTES // (w * u.itemsize))
-    term = np.empty((min(rows, h), w), dtype=u.dtype)
+    out = np.empty(u.shape, dtype=u.dtype)
+    rows = min(h, max(1, BAND_BYTES // (w * u.itemsize)))
+    # Tap t reads a band's flat padded rows shifted by t entries (x) or t
+    # rows (y); along x the accumulator has the padded row width.
+    width, shift = (w + 2 * radius, 1) if axis == -1 else (w, w)
+    acc = np.empty((rows, width), dtype=u.dtype) if axis == -1 else None
+    term = np.empty(rows * width, dtype=u.dtype)
     for entry in np.ndindex(u.shape[:-2]):
+        source = padded[entry].reshape(-1)
         for top in range(0, h, rows):
-            bottom = min(top + rows, h)
-            # Padded rows top .. bottom + 2 radius feed a vertical band.
-            source = padded[entry][top : bottom + 2 * radius if axis == -2 else bottom]
-            _add_taps(acc[entry][top:bottom], source, k, axis, term[: bottom - top])
-    return acc
+            band = out[entry][top : top + rows]
+            if axis == -1:
+                run = acc[: len(band)].reshape(-1)[: len(band) * width - 2 * radius]
+            else:
+                run = band.reshape(-1)
+            run.fill(0.0)
+            _add_taps(run, source[top * width :], k, shift, term)
+            if axis == -1:
+                band[...] = acc[: len(band), :w]
+    return out
 
 
-def _add_taps(acc, padded, k, axis, term):
-    """acc += k[t] * (tap t's window of padded), t in order, through term."""
-    n = acc.shape[axis]
+def _add_taps(acc, source, k, shift, term):
+    """acc += k[t] * source[t * shift:][:acc.size], t in order, through term;
+    acc, source and term are flat."""
+    n = acc.size
+    term = term[:n]
     for t, weight in enumerate(k):
-        if axis == -1:
-            np.multiply(weight, padded[..., t : t + n], out=term)
-        else:
-            np.multiply(weight, padded[..., t : t + n, :], out=term)
+        np.multiply(weight, source[t * shift : t * shift + n], out=term)
         acc += term
 
 

@@ -338,53 +338,61 @@ def _twiddle(n: int) -> np.ndarray:
     return twiddle
 
 
-def _even_odd(x: np.ndarray, axis: int) -> np.ndarray:
-    """x reordered along axis as x0, x2, x4, ..., x5, x3, x1."""
-    out = np.empty(x.shape)
-    src, dst = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
-    m = (src.shape[-1] + 1) // 2
-    dst[..., :m] = src[..., ::2]
-    dst[..., m:] = src[..., 1::2][..., ::-1]
-    return out
-
-
-def _natural(v: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """Inverse of _even_odd, written into out."""
-    src, dst = np.moveaxis(v, axis, -1), np.moveaxis(out, axis, -1)
-    m = (src.shape[-1] + 1) // 2
-    dst[..., ::2] = src[..., :m]
-    dst[..., 1::2][..., ::-1] = src[..., m:]
-    return out
+def _parities(even_odd: np.ndarray, natural: np.ndarray, axis: int):
+    """The two (even-odd view, natural view) pairs along axis (-1 or -2):
+    entries 0 .. m - 1 of the even-odd order x0, x2, x4, ..., x5, x3, x1
+    are the even entries in order, and the rest, reversed, the odd
+    ones."""
+    n = even_odd.shape[axis]
+    m = (n + 1) // 2
+    rest = (slice(None),) * (-1 - axis)
+    return (
+        (even_odd[(..., slice(m)) + rest], natural[(..., slice(0, None, 2)) + rest]),
+        (even_odd[(..., slice(n - 1, m - 1, -1)) + rest], natural[(..., slice(1, None, 2)) + rest]),
+    )
 
 
 def _dct_rows(x: np.ndarray) -> np.ndarray:
     """Unnormalized DCT-II along the last axis,
     X_k = sum_j x_j cos(pi k (2j + 1) / 2n), through one real FFT (Makhoul):
     with Z_k = exp(-i pi k / 2n) rfft(even-odd x)_k, X_k = Re Z_k and
-    X_{n-k} = -Im Z_k."""
+    X_{n-k} = -Im Z_k.  The rows of the result come in even-odd order,
+    ready for the column transform: the assembly of X writes them
+    there."""
     n = x.shape[-1]
     m = (n + 1) // 2
-    z = np.fft.rfft(_even_odd(x, -1), axis=-1)
+    out = np.empty(x.shape)  # the even-odd x until the FFT has read it
+    for dst, src in _parities(out, x, -1):
+        dst[...] = src
+    z = np.fft.rfft(out, axis=-1)
     z *= _twiddle(n)
-    out = np.empty(x.shape)
-    out[..., : n // 2 + 1] = z.real
-    # np.multiply, not np.negative: numpy 2.4's negative miscomputes
-    # strided inputs written to differently strided outputs.
-    np.multiply(z.imag[..., 1:m], -1.0, out=out[..., n - 1 : n - m : -1])
+    for dst, src in _parities(out, z, -2):
+        dst[..., : n // 2 + 1] = src.real
+        # np.multiply, not np.negative: numpy 2.4's negative miscomputes
+        # strided inputs written to differently strided outputs.
+        np.multiply(src.imag[..., 1:m], -1.0, out=dst[..., n - 1 : n - m : -1])
     return out
 
 
-def _idct_rows(c: np.ndarray) -> np.ndarray:
-    """Inverse of _dct_rows: Z_k = c_k - i c_{n-k} (c_n = 0), undo the
-    twiddle, inverse real FFT, natural order."""
+def _idct_rows(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs plus the inverse of _dct_rows of c, whose rows come in
+    even-odd order: Z_k = c_k - i c_{n-k} (c_n = 0), built in natural row
+    order, undo the twiddle, inverse real FFT, and add rhs at the natural
+    positions of the even-odd entries."""
     n = c.shape[-1]
     half = n // 2 + 1
     z = np.empty(c.shape[:-1] + (half,), dtype=np.complex128)
-    z.real = c[..., :half]
-    z.imag[..., 0] = 0.0
-    np.multiply(c[..., n - 1 : n - half : -1], -1.0, out=z.imag[..., 1:])
+    for src, dst in _parities(c, z, -2):
+        dst.real = src[..., :half]
+        dst.imag[..., 0] = 0.0
+        np.multiply(src[..., n - 1 : n - half : -1], -1.0, out=dst.imag[..., 1:])
     z *= _twiddle(n).conj()
-    return _natural(np.fft.irfft(z, n=n, axis=-1), -1, np.empty(c.shape))
+    x = np.fft.irfft(z, n=n, axis=-1)
+    out = np.empty(c.shape)
+    m = (n + 1) // 2
+    np.add(x[..., :m], rhs[..., ::2], out=out[..., ::2])
+    np.add(x[..., n - 1 : m - 1 : -1], rhs[..., 1::2], out=out[..., 1::2])
+    return out
 
 
 def _kappa(n: int) -> np.ndarray:
@@ -428,6 +436,13 @@ def exact_screened_solve(rhs: np.ndarray, xi: float) -> np.ndarray:
     half spectrum, which hold frequencies k and H - k.  numpy's FFT runs
     on one thread, so the result does not depend on any thread setting.
 
+    Only the reorder of each row before its forward FFT is a copy pass
+    of its own.  The other reorders ride on passes that copy anyway: the
+    row DCT is assembled straight into even-odd row order for the column
+    FFT, the inverse row spectrum is built in natural row order straight
+    from the column inverse FFT, and the final add of rhs reads the even
+    and the reversed odd half of each row for the even and odd columns.
+
     Residual form: v = rhs + e with (1 - xi laplacian) e = xi laplacian
     rhs, the Laplacian of rhs taken in space.  A constant rhs has an
     exactly zero Laplacian and xi = 0 a zero gain, so both return rhs
@@ -441,13 +456,9 @@ def exact_screened_solve(rhs: np.ndarray, xi: float) -> np.ndarray:
     rhs = _check_system(rhs, xi)
     h, w = rhs.shape[-2:]
     g_real, g_imag, twiddle, twiddle_conj = _column_gains(h, w, float(xi))
-    rows = _dct_rows(laplacian(rhs))
-    z = np.fft.rfft(_even_odd(rows, -2), axis=-2)
+    z = np.fft.rfft(_dct_rows(laplacian(rhs)), axis=-2)
     z *= twiddle
     z.real *= g_real
     z.imag *= g_imag
     z *= twiddle_conj
-    _natural(np.fft.irfft(z, n=h, axis=-2), -2, rows)
-    out = _idct_rows(rows)
-    out += rhs
-    return out
+    return _idct_rows(np.fft.irfft(z, n=h, axis=-2), rhs)

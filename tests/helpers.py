@@ -161,6 +161,117 @@ def convolve_gaussian_reference(u, sigma):
     return convolve_axis_reference(convolve_axis_reference(u, k, radius, -1), k, radius, -2)
 
 
+# Frozen stencils and exact solve, written slice by slice over the
+# (H, W) axes with a zeroed field per pass.  The package versions run
+# flat over (..., H*W) and must equal these bitwise, sign of zero
+# included.
+
+
+def gradient_reference(u):
+    g = np.zeros(u.shape + (2,), dtype=np.float64)
+    g[..., :, :-1, 0] = u[..., :, 1:] - u[..., :, :-1]
+    g[..., :-1, :, 1] = u[..., 1:, :] - u[..., :-1, :]
+    return g
+
+
+def divergence_reference(p):
+    h, w = p.shape[-3:-1]
+    px = p[..., 0]
+    py = p[..., 1]
+    d = np.zeros(p.shape[:-1], dtype=np.float64)
+    if w >= 2:
+        d[..., :, 0] += px[..., :, 0]
+        d[..., :, 1:-1] += px[..., :, 1:-1] - px[..., :, :-2]
+        d[..., :, -1] -= px[..., :, -2]
+    if h >= 2:
+        d[..., 0, :] += py[..., 0, :]
+        d[..., 1:-1, :] += py[..., 1:-1, :] - py[..., :-2, :]
+        d[..., -1, :] -= py[..., -2, :]
+    return d
+
+
+def laplacian_reference(u):
+    h, w = u.shape[-2:]
+    d = np.zeros(u.shape, dtype=np.float64)
+    if w >= 2:
+        px = u[..., :, 1:] - u[..., :, :-1]
+        d[..., :, :-1] += px
+        d[..., :, 1:] -= px
+    if h >= 2:
+        py = u[..., 1:, :] - u[..., :-1, :]
+        d[..., 0, :] += py[..., 0, :]
+        d[..., 1:-1, :] += py[..., 1:, :] - py[..., :-1, :]
+        d[..., -1, :] -= py[..., -1, :]
+    return d
+
+
+def _twiddle_reference(n):
+    return np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1))
+
+
+def _even_odd_reference(x, axis):
+    out = np.empty(x.shape)
+    src, dst = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
+    m = (src.shape[-1] + 1) // 2
+    dst[..., :m] = src[..., ::2]
+    dst[..., m:] = src[..., 1::2][..., ::-1]
+    return out
+
+
+def _natural_reference(v, axis, out):
+    src, dst = np.moveaxis(v, axis, -1), np.moveaxis(out, axis, -1)
+    m = (src.shape[-1] + 1) // 2
+    dst[..., ::2] = src[..., :m]
+    dst[..., 1::2][..., ::-1] = src[..., m:]
+    return out
+
+
+def _dct_rows_reference(x):
+    n = x.shape[-1]
+    m = (n + 1) // 2
+    z = np.fft.rfft(_even_odd_reference(x, -1), axis=-1)
+    z *= _twiddle_reference(n)
+    out = np.empty(x.shape)
+    out[..., : n // 2 + 1] = z.real
+    np.multiply(z.imag[..., 1:m], -1.0, out=out[..., n - 1 : n - m : -1])
+    return out
+
+
+def _idct_rows_reference(c):
+    n = c.shape[-1]
+    half = n // 2 + 1
+    z = np.empty(c.shape[:-1] + (half,), dtype=np.complex128)
+    z.real = c[..., :half]
+    z.imag[..., 0] = 0.0
+    np.multiply(c[..., n - 1 : n - half : -1], -1.0, out=z.imag[..., 1:])
+    z *= _twiddle_reference(n).conj()
+    return _natural_reference(np.fft.irfft(z, n=n, axis=-1), -1, np.empty(c.shape))
+
+
+def exact_screened_solve_reference(rhs, xi):
+    """The DCT solve with every even-odd reorder as its own copy pass."""
+    h, w = rhs.shape[-2:]
+    kappa = [4.0 * np.sin(0.5 * np.pi / n * np.arange(n)) ** 2 for n in (h, w)]
+    gain = np.add.outer(*kappa)
+    gain *= xi
+    gain += 1.0
+    np.divide(xi, gain, out=gain)
+    half = h // 2 + 1
+    g_imag = np.zeros((half, w))
+    g_imag[1:] = gain[h - 1 : h - half : -1]
+    twiddle = _twiddle_reference(h)[:, None]
+    rows = _dct_rows_reference(laplacian_reference(rhs))
+    z = np.fft.rfft(_even_odd_reference(rows, -2), axis=-2)
+    z *= twiddle
+    z.real *= gain[:half]
+    z.imag *= g_imag
+    z *= twiddle.conj()
+    _natural_reference(np.fft.irfft(z, n=h, axis=-2), -2, rows)
+    out = _idct_rows_reference(rows)
+    out += rhs
+    return out
+
+
 def weight_fields_reference(rho, params):
     """Fidelity weight lambda from the frozen smoothing and shrink
     formulas; a constant weight is a float."""

@@ -19,6 +19,7 @@ from adaptreg.grid import (
     warp_bilinear,
 )
 from adaptreg.synth import Splitmix64
+from helpers import divergence_reference, gradient_reference, laplacian_reference
 
 
 def rand_grid(rng, h, w):
@@ -126,6 +127,82 @@ def test_laplacian_five_point_stencil_on_delta():
 
 def test_laplacian_of_constant_is_zero():
     assert np.array_equal(laplacian(np.full((5, 5), 2.0)), np.zeros((5, 5)))
+
+
+STENCIL_SHAPES = ((1, 1), (1, 9), (9, 1), (2, 2), (7, 9), (8, 8), (128, 128), (3, 7, 9), (2, 3, 7, 9))
+EDGE_VALUES = (-0.0, math.inf, 0.0, -math.inf, math.nan, -0.0, 1.5)
+
+
+def stencil_field(shape, seed, zeros):
+    """Normal noise, or only +-0.0 when zeros is set, with a third of the
+    entries +-0.0 either way, and -0.0, +-inf or NaN in the first and last
+    column of every row: a row-end entry that a flat run does not
+    overwrite leaks into the next row's start."""
+    rng = Splitmix64(seed)
+    n = int(np.prod(shape))
+    u = np.where(rng.uniforms(n) < 0.5, 0.0, -0.0) if zeros else rng.normals(n)
+    u = np.where(rng.uniforms(n) < 0.33, np.copysign(0.0, rng.normals(n)), u).reshape(shape)
+    rows = np.arange(int(np.prod(shape[:-1]))).reshape(shape[:-1])
+    u[..., 0] = np.take(EDGE_VALUES, rows % len(EDGE_VALUES))
+    u[..., -1] = np.take(EDGE_VALUES, (rows + 3) % len(EDGE_VALUES))
+    return u
+
+
+def assert_same_bits(out, ref):
+    assert out.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(out), nan)
+    assert np.array_equal(out[~nan], ref[~nan])
+    assert np.array_equal(np.signbit(out[~nan]), np.signbit(ref[~nan]))
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["noise", "zeros"])
+@pytest.mark.parametrize("layout", ["c", "component-first"])
+@pytest.mark.parametrize("shape", STENCIL_SHAPES, ids=["x".join(map(str, s)) for s in STENCIL_SHAPES])
+def test_stencils_match_frozen_formulas(shape, layout, zeros):
+    # The flat-run stencils against the slice-by-slice formulas, on
+    # C-ordered fields and on the np.moveaxis views flow hands them: a
+    # component-first (2, H, W) view of an (H, W, 2) field, and an
+    # (..., H, W, 2) view of a component-first stack.
+    if layout == "c":
+        u = stencil_field(shape, 130, zeros)
+        p = stencil_field(shape + (2,), 131, zeros)
+    else:
+        u = np.moveaxis(stencil_field(shape[-2:] + (2,), 130, zeros), -1, 0)
+        p = np.moveaxis(stencil_field((2,) + shape, 131, zeros), 0, -1)
+        if shape[-2:] != (1, 1):
+            assert not u.flags.c_contiguous and not p.flags.c_contiguous
+    with np.errstate(all="ignore"):
+        assert_same_bits(gradient(u), gradient_reference(u))
+        assert_same_bits(laplacian(u), laplacian_reference(u))
+        assert_same_bits(divergence(p), divergence_reference(p))
+
+
+@pytest.mark.parametrize(
+    "op, shape, bound",
+    [
+        # The output alone: the two components are written straight into it.
+        (gradient, (512, 512), 2.05),
+        # The output and the interior y differences.
+        (divergence, (512, 512, 2), 2.05),
+        # The output, the x buffer (which then takes the interior y
+        # differences) and the y differences.
+        (laplacian, (512, 512), 3.05),
+    ],
+    ids=["gradient", "divergence", "laplacian"],
+)
+def test_stencil_peak_memory(op, shape, bound):
+    # Measured 2.00, 2.00 and 3.00 fields of 512^2: one more field-sized
+    # temporary fails the bound.
+    x = Splitmix64(109).normals(int(np.prod(shape))).reshape(shape)
+    field = 512 * 512 * x.itemsize
+    tracemalloc.start()
+    try:
+        op(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * field
 
 
 def test_convolve_sigma_zero_is_identity():

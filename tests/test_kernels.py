@@ -181,8 +181,11 @@ def test_convolve_matches_frozen_formula(u, sigma, axis):
 def _banded_field(shape, seed, component_first=False):
     """Normal noise with +-0.0, +-inf and NaN on the first and last rows
     of the first two bands of rows, where neighboring bands meet.  The
-    zero rows run the full width, so the sum of their products keeps
-    the sign of zero the accumulator gives it."""
+    zero rows run the full width but for a non-finite entry inside and
+    at both ends, so the sum of their products keeps the sign of zero
+    the accumulator gives it away from those entries.  Along x a band's
+    rows are one flat run, so a row-end value read past its row would
+    leak into the next row."""
     if component_first:
         shape = shape[1:] + shape[:1]
     u = Splitmix64(seed).normals(int(np.prod(shape))).reshape(shape)
@@ -195,6 +198,8 @@ def _banded_field(shape, seed, component_first=False):
         u[..., y, :] = (0.0, -0.0)[i % 2]
         x = (37 * i) % w
         u[..., y, x] = (math.inf, -math.inf, math.nan)[i % 3]
+        u[..., y, 0] = (-math.inf, math.nan, math.inf)[i % 3]
+        u[..., y, -1] = (math.nan, math.inf, -math.inf)[i % 3]
     return u
 
 

@@ -27,7 +27,11 @@ from adaptreg.solver import (
     screened_solve,
 )
 from adaptreg.synth import Splitmix64, shifted_pair, smooth_texture
-from helpers import assemble_screened_matrix, screened_sweep_reference
+from helpers import (
+    assemble_screened_matrix,
+    exact_screened_solve_reference,
+    screened_sweep_reference,
+)
 
 _AP = AdaptiveParams(beta=1.0, alpha=0.01)
 
@@ -351,6 +355,24 @@ def test_exact_screened_solve_matches_dense_oracle(hw):
         v = exact_screened_solve(rhs, xi)
         ref = np.linalg.solve(assemble_screened_matrix(np.full(hw, xi)), rhs.ravel()).reshape(hw)
         assert rms(v - ref) <= 1e-10
+
+
+ORACLE_SHAPES = ((1, 1), (1, 9), (9, 1), (2, 2), (7, 9), (8, 8), (128, 128), (3, 7, 9), (2, 3, 7, 9))
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=["x".join(map(str, s)) for s in ORACLE_SHAPES])
+def test_exact_screened_solve_matches_frozen_reorders(shape):
+    # The solve with its even-odd reorders fused into the DCT assembly and
+    # the final add, against the one with a copy pass per reorder: same
+    # bits, sign of zero included, also for a component-first view.
+    rng = Splitmix64(415)
+    n = int(np.prod(shape))
+    rhs = np.where(rng.uniforms(n) < 0.25, -0.0, rng.normals(n)).reshape(shape)
+    rhs[..., 0] = -0.0
+    view = np.moveaxis(rng.normals(2 * n).reshape(shape + (2,)), -1, 0)
+    for field in (rhs, view, np.full(shape, -0.0)):
+        for xi in (0.0, 0.05, 3.7, 250.0):
+            assert_bitwise(exact_screened_solve(field, xi), exact_screened_solve_reference(field, xi))
 
 
 @pytest.mark.parametrize("hw", [(7, 9), (16, 13)], ids=["7x9", "16x13"])
