@@ -378,7 +378,7 @@ def _idct_rows(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs plus the inverse of _dct_rows of c, whose rows come in
     even-odd order: Z_k = c_k - i c_{n-k} (c_n = 0), built in natural row
     order, undo the twiddle, inverse real FFT, and add rhs at the natural
-    positions of the even-odd entries."""
+    positions of the even-odd entries.  The result overwrites c."""
     n = c.shape[-1]
     half = n // 2 + 1
     z = np.empty(c.shape[:-1] + (half,), dtype=np.complex128)
@@ -388,11 +388,10 @@ def _idct_rows(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         np.multiply(src[..., n - 1 : n - half : -1], -1.0, out=dst.imag[..., 1:])
     z *= _twiddle(n).conj()
     x = np.fft.irfft(z, n=n, axis=-1)
-    out = np.empty(c.shape)
     m = (n + 1) // 2
-    np.add(x[..., :m], rhs[..., ::2], out=out[..., ::2])
-    np.add(x[..., n - 1 : m - 1 : -1], rhs[..., 1::2], out=out[..., 1::2])
-    return out
+    np.add(x[..., :m], rhs[..., ::2], out=c[..., ::2])
+    np.add(x[..., n - 1 : m - 1 : -1], rhs[..., 1::2], out=c[..., 1::2])
+    return c
 
 
 def _kappa(n: int) -> np.ndarray:
@@ -442,6 +441,9 @@ def exact_screened_solve(rhs: np.ndarray, xi: float) -> np.ndarray:
     FFT, the inverse row spectrum is built in natural row order straight
     from the column inverse FFT, and the final add of rhs reads the even
     and the reversed odd half of each row for the even and odd columns.
+    The result overwrites the column pass's output, so once the gains
+    of (H, W, xi) are cached a call peaks at about three fields besides
+    rhs.
 
     Residual form: v = rhs + e with (1 - xi laplacian) e = xi laplacian
     rhs, the Laplacian of rhs taken in space.  A constant rhs has an
@@ -461,4 +463,6 @@ def exact_screened_solve(rhs: np.ndarray, xi: float) -> np.ndarray:
     z.real *= g_real
     z.imag *= g_imag
     z *= twiddle_conj
-    return _idct_rows(np.fft.irfft(z, n=h, axis=-2), rhs)
+    rows = np.fft.irfft(z, n=h, axis=-2)
+    del z  # free the spectrum before the row transform allocates its own
+    return _idct_rows(rows, rhs)

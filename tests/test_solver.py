@@ -312,6 +312,22 @@ def test_screened_solve_peak_memory():
     assert peak <= 4.5 * rhs.nbytes
 
 
+def test_exact_screened_solve_peak_memory():
+    # After the gains are cached, the row transform's inverse holds the
+    # column pass's output, the spectrum and the inverse FFT's output, and
+    # the result overwrites the first: 3.07 fields at 512^2, where a copy
+    # pass per reorder and a spectrum held to the end took 5.01.
+    rhs = Splitmix64(416).normals(512 * 512).reshape(512, 512)
+    exact_screened_solve(rhs, 2.5)
+    tracemalloc.start()
+    try:
+        exact_screened_solve(rhs, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * rhs.nbytes
+
+
 def test_screened_solve_matches_dense_oracle():
     rng = Splitmix64(402)
     for _ in range(3):
