@@ -71,7 +71,7 @@ def gradient(u: np.ndarray) -> np.ndarray:
     g = np.empty(u.shape + (2,), dtype=np.float64)
     gf = g.reshape(flat.shape + (2,))
     np.subtract(flat[..., 1:], flat[..., :-1], out=gf[..., :-1, 0])
-    np.subtract(flat[..., w:], flat[..., :-w], out=gf[..., : h * w - w, 1])
+    np.subtract(flat[..., w:], flat[..., :-w], out=gf[..., :-w, 1])
     g[..., :, -1, 0] = 0.0
     g[..., -1, :, 1] = 0.0
     return g

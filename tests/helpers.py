@@ -7,6 +7,19 @@ from adaptreg.metrics import match_labels
 from adaptreg.segment import DEGENERATE_REGION_WEIGHT, update_v_all
 
 
+def assert_same_bits(out, ref):
+    """out equals ref bitwise, sign of zero included; NaN must land on the
+    same entries, but its payload may differ."""
+    assert type(out) is type(ref)
+    out = np.asarray(out)
+    ref = np.asarray(ref)
+    assert out.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(out), nan)
+    assert np.array_equal(out[~nan], ref[~nan])
+    assert np.array_equal(np.signbit(out[~nan]), np.signbit(ref[~nan]))
+
+
 def make_scene(n):
     """Piecewise-constant test card: two bar gratings on the left half,
     two flat patches on the right."""

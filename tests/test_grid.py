@@ -19,7 +19,7 @@ from adaptreg.grid import (
     warp_bilinear,
 )
 from adaptreg.synth import Splitmix64
-from helpers import divergence_reference, gradient_reference, laplacian_reference
+from helpers import assert_same_bits, divergence_reference, gradient_reference, laplacian_reference
 
 
 def rand_grid(rng, h, w):
@@ -146,14 +146,6 @@ def stencil_field(shape, seed, zeros):
     u[..., 0] = np.take(EDGE_VALUES, rows % len(EDGE_VALUES))
     u[..., -1] = np.take(EDGE_VALUES, (rows + 3) % len(EDGE_VALUES))
     return u
-
-
-def assert_same_bits(out, ref):
-    assert out.shape == ref.shape
-    nan = np.isnan(ref)
-    assert np.array_equal(np.isnan(out), nan)
-    assert np.array_equal(out[~nan], ref[~nan])
-    assert np.array_equal(np.signbit(out[~nan]), np.signbit(ref[~nan]))
 
 
 @pytest.mark.parametrize("zeros", [False, True], ids=["noise", "zeros"])

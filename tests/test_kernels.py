@@ -22,6 +22,7 @@ from adaptreg.grid import BAND_BYTES, _convolve_axis, convolve_gaussian, gaussia
 from adaptreg.prox import envelope_at, huber, huber_vec, shrink, shrink_vec
 from adaptreg.synth import Splitmix64
 from helpers import (
+    assert_same_bits,
     convolve_axis_reference,
     convolve_gaussian_reference,
     envelope_reference,
@@ -77,17 +78,6 @@ def fields(draw, vector, mu=None):
     if layout == "component-first":
         x = np.moveaxis(x, 2, 0)
     return x
-
-
-def assert_same_bits(out, ref):
-    assert type(out) is type(ref)
-    out = np.asarray(out)
-    ref = np.asarray(ref)
-    assert out.shape == ref.shape
-    nan = np.isnan(ref)
-    assert np.array_equal(np.isnan(out), nan)
-    assert np.array_equal(out[~nan], ref[~nan])
-    assert np.array_equal(np.signbit(out[~nan]), np.signbit(ref[~nan]))
 
 
 @KERNEL_SETTINGS
