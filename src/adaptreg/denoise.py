@@ -58,7 +58,7 @@ class DenoiseState:
         # the smoothing or the v-solve, the memory peaks.  The old z goes
         # before the new one is made, which can then take its memory.
         self.z = None
-        self.z = shrink_vec(self.grad_v.get(self.v, gradient), p.eta)
+        self.z = shrink_vec(self.grad_v.get(gradient, self.v), p.eta)
         self.grad_v.clear()
         q = self.f - self.u
         self.lam = weight_fields(envelope_at(q, self.r, p.mu), p.adaptive)
@@ -75,7 +75,7 @@ class DenoiseState:
         p = self.params
         data = huber(self.f - self.u, p.mu)
         data *= self.lam
-        reg = huber_vec(self.grad_v.get(self.v, gradient), p.eta)
+        reg = huber_vec(self.grad_v.get(gradient, self.v), p.eta)
         reg *= 1.0 - self.lam
         return float(np.sum(data) + np.sum(reg))
 

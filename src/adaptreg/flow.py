@@ -21,6 +21,18 @@ then one screened v-solve over the component-first (2, H, W) stack
 xi; else red-black Gauss-Seidel sweeps), and dual ascent.  The
 regularizer is per-partial-derivative by default (anisotropic_reg), or
 isotropic per component when disabled.
+
+The (H, W, 2) fields u, v, w and A of a FlowState are views of
+C-contiguous (2, H, W) memory (component-planar): each component is one
+contiguous plane, elementwise results of such fields inherit that
+layout, and the component-first stack that gradient and the v-solve
+take is a plain view.  update_u works per component on those planes.
+Two intermediates are computed once and shared: the data gap ft - A . u,
+by the energy and the next iteration, and u - v, from which the dual
+step forms both the new w and the primal residual.  The residual still
+sums u - v in interleaved (H, W, 2) order, through one C-ordered copy:
+np.mean's pairwise summation follows memory order, so summing the planes
+would change the last bits of the history.
 """
 
 from __future__ import annotations
@@ -98,16 +110,52 @@ def _component_gradient(v: np.ndarray) -> np.ndarray:
     return gradient(np.moveaxis(v, -1, 0))
 
 
+def _data_gap(ft: np.ndarray, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The linearized brightness residual ft - A . u."""
+    return ft - _dot(a, u)
+
+
+def _interleaved_rms(d: np.ndarray) -> float:
+    """rms of an (H, W, 2) field, summed in C (interleaved) order: np.mean
+    sums pairwise in memory order, so d goes through one C-ordered copy,
+    made one component at a time (a strided write per plane beats an
+    elementwise copy of a planar view)."""
+    c = np.empty(d.shape)
+    c[..., 0] = d[..., 0]
+    c[..., 1] = d[..., 1]
+    return rms(c)
+
+
+def _planar(field: np.ndarray) -> np.ndarray:
+    """A float64 copy of an (H, W, 2) field, as an (H, W, 2) view of
+    C-contiguous (2, H, W) memory."""
+    out = np.empty((2,) + field.shape[:-1])
+    out[...] = np.moveaxis(field, -1, 0)
+    return np.moveaxis(out, 0, -1)
+
+
 class FlowState:
     """Velocity ADMM fields plus the frozen linearization (A, ft).
 
-    u, v, w and A are (H, W, 2); the gradient auxiliary z is
+    u, v, w and A are (H, W, 2) views of C-contiguous (2, H, W) memory,
+    as _planar makes them at construction, in relinearize and for a
+    pyramid level's seed; fields assigned in another layout give the
+    same results, only slower.  The gradient auxiliary z is
     component-first, (2, H, W, 2).  lam is an (H, W) field, or a float
     that broadcasts against the fields when the weight is constant.
-    The component gradients of v are computed once per v object and
-    kept in grad_v, which the energy and the next z-step both read; code
-    that writes v in place, as update_v_w does, must call
-    grad_v.clear()."""
+
+    Three values are computed once per set of objects (by identity) and
+    kept:
+    - grad_v, the component gradients of v, read by the energy and the
+      next z-step;
+    - gap, the data gap ft - A . u, read by the energy and the next
+      iteration;
+    - residual, the primal residual of (u, v), which update_v_w forms
+      from the same u - v as the dual step.
+    Assigning u, v, A or ft needs nothing more.  Code that writes one of
+    them in place must clear every cache that reads it: grad_v for v,
+    gap for u, A or ft, and residual for u or v.  update_v_w writes v in
+    place, clears grad_v and refills residual."""
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams):
         self.f1 = scalar_grid(f1)
@@ -116,22 +164,26 @@ class FlowState:
             raise ValueError("frames must share a shape")
         self.params = params
         shape = self.f1.shape
-        self.u = np.zeros(shape + (2,), dtype=np.float64)
-        self.v = np.zeros(shape + (2,), dtype=np.float64)
-        self.w = np.zeros(shape + (2,), dtype=np.float64)
+        zero = np.zeros(shape + (2,))
+        self.u = _planar(zero)
+        self.v = _planar(zero)
+        self.w = _planar(zero)
         self.r = np.zeros(shape, dtype=np.float64)
         self.z = np.zeros((2,) + shape + (2,), dtype=np.float64)
         self.lam = np.ones(shape, dtype=np.float64)
         self.tau_count = 0
         self.tau = tau_schedule(params.tau0, params.dtau, 0)
-        self.A = np.zeros(shape + (2,), dtype=np.float64)
+        self.A = _planar(zero)
         self.ft = np.zeros(shape, dtype=np.float64)
         self.grad_v = ObjectCache()
+        self.gap = ObjectCache()
+        self.residual = ObjectCache()
 
     def relinearize(self):
         """Re-expand the data term around the current field at the
         current tau; the prior is folded into ft."""
-        self.A, ft = _linearize(self.f1, self.f2, self.u, self.tau)
+        a, ft = _linearize(self.f1, self.f2, self.u, self.tau)
+        self.A = _planar(a)
         self.ft = ft + _dot(self.A, self.u)
 
     def iterate(self):
@@ -141,11 +193,14 @@ class FlowState:
         # the smoothing or the v-solve, the memory peaks.  The old z goes
         # before the new one is made, which can then take its memory.
         self.z = None
-        g = self.grad_v.get(self.v, _component_gradient)
+        g = self.grad_v.get(_component_gradient, self.v)
         self.z = shrink(g, sp.eta) if p.anisotropic_reg else shrink_vec(g, sp.eta)
         del g
         self.grad_v.clear()
-        q = self.ft - _dot(self.A, self.u)
+        # u is replaced below, so neither its gap nor its residual is kept.
+        q = self.gap.get(_data_gap, self.ft, self.A, self.u)
+        self.gap.clear()
+        self.residual.clear()
         self.lam = weight_fields(envelope_at(q, self.r, sp.mu), sp.adaptive)
         self.r = shrink(q, sp.mu)
         del q  # not held through the v-solve, the memory peak
@@ -155,13 +210,16 @@ class FlowState:
         self.tau = tau_schedule(p.tau0, p.dtau, self.tau_count)
 
     def primal_residual(self) -> float:
-        return rms(self.u - self.v)
+        return self.residual.get(lambda u, v: _interleaved_rms(u - v), self.u, self.v)
 
     def energy(self) -> float:
         sp = self.params.solver
-        data = huber(self.ft - _dot(self.A, self.u), sp.mu)
-        data *= self.lam
-        g = self.grad_v.get(self.v, _component_gradient)
+        # The regularizer comes first, so its Huber temporaries are freed
+        # before the data gap is formed and kept.  In the other order the
+        # kept gap raised the heap's peak, and the allocator trimmed and
+        # refaulted the top of the heap each iteration: about twice the
+        # minor page faults on the 128^2 flow benchmark.
+        g = self.grad_v.get(_component_gradient, self.v)
         # One Huber call per component: a single call on the whole
         # (2, H, W, 2) stack measured about 3% slower end to end on the
         # 128^2 flow benchmark (slower in 5 of 6 paired runs, 2-core x86).
@@ -174,6 +232,8 @@ class FlowState:
             reg = huber_vec(g[0], sp.eta)
             reg += huber_vec(g[1], sp.eta)
         reg *= 1.0 - self.lam
+        data = huber(self.gap.get(_data_gap, self.ft, self.A, self.u), sp.mu)
+        data *= self.lam
         return float(np.sum(data) + np.sum(reg))
 
     def mean_lambda(self) -> float:
@@ -189,28 +249,59 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
 
     Written so that lambda = 0 or A = 0 returns v - w bitwise; the
     general case matches a direct 2x2 inversion to machine precision.
+    The work runs on the component-first (2, H, W) views, where the
+    (H, W) factors broadcast over the leading axis; on planar fields
+    these are contiguous planes, and so is the result.  Sums and
+    products are accumulated in place with their operands swapped where
+    that saves a temporary, which rounds the same.
     """
     mu_theta = params.mu * params.theta
-    base = state.v - state.w
+    a = np.moveaxis(state.A, -1, 0)
+    base = np.moveaxis(state.v - state.w, -1, 0)
     coeff = state.lam * (state.ft - state.r)
-    b = mu_theta * base + coeff[..., None] * state.A
-    ab = _dot(state.A, b)
-    asq = _dot(state.A, state.A)
-    scale = state.lam * ab / (mu_theta * (mu_theta + state.lam * asq))
-    return base + ((coeff / mu_theta) - scale)[..., None] * state.A
+    # b = mu theta base + coeff A
+    b = mu_theta * base
+    b += coeff * a
+    # scale = lambda (A . b) / (mu theta (mu theta + lambda |A|^2))
+    scale = a[0] * b[0]
+    scale += a[1] * b[1]
+    del b
+    scale *= state.lam
+    den = a[0] * a[0]
+    den += a[1] * a[1]
+    den *= state.lam
+    den += mu_theta
+    den *= mu_theta
+    scale /= den
+    del den
+    # u = base + (coeff / mu theta - scale) A
+    gain = coeff / mu_theta
+    gain -= scale
+    u = gain * a
+    u += base
+    return np.moveaxis(u, 0, -1)
 
 
 def update_v_w(state: FlowState, params: SolverParams) -> None:
     """One screened v-solve over the component-first (2, H, W) stack
     (exact for a float lambda, gs_sweeps Gauss-Seidel sweeps from v for
     a weight field) from the gradient auxiliaries z, then dual ascent.
-    state.v is updated in place, so its cached gradient is cleared."""
+    state.v is updated in place (one contiguous copy on a planar v), so
+    its cached gradient is cleared; the new u - v gives both the new w
+    and the primal residual, which is kept for primal_residual."""
     xi = (1.0 - state.lam) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
-    rhs = np.moveaxis(state.u + state.w, -1, 0) - xi * divergence(state.z)
+    # rhs = (u + w) - xi div z, written over the xi div z temporary
+    rhs = xi * divergence(state.z)
+    np.subtract(np.moveaxis(state.u + state.w, -1, 0), rhs, out=rhs)
     v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)
     state.grad_v.clear()
-    state.w = state.w + (state.u - state.v)
+    # The residual is kept as a number, not u - v as a field, which would
+    # raise the heap's peak through the energy (see FlowState.energy).
+    d = state.u - state.v
+    state.residual.clear()
+    state.residual.get(lambda u, v: _interleaved_rms(d), state.u, state.v)
+    state.w = np.add(state.w, d, out=d)
 
 
 def _downsample(f: np.ndarray) -> np.ndarray:
@@ -235,8 +326,8 @@ def _upsample_flow(u: np.ndarray, shape) -> np.ndarray:
 def _run_warps(f1, f2, params: FlowParams, u_init, start_iter: int, on_check):
     state = FlowState(f1, f2, params)
     if u_init is not None:
-        state.u = u_init.astype(np.float64, copy=True)
-        state.v = state.u.copy()
+        state.u = _planar(u_init)
+        state.v = _planar(u_init)
     history = []
     it = start_iter
     for _ in range(params.n_warps):
@@ -254,6 +345,7 @@ def run_flow(f1: np.ndarray, f2: np.ndarray, params: FlowParams, on_check=None):
     ADMM run; with pyramid_levels > 1, a coarse-to-fine sweep over 2x
     downscaled frames seeds each finer level.  Iteration numbers in the
     history advance by the per-warp budget even when a warp stops early.
+    u is returned as a C-contiguous (H, W, 2) array.
     """
     f1 = scalar_grid(f1)
     f2 = scalar_grid(f2)
@@ -274,4 +366,4 @@ def run_flow(f1: np.ndarray, f2: np.ndarray, params: FlowParams, on_check=None):
         state, h, it = _run_warps(level_f1, level_f2, params, u_init, it, on_check)
         history.extend(h)
         u_init = state.u
-    return state.u, history
+    return np.ascontiguousarray(state.u), history

@@ -27,6 +27,13 @@ import math
 import numpy as np
 
 
+# Bytes per operand of one band of the smoothing loop, 32 rows at
+# W = 512: a band's accumulator, term buffer and source rows then stay in
+# cache together.  divergence takes its interior y differences through a
+# scratch buffer of this size.
+BAND_BYTES = 128 * 1024
+
+
 def scalar_grid(data) -> np.ndarray:
     """Coerce array-like data to a nonempty (H, W) float64 grid and check
     it is finite."""
@@ -88,8 +95,10 @@ def divergence(p: np.ndarray) -> np.ndarray:
     added to +0.0, which only turns a -0.0 into +0.0; the entries of
     column 0, which wrap in from the previous row, and column W - 1 are
     then overwritten by their boundary terms.  The y differences of the
-    interior rows are one flat run too.  Every entry thus gets the value
-    of adding each pass to a zeroed field.
+    interior rows are one flat run too, taken in chunks of about
+    BAND_BYTES through one scratch buffer instead of a field-sized
+    temporary.  Every entry thus gets the value of adding each pass to a
+    zeroed field.
     """
     h, w = p.shape[-3:-1]
     px = p[..., 0]
@@ -107,7 +116,15 @@ def divergence(p: np.ndarray) -> np.ndarray:
     if h >= 2:
         d[..., 0, :] += py[..., 0, :]
         pyf = py.reshape(d.shape[:-2] + (h * w,))
-        d.reshape(pyf.shape)[..., w:-w] += pyf[..., w:-w] - pyf[..., : -2 * w]
+        df = d.reshape(pyf.shape)
+        end = (h - 1) * w
+        chunk = max(1, BAND_BYTES // (d.itemsize * math.prod(d.shape[:-2])))
+        scratch = np.empty(d.shape[:-2] + (min(chunk, end - w),))
+        for lo in range(w, end, chunk):
+            hi = min(lo + chunk, end)
+            diff = scratch[..., : hi - lo]
+            np.subtract(pyf[..., lo:hi], pyf[..., lo - w : hi - w], out=diff)
+            df[..., lo:hi] += diff
         d[..., -1, :] -= py[..., -2, :]
     return d
 
@@ -184,12 +201,6 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 def _check_sigma(sigma):
     if not 0.0 <= sigma < math.inf:
         raise ValueError("sigma must be nonnegative and finite, got %r" % (sigma,))
-
-
-# Bytes per operand of one band of the smoothing loop, 32 rows at
-# W = 512: a band's accumulator, term buffer and source rows then stay in
-# cache together.
-BAND_BYTES = 128 * 1024
 
 
 def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:

@@ -220,7 +220,7 @@ class SegmentState:
         # the smoothing or the v-solve, the memory peaks.  The old z goes
         # before the new one is made, which can then take its memory.
         s.z = None
-        s.z = shrink_vec(self.grad_v.get(s.v, gradient), sp.eta)
+        s.z = shrink_vec(self.grad_v.get(gradient, s.v), sp.eta)
         self.grad_v.clear()
         s.lam = weight_fields(self.d * s.u, sp.adaptive)
         s.c = update_c(s)
@@ -240,7 +240,7 @@ class SegmentState:
         data = s.lam * self.d
         data *= s.u
         data = np.sum(data, axis=(1, 2))
-        reg = huber_vec(self.grad_v.get(s.v, gradient), sp.eta)
+        reg = huber_vec(self.grad_v.get(gradient, s.v), sp.eta)
         reg *= 1.0 - s.lam
         reg = np.sum(reg, axis=(1, 2))
         # A strict left-to-right sum, label by label and data before

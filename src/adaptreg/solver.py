@@ -93,22 +93,24 @@ def rms(a: np.ndarray) -> float:
 
 
 class ObjectCache:
-    """One value derived from one object, kept while that same object
-    (by identity) is asked for again.  The states keep grad v in one, so
-    the energy and the next z-step share a single gradient per v.  Code
-    that writes the object in place must clear() the cache."""
+    """One value derived from a few objects, kept while those same
+    objects (by identity) are asked for again.  The states keep grad v
+    in one, so the energy and the next z-step share a single gradient
+    per v.  Code that writes one of the objects in place must clear()
+    the cache."""
 
     def __init__(self):
         self.clear()
 
     def clear(self) -> None:
-        self._key = self._value = None
+        self._keys = ()
+        self._value = None
 
-    def get(self, key, compute):
-        """compute(key), or the value kept for this very key object."""
-        if self._key is not key:
-            self._value = compute(key)
-            self._key = key
+    def get(self, compute, *keys):
+        """compute(*keys), or the value kept for these very key objects."""
+        if len(keys) != len(self._keys) or any(a is not b for a, b in zip(keys, self._keys)):
+            self._value = compute(*keys)
+            self._keys = keys
         return self._value
 
 

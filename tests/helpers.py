@@ -285,6 +285,20 @@ def exact_screened_solve_reference(rhs, xi):
     return out
 
 
+def flow_update_u_reference(state, params):
+    """The per-pixel flow u-solve as written on interleaved (H, W, 2)
+    fields, with (H, W) factors broadcast over a trailing axis."""
+    mu_theta = params.mu * params.theta
+    a = state.A
+    base = state.v - state.w
+    coeff = state.lam * (state.ft - state.r)
+    b = mu_theta * base + coeff[..., None] * a
+    ab = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    asq = a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]
+    scale = state.lam * ab / (mu_theta * (mu_theta + state.lam * asq))
+    return base + ((coeff / mu_theta) - scale)[..., None] * a
+
+
 def weight_fields_reference(rho, params):
     """Fidelity weight lambda from the frozen smoothing and shrink
     formulas; a constant weight is a float."""

@@ -18,9 +18,9 @@ from adaptreg.flow import (
 from adaptreg.grid import central_gradient, gradient
 from adaptreg.metrics import aee
 from adaptreg.prox import shrink
-from adaptreg.solver import SolverParams
+from adaptreg.solver import SolverParams, rms
 from adaptreg.synth import Splitmix64, shifted_pair, smooth_texture
-from helpers import huber_reference, huber_vec_reference
+from helpers import assert_same_bits, flow_update_u_reference, huber_reference, huber_vec_reference
 
 
 def flow_solver(**kw):
@@ -235,6 +235,147 @@ def test_gradient_computed_once_per_iteration(monkeypatch):
         per_iteration.append(len(calls) - before)
     # the first iteration also differentiates the initial v
     assert per_iteration == [2, 1, 1, 1, 1, 1]
+
+
+def test_residual_computed_once_per_iteration(monkeypatch):
+    st = smoothed_flow_state()
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return rms(np.ascontiguousarray(d))
+
+    monkeypatch.setattr(flow, "_interleaved_rms", counted)
+    per_iteration = []
+    for _ in range(4):
+        st.iterate()
+        in_iterate = len(calls)
+        st.energy()
+        st.primal_residual()
+        st.primal_residual()
+        per_iteration.append((in_iterate, len(calls) - in_iterate))
+        calls.clear()
+    # the dual step's u - v serves the primal residual
+    assert per_iteration == [(1, 0)] * 4
+
+
+def test_update_v_w_refreshes_the_residual():
+    st = smoothed_flow_state()
+    st.iterate()
+    st.primal_residual()
+    # update_v_w moves v in place, twice without an iterate in between
+    for _ in range(2):
+        w0 = st.w.copy()
+        update_v_w(st, st.params.solver)
+        assert np.array_equal(st.w, w0 + (st.u - st.v))
+        assert st.primal_residual() == rms(np.ascontiguousarray(st.u - st.v))
+
+
+def test_gap_computed_once_per_iteration(monkeypatch):
+    st = smoothed_flow_state()
+    calls = []
+
+    def counted(ft, a, u):
+        calls.append(u)
+        return ft - (a[..., 0] * u[..., 0] + a[..., 1] * u[..., 1])
+
+    monkeypatch.setattr(flow, "_data_gap", counted)
+    per_iteration = []
+    for k in range(6):
+        if k == 3:
+            st.relinearize()
+        before = len(calls)
+        st.iterate()
+        st.energy()
+        st.energy()
+        per_iteration.append(len(calls) - before)
+    # the energy's gap serves the next iteration, unless a
+    # relinearization has replaced A and ft in between
+    assert per_iteration == [2, 1, 1, 2, 1, 1]
+
+
+def test_assigning_u_a_or_ft_never_serves_a_stale_gap():
+    st = smoothed_flow_state()
+    st.iterate()
+    assert st.energy() == frozen_energy(st)
+    st.u = st.u + 0.125
+    assert st.energy() == frozen_energy(st)
+    st.A = 2.0 * st.A
+    assert st.energy() == frozen_energy(st)
+    st.ft = st.ft - 0.25
+    assert st.energy() == frozen_energy(st)
+    # an in-place write must clear the caches that read the field
+    st.u *= 0.5
+    st.gap.clear()
+    st.residual.clear()
+    assert st.energy() == frozen_energy(st)
+    assert st.primal_residual() == rms(np.ascontiguousarray(st.u - st.v))
+
+
+def planar(a):
+    """a's values in an (H, W, 2) view of C-contiguous (2, H, W) memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+def assert_planar(st):
+    for name in ("u", "v", "w", "A"):
+        assert np.moveaxis(getattr(st, name), -1, 0).flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("case", ["anisotropic", "isotropic", "pyramid"])
+def test_fields_stay_component_planar(case):
+    f1, f2, _ = shifted_pair(smooth_texture(32, seed=5), (1.0, 0.5))
+    fp = FlowParams(solver=flow_solver(max_iters=3), n_warps=2,
+                    anisotropic_reg=case != "isotropic",
+                    pyramid_levels=2 if case == "pyramid" else 1)
+    st = FlowState(f1, f2, fp)
+    assert_planar(st)
+    st.relinearize()
+    for _ in range(3):
+        assert_planar(st)
+        st.iterate()
+    assert_planar(st)
+    shapes = []
+
+    def check(state, record):
+        assert_planar(state)
+        shapes.append(state.u.shape)
+
+    u, _ = run_flow(f1, f2, fp, on_check=check)
+    levels = [(16, 16, 2)] * 6 if case == "pyramid" else []
+    assert shapes == levels + [(32, 32, 2)] * 6
+    assert u.flags.c_contiguous
+
+
+def test_primal_residual_sums_in_interleaved_order():
+    # np.mean sums pairwise in memory order, so the planes of a planar
+    # u - v would round differently from the interleaved field in about
+    # a quarter of these.
+    for seed in range(20):
+        rng = Splitmix64(760 + seed)
+        st = FlowState(np.zeros((128, 128)), np.zeros((128, 128)), FlowParams(solver=flow_solver()))
+        st.u = planar(rng.normals(2 * 128 * 128).reshape(128, 128, 2))
+        st.v = planar(rng.normals(2 * 128 * 128).reshape(128, 128, 2))
+        assert st.primal_residual() == rms(np.ascontiguousarray(st.u - st.v))
+
+
+@pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
+def test_planar_state_matches_interleaved_state(anisotropic):
+    for seed in range(5):
+        interleaved = random_flow_state(770 + seed)
+        st = random_flow_state(770 + seed)
+        for name in ("u", "v", "w", "A"):
+            setattr(st, name, planar(getattr(st, name)))
+        for s in (st, interleaved):
+            s.params.anisotropic_reg = anisotropic
+        sp = st.params.solver
+        u = update_u(st, sp)
+        assert np.moveaxis(u, -1, 0).flags.c_contiguous
+        assert_same_bits(u, update_u(interleaved, sp))
+        assert_same_bits(u, flow_update_u_reference(interleaved, sp))
+        assert st.energy() == interleaved.energy()
+        assert st.primal_residual() == interleaved.primal_residual()
+
 
 def test_update_u_degenerate_rows_pass_through_bitwise():
     st = random_flow_state(704)
