@@ -64,29 +64,41 @@ class AdaptiveParams:
             raise ValueError("constant_lambda must lie in [0, 1]")
 
 
-def residual_to_nu(rho: np.ndarray, params: AdaptiveParams) -> np.ndarray:
-    """Confidence field nu = exp(-(G_sigma * rho)/beta) from a residual."""
+def residual_to_nu(
+    rho: np.ndarray, params: AdaptiveParams, *, out=None, scratch=None
+) -> np.ndarray:
+    """Confidence field nu = exp(-(G_sigma * rho)/beta) from a residual;
+    out and scratch go to convolve_gaussian."""
     rho = np.asarray(rho, dtype=np.float64)
     if np.any(rho < 0):
         raise ValueError("residual must be nonnegative")
-    nu = convolve_gaussian(rho, params.smoothing_sigma)
+    nu = convolve_gaussian(rho, params.smoothing_sigma, out=out, scratch=scratch)
     nu /= -params.beta
     return np.exp(nu, out=nu)
 
 
-def nu_to_lambda(nu: np.ndarray, alpha: float) -> np.ndarray:
-    """Fidelity weight lambda = max(nu - alpha, 0)."""
-    return shrink(nu, alpha)
+def nu_to_lambda(nu: np.ndarray, alpha: float, *, out=None, scratch=None) -> np.ndarray:
+    """Fidelity weight lambda = max(nu - alpha, 0); out and scratch go to
+    shrink, so out may be nu."""
+    return shrink(nu, alpha, out=out, scratch=scratch)
 
 
-def weight_fields(rho: np.ndarray, params: AdaptiveParams) -> np.ndarray | float:
+def weight_fields(
+    rho: np.ndarray | None, params: AdaptiveParams, *, out=None, scratch=None
+) -> np.ndarray | float:
     """Fidelity weight lambda for a residual field; the regularizer
     weight is 1 - lambda.
 
     With ``constant_lambda`` set, lambda is that constant as a float,
-    which broadcasts against rho, and the residual is not read;
-    otherwise lambda is a field that follows the residual pointwise.
+    which broadcasts against rho, and the residual is not read (it may
+    be None); otherwise lambda is a field that follows the residual
+    pointwise.  out, if given, receives that field; scratch, if given,
+    is a flat float64 buffer of at least
+    max(rho.size, smoothing_scratch_size(rho.shape, smoothing_sigma))
+    entries for the smoothing and the shrink.
     """
     if params.constant_lambda is not None:
         return float(params.constant_lambda)
-    return nu_to_lambda(residual_to_nu(rho, params), params.alpha)
+    nu = residual_to_nu(rho, params, out=out, scratch=scratch)
+    sign = None if scratch is None else scratch[: nu.size].reshape(nu.shape)
+    return nu_to_lambda(nu, params.alpha, out=nu, scratch=sign)

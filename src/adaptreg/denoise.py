@@ -5,10 +5,12 @@ with lambda driven by the data residual.  ADMM splits u = v, soft-shrinks
 the auxiliaries r (data) and z (gradient), and alternates:
 
     z            vector shrink of grad v (it reads only v, so it runs
-                 first, from the grad v the energy already computed)
+                 first, from the grad v and |grad v| the energy already
+                 computed)
     nu, lambda   from the explicit residual envelope_at(f - u, r, mu) =
                  |r| + (f - u - r)^2 / (2 mu) at the previous r (taken
-                 literally from the update sequence, not recomputed)
+                 literally from the update sequence, not recomputed);
+                 a constant weight never reads it, so it is not formed
     r            shrink(f - u | mu), from the same data gap f - u
     u            pointwise solve of (lambda + mu theta) u
                      = mu theta (v - w) + lambda (f - r)
@@ -21,6 +23,26 @@ the auxiliaries r (data) and z (gradient), and alternates:
 
 Initialization u = v = f, everything else zero.  A constant image is a
 fixed point: the first iteration already has a zero primal residual.
+
+Three intermediates are computed once and shared: grad v and |grad v|
+once per v, by the energy and the next z-step (huber_vec and shrink_vec
+both read the norm); f - u once per u, by the energy and the next
+weights and r-step; u - v once per iteration, from which the dual step
+forms the new w and then the primal residual, kept as a number.
+
+Workspace: a DenoiseState allocates one _Workspace on its first
+iteration (or energy) and reuses it for every later one, so a
+steady-state iteration allocates nothing of field size.  The steps write
+u, w, r, z and a weight field lambda in place, and v alternates between
+two buffers: the v-step builds its right-hand side in the spare one, the
+solve writes v over it, and the old v becomes the spare.  The
+workspace's slots share memory across the phases of an iteration (see
+_Workspace), so it takes no more memory than the v-solve's temporaries
+did.  Each kept intermediate is keyed by the identity of the fields it
+came from and cleared explicitly where a step writes those fields in
+place or reuses its memory.  Assigning a new array to a field is
+therefore safe, and the state takes that array over; writing into a
+field in place from outside the state is not.
 """
 
 from __future__ import annotations
@@ -28,18 +50,53 @@ from __future__ import annotations
 import numpy as np
 
 from .adaptive import weight_fields
-from .grid import divergence, gradient, scalar_grid
-from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import ObjectCache, SolverParams, rms, run_admm, screened_solve
+from .grid import divergence, gradient, scalar_grid, smoothing_scratch_size
+from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec, vector_norm
+from .solver import ObjectCache, SolverParams, rms, run_admm, screened_solve, solve_scratch_size
+
+
+class _Workspace:
+    """The buffers of one DenoiseState, allocated once.
+
+    One arena holds the v-solve's scratch, then one field.  Between
+    v-solves, the scratch's start holds other slots in turn:
+
+        grad v (component-planar) and |grad v|   energy -> next z-step
+        the smoothing's scratch                  weights
+        the u-step's temporaries                 u-step
+        u - v                                    dual step
+
+    and f - u sits past the smoothing's part (energy -> next r-step).
+    The field slot takes the envelope, xi, |grad v|'s second square, the
+    energy's terms and the signs of the shrinks; the spare v buffer takes
+    the energy's scratch."""
+
+    def __init__(self, shape, sigma: float):
+        n = shape[0] * shape[1]
+        gap_at = max(3 * n, smoothing_scratch_size(shape, sigma))
+        arena = np.empty(max(solve_scratch_size(shape), gap_at + n) + n)
+        self.solve = arena[:-n]
+        self.smoothing = self.solve[:gap_at]
+        self.temps = self.solve[: 3 * n].reshape((3,) + shape)
+        self.grad = np.moveaxis(self.solve[: 2 * n].reshape((2,) + shape), 0, -1)
+        self.norm = self.temps[2]
+        self.gap = self.solve[gap_at : gap_at + n].reshape(shape)
+        self.field = arena[-n:].reshape(shape)
+        self.spare = np.empty(shape)
+        self.grad_v = ObjectCache()
+        self.gap_u = ObjectCache()
+        self.residual = ObjectCache()
 
 
 class DenoiseState:
     """Fields of the denoising ADMM: f, u, v, w, r, z, lam.
 
     lam is an (H, W) field, or a float that broadcasts against the
-    fields when the weight is constant.  grad v is computed once per v
-    object and kept in grad_v, which the energy and the next z-step
-    both read; code that writes v in place must call grad_v.clear()."""
+    fields when the weight is constant.  z is component-planar: an
+    (H, W, 2) view of (2, H, W) memory.  workspace is None until the
+    first iteration or energy allocates it.  The state writes its fields
+    in place (see the module docstring), so code that keeps a field
+    across an iteration must copy it."""
 
     def __init__(self, f: np.ndarray, params: SolverParams):
         self.f = scalar_grid(f)
@@ -48,36 +105,75 @@ class DenoiseState:
         self.v = self.f.copy()
         self.w = np.zeros_like(self.f)
         self.r = np.zeros_like(self.f)
-        self.z = np.zeros(self.f.shape + (2,), dtype=np.float64)
+        self.z = np.moveaxis(np.zeros((2,) + self.f.shape), 0, -1)
         self.lam = np.ones_like(self.f)
-        self.grad_v = ObjectCache()
+        self.workspace = None
+
+    def _workspace(self) -> _Workspace:
+        if self.workspace is None:
+            ap = self.params.adaptive
+            sigma = ap.smoothing_sigma if ap.constant_lambda is None else 0.0
+            self.workspace = _Workspace(self.f.shape, sigma)
+        return self.workspace
+
+    def _grad_v(self, ws: _Workspace):
+        """(grad v, |grad v|) of the current v, computed once per v."""
+
+        def compute(v):
+            g = gradient(v, out=ws.grad)
+            return g, vector_norm(g, out=ws.norm, scratch=ws.field)
+
+        return ws.grad_v.get(compute, self.v)
+
+    def _gap(self, ws: _Workspace) -> np.ndarray:
+        """f - u, computed once per u."""
+        return ws.gap_u.get(lambda f, u: np.subtract(f, u, out=ws.gap), self.f, self.u)
 
     def iterate(self):
         p = self.params
-        # z reads only v, so it goes first and grad v is not held through
-        # the smoothing or the v-solve, the memory peaks.  The old z goes
-        # before the new one is made, which can then take its memory.
-        self.z = None
-        self.z = shrink_vec(self.grad_v.get(gradient, self.v), p.eta)
-        self.grad_v.clear()
-        q = self.f - self.u
-        self.lam = weight_fields(envelope_at(q, self.r, p.mu), p.adaptive)
-        self.r = shrink(q, p.mu)
-        del q  # not held through the v-solve, the memory peak
-        self.u = update_u(self, p)
-        self.v = update_v(self, p)
-        self.w = self.w + (self.u - self.v)
+        ws = self._workspace()
+        g, norm = self._grad_v(ws)
+        shrink_vec(g, p.eta, norm=norm, out=self.z)
+        ws.grad_v.clear()
+        q = self._gap(ws)
+        rho = None
+        if p.adaptive.constant_lambda is None:
+            rho = envelope_at(q, self.r, p.mu, out=ws.field, scratch=ws.temps[0])
+        self.lam = weight_fields(rho, p.adaptive, out=self.lam, scratch=ws.smoothing)
+        shrink(q, p.mu, out=self.r, scratch=ws.field)
+        ws.gap_u.clear()
+        ws.residual.clear()
+        update_u(self, p, out=self.u, scratch=ws.temps)
+        v = update_v(self, p, out=ws.spare, xi=ws.field, scratch=ws.solve)
+        ws.spare, self.v = self.v, v
+        d = np.subtract(self.u, self.v, out=ws.temps[0])
+        self.w += d
+        # after w has read u - v: the squares go over it
+        ws.residual.get(lambda u, v: rms(d, out=d), self.u, self.v)
 
     def primal_residual(self) -> float:
-        return rms(self.u - self.v)
+        ws = self._workspace()
+
+        def compute(u, v):
+            d = np.subtract(u, v, out=ws.field)
+            return rms(d, out=d)
+
+        return ws.residual.get(compute, self.u, self.v)
 
     def energy(self) -> float:
         p = self.params
-        data = huber(self.f - self.u, p.mu)
+        ws = self._workspace()
+        q = self._gap(ws)
+        g, norm = self._grad_v(ws)
+        data = huber(q, p.mu, out=ws.field, scratch=ws.spare)
         data *= self.lam
-        reg = huber_vec(self.grad_v.get(gradient, self.v), p.eta)
-        reg *= 1.0 - self.lam
-        return float(np.sum(data) + np.sum(reg))
+        total = np.sum(data)
+        reg = huber_vec(g, p.eta, norm=norm, out=ws.field, scratch=ws.spare)
+        if np.ndim(self.lam):
+            reg *= np.subtract(1.0, self.lam, out=ws.spare)
+        else:
+            reg *= 1.0 - self.lam
+        return float(total + np.sum(reg))
 
     def mean_lambda(self) -> float:
         return float(np.mean(self.lam))
@@ -86,28 +182,54 @@ class DenoiseState:
         return self.u
 
 
-def update_u(state: DenoiseState, params: SolverParams) -> np.ndarray:
+def update_u(state: DenoiseState, params: SolverParams, *, out=None, scratch=None) -> np.ndarray:
     """Pointwise solve of (lambda + mu theta) u = mu theta (v - w) + lambda (f - r).
 
     Written incrementally, u = (v - w) + lambda ((f - r) - (v - w)) / (lambda
     + mu theta), which returns v - w bitwise where lambda = 0 and f where the
-    two targets coincide.
+    two targets coincide.  out, if given, receives u and may be state.u;
+    scratch, if given, is a (3, H, W) stack of free fields.
     """
-    base = state.v - state.w
-    gap = (state.f - state.r) - base
-    return base + state.lam * gap / (state.lam + params.mu * params.theta)
+    base, gap, den = (None, None, None) if scratch is None else scratch
+    base = np.subtract(state.v, state.w, out=base)
+    gap = np.subtract(state.f, state.r, out=gap)
+    gap -= base
+    gap *= state.lam
+    mu_theta = params.mu * params.theta
+    if np.ndim(state.lam):
+        gap /= np.add(state.lam, mu_theta, out=den)
+    else:
+        gap /= state.lam + mu_theta
+    return np.add(base, gap, out=out)
 
 
-def update_v(state: DenoiseState, params: SolverParams) -> np.ndarray:
+def update_v(state: DenoiseState, params: SolverParams, *, out=None, xi=None, scratch=None) -> np.ndarray:
     """Screened solve of (1 - xi Laplacian) v = u + w - xi div z: exact
     for a float lambda (scalar xi), gs_sweeps Gauss-Seidel sweeps from v
-    for a weight field."""
-    xi = (1.0 - state.lam) / (params.eta * params.theta)
-    rhs = state.u + state.w - xi * divergence(state.z)
-    return screened_solve(rhs, xi, state.v, params.gs_sweeps)
+    for a weight field.
+
+    The right-hand side is built in out, which must not be state.v, and
+    the solve writes v over it.  xi, if given, is a free field for xi
+    when lambda is a field; scratch, if given, a flat float64 buffer of
+    at least solve_scratch_size(state.f.shape) entries for the
+    divergence, u + w and the solve."""
+    coef = params.eta * params.theta
+    if np.ndim(state.lam):
+        xi = np.subtract(1.0, state.lam, out=xi)
+        xi /= coef
+    else:
+        xi = (1.0 - state.lam) / coef
+    rhs = divergence(state.z, out=out, scratch=scratch)
+    rhs *= xi
+    uw = None if scratch is None else scratch[: rhs.size].reshape(rhs.shape)
+    np.subtract(np.add(state.u, state.w, out=uw), rhs, out=rhs)
+    return screened_solve(rhs, xi, state.v, params.gs_sweeps, out=rhs, scratch=scratch)
 
 
 def run_denoise(f: np.ndarray, params: SolverParams, on_check=None):
-    """Denoise f (normalized to [0,1]); returns (u, history)."""
+    """Denoise f (normalized to [0,1]); returns (u, history).
+
+    The state writes its fields in place, so on_check must copy whatever
+    it keeps of them; the returned u is the state's own field."""
     state = DenoiseState(f, params)
     return run_admm(state, params, on_check=on_check)

@@ -60,7 +60,7 @@ def _nonempty_finite(a: np.ndarray, kind: str) -> np.ndarray:
     return a
 
 
-def gradient(u: np.ndarray) -> np.ndarray:
+def gradient(u: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference gradient of a scalar grid or a stack of them.
 
     (..., H, W) -> (..., H, W, 2): every leading index is a separate
@@ -72,43 +72,54 @@ def gradient(u: np.ndarray) -> np.ndarray:
     by 1 (x) or by W (y) minus u.  The x run's entries in the last
     column wrap into the next row; they are zeroed with the last row of
     the y component before anything reads them.
+
+    out, if given, receives the result.  It may be interleaved (C-ordered
+    (..., H, W, 2)) or component-planar (an (..., H, W, 2) view of
+    (2, ..., H, W) memory): each component only needs to flatten to a
+    view over (..., H*W).
     """
     h, w = u.shape[-2:]
     flat = u.reshape(u.shape[:-2] + (h * w,))
-    g = np.empty(u.shape + (2,), dtype=np.float64)
-    gf = g.reshape(flat.shape + (2,))
-    np.subtract(flat[..., 1:], flat[..., :-1], out=gf[..., :-1, 0])
-    np.subtract(flat[..., w:], flat[..., :-w], out=gf[..., :-w, 1])
+    g = np.empty(u.shape + (2,), dtype=np.float64) if out is None else out
+    np.subtract(flat[..., 1:], flat[..., :-1], out=g[..., 0].reshape(flat.shape)[..., :-1])
+    np.subtract(flat[..., w:], flat[..., :-w], out=g[..., 1].reshape(flat.shape)[..., :-w])
     g[..., :, -1, 0] = 0.0
     g[..., -1, :, 1] = 0.0
     return g
 
 
-def divergence(p: np.ndarray) -> np.ndarray:
+def divergence(
+    p: np.ndarray, *, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Discrete divergence, the negative adjoint of :func:`gradient`.
 
     Backward differences with the boundary convention that makes
     <grad u, p> + <u, div p> = 0 exactly for all u, p.  p may carry
-    leading stack axes, (..., H, W, 2) -> (..., H, W).
+    leading stack axes, (..., H, W, 2) -> (..., H, W), and may be
+    interleaved or component-planar.
 
     The x differences are one flat run over the (..., H*W) grid, then
     added to +0.0, which only turns a -0.0 into +0.0; the entries of
-    column 0, which wrap in from the previous row, and column W - 1 are
-    then overwritten by their boundary terms.  The y differences of the
-    interior rows are one flat run too, taken in chunks of about
-    BAND_BYTES through one scratch buffer instead of a field-sized
-    temporary.  Every entry thus gets the value of adding each pass to a
-    zeroed field.
+    column 0, which wrap in from the previous row (or were never
+    written), and column W - 1 are then overwritten by their boundary
+    terms.  The y differences of the interior rows are one flat run too,
+    taken in chunks of about BAND_BYTES through one scratch buffer
+    instead of a field-sized temporary.  Every entry thus gets the value
+    of adding each pass to a zeroed field.
+
+    out, if given, is a C-contiguous (..., H, W) buffer for the result;
+    scratch, if given, a flat float64 buffer for the chunks (its first
+    BAND_BYTES are used, fewer on small grids).
     """
     h, w = p.shape[-3:-1]
     px = p[..., 0]
     py = p[..., 1]
-    d = np.empty(p.shape[:-1], dtype=np.float64)
+    d = np.empty(p.shape[:-1], dtype=np.float64) if out is None else out
     if w >= 2:
         pxf = px.reshape(d.shape[:-2] + (h * w,))
         df = d.reshape(pxf.shape)
         np.subtract(pxf[..., 1:], pxf[..., :-1], out=df[..., 1:])
-        df += 0.0
+        df[..., 1:] += 0.0
         np.add(0.0, px[..., :, 0], out=d[..., :, 0])
         np.subtract(0.0, px[..., :, -2], out=d[..., :, -1])
     else:
@@ -118,8 +129,13 @@ def divergence(p: np.ndarray) -> np.ndarray:
         pyf = py.reshape(d.shape[:-2] + (h * w,))
         df = d.reshape(pyf.shape)
         end = (h - 1) * w
-        chunk = max(1, BAND_BYTES // (d.itemsize * math.prod(d.shape[:-2])))
-        scratch = np.empty(d.shape[:-2] + (min(chunk, end - w),))
+        lead = d.shape[:-2]
+        chunk = max(1, BAND_BYTES // (d.itemsize * math.prod(lead)))
+        shape = lead + (min(chunk, end - w),)
+        if scratch is None:
+            scratch = np.empty(shape)
+        else:
+            scratch = scratch[: math.prod(shape)].reshape(shape)
         for lo in range(w, end, chunk):
             hi = min(lo + chunk, end)
             diff = scratch[..., : hi - lo]
@@ -129,7 +145,9 @@ def divergence(p: np.ndarray) -> np.ndarray:
     return d
 
 
-def laplacian(u: np.ndarray) -> np.ndarray:
+def laplacian(
+    u: np.ndarray, *, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """5-point Laplacian with Neumann boundary of a (..., H, W) stack.
 
     Bitwise equal to divergence(gradient(u)), without the (..., H, W, 2)
@@ -143,19 +161,31 @@ def laplacian(u: np.ndarray) -> np.ndarray:
     zeroed, so adding and subtracting them changes no value and no sign
     of zero; the y differences and their interior-row differences are
     flat runs too, the latter in the x buffer.
+
+    out, if given, is a C-contiguous buffer for the result; scratch, if
+    given, a flat float64 buffer of at least 2 u.size entries for the
+    two difference runs.
     """
     h, w = u.shape[-2:]
     n = h * w
     flat = u.reshape(u.shape[:-2] + (n,))
-    d = np.zeros(flat.shape, dtype=np.float64)
-    diff = np.empty(flat.shape, dtype=np.float64)
+    d = np.empty(flat.shape) if out is None else out.reshape(flat.shape)
+    if scratch is None:
+        diff = np.empty(flat.shape)
+        py = np.empty(flat.shape[:-1] + (n - w,))
+    else:
+        diff = scratch[: u.size].reshape(flat.shape)
+        py = scratch[u.size : u.size + flat[..., w:].size].reshape(flat.shape[:-1] + (n - w,))
     if w >= 2:
         np.subtract(flat[..., 1:], flat[..., :-1], out=diff[..., :-1])
         diff.reshape(u.shape)[..., :, -1] = 0.0
-        d += diff
+        # the x part added to a zeroed field
+        np.add(0.0, diff, out=d)
         d[..., 1:] -= diff[..., :-1]
+    else:
+        d.fill(0.0)
     if h >= 2:
-        py = flat[..., w:] - flat[..., :-w]
+        np.subtract(flat[..., w:], flat[..., :-w], out=py)
         d[..., :w] += py[..., :w]
         np.subtract(py[..., w:], py[..., :-w], out=diff[..., : n - 2 * w])
         d[..., w : n - w] += diff[..., : n - 2 * w]
@@ -203,7 +233,31 @@ def _check_sigma(sigma):
         raise ValueError("sigma must be nonnegative and finite, got %r" % (sigma,))
 
 
-def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:
+def _band_rows(h: int, w: int) -> int:
+    """Rows of one band of the smoothing loop: about BAND_BYTES of float64."""
+    return min(h, max(1, BAND_BYTES // (w * 8)))
+
+
+def smoothing_scratch_size(shape, sigma: float) -> int:
+    """Entries of the flat float64 scratch that convolve_gaussian needs on
+    a field of this shape: the larger padded copy and two band buffers."""
+    _check_sigma(sigma)
+    if sigma == 0:
+        return 0
+    radius = math.ceil(3.0 * sigma)
+    h, w = shape[-2:]
+    entries = math.prod(shape[:-2])
+    padded = entries * max(h * (w + 2 * radius), (h + 2 * radius) * w)
+    return padded + 2 * _band_rows(h, w) * (w + 2 * radius)
+
+
+def convolve_gaussian(
+    u: np.ndarray,
+    sigma: float,
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Separable Gaussian smoothing; sigma = 0 returns the input unchanged.
 
     u has shape (..., H, W); every leading index is a separate grid,
@@ -213,39 +267,78 @@ def convolve_gaussian(u: np.ndarray, sigma: float) -> np.ndarray:
     smoothing matrix is doubly stochastic).  sigma must be nonnegative
     and finite, else ValueError.
 
-    Each pass adds the taps in order into a zeroed accumulator, over
-    bands of output rows of about BAND_BYTES, one stack entry at a time,
-    so that a band's operands stay in cache (a 128^2 grid is one band).
-    Every tap is one flat run over the band: along x the band's padded
-    rows, W + 2 radius wide, into an accumulator of that width whose
-    first W columns are copied out (the other 2 radius mix a row with the
-    next one and are dropped); along y the padded rows shifted by whole
-    rows.  Every output entry still sees the same products added in the
-    same order, so the result is bitwise that of the unbanded
-    whole-array loop over 2-D slices.
+    Each pass copies its mirror-padded input into the scratch, then adds
+    the taps in order into a zeroed accumulator, over bands of output
+    rows of about BAND_BYTES, one stack entry at a time, so that a
+    band's operands stay in cache (a 128^2 grid is one band).  Every tap
+    is one flat run over the band: along x the band's padded rows,
+    W + 2 radius wide, into an accumulator of that width whose first W
+    columns are copied out (the other 2 radius mix a row with the next
+    one and are dropped); along y the padded rows shifted by whole rows.
+    Every output entry still sees the same products added in the same
+    order, so the result is bitwise that of the unbanded whole-array
+    loop over 2-D slices.
+
+    out, if given, is a C-contiguous float64 buffer for the result and
+    may be u itself (each pass reads only its padded copy).  scratch, if
+    given, is a flat float64 buffer of at least
+    smoothing_scratch_size(u.shape, sigma) entries.
     """
     _check_sigma(sigma)
     if sigma == 0:
-        return u.copy()
+        if out is None:
+            return u.copy()
+        np.copyto(out, u)
+        return out
     k = gaussian_kernel(sigma)
     radius = (len(k) - 1) // 2
-    out = _convolve_axis(u, k, radius, axis=-1)
-    out = _convolve_axis(out, k, radius, axis=-2)
+    if out is None:
+        out = np.empty(u.shape, dtype=u.dtype)
+    if scratch is None:
+        scratch = np.empty(smoothing_scratch_size(u.shape, sigma), dtype=u.dtype)
+    _convolve_axis(u, k, radius, -1, out, scratch)
+    _convolve_axis(out, k, radius, -2, out, scratch)
     return out
 
 
-def _convolve_axis(u, k, radius, axis):
-    padding = [(0, 0)] * u.ndim
-    padding[axis] = (radius, radius)
-    padded = np.pad(u, padding, mode="symmetric")
+def _along(axis: int, index) -> tuple:
+    """An index that applies `index` along axis -1 or -2."""
+    return (Ellipsis, index) if axis == -1 else (Ellipsis, index, slice(None))
+
+
+def _pad_symmetric(u, radius, axis, padded):
+    """np.pad(u, radius, mode="symmetric") along axis, written into padded."""
+    n = u.shape[axis]
+    if radius > n:
+        padding = [(0, 0)] * u.ndim
+        padding[axis] = (radius, radius)
+        padded[...] = np.pad(u, padding, mode="symmetric")
+        return
+    reverse = u[_along(axis, slice(None, None, -1))]
+    padded[_along(axis, slice(radius, radius + n))] = u
+    padded[_along(axis, slice(radius))] = reverse[_along(axis, slice(n - radius, None))]
+    padded[_along(axis, slice(radius + n, None))] = reverse[_along(axis, slice(radius))]
+
+
+def _convolve_axis(u, k, radius, axis, out=None, scratch=None):
+    """One pass of convolve_gaussian from u into out, which may be u; the
+    padded copy and the band buffers go into scratch."""
     h, w = u.shape[-2:]
-    out = np.empty(u.shape, dtype=u.dtype)
-    rows = min(h, max(1, BAND_BYTES // (w * u.itemsize)))
     # Tap t reads a band's flat padded rows shifted by t entries (x) or t
     # rows (y); along x the accumulator has the padded row width.
     width, shift = (w + 2 * radius, 1) if axis == -1 else (w, w)
-    acc = np.empty((rows, width), dtype=u.dtype) if axis == -1 else None
-    term = np.empty(rows * width, dtype=u.dtype)
+    pshape = u.shape[:-2] + ((h, width) if axis == -1 else (h + 2 * radius, w))
+    size = math.prod(pshape)
+    rows = _band_rows(h, w)
+    band_size = rows * (w + 2 * radius)
+    if out is None:
+        out = np.empty(u.shape, dtype=u.dtype)
+    if scratch is None:
+        scratch = np.empty(size + 2 * band_size, dtype=u.dtype)
+    padded = scratch[:size].reshape(pshape)
+    _pad_symmetric(u, radius, axis, padded)
+    acc = scratch[size : size + band_size].reshape(rows, width) if axis == -1 else None
+    term = scratch[size + band_size : size + 2 * band_size]
     for entry in np.ndindex(u.shape[:-2]):
         source = padded[entry].reshape(-1)
         for top in range(0, h, rows):

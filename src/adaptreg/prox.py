@@ -8,11 +8,18 @@ whose minimizer is the soft shrinkage T(x | mu); envelope_at evaluates
 the objective at a given r.  A brute-force minimizer of the envelope is
 an independent oracle for the identity.
 
-Kernel contract of huber, huber_vec, envelope_at, shrink and shrink_vec:
+Kernel contract of huber, huber_vec, envelope_at, shrink, shrink_vec and
+vector_norm:
 
 * the two components of a 2-vector field (last axis) are read directly,
-  never reduced over, and every intermediate is written with out= into
+  never reduced over, so a vector field may be interleaved or
+  component-planar, and every intermediate is written with out= into
   one of a few output-sized buffers instead of a fresh temporary;
+* those buffers can be passed by keyword: out for the result and
+  scratch for the one intermediate; a kernel given none allocates them.
+  out must not share memory with an input, except where a kernel says
+  so; huber_vec and shrink_vec can read a precomputed norm= |v|, which
+  they do not write;
 * the result is bitwise equal, sign of zero included, to the textbook
   formula evaluated with full-size temporaries (NaN stays NaN, its
   payload may differ);
@@ -26,75 +33,118 @@ from __future__ import annotations
 import numpy as np
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """sqrt(v_0^2 + v_1^2) over the last axis, as a fresh (...,) array."""
+def vector_norm(v, *, out=None, scratch=None) -> np.ndarray:
+    """sqrt(v_0^2 + v_1^2) over the last axis of a 2-vector field, as an
+    (...,) array; scratch takes v_1^2."""
+    v = np.asarray(v, dtype=np.float64)
     v0 = v[..., 0]
     v1 = v[..., 1]
-    norm = np.multiply(v0, v0, out=np.empty(v.shape[:-1]))
-    norm += v1 * v1
+    norm = np.multiply(v0, v0, out=np.empty(v.shape[:-1]) if out is None else out)
+    norm += np.multiply(v1, v1, out=scratch)
     return np.sqrt(norm, out=norm)
 
 
-def _huber(x: np.ndarray, ax: np.ndarray, mu: float) -> np.ndarray:
-    """Huber loss of x given its magnitude ax; ax is overwritten and may
-    be x itself (it is read as x before it is written)."""
+def _select(mask: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
+    """out = a where mask, else out, bit for bit; a is overwritten.
+
+    A branch-free select on the float64 bit patterns, out ^ ((out ^ a) *
+    mask): np.where and np.copyto(..., where=) branch per entry, which on
+    a mixed mask costs three times as much."""
+    ai = a.view(np.int64)
+    oi = out.view(np.int64)
+    np.bitwise_xor(ai, oi, out=ai)
+    np.multiply(ai, mask, out=ai)
+    np.bitwise_xor(oi, ai, out=oi)
+
+
+def _huber(x: np.ndarray, ax: np.ndarray, mu: float, out: np.ndarray, scratch: np.ndarray):
+    """Huber loss of x given its magnitude ax, written into out: x^2/(2 mu)
+    where ax <= mu, ax - mu/2 elsewhere.  scratch takes ax - mu/2 and may
+    be ax itself; out must share memory with neither x nor ax."""
     if mu <= 0:
         raise ValueError("huber threshold must be positive")
-    quadratic = ax <= mu
-    sq = x * x
-    sq /= 2.0 * mu
-    ax -= mu / 2.0
-    return np.where(quadratic, sq, ax)
+    # where ax is NaN, so is x, and both branches give NaN
+    linear = ax > mu
+    np.multiply(x, x, out=out)
+    out /= 2.0 * mu
+    _select(linear, np.subtract(ax, mu / 2.0, out=scratch), out)
+    return out if out.ndim else float(out)
 
 
-def huber(x, mu: float):
-    """Huber loss: x^2/(2 mu) for |x| <= mu, |x| - mu/2 beyond."""
+def huber(x, mu: float, *, out=None, scratch=None):
+    """Huber loss: x^2/(2 mu) for |x| <= mu, |x| - mu/2 beyond.  scratch
+    takes |x|."""
     x = np.asarray(x, dtype=np.float64)
-    out = _huber(x, np.abs(x), mu)
-    return out if out.ndim else float(out)
+    ax = np.abs(x, out=np.empty(x.shape) if scratch is None else scratch)
+    return _huber(x, ax, mu, np.empty(x.shape) if out is None else out, ax)
 
 
-def huber_vec(v, mu: float):
-    """Huber loss of the Euclidean norm of 2-vectors (last axis)."""
-    norm = _norm(np.asarray(v, dtype=np.float64))
+def huber_vec(v, mu: float, *, norm=None, out=None, scratch=None):
+    """Huber loss of the Euclidean norm of 2-vectors (last axis).  With
+    norm given, |v| is read from it and v is not; else scratch takes |v|."""
+    v = np.asarray(v, dtype=np.float64)
+    shape = v.shape[:-1]
+    out = np.empty(shape) if out is None else out
+    if scratch is None:
+        scratch = np.empty(shape)
+    if norm is None:
+        norm = vector_norm(v, out=scratch, scratch=out)
     # |norm| is norm itself
-    out = _huber(norm, norm, mu)
-    return out if out.ndim else float(out)
+    return _huber(norm, norm, mu, out, scratch)
 
 
-def envelope_at(x, r, mu: float):
-    """The envelope's objective at r: |r| + (x - r)^2 / (2 mu)."""
+def envelope_at(x, r, mu: float, *, out=None, scratch=None):
+    """The envelope's objective at r: |r| + (x - r)^2 / (2 mu).  scratch,
+    shaped like r, takes |r|."""
     x = np.asarray(x, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
-    out = np.subtract(x, r, out=np.empty(np.broadcast_shapes(x.shape, r.shape)))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, r.shape))
+    np.subtract(x, r, out=out)
     np.square(out, out=out)
     out /= 2.0 * mu
-    out += np.abs(r)
+    out += np.abs(r, out=scratch)
     return out if out.ndim else float(out)
 
 
-def shrink(x, t):
-    """Soft shrinkage T(x | t): move x toward zero by t, clipping at zero."""
+def shrink(x, t, *, out=None, scratch=None):
+    """Soft shrinkage T(x | t): move x toward zero by t, clipping at zero.
+
+    scratch, shaped like x, takes sign(x) before anything else is
+    written, so out may be x itself (scratch may not)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.abs(x, out=np.empty(np.broadcast_shapes(x.shape, np.shape(t))))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, np.shape(t)))
+    sign = np.sign(x, out=scratch)
+    np.abs(x, out=out)
     out -= t
     np.maximum(out, 0.0, out=out)
-    np.multiply(np.sign(x), out, out=out)
+    np.multiply(sign, out, out=out)
     return out if out.ndim else float(out)
 
 
-def shrink_vec(v, t: float):
-    """Isotropic shrinkage of 2-vectors: v * max(0, 1 - t/|v|)."""
+def shrink_vec(v, t: float, *, norm=None, out=None):
+    """Isotropic shrinkage of 2-vectors: v * max(0, 1 - t/|v|).
+
+    With out given, the factor is formed in out's component 0; with norm
+    given, |v| is read from it instead of computed."""
     v = np.asarray(v, dtype=np.float64)
-    factor = _norm(v)
+    if out is None:
+        factor = vector_norm(v) if norm is None else norm.copy()
+        out = np.empty(v.shape)
+    else:
+        factor = out[..., 0]
+        if norm is None:
+            vector_norm(v, out=factor, scratch=out[..., 1])
+        else:
+            np.copyto(factor, norm)
     # Guard the 0/0 at v = 0; the factor is 0 there anyway.
     np.copyto(factor, 1.0, where=~(factor > 0.0))
     np.divide(t, factor, out=factor)
     np.subtract(1.0, factor, out=factor)
     np.maximum(0.0, factor, out=factor)
-    out = np.empty(v.shape)
-    np.multiply(v[..., 0], factor, out=out[..., 0])
     np.multiply(v[..., 1], factor, out=out[..., 1])
+    np.multiply(v[..., 0], factor, out=out[..., 0])
     return out
 
 

@@ -86,10 +86,12 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-def rms(a: np.ndarray) -> float:
-    """Root mean square over all entries of an array."""
+def rms(a: np.ndarray, *, out: np.ndarray | None = None) -> float:
+    """Root mean square over all entries of an array.  out, if given,
+    takes the squares and may be a itself; np.mean sums in memory order,
+    so it must be C-contiguous like a fresh product."""
     a = np.asarray(a, dtype=np.float64)
-    return float(np.sqrt(np.mean(a * a)))
+    return float(np.sqrt(np.mean(np.multiply(a, a, out=out))))
 
 
 class ObjectCache:
@@ -122,7 +124,9 @@ def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):
     start_iter so chained runs keep a global counter).  The run stops
     early after the first iteration with primal_residual <= tol_primal;
     a non-finite energy raises DivergenceError.  on_check, if given, is
-    called as on_check(state, record) after every iteration.
+    called as on_check(state, record) after every iteration.  A state
+    may reuse its arrays between iterations (the denoising state writes
+    every field in place), so on_check must copy whatever it keeps.
     """
     history: list[IterationRecord] = []
     for k in range(1, params.max_iters + 1):
@@ -172,16 +176,45 @@ def _cells(h: int, w: int, py: int, px: int):
     return (Ellipsis, slice(1, 1 + (h - py + 1) // 2), slice(1, 1 + (w - px + 1) // 2))
 
 
-def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame) -> np.ndarray:
+def _frame(h: int, w: int) -> tuple:
+    """Frame of the parity planes of an (H, W) grid: a sub-lattice plus a
+    pad cell on every side."""
+    return ((h + 1) // 2 + 2, (w + 1) // 2 + 2)
+
+
+def _zero_pads(planes: np.ndarray) -> None:
+    """Zero the pad cells of (..., *frame) parity planes, in place: the
+    first and the last two rows and columns of every frame.  That covers
+    every plane's pad; the cells it also zeroes inside the planes that
+    reach the second-to-last row or column are written afterwards."""
+    for edge in (0, -2, -1):
+        planes[..., edge, :] = 0.0
+        planes[..., :, edge] = 0.0
+
+
+def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame, scratch=None) -> np.ndarray:
     """rhs, c*rhs and the gain xi/(1 + xi*c) of every sub-lattice, c the
     neighbor count, as a field-major (3 fields, 4 sub-lattices, ...,
     *frame) block of planes: one field of both sub-lattices of a color
-    is one contiguous run.  Pad cells hold 0 in all three."""
+    is one contiguous run.  Pad cells hold 0 in all three.  With a flat
+    scratch given, the block is its start and the count planes follow
+    it; their pads are zeroed first, so what the scratch held before does
+    not matter."""
     h, w = rhs.shape[-2:]
-    fields = np.zeros((3, 4) + rhs.shape[:-2] + frame)
-    b, bc, e = fields
+    shape = (3, 4) + rhs.shape[:-2] + frame
     # One count plane per sub-lattice, broadcast over the stack; 0 on pad.
-    count = np.zeros((4,) + (1,) * (rhs.ndim - 2) + frame)
+    count_shape = (4,) + (1,) * (rhs.ndim - 2) + frame
+    if scratch is None:
+        fields = np.zeros(shape)
+        count = np.zeros(count_shape)
+    else:
+        size = math.prod(shape)
+        fields = scratch[:size].reshape(shape)
+        count = scratch[size : size + math.prod(count_shape)].reshape(count_shape)
+        # c*rhs is written everywhere below; rhs and the gain only inside.
+        _zero_pads(fields[::2])
+        _zero_pads(count)
+    b, bc, e = fields
     for k, (py, px) in enumerate(_SUBLATTICES):
         cells = _cells(h, w, py, px)
         b[k][cells] = rhs[..., py::2, px::2]
@@ -195,9 +228,10 @@ def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame) -> np.ndarray:
     return fields
 
 
-def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
+def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int, scratch=None) -> None:
     """Red-black Gauss-Seidel sweeps in place on the (4, ..., *frame)
-    parity planes of v: v = rhs + (T - c*rhs) * gain, 18 ufunc calls each."""
+    parity planes of v: v = rhs + (T - c*rhs) * gain, 18 ufunc calls each.
+    scratch, if given, is a flat buffer of at least one plane."""
     n = planes[0].size
     stride = planes.shape[-1]
     v = planes.reshape(-1)
@@ -230,7 +264,7 @@ def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
     for k in (0, 2):
         tail = slice(k * n + lo, (k + 1) * n + hi)
         colors.append((sums[k : k + 2], v[tail], fields[:, tail]))
-    scratch = np.empty(hi - lo)
+    scratch = np.empty(hi - lo) if scratch is None else scratch[: hi - lo]
     for _ in range(sweeps):
         for color_sums, center, (b, bc, e) in colors:
             # center = b + (((left + right) + (up + down)) - bc) * e
@@ -255,7 +289,26 @@ def _check_system(rhs, xi) -> np.ndarray:
     return rhs
 
 
-def screened_solve(rhs: np.ndarray, xi, v0: np.ndarray, sweeps: int) -> np.ndarray:
+def solve_scratch_size(shape) -> int:
+    """Entries of the flat float64 scratch that screened_solve takes for
+    an rhs of this shape, enough for either kind of xi: the plane block,
+    the v planes and one plane for the neighbor sums of the sweeps, or
+    the two fields and the spectrum of the exact solve."""
+    h, w = shape[-2:]
+    entries = math.prod(shape[:-2])
+    plane = entries * math.prod(_frame(h, w))
+    return max(17 * plane, _exact_scratch_size(shape))
+
+
+def screened_solve(
+    rhs: np.ndarray,
+    xi,
+    v0: np.ndarray,
+    sweeps: int,
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Solve (1 - xi * laplacian) v = rhs on a stack: exactly for a scalar
     xi, by exactly `sweeps` Gauss-Seidel sweeps from v0 for a field xi.
 
@@ -266,6 +319,18 @@ def screened_solve(rhs: np.ndarray, xi, v0: np.ndarray, sweeps: int) -> np.ndarr
     (0-d) xi, which a constant weight gives, returns
     exact_screened_solve(rhs, xi); v0 and sweeps are then checked but
     not used.  A field xi takes the sweeps, even when it is uniform.
+    Callers pass rhs, xi, v0 and sweeps by position and the buffers by
+    keyword.
+
+    Buffers: out, if given, is a C-contiguous float64 array of rhs's
+    shape that receives the result; it may be rhs or v0 itself, since
+    both are read before out is written.  scratch, if given, is a flat
+    float64 buffer of at least solve_scratch_size(rhs.shape) entries for
+    every intermediate of either solve, whatever it held before.  With
+    both, a solve allocates nothing of field size; without them it
+    takes about 4.3 rhs sizes of fresh memory for a field xi (three
+    field planes, the v planes and a quarter-size scratch) and about
+    three for a scalar one.
 
     The sweeps use red-black ordering: each half sweep updates one
     checkerboard color from the other, which makes the result
@@ -291,9 +356,11 @@ def screened_solve(rhs: np.ndarray, xi, v0: np.ndarray, sweeps: int) -> np.ndarr
     writes +0.0 there while the neighbors are finite, and a pad cell
     keeps standing in for a missing neighbor.  (A non-finite value turns
     its pad neighbors to NaN, which then reach the next row and the next
-    stack entry.)  The neighbor sum is taken pairwise, (left + right) +
-    (up + down), so that for a constant field it rounds identically to
-    count * value.
+    stack entry.)  Every call zeroes the pad cells of the planes and
+    fields it uses, also in a reused scratch, so a non-finite value never
+    outlives the call that met it.  The neighbor sum is taken pairwise,
+    (left + right) + (up + down), so that for a constant field it rounds
+    identically to count * value.
 
     The update (rhs + xi*T)/(1 + xi*c), T the neighbor sum and c the
     neighbor count, runs as v = rhs + (T - c*rhs) * e with the gain
@@ -310,7 +377,7 @@ def screened_solve(rhs: np.ndarray, xi, v0: np.ndarray, sweeps: int) -> np.ndarr
         raise ValueError("v0 shape %s differs from rhs shape %s" % (v0.shape, rhs.shape))
     check_count("sweeps", sweeps, 0)
     if np.ndim(xi) == 0:
-        return exact_screened_solve(rhs, xi)
+        return exact_screened_solve(rhs, xi, out=out, scratch=scratch)
     try:
         xi = np.broadcast_to(xi, rhs.shape)
     except ValueError:
@@ -318,14 +385,24 @@ def screened_solve(rhs: np.ndarray, xi, v0: np.ndarray, sweeps: int) -> np.ndarr
             "xi shape %s does not broadcast to rhs shape %s" % (np.shape(xi), rhs.shape)
         ) from None
     h, w = rhs.shape[-2:]
-    frame = ((h + 1) // 2 + 2, (w + 1) // 2 + 2)
-    fields = _plane_fields(rhs, xi, frame)
-    planes = np.zeros((4,) + rhs.shape[:-2] + frame)
+    frame = _frame(h, w)
+    shape = (4,) + rhs.shape[:-2] + frame
+    fields = _plane_fields(rhs, xi, frame, scratch)
+    if scratch is None:
+        planes = np.zeros(shape)
+        run = None
+    else:
+        # the v planes follow the plane block, where the count planes were
+        size = math.prod(shape)
+        planes = scratch[3 * size : 4 * size].reshape(shape)
+        _zero_pads(planes)
+        run = scratch[4 * size : 4 * size + size // 4]
     for plane, (py, px) in zip(planes, _SUBLATTICES):
         plane[_cells(h, w, py, px)] = v0[..., py::2, px::2]
-    _sweep(planes, fields, sweeps)
+    _sweep(planes, fields, sweeps, run)
     del fields  # free before allocating the output, so the sweep sets the peak
-    out = np.empty(rhs.shape)
+    if out is None:
+        out = np.empty(rhs.shape)
     for plane, (py, px) in zip(planes, _SUBLATTICES):
         out[..., py::2, px::2] = plane[_cells(h, w, py, px)]
     return out
@@ -354,19 +431,26 @@ def _parities(even_odd: np.ndarray, natural: np.ndarray, axis: int):
     )
 
 
-def _dct_rows(x: np.ndarray) -> np.ndarray:
+def _part(buffer, shape):
+    """The first entries of a flat buffer as an array of this shape, or
+    None without a buffer."""
+    return None if buffer is None else buffer[: math.prod(shape)].reshape(shape)
+
+
+def _dct_rows(x: np.ndarray, out=None, spectrum=None) -> np.ndarray:
     """Unnormalized DCT-II along the last axis,
     X_k = sum_j x_j cos(pi k (2j + 1) / 2n), through one real FFT (Makhoul):
     with Z_k = exp(-i pi k / 2n) rfft(even-odd x)_k, X_k = Re Z_k and
     X_{n-k} = -Im Z_k.  The rows of the result come in even-odd order,
     ready for the column transform: the assembly of X writes them
-    there."""
+    there.  out and the flat complex spectrum are optional buffers."""
     n = x.shape[-1]
     m = (n + 1) // 2
-    out = np.empty(x.shape)  # the even-odd x until the FFT has read it
+    # the even-odd x until the FFT has read it
+    out = np.empty(x.shape) if out is None else out
     for dst, src in _parities(out, x, -1):
         dst[...] = src
-    z = np.fft.rfft(out, axis=-1)
+    z = np.fft.rfft(out, axis=-1, out=_part(spectrum, x.shape[:-1] + (n // 2 + 1,)))
     z *= _twiddle(n)
     for dst, src in _parities(out, z, -2):
         dst[..., : n // 2 + 1] = src.real
@@ -376,24 +460,28 @@ def _dct_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _idct_rows(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _idct_rows(c: np.ndarray, rhs: np.ndarray, out=None, spectrum=None, x=None) -> np.ndarray:
     """rhs plus the inverse of _dct_rows of c, whose rows come in
     even-odd order: Z_k = c_k - i c_{n-k} (c_n = 0), built in natural row
     order, undo the twiddle, inverse real FFT, and add rhs at the natural
-    positions of the even-odd entries.  The result overwrites c."""
+    positions of the even-odd entries.  The result goes into out, which
+    may be rhs, or else overwrites c; spectrum and x are optional
+    buffers for Z and the inverse FFT."""
     n = c.shape[-1]
     half = n // 2 + 1
-    z = np.empty(c.shape[:-1] + (half,), dtype=np.complex128)
+    shape = c.shape[:-1] + (half,)
+    z = np.empty(shape, dtype=np.complex128) if spectrum is None else _part(spectrum, shape)
     for src, dst in _parities(c, z, -2):
         dst.real = src[..., :half]
         dst.imag[..., 0] = 0.0
         np.multiply(src[..., n - 1 : n - half : -1], -1.0, out=dst.imag[..., 1:])
     z *= _twiddle(n).conj()
-    x = np.fft.irfft(z, n=n, axis=-1)
+    x = np.fft.irfft(z, n=n, axis=-1, out=x)
     m = (n + 1) // 2
-    np.add(x[..., :m], rhs[..., ::2], out=c[..., ::2])
-    np.add(x[..., n - 1 : m - 1 : -1], rhs[..., 1::2], out=c[..., 1::2])
-    return c
+    out = c if out is None else out
+    np.add(x[..., :m], rhs[..., ::2], out=out[..., ::2])
+    np.add(x[..., n - 1 : m - 1 : -1], rhs[..., 1::2], out=out[..., 1::2])
+    return out
 
 
 def _kappa(n: int) -> np.ndarray:
@@ -422,7 +510,22 @@ def _column_gains(h: int, w: int, xi: float):
     return out
 
 
-def exact_screened_solve(rhs: np.ndarray, xi: float) -> np.ndarray:
+def _exact_scratch_size(shape) -> int:
+    """Entries of the flat float64 scratch of exact_screened_solve: two
+    fields and a complex spectrum as large as the bigger of the row and
+    the column half spectra."""
+    h, w = shape[-2:]
+    entries = math.prod(shape[:-2])
+    return entries * (2 * h * w + 2 * max(h * (w // 2 + 1), (h // 2 + 1) * w))
+
+
+def exact_screened_solve(
+    rhs: np.ndarray,
+    xi: float,
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Exact solve of (1 - xi * laplacian) v = rhs for one scalar xi >= 0.
 
     rhs has shape (..., H, W); every leading index is a separate grid.
@@ -445,7 +548,11 @@ def exact_screened_solve(rhs: np.ndarray, xi: float) -> np.ndarray:
     and the reversed odd half of each row for the even and odd columns.
     The result overwrites the column pass's output, so once the gains
     of (H, W, xi) are cached a call peaks at about three fields besides
-    rhs.
+    rhs.  out and scratch are the buffers screened_solve describes; the
+    scratch holds the Laplacian and the column pass's output in its
+    first field, the row transforms in its second, and every spectrum
+    after them, each one over the last.  Every FFT writes its output
+    there through out=.
 
     Residual form: v = rhs + e with (1 - xi laplacian) e = xi laplacian
     rhs, the Laplacian of rhs taken in space.  A constant rhs has an
@@ -460,11 +567,19 @@ def exact_screened_solve(rhs: np.ndarray, xi: float) -> np.ndarray:
     rhs = _check_system(rhs, xi)
     h, w = rhs.shape[-2:]
     g_real, g_imag, twiddle, twiddle_conj = _column_gains(h, w, float(xi))
-    z = np.fft.rfft(_dct_rows(laplacian(rhs)), axis=-2)
+    first = second = spectrum = lap_scratch = None
+    if scratch is not None:
+        n = rhs.size
+        first = scratch[:n].reshape(rhs.shape)
+        second = scratch[n : 2 * n].reshape(rhs.shape)
+        lap_scratch = scratch[n:]
+        spectrum = scratch[2 * n : _exact_scratch_size(rhs.shape)].view(np.complex128)
+    rows = _dct_rows(laplacian(rhs, out=first, scratch=lap_scratch), second, spectrum)
+    z = np.fft.rfft(rows, axis=-2, out=_part(spectrum, rhs.shape[:-2] + (h // 2 + 1, w)))
     z *= twiddle
     z.real *= g_real
     z.imag *= g_imag
     z *= twiddle_conj
-    rows = np.fft.irfft(z, n=h, axis=-2)
+    rows = np.fft.irfft(z, n=h, axis=-2, out=first)
     del z  # free the spectrum before the row transform allocates its own
-    return _idct_rows(rows, rhs)
+    return _idct_rows(rows, rhs, out, spectrum, second)

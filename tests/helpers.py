@@ -361,6 +361,34 @@ def segment_energy_reference(s, params):
     return total + params.tau_excl * float(np.sum(overlap))
 
 
+def denoise_iterate_reference(s, params):
+    """One denoising iteration on the fields of s (f, u, v, w, r, z, lam),
+    in the documented step order, from the textbook formulas with one
+    fresh temporary per operation: no buffer is reused, no intermediate
+    shared.  z comes out interleaved; a constant weight stays a float."""
+    mu, eta, theta = params.mu, params.eta, params.theta
+    s.z = shrink_vec_reference(gradient_reference(s.v), eta)
+    q = s.f - s.u
+    s.lam = weight_fields_reference(envelope_reference(q, s.r, mu), params.adaptive)
+    s.r = shrink_reference(q, mu)
+    base = s.v - s.w
+    s.u = base + s.lam * ((s.f - s.r) - base) / (s.lam + mu * theta)
+    xi = (1.0 - s.lam) / (eta * theta)
+    rhs = s.u + s.w - xi * divergence_reference(s.z)
+    if np.ndim(xi):
+        s.v = screened_sweep_reference(rhs, xi, s.v, params.gs_sweeps)
+    else:
+        s.v = exact_screened_solve_reference(rhs, xi)
+    s.w = s.w + (s.u - s.v)
+
+
+def denoise_energy_reference(s, params):
+    """Denoising energy of the fields of s, data term first."""
+    data = s.lam * huber_reference(s.f - s.u, params.mu)
+    reg = (1.0 - s.lam) * huber_vec_reference(gradient_reference(s.v), params.eta)
+    return float(np.sum(data) + np.sum(reg))
+
+
 def reference_color_wheel():
     """Independent 55-entry flow color wheel, built segment by segment."""
     segments = ((15, "RY"), (6, "YG"), (4, "GC"), (11, "CB"), (13, "BM"), (6, "MR"))

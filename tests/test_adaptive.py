@@ -9,8 +9,9 @@ from adaptreg.adaptive import (
     residual_to_nu,
     weight_fields,
 )
-from adaptreg.grid import convolve_gaussian
+from adaptreg.grid import convolve_gaussian, smoothing_scratch_size
 from adaptreg.synth import Splitmix64
+from helpers import assert_same_bits, weight_fields_reference
 
 
 def test_zero_residual_has_full_confidence():
@@ -115,3 +116,17 @@ def test_params_validation():
     # boundary values are legal
     AdaptiveParams(beta=1.0, alpha=0.0, constant_lambda=0.0)
     AdaptiveParams(beta=1.0, alpha=0.99, constant_lambda=1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("shape", [(3, 4), (31, 47), (128, 128)], ids=["3x4", "31x47", "128x128"])
+def test_weight_fields_writes_into_given_buffers(shape, sigma):
+    # Buffers full of NaN, as a reused workspace slot may hold; on the
+    # 3x4 grid the radius-6 pad reflects more than once.
+    rho = Splitmix64(71).uniforms(shape[0] * shape[1]).reshape(shape) * 2.0
+    params = AdaptiveParams(beta=0.05, alpha=0.1, smoothing_sigma=sigma)
+    size = max(rho.size, smoothing_scratch_size(shape, sigma))
+    out = np.full(shape, np.nan)
+    lam = weight_fields(rho, params, out=out, scratch=np.full(size, np.nan))
+    assert lam is out
+    assert_same_bits(lam, weight_fields_reference(rho, params))

@@ -173,6 +173,27 @@ def test_stencils_match_frozen_formulas(shape, layout, zeros):
         assert_same_bits(divergence(p), divergence_reference(p))
 
 
+@pytest.mark.parametrize("layout", ["c", "component-first"])
+@pytest.mark.parametrize("shape", STENCIL_SHAPES, ids=["x".join(map(str, s)) for s in STENCIL_SHAPES])
+def test_stencils_write_into_given_buffers(shape, layout):
+    # Buffers full of NaN, as a reused workspace slot may hold; the
+    # gradient goes into interleaved and into component-planar memory.
+    u = stencil_field(shape, 132, False)
+    p = stencil_field(shape + (2,), 133, False)
+    if layout == "component-first":
+        p = np.moveaxis(np.ascontiguousarray(np.moveaxis(p, -1, 0)), 0, -1)
+    size = u.size
+    with np.errstate(all="ignore"):
+        ref = gradient_reference(u)
+        for out in (np.full(shape + (2,), np.nan), np.moveaxis(np.full((2,) + shape, np.nan), 0, -1)):
+            assert gradient(u, out=out) is out
+            assert_same_bits(out, ref)
+        out = divergence(p, out=np.full(shape, np.nan), scratch=np.full(size, np.nan))
+        assert_same_bits(out, divergence_reference(p))
+        out = laplacian(u, out=np.full(shape, np.nan), scratch=np.full(2 * size, np.nan))
+        assert_same_bits(out, laplacian_reference(u))
+
+
 @pytest.mark.parametrize(
     "op, shape, bound",
     [

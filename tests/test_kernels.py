@@ -18,8 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from adaptreg.grid import BAND_BYTES, _convolve_axis, convolve_gaussian, gaussian_kernel
-from adaptreg.prox import envelope_at, huber, huber_vec, shrink, shrink_vec
+from adaptreg.grid import (
+    BAND_BYTES,
+    _convolve_axis,
+    convolve_gaussian,
+    gaussian_kernel,
+    smoothing_scratch_size,
+)
+from adaptreg.prox import envelope_at, huber, huber_vec, shrink, shrink_vec, vector_norm
 from adaptreg.synth import Splitmix64
 from helpers import (
     assert_same_bits,
@@ -214,3 +220,74 @@ def test_banded_convolve_matches_frozen_formula(shape, sigma, component_first):
         for axis in (-1, -2):
             assert_same_bits(_convolve_axis(u, k, radius, axis), convolve_axis_reference(u, k, radius, axis))
         assert_same_bits(convolve_gaussian(u, sigma), convolve_gaussian_reference(u, sigma))
+
+
+def garbage(shape):
+    """A buffer full of NaN, as a reused workspace slot may hold."""
+    return np.full(shape, np.nan)
+
+
+def planar(shape):
+    """An (..., 2) buffer full of NaN whose components are contiguous."""
+    return np.moveaxis(garbage((2,) + shape[:-1]), 0, -1)
+
+
+@KERNEL_SETTINGS
+@given(data=st.data(), vector=st.booleans(), mu=THRESHOLDS)
+def test_huber_writes_into_given_buffers(data, vector, mu):
+    x = data.draw(fields(vector, mu))
+    with np.errstate(all="ignore"):
+        if vector:
+            ref = huber_vec_reference(x, mu)
+            shape = x.shape[:-1]
+            norm = vector_norm(x)
+            before = norm.copy()
+            assert_same_bits(huber_vec(x, mu, out=garbage(shape), scratch=garbage(shape)), ref)
+            assert_same_bits(huber_vec(x, mu, norm=norm, out=garbage(shape), scratch=garbage(shape)), ref)
+            assert_same_bits(norm, before)
+        else:
+            ref = huber_reference(x, mu)
+            assert_same_bits(huber(x, mu, out=garbage(x.shape), scratch=garbage(x.shape)), ref)
+
+
+@KERNEL_SETTINGS
+@given(data=st.data(), t=THRESHOLDS)
+def test_shrinks_write_into_given_buffers(data, t):
+    x = data.draw(fields(vector=False))
+    v = data.draw(fields(vector=True))
+    with np.errstate(all="ignore"):
+        ref = shrink_reference(x, t)
+        assert_same_bits(shrink(x, t, out=garbage(x.shape), scratch=garbage(x.shape)), ref)
+        # in place: the signs go to the scratch before out is written
+        y = np.array(x)
+        assert_same_bits(shrink(y, t, out=y, scratch=garbage(x.shape)), ref)
+        ref = shrink_vec_reference(v, t)
+        for out in (garbage(v.shape), planar(v.shape)):
+            assert_same_bits(shrink_vec(v, t, out=out), ref)
+            assert_same_bits(shrink_vec(v, t, norm=vector_norm(v), out=garbage(v.shape)), ref)
+        assert_same_bits(shrink_vec(v, t, norm=vector_norm(v)), ref)
+
+
+@KERNEL_SETTINGS
+@given(data=st.data(), mu=THRESHOLDS)
+def test_envelope_at_writes_into_given_buffers(data, mu):
+    x = data.draw(fields(vector=False))
+    r = data.draw(hnp.arrays(np.float64, x.shape, elements=ELEMENTS))
+    with np.errstate(all="ignore"):
+        out = envelope_at(x, r, mu, out=garbage(x.shape), scratch=garbage(x.shape))
+        assert_same_bits(out, envelope_reference(x, r, mu))
+
+
+@KERNEL_SETTINGS
+@given(u=scalar_stacks(), sigma=st.sampled_from((0.0, 0.3, 0.7, 1.5, 2.0)))
+def test_convolve_writes_into_given_buffers(u, sigma):
+    # Grids up to 9 wide take radii up to 6, so some pads reflect more
+    # than once.
+    scratch = garbage(smoothing_scratch_size(u.shape, sigma))
+    with np.errstate(all="ignore"):
+        ref = convolve_gaussian_reference(u, sigma)
+        assert_same_bits(convolve_gaussian(u, sigma, out=garbage(u.shape), scratch=scratch), ref)
+        # in place: each pass reads only its padded copy
+        w = np.array(u)
+        assert convolve_gaussian(w, sigma, out=w, scratch=scratch) is w
+        assert_same_bits(w, ref)

@@ -74,3 +74,52 @@ def test_no_trailing_axis_broadcasts():
         for path in files
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def screened_solve_calls(tree):
+    """(line, well-formed) for each call of screened_solve: well-formed
+    means exactly four positional arguments (rhs, xi, v0, sweeps), none
+    of them unpacked, and nothing else by keyword but the buffers out=
+    and scratch=."""
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "screened_solve":
+            continue
+        positional = len(node.args) == 4 and not any(isinstance(a, ast.Starred) for a in node.args)
+        buffers = all(k.arg in ("out", "scratch") for k in node.keywords)
+        calls.append((node.lineno, positional and buffers))
+    return sorted(calls)
+
+
+def test_rule_flags_screened_solve_call_shapes():
+    code = (
+        "screened_solve(rhs, xi, v, n)\n"
+        "screened_solve(rhs, xi, v, n, out=o, scratch=s)\n"
+        "solver.screened_solve(rhs, xi, v, n, o)\n"
+        "screened_solve(rhs, xi, v)\n"
+        "screened_solve(rhs, xi, v0=v, sweeps=n)\n"
+        "screened_solve(*args)\n"
+        "screened_solve(rhs, xi, v, n, **buffers)\n"
+        "exact_screened_solve(rhs, xi, o)\n"
+    )
+    calls = screened_solve_calls(ast.parse(code))
+    assert [line for line, ok in calls if not ok] == [3, 4, 5, 6, 7]
+    assert [line for line, ok in calls if ok] == [1, 2]
+
+
+def test_screened_solve_calls_pass_four_positional_arguments():
+    # The benchmark's tracer counts a call's sweeps by unpacking
+    # `rhs, _, _, sweeps = args`, so a fifth positional argument would
+    # break every traced run; buffers go by keyword.
+    files = sorted(SOURCE.glob("*.py"))
+    found = {
+        path.name: screened_solve_calls(ast.parse(path.read_text(), str(path)))
+        for path in files
+    }
+    assert {name for name, calls in found.items() if calls} >= {"denoise.py", "segment.py", "flow.py"}
+    assert {name: [line for line, ok in calls if not ok] for name, calls in found.items()
+            if not all(ok for _, ok in calls)} == {}

@@ -25,6 +25,7 @@ from adaptreg.solver import (
     rms,
     run_admm,
     screened_solve,
+    solve_scratch_size,
 )
 from adaptreg.synth import Splitmix64, shifted_pair, smooth_texture
 from helpers import (
@@ -269,6 +270,64 @@ def test_screened_solve_nan_reaches_the_next_stack_entry():
     assert np.all(np.isfinite(screened_solve(rhs[1], xi[1], np.zeros(shape[1:]), 5)))
 
 
+def solver_inputs(shape, seed):
+    rng = Splitmix64(seed)
+    size = int(np.prod(shape))
+    rhs = rng.normals(size).reshape(shape)
+    v0 = rng.normals(size).reshape(shape)
+    xi = rng.uniforms(size).reshape(shape) * 12.0
+    xi[..., ::3, ::2] = 0.0
+    rhs[..., ::4, 1::3] = -0.0
+    return rhs, xi, v0
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["field", "scalar"])
+@pytest.mark.parametrize(
+    "shape", [(3,) + hw for hw in GRIDS] + [(2, 3, 7, 9)], ids=["3x%dx%d" % hw for hw in GRIDS] + ["2x3x7x9"]
+)
+def test_screened_solve_buffers_give_the_same_bits(shape, scalar):
+    # A scratch full of NaN, as a reused workspace leaves it, and an out
+    # that is a fresh buffer, rhs itself or v0 itself.
+    rhs, xi, v0 = solver_inputs(shape, 408)
+    if scalar:
+        xi = 2.5
+    for sweeps in (0, 3):
+        fresh = screened_solve(rhs, xi, v0, sweeps)
+        for target in ("new", "rhs", "v0"):
+            r, v = rhs.copy(), v0.copy()
+            out = {"new": np.full(shape, np.nan), "rhs": r, "v0": v}[target]
+            scratch = np.full(solve_scratch_size(shape), np.nan)
+            assert screened_solve(r, xi, v, sweeps, out=out, scratch=scratch) is out
+            assert_bitwise(out, fresh)
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["field", "scalar"])
+@pytest.mark.parametrize("shape", [(6, 6), (2, 6, 6), (7, 9)], ids=["6x6", "2x6x6", "7x9"])
+def test_reused_scratch_pad_cells_stay_zero(shape, scalar):
+    # A NaN turns the pad cells of the planes it reaches into NaN.  A solve
+    # that reuses that scratch must still return the bits of a fresh one,
+    # so a non-finite value never outlives the solve that met it.
+    rhs, xi, v0 = solver_inputs(shape, 409)
+    if scalar:
+        xi = 2.5
+    scratch = np.empty(solve_scratch_size(shape))
+    out = np.empty(shape)
+    bad = rhs.copy()
+    bad[..., -1, -1] = np.nan
+    screened_solve(bad, xi, v0, 5, out=out, scratch=scratch)
+    assert np.isnan(out).any()
+    screened_solve(rhs, xi, v0, 5, out=out, scratch=scratch)
+    assert_bitwise(out, screened_solve(rhs, xi, v0, 5))
+
+
+def test_rms_takes_its_squares_in_a_given_buffer():
+    a = Splitmix64(410).normals(40 * 31).reshape(40, 31)
+    expected = float(np.sqrt(np.mean(a * a)))
+    assert rms(a, out=np.full(a.shape, np.nan)) == expected
+    b = a.copy()
+    assert rms(b, out=b) == expected
+
+
 def test_screened_solve_rejects_mismatched_inputs():
     rhs = np.zeros((3, 4, 5))
     xi = np.ones((4, 5))
@@ -464,12 +523,12 @@ def _run_problem(problem, sp):
 @pytest.mark.parametrize("problem", ["denoise", "segment", "flow"])
 def test_v_step_solves_exactly_only_for_a_constant_weight(monkeypatch, problem, constant):
     # Counted inside the solver: every v-step calls screened_solve, which
-    # takes the exact solve or the sweeps.
+    # takes the exact solve or the sweeps, passing buffers by keyword.
     calls = {"exact_screened_solve": 0, "_sweep": 0}
     for name in calls:
-        def counted(*args, _solve=getattr(solver, name), _name=name):
+        def counted(*args, _solve=getattr(solver, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _solve(*args)
+            return _solve(*args, **kwargs)
         monkeypatch.setattr(solver, name, counted)
     ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=0.4 if constant else None)
     _run_problem(problem, make_params(adaptive=ap, max_iters=3, tol_primal=1e-300))
