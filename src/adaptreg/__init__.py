@@ -6,7 +6,7 @@ weight where the current model explains the data poorly, plus the grid
 operators, metrics, file formats, and synthetic fixtures around them.
 """
 
-from .adaptive import AdaptiveParams, nu_to_lambda, residual_to_nu, weight_fields
+from .adaptive import AdaptiveParams, residual_to_nu, weight_fields
 from .denoise import DenoiseState, run_denoise
 from .flow import FlowParams, FlowState, linearize, run_flow, tau_schedule
 from .metrics import aae, aee, label_scores, match_labels, psnr, ssim
@@ -61,7 +61,6 @@ __all__ = [
     "linearize",
     "match_labels",
     "noisy_rectangles",
-    "nu_to_lambda",
     "psnr",
     "residual_to_nu",
     "run_admm",

@@ -77,12 +77,6 @@ def residual_to_nu(
     return np.exp(nu, out=nu)
 
 
-def nu_to_lambda(nu: np.ndarray, alpha: float, *, out=None, scratch=None) -> np.ndarray:
-    """Fidelity weight lambda = max(nu - alpha, 0); out and scratch go to
-    shrink, so out may be nu."""
-    return shrink(nu, alpha, out=out, scratch=scratch)
-
-
 def weight_fields(
     rho: np.ndarray | None, params: AdaptiveParams, *, out=None, scratch=None
 ) -> np.ndarray | float:
@@ -101,4 +95,4 @@ def weight_fields(
         return float(params.constant_lambda)
     nu = residual_to_nu(rho, params, out=out, scratch=scratch)
     sign = None if scratch is None else scratch[: nu.size].reshape(nu.shape)
-    return nu_to_lambda(nu, params.alpha, out=nu, scratch=sign)
+    return shrink(nu, params.alpha, out=nu, scratch=sign)

@@ -5,8 +5,8 @@ with lambda driven by the data residual.  ADMM splits u = v, soft-shrinks
 the auxiliaries r (data) and z (gradient), and alternates:
 
     z            vector shrink of grad v (it reads only v, so it runs
-                 first, from the grad v and |grad v| the energy already
-                 computed)
+                 first, from the grad v and |grad v| the last iteration
+                 formed)
     nu, lambda   from the explicit residual envelope_at(f - u, r, mu) =
                  |r| + (f - u - r)^2 / (2 mu) at the previous r (taken
                  literally from the update sequence, not recomputed);
@@ -24,25 +24,25 @@ the auxiliaries r (data) and z (gradient), and alternates:
 Initialization u = v = f, everything else zero.  A constant image is a
 fixed point: the first iteration already has a zero primal residual.
 
-Three intermediates are computed once and shared: grad v and |grad v|
-once per v, by the energy and the next z-step (huber_vec and shrink_vec
-both read the norm); f - u once per u, by the energy and the next
-weights and r-step; u - v once per iteration, from which the dual step
-forms the new w and then the primal residual, kept as a number.
+Each intermediate is computed once and shared.  The dual step forms
+u - v, from which it takes the new w and then the primal residual, kept
+as a number.  After it, at the end of every iteration (and in the
+constructor), DenoiseState._form_intermediates forms grad v, |grad v|
+and the data gap f - u of the new fields: the energy reads them, and so
+does the next iteration (huber_vec and shrink_vec both read the norm,
+the weights and the r-step the gap).  energy() and primal_residual()
+only read what is kept.
 
-Workspace: a DenoiseState allocates one _Workspace on its first
-iteration (or energy) and reuses it for every later one, so a
-steady-state iteration allocates nothing of field size.  The steps write
-u, w, r, z and a weight field lambda in place, and v alternates between
-two buffers: the v-step builds its right-hand side in the spare one, the
-solve writes v over it, and the old v becomes the spare.  The
-workspace's slots share memory across the phases of an iteration (see
-_Workspace), so it takes no more memory than the v-solve's temporaries
-did.  Each kept intermediate is keyed by the identity of the fields it
-came from and cleared explicitly where a step writes those fields in
-place or reuses its memory.  Assigning a new array to a field is
-therefore safe, and the state takes that array over; writing into a
-field in place from outside the state is not.
+Workspace: a DenoiseState allocates one _Workspace at construction and
+reuses it for every iteration, so a steady-state iteration allocates
+nothing of field size.  The steps write u, w, r, z and a weight field
+lambda in place, and v alternates between two buffers: the v-step builds
+its right-hand side in the spare one, the solve writes v over it, and
+the old v becomes the spare.  The workspace's slots share memory across
+the phases of an iteration (see _Workspace), so it takes no more memory
+than the v-solve's temporaries did.  A field assigned or written from
+outside the state between iterations is not seen by the kept
+intermediates.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import divergence, gradient, scalar_grid, smoothing_scratch_size
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec, vector_norm
-from .solver import ObjectCache, SolverParams, rms, run_admm, screened_solve, solve_scratch_size
+from .solver import SolverParams, rms, run_admm, screened_solve, solve_scratch_size
 
 
 class _Workspace:
@@ -61,15 +61,16 @@ class _Workspace:
     One arena holds the v-solve's scratch, then one field.  Between
     v-solves, the scratch's start holds other slots in turn:
 
-        grad v (component-planar) and |grad v|   energy -> next z-step
         the smoothing's scratch                  weights
         the u-step's temporaries                 u-step
         u - v                                    dual step
+        grad v (component-planar) and |grad v|   end of iteration -> energy
+                                                 and next z-step
 
-    and f - u sits past the smoothing's part (energy -> next r-step).
-    The field slot takes the envelope, xi, |grad v|'s second square, the
-    energy's terms and the signs of the shrinks; the spare v buffer takes
-    the energy's scratch."""
+    and f - u sits past the smoothing's part (end of iteration -> energy
+    and next r-step).  The field slot takes the envelope, xi, |grad v|'s
+    second square, the energy's terms and the signs of the shrinks; the
+    spare v buffer takes the energy's scratch."""
 
     def __init__(self, shape, sigma: float):
         n = shape[0] * shape[1]
@@ -83,9 +84,6 @@ class _Workspace:
         self.gap = self.solve[gap_at : gap_at + n].reshape(shape)
         self.field = arena[-n:].reshape(shape)
         self.spare = np.empty(shape)
-        self.grad_v = ObjectCache()
-        self.gap_u = ObjectCache()
-        self.residual = ObjectCache()
 
 
 class DenoiseState:
@@ -93,10 +91,11 @@ class DenoiseState:
 
     lam is an (H, W) field, or a float that broadcasts against the
     fields when the weight is constant.  z is component-planar: an
-    (H, W, 2) view of (2, H, W) memory.  workspace is None until the
-    first iteration or energy allocates it.  The state writes its fields
-    in place (see the module docstring), so code that keeps a field
-    across an iteration must copy it."""
+    (H, W, 2) view of (2, H, W) memory.  The state writes its fields in
+    place (see the module docstring), so code that keeps a field across
+    an iteration must copy it.  grad v, |grad v| and f - u of the
+    current fields sit in the workspace, and residual is the primal
+    residual of the last dual step (0.0 at the start, where u = v)."""
 
     def __init__(self, f: np.ndarray, params: SolverParams):
         self.f = scalar_grid(f)
@@ -107,68 +106,47 @@ class DenoiseState:
         self.r = np.zeros_like(self.f)
         self.z = np.moveaxis(np.zeros((2,) + self.f.shape), 0, -1)
         self.lam = np.ones_like(self.f)
-        self.workspace = None
+        ap = params.adaptive
+        sigma = ap.smoothing_sigma if ap.constant_lambda is None else 0.0
+        self.workspace = _Workspace(self.f.shape, sigma)
+        self.residual = 0.0
+        self._form_intermediates()
 
-    def _workspace(self) -> _Workspace:
-        if self.workspace is None:
-            ap = self.params.adaptive
-            sigma = ap.smoothing_sigma if ap.constant_lambda is None else 0.0
-            self.workspace = _Workspace(self.f.shape, sigma)
-        return self.workspace
-
-    def _grad_v(self, ws: _Workspace):
-        """(grad v, |grad v|) of the current v, computed once per v."""
-
-        def compute(v):
-            g = gradient(v, out=ws.grad)
-            return g, vector_norm(g, out=ws.norm, scratch=ws.field)
-
-        return ws.grad_v.get(compute, self.v)
-
-    def _gap(self, ws: _Workspace) -> np.ndarray:
-        """f - u, computed once per u."""
-        return ws.gap_u.get(lambda f, u: np.subtract(f, u, out=ws.gap), self.f, self.u)
+    def _form_intermediates(self):
+        """grad v, |grad v| and f - u into their workspace slots."""
+        ws = self.workspace
+        gradient(self.v, out=ws.grad)
+        vector_norm(ws.grad, out=ws.norm, scratch=ws.field)
+        np.subtract(self.f, self.u, out=ws.gap)
 
     def iterate(self):
         p = self.params
-        ws = self._workspace()
-        g, norm = self._grad_v(ws)
-        shrink_vec(g, p.eta, norm=norm, out=self.z)
-        ws.grad_v.clear()
-        q = self._gap(ws)
+        ws = self.workspace
+        shrink_vec(ws.grad, p.eta, norm=ws.norm, out=self.z)
         rho = None
         if p.adaptive.constant_lambda is None:
-            rho = envelope_at(q, self.r, p.mu, out=ws.field, scratch=ws.temps[0])
+            rho = envelope_at(ws.gap, self.r, p.mu, out=ws.field, scratch=ws.temps[0])
         self.lam = weight_fields(rho, p.adaptive, out=self.lam, scratch=ws.smoothing)
-        shrink(q, p.mu, out=self.r, scratch=ws.field)
-        ws.gap_u.clear()
-        ws.residual.clear()
+        shrink(ws.gap, p.mu, out=self.r, scratch=ws.field)
         update_u(self, p, out=self.u, scratch=ws.temps)
         v = update_v(self, p, out=ws.spare, xi=ws.field, scratch=ws.solve)
         ws.spare, self.v = self.v, v
         d = np.subtract(self.u, self.v, out=ws.temps[0])
         self.w += d
         # after w has read u - v: the squares go over it
-        ws.residual.get(lambda u, v: rms(d, out=d), self.u, self.v)
+        self.residual = rms(d, out=d)
+        self._form_intermediates()
 
     def primal_residual(self) -> float:
-        ws = self._workspace()
-
-        def compute(u, v):
-            d = np.subtract(u, v, out=ws.field)
-            return rms(d, out=d)
-
-        return ws.residual.get(compute, self.u, self.v)
+        return self.residual
 
     def energy(self) -> float:
         p = self.params
-        ws = self._workspace()
-        q = self._gap(ws)
-        g, norm = self._grad_v(ws)
-        data = huber(q, p.mu, out=ws.field, scratch=ws.spare)
+        ws = self.workspace
+        data = huber(ws.gap, p.mu, out=ws.field, scratch=ws.spare)
         data *= self.lam
         total = np.sum(data)
-        reg = huber_vec(g, p.eta, norm=norm, out=ws.field, scratch=ws.spare)
+        reg = huber_vec(ws.grad, p.eta, norm=ws.norm, out=ws.field, scratch=ws.spare)
         if np.ndim(self.lam):
             reg *= np.subtract(1.0, self.lam, out=ws.spare)
         else:

@@ -27,12 +27,16 @@ C-contiguous (2, H, W) memory (component-planar): each component is one
 contiguous plane, elementwise results of such fields inherit that
 layout, and the component-first stack that gradient and the v-solve
 take is a plain view.  update_u works per component on those planes.
-Two intermediates are computed once and shared: the data gap ft - A . u,
-by the energy and the next iteration, and u - v, from which the dual
-step forms both the new w and the primal residual.  The residual still
-sums u - v in interleaved (H, W, 2) order, through one C-ordered copy:
-np.mean's pairwise summation follows memory order, so summing the planes
-would change the last bits of the history.
+
+Each intermediate is computed once and shared.  The dual step forms
+u - v, from which it takes both the new w and the primal residual, kept
+as a number.  FlowState._form_intermediates forms the data gap
+ft - A . u and the component gradients of v, which the energy and the
+next iteration read; it runs at the end of every iteration, in the
+constructor and in relinearize.  The residual still sums u - v in
+interleaved (H, W, 2) order, through one C-ordered copy: np.mean's
+pairwise summation follows memory order, so summing the planes would
+change the last bits of the history.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import central_gradient, divergence, gradient, scalar_grid, warp_bilinear
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import ObjectCache, SolverParams, check_count, rms, run_admm, screened_solve
+from .solver import SolverParams, check_count, rms, run_admm, screened_solve
 
 
 @dataclass
@@ -110,11 +114,6 @@ def _component_gradient(v: np.ndarray) -> np.ndarray:
     return gradient(np.moveaxis(v, -1, 0))
 
 
-def _data_gap(ft: np.ndarray, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The linearized brightness residual ft - A . u."""
-    return ft - _dot(a, u)
-
-
 def _interleaved_rms(d: np.ndarray) -> float:
     """rms of an (H, W, 2) field, summed in C (interleaved) order: np.mean
     sums pairwise in memory order, so d goes through one C-ordered copy,
@@ -144,18 +143,12 @@ class FlowState:
     component-first, (2, H, W, 2).  lam is an (H, W) field, or a float
     that broadcasts against the fields when the weight is constant.
 
-    Three values are computed once per set of objects (by identity) and
-    kept:
-    - grad_v, the component gradients of v, read by the energy and the
-      next z-step;
-    - gap, the data gap ft - A . u, read by the energy and the next
-      iteration;
-    - residual, the primal residual of (u, v), which update_v_w forms
-      from the same u - v as the dual step.
-    Assigning u, v, A or ft needs nothing more.  Code that writes one of
-    them in place must clear every cache that reads it: grad_v for v,
-    gap for u, A or ft, and residual for u or v.  update_v_w writes v in
-    place, clears grad_v and refills residual."""
+    It keeps three values of the current fields: gap, the data gap
+    ft - A . u, and grad_v, the component gradients of v, both read by
+    the energy and the next iteration; and residual, the primal residual
+    of the last dual step (0.0 at the start, where u = v).  A field
+    assigned or written from outside is not seen by them until
+    relinearize, which re-forms gap and grad_v."""
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams):
         self.f1 = scalar_grid(f1)
@@ -175,9 +168,8 @@ class FlowState:
         self.tau = tau_schedule(params.tau0, params.dtau, 0)
         self.A = _planar(zero)
         self.ft = np.zeros(shape, dtype=np.float64)
-        self.grad_v = ObjectCache()
-        self.gap = ObjectCache()
-        self.residual = ObjectCache()
+        self.residual = 0.0
+        self._form_intermediates()
 
     def relinearize(self):
         """Re-expand the data term around the current field at the
@@ -185,6 +177,15 @@ class FlowState:
         a, ft = _linearize(self.f1, self.f2, self.u, self.tau)
         self.A = _planar(a)
         self.ft = ft + _dot(self.A, self.u)
+        self._form_intermediates()
+
+    def _form_intermediates(self):
+        """The data gap ft - A . u and the component gradients of v."""
+        # Gap first: on the 128^2 flow benchmark this order took fewer
+        # minor faults per pass (median 2.8k against 4.5k over 64
+        # passes), though the count swings several-fold with the heap.
+        self.gap = self.ft - _dot(self.A, self.u)
+        self.grad_v = _component_gradient(self.v)
 
     def iterate(self):
         p = self.params
@@ -193,33 +194,25 @@ class FlowState:
         # the smoothing or the v-solve, the memory peaks.  The old z goes
         # before the new one is made, which can then take its memory.
         self.z = None
-        g = self.grad_v.get(_component_gradient, self.v)
+        g, self.grad_v = self.grad_v, None
         self.z = shrink(g, sp.eta) if p.anisotropic_reg else shrink_vec(g, sp.eta)
         del g
-        self.grad_v.clear()
-        # u is replaced below, so neither its gap nor its residual is kept.
-        q = self.gap.get(_data_gap, self.ft, self.A, self.u)
-        self.gap.clear()
-        self.residual.clear()
+        q, self.gap = self.gap, None
         self.lam = weight_fields(envelope_at(q, self.r, sp.mu), sp.adaptive)
         self.r = shrink(q, sp.mu)
         del q  # not held through the v-solve, the memory peak
         self.u = update_u(self, sp)
         update_v_w(self, sp)
+        self._form_intermediates()
         self.tau_count += 1
         self.tau = tau_schedule(p.tau0, p.dtau, self.tau_count)
 
     def primal_residual(self) -> float:
-        return self.residual.get(lambda u, v: _interleaved_rms(u - v), self.u, self.v)
+        return self.residual
 
     def energy(self) -> float:
         sp = self.params.solver
-        # The regularizer comes first, so its Huber temporaries are freed
-        # before the data gap is formed and kept.  In the other order the
-        # kept gap raised the heap's peak, and the allocator trimmed and
-        # refaulted the top of the heap each iteration: about twice the
-        # minor page faults on the 128^2 flow benchmark.
-        g = self.grad_v.get(_component_gradient, self.v)
+        g = self.grad_v
         # One Huber call per component: a single call on the whole
         # (2, H, W, 2) stack measured about 3% slower end to end on the
         # 128^2 flow benchmark (slower in 5 of 6 paired runs, 2-core x86).
@@ -232,7 +225,7 @@ class FlowState:
             reg = huber_vec(g[0], sp.eta)
             reg += huber_vec(g[1], sp.eta)
         reg *= 1.0 - self.lam
-        data = huber(self.gap.get(_data_gap, self.ft, self.A, self.u), sp.mu)
+        data = huber(self.gap, sp.mu)
         data *= self.lam
         return float(np.sum(data) + np.sum(reg))
 
@@ -286,21 +279,19 @@ def update_v_w(state: FlowState, params: SolverParams) -> None:
     """One screened v-solve over the component-first (2, H, W) stack
     (exact for a float lambda, gs_sweeps Gauss-Seidel sweeps from v for
     a weight field) from the gradient auxiliaries z, then dual ascent.
-    state.v is updated in place (one contiguous copy on a planar v), so
-    its cached gradient is cleared; the new u - v gives both the new w
-    and the primal residual, which is kept for primal_residual."""
+    The solve writes v into state.v in place, and the new u - v gives
+    both the new w and the primal residual, which is kept for
+    primal_residual."""
     xi = (1.0 - state.lam) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
     # rhs = (u + w) - xi div z, written over the xi div z temporary
     rhs = xi * divergence(state.z)
     np.subtract(np.moveaxis(state.u + state.w, -1, 0), rhs, out=rhs)
-    v[...] = screened_solve(rhs, xi, v, params.gs_sweeps)
-    state.grad_v.clear()
+    screened_solve(rhs, xi, v, params.gs_sweeps, out=v)
     # The residual is kept as a number, not u - v as a field, which would
-    # raise the heap's peak through the energy (see FlowState.energy).
+    # raise the heap's peak through the energy.
     d = state.u - state.v
-    state.residual.clear()
-    state.residual.get(lambda u, v: _interleaved_rms(d), state.u, state.v)
+    state.residual = _interleaved_rms(d)
     state.w = np.add(state.w, d, out=d)
 
 

@@ -5,8 +5,7 @@ The Huber loss is the Moreau-Yosida envelope of the absolute value,
     phi_mu(x) = inf_r { |r| + (x - r)^2 / (2 mu) },
 
 whose minimizer is the soft shrinkage T(x | mu); envelope_at evaluates
-the objective at a given r.  A brute-force minimizer of the envelope is
-an independent oracle for the identity.
+the objective at a given r.
 
 Kernel contract of huber, huber_vec, envelope_at, shrink, shrink_vec and
 vector_norm:
@@ -146,22 +145,6 @@ def shrink_vec(v, t: float, *, norm=None, out=None):
     np.multiply(v[..., 1], factor, out=out[..., 1])
     np.multiply(v[..., 0], factor, out=out[..., 0])
     return out
-
-
-def moreau_envelope_bruteforce(x: float, mu: float, grid_step: float):
-    """Brute-force minimization of |r| + (x - r)^2/(2 mu) over a dense r grid.
-
-    Returns (value, argmin).  Serves as the oracle that the envelope
-    equals huber(x, mu) and the minimizer equals shrink(x, mu).
-    """
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
-    hi = abs(x) + mu
-    n = int(np.floor(2.0 * hi / grid_step)) + 1
-    r = -hi + grid_step * np.arange(n + 1, dtype=np.float64)
-    values = np.abs(r) + (x - r) ** 2 / (2.0 * mu)
-    i = int(np.argmin(values))
-    return float(values[i]), float(r[i])
 
 
 def project_stack_sum_to_one(arr: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ intensity c_i, and its own split/dual/auxiliary fields, all stacked
 label-major.  One iteration runs these steps on the whole stack:
 
     z            vector shrink of grad v (it reads only v, so it runs
-                 first, from the grad v the energy already computed)
+                 first, from the grad v the last iteration formed)
     lambda       from the residual d * u, d the misfit of the previous c, r
     c            c_i = sum(lambda_i (f - r_i) u_i) / sum(lambda_i u_i)
     r            shrink(f - c_i | mu)
@@ -16,11 +16,14 @@ label-major.  One iteration runs these steps on the whole stack:
     v            one screened solve (exact by the DCT for a constant
                  weight, a float lambda and so a scalar xi; else
                  Gauss-Seidel sweeps), projected onto sum_i v_i = 1
-    w            w += u - v
+    w            w += u - v, from the u - v that also gives the primal
+                 residual, kept as a number
 
 All steps but u are pointwise per label.  The exclusivity sum couples
 the labels, so the u-step sweeps them in ascending order, Gauss-Seidel
 style: labels already updated this iteration contribute their new u_j.
+After the dual step, and in the constructor, SegmentState forms grad v
+of the new v, which the energy and the next z-step read.
 
 The final labeling is the pixelwise argmax of the memberships.
 """
@@ -35,7 +38,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
-from .solver import ObjectCache, SolverParams, check_count, rms, run_admm, screened_solve
+from .solver import SolverParams, check_count, rms, run_admm, screened_solve
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -181,7 +184,7 @@ def update_v_all(state: LabelState, params: SegmentParams) -> None:
     sp = params.solver
     xi = (1.0 - state.lam) / (sp.eta * sp.theta)
     rhs = state.u + state.w - xi * divergence(state.z)
-    state.v = project_stack_sum_to_one(screened_solve(rhs, xi, state.v, sp.gs_sweeps))
+    state.v = project_stack_sum_to_one(screened_solve(rhs, xi, state.v, sp.gs_sweeps, out=rhs))
 
 
 def extract_labels(state: LabelState) -> np.ndarray:
@@ -192,9 +195,10 @@ def extract_labels(state: LabelState) -> np.ndarray:
 class SegmentState:
     """run_admm adapter wrapping a LabelState built for f and its parameters.
 
-    grad v of the label stack is computed once per s.v object and kept
-    in grad_v, which the energy and the next z-step both read; code that
-    writes s.v in place must call grad_v.clear()."""
+    It keeps what the energy and the next iteration read: d, the misfit
+    of the current c and r; grad_v, the gradient of the label stack s.v;
+    and residual, the primal residual of the last dual step.  A field of
+    s assigned or written between iterations is not seen by them."""
 
     def __init__(self, f: np.ndarray, params: SegmentParams, state: LabelState | None = None):
         f = scalar_grid(f)
@@ -206,10 +210,13 @@ class SegmentState:
             raise ValueError("the label state has %d labels, not %d" % (state.n_labels, params.n_labels))
         self.params = params
         self.s = state
-        # misfit(s, mu) at the current c and r, recomputed whenever they
-        # change: the weight step, the u-step and the energy all read it.
         self.d = misfit(state, params.solver.mu)
-        self.grad_v = ObjectCache()
+        self.residual = rms(state.u - state.v)
+        self._form_intermediates()
+
+    def _form_intermediates(self):
+        """grad v of the label stack."""
+        self.grad_v = gradient(self.s.v)
 
     def iterate(self):
         p = self.params
@@ -220,18 +227,23 @@ class SegmentState:
         # the smoothing or the v-solve, the memory peaks.  The old z goes
         # before the new one is made, which can then take its memory.
         s.z = None
-        s.z = shrink_vec(self.grad_v.get(gradient, s.v), sp.eta)
-        self.grad_v.clear()
+        g, self.grad_v = self.grad_v, None
+        s.z = shrink_vec(g, sp.eta)
+        del g
         s.lam = weight_fields(self.d * s.u, sp.adaptive)
         s.c = update_c(s)
         s.r = shrink(s.f - s.c[:, None, None], sp.mu)
+        # read by the u-step, the energy and the next weight step
         self.d = misfit(s, sp.mu)
         s.u = update_u(s, p, self.d)
         update_v_all(s, p)
-        s.w = s.w + (s.u - s.v)
+        uv = s.u - s.v
+        self.residual = rms(uv)
+        s.w = np.add(s.w, uv, out=uv)
+        self._form_intermediates()
 
     def primal_residual(self) -> float:
-        return rms(self.s.u - self.s.v)
+        return self.residual
 
     def energy(self) -> float:
         p = self.params
@@ -240,7 +252,7 @@ class SegmentState:
         data = s.lam * self.d
         data *= s.u
         data = np.sum(data, axis=(1, 2))
-        reg = huber_vec(self.grad_v.get(gradient, s.v), sp.eta)
+        reg = huber_vec(self.grad_v, sp.eta)
         reg *= 1.0 - s.lam
         reg = np.sum(reg, axis=(1, 2))
         # A strict left-to-right sum, label by label and data before

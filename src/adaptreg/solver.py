@@ -94,28 +94,6 @@ def rms(a: np.ndarray, *, out: np.ndarray | None = None) -> float:
     return float(np.sqrt(np.mean(np.multiply(a, a, out=out))))
 
 
-class ObjectCache:
-    """One value derived from a few objects, kept while those same
-    objects (by identity) are asked for again.  The states keep grad v
-    in one, so the energy and the next z-step share a single gradient
-    per v.  Code that writes one of the objects in place must clear()
-    the cache."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self._keys = ()
-        self._value = None
-
-    def get(self, compute, *keys):
-        """compute(*keys), or the value kept for these very key objects."""
-        if len(keys) != len(self._keys) or any(a is not b for a, b in zip(keys, self._keys)):
-            self._value = compute(*keys)
-            self._keys = keys
-        return self._value
-
-
 def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):
     """Drive a problem state to convergence or the iteration cap.
 
@@ -322,8 +300,8 @@ def screened_solve(
     Callers pass rhs, xi, v0 and sweeps by position and the buffers by
     keyword.
 
-    Buffers: out, if given, is a C-contiguous float64 array of rhs's
-    shape that receives the result; it may be rhs or v0 itself, since
+    Buffers: out, if given, is a float64 array of rhs's shape, of any
+    strides, that receives the result; it may be rhs or v0 itself, since
     both are read before out is written.  scratch, if given, is a flat
     float64 buffer of at least solve_scratch_size(rhs.shape) entries for
     every intermediate of either solve, whatever it held before.  With

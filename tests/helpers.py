@@ -20,6 +20,22 @@ def assert_same_bits(out, ref):
     assert np.array_equal(np.signbit(out[~nan]), np.signbit(ref[~nan]))
 
 
+def moreau_envelope_bruteforce(x: float, mu: float, grid_step: float):
+    """Brute-force minimization of |r| + (x - r)^2/(2 mu) over a dense r grid.
+
+    Returns (value, argmin).  Serves as the oracle that the envelope
+    equals huber(x, mu) and the minimizer equals shrink(x, mu).
+    """
+    if grid_step <= 0:
+        raise ValueError("grid step must be positive")
+    hi = abs(x) + mu
+    n = int(np.floor(2.0 * hi / grid_step)) + 1
+    r = -hi + grid_step * np.arange(n + 1, dtype=np.float64)
+    values = np.abs(r) + (x - r) ** 2 / (2.0 * mu)
+    i = int(np.argmin(values))
+    return float(values[i]), float(r[i])
+
+
 def make_scene(n):
     """Piecewise-constant test card: two bar gratings on the left half,
     two flat patches on the right."""

@@ -14,6 +14,7 @@ from helpers import (
     assemble_screened_matrix,
     make_scene,
     matched_accuracy,
+    moreau_envelope_bruteforce,
     reference_color_wheel,
     sector_precisions,
 )
@@ -26,7 +27,7 @@ from adaptreg.flow import update_u as flow_update_u
 from adaptreg.grid import divergence, gradient, laplacian
 from adaptreg.imageio import color_wheel, read_flo, read_pnm, write_flo, write_pnm
 from adaptreg.metrics import aae, aee, ssim
-from adaptreg.prox import huber, moreau_envelope_bruteforce, shrink
+from adaptreg.prox import huber, shrink
 from adaptreg.segment import SegmentParams, run_segment, warm_start_labels
 from adaptreg.solver import SolverParams, rms, screened_solve
 from adaptreg.synth import (

@@ -5,11 +5,11 @@ import pytest
 
 from adaptreg.adaptive import (
     AdaptiveParams,
-    nu_to_lambda,
     residual_to_nu,
     weight_fields,
 )
 from adaptreg.grid import convolve_gaussian, smoothing_scratch_size
+from adaptreg.prox import shrink
 from adaptreg.synth import Splitmix64
 from helpers import assert_same_bits, weight_fields_reference
 
@@ -50,9 +50,10 @@ def test_negative_residual_rejected():
 
 
 def test_nu_to_lambda_shrinks():
-    assert nu_to_lambda(np.array(1.0), 0.01) == 0.99
-    assert nu_to_lambda(np.array(0.005), 0.01) == 0.0
-    assert nu_to_lambda(np.array(0.01), 0.01) == 0.0
+    # weight_fields maps nu to lambda = max(nu - alpha, 0) by shrink
+    assert shrink(np.array(1.0), 0.01) == 0.99
+    assert shrink(np.array(0.005), 0.01) == 0.0
+    assert shrink(np.array(0.01), 0.01) == 0.0
 
 
 def test_weight_fields_range_and_complement():

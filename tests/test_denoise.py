@@ -18,7 +18,7 @@ from adaptreg.denoise import (
     update_v,
 )
 from adaptreg.grid import divergence, gradient
-from adaptreg.prox import huber, huber_vec, moreau_envelope_bruteforce, shrink, shrink_vec
+from adaptreg.prox import huber, huber_vec, shrink, shrink_vec
 from adaptreg.solver import SolverParams
 from adaptreg.synth import Splitmix64, add_gaussian_noise, biased_noise_image
 from adaptreg.metrics import ssim
@@ -30,6 +30,7 @@ from helpers import (
     huber_reference,
     huber_vec_reference,
     make_scene,
+    moreau_envelope_bruteforce,
 )
 
 
@@ -50,6 +51,7 @@ def random_state(seed, n=6, params=None):
     st.r = rng.normals(n * n).reshape(n, n) * 0.1
     st.z = rng.normals(n * n * 2).reshape(n, n, 2) * 0.2
     st.lam = rng.uniforms(n * n).reshape(n, n) * 0.99
+    st._form_intermediates()
     return st
 
 
@@ -141,18 +143,6 @@ def test_energy_reads_the_gradient_of_the_current_v():
         assert st.energy() == frozen_energy(st)
 
 
-def test_assigning_v_invalidates_the_gradient_cache():
-    st = smoothed_state()
-    st.iterate()
-    st.energy()
-    st.v = 2.0 * st.v + 0.25
-    assert st.energy() == frozen_energy(st)
-    v = st.v.copy()
-    st.iterate()
-    # the z-step shrinks the gradient of the v assigned above
-    assert np.array_equal(st.z, shrink_vec(gradient(v), st.params.eta))
-
-
 def test_gradient_computed_once_per_iteration(monkeypatch):
     st = smoothed_state()
     calls = []
@@ -168,8 +158,8 @@ def test_gradient_computed_once_per_iteration(monkeypatch):
         st.iterate()
         st.energy()
         per_iteration.append(len(calls) - before)
-    # the first iteration also differentiates the initial v
-    assert per_iteration == [2, 1, 1, 1, 1]
+    # the constructor differentiated the initial v
+    assert per_iteration == [1, 1, 1, 1, 1]
 
 
 def test_update_v_full_fidelity_skips_smoothing():
@@ -427,31 +417,31 @@ def test_state_writes_its_fields_in_place():
     assert st.z[..., 0].flags.c_contiguous and st.z[..., 1].flags.c_contiguous
 
 
-def test_intermediates_computed_once_per_iteration():
-    # grad v (with |grad v|), f - u and u - v: one computation each per
-    # iterate + energy + primal_residual, in the order run_admm calls them.
+def test_intermediates_computed_once_per_iteration(monkeypatch):
+    # grad v, |grad v| and f - u are formed once per iteration, and the
+    # residual's squares once, whatever run_admm then reads.
     st = smoothed_state()
-    st.iterate()
-    ws = st.workspace
     counts = Counter()
-    for name in ("grad_v", "gap_u", "residual"):
-        cache = getattr(ws, name)
 
-        def get(compute, *keys, _get=cache.get, _name=name):
-            def counted(*args):
-                counts[_name] += 1
-                return compute(*args)
+    def counting(name, kernel):
+        def counted(*args, **buffers):
+            counts[name] += 1
+            return kernel(*args, **buffers)
 
-            return _get(counted, *keys)
+        return counted
 
-        cache.get = get
+    for name in ("gradient", "vector_norm", "rms"):
+        monkeypatch.setattr(denoise, name, counting(name, getattr(denoise, name)))
+    form = st._form_intermediates
+    monkeypatch.setattr(st, "_form_intermediates", counting("form", form))
     for _ in range(4):
         counts.clear()
+        st.iterate()
         st.energy()
         st.primal_residual()
-        st.iterate()
+        st.energy()
         st.primal_residual()
-        assert counts == {"grad_v": 1, "gap_u": 1, "residual": 1}
+        assert counts == {"gradient": 1, "vector_norm": 1, "rms": 1, "form": 1}
 
 
 @pytest.mark.parametrize("constant", [None, 0.3], ids=["adaptive", "constant"])
@@ -469,32 +459,25 @@ def test_envelope_only_for_a_weight_field(monkeypatch, constant):
     assert len(calls) == (3 if constant is None else 0)
 
 
-def test_a_failed_iterate_leaves_no_stale_intermediate():
-    # A NaN in r makes the weights NaN, so the v-solve rejects xi after
-    # z, r and u were written in place and the memory of grad v reused.
-    st = smoothed_state()
-    st.iterate()
-    st.energy()
-    st.primal_residual()
-    st.r = np.full_like(st.r, np.nan)
-    with pytest.raises(ValueError, match="xi"):
-        st.iterate()
+def assert_intermediates_match_the_fields(st):
+    ws = st.workspace
+    g = gradient(st.v)
+    assert_same_bits(ws.grad, g)
+    assert_same_bits(ws.norm, np.sqrt(np.sum(g * g, axis=-1)))
+    assert_same_bits(ws.gap, st.f - st.u)
     d = st.u - st.v
     assert_same_bits(st.primal_residual(), float(np.sqrt(np.mean(d * d))))
-    g, norm = st._grad_v(st.workspace)
-    assert_same_bits(g, gradient(st.v))
-    assert_same_bits(norm, np.sqrt(np.sum(g * g, axis=-1)))
 
 
-def test_assigning_u_refreshes_the_gap_and_the_residual():
-    st = smoothed_state()
-    st.iterate()
-    st.energy()
-    st.primal_residual()
-    st.u = st.u + 0.125
-    assert st.energy() == frozen_energy(st)
-    d = st.u - st.v
-    assert st.primal_residual() == float(np.sqrt(np.mean(d * d)))
+@pytest.mark.parametrize("constant", [None, 0.3], ids=["adaptive", "constant"])
+def test_kept_intermediates_match_the_fields(constant):
+    # What energy() and the next iterate() read is formed from the state's
+    # own fields, at construction and at the end of every iteration.
+    st = DenoiseState(biased_noise_image(make_scene(32), 0.3, "half", seed=2), halfplane_params(constant))
+    assert_intermediates_match_the_fields(st)
+    for _ in range(5):
+        st.iterate()
+        assert_intermediates_match_the_fields(st)
 
 
 def steady_state(n, constant):

@@ -9,12 +9,12 @@ from adaptreg.prox import (
     envelope_at,
     huber,
     huber_vec,
-    moreau_envelope_bruteforce,
     project_stack_sum_to_one,
     shrink,
     shrink_vec,
 )
 from adaptreg.synth import Splitmix64
+from helpers import moreau_envelope_bruteforce
 
 
 def test_huber_quadratic_branch():

@@ -21,10 +21,11 @@ from adaptreg.segment import (
     update_v_all,
     warm_start_labels,
 )
-from adaptreg.solver import SolverParams
+from adaptreg.solver import SolverParams, rms
 from adaptreg.synth import Splitmix64, add_gaussian_noise, noisy_rectangles
 from helpers import (
     assemble_screened_matrix,
+    assert_same_bits,
     segment_energy_reference,
     segment_iterate_reference,
 )
@@ -275,16 +276,24 @@ def test_energy_reads_the_gradient_of_the_current_v():
         assert wrapper.energy() == segment_energy_reference(wrapper.s, params)
 
 
-def test_assigning_v_invalidates_the_gradient_cache():
-    wrapper, params = smoothed_segment_state()
-    wrapper.iterate()
-    wrapper.energy()
-    wrapper.s.v = project_stack_sum_to_one(wrapper.s.v[::-1] + 0.25)
-    assert wrapper.energy() == segment_energy_reference(wrapper.s, params)
-    v = wrapper.s.v.copy()
-    wrapper.iterate()
-    # the z-step shrinks the gradient of the v assigned above
-    assert np.array_equal(wrapper.s.z, shrink_vec(gradient(v), params.solver.eta))
+@pytest.mark.parametrize("const", [None, 0.3], ids=["adaptive", "constant"])
+def test_kept_intermediates_match_the_fields(const):
+    # What energy() and the next iterate() read is formed from the label
+    # state's own fields, at construction and at the end of every
+    # iteration; the given state's u and v differ at the start.
+    img, _ = noisy_rectangles(24, seed=4)
+    params = seg_params(n_labels=3, beta=0.05, const=const)
+    state = warm_start_labels(img, 3)
+    state.v = project_stack_sum_to_one(state.v + 0.25 * img)
+    wrapper = SegmentState(img, params, state=state)
+    for k in range(6):
+        if k:
+            wrapper.iterate()
+        s = wrapper.s
+        assert_same_bits(wrapper.d, misfit(s, params.solver.mu))
+        assert_same_bits(wrapper.grad_v, gradient(s.v))
+        assert_same_bits(wrapper.primal_residual(), rms(s.u - s.v))
+        assert wrapper.primal_residual() > 0.0
 
 
 def test_gradient_computed_once_per_iteration(monkeypatch):
@@ -302,8 +311,27 @@ def test_gradient_computed_once_per_iteration(monkeypatch):
         wrapper.iterate()
         wrapper.energy()
         per_iteration.append(len(calls) - before)
-    # the first iteration also differentiates the warm-start v
-    assert per_iteration == [2, 1, 1, 1, 1]
+    # the constructor differentiated the warm-start v
+    assert per_iteration == [1, 1, 1, 1, 1]
+
+
+def test_residual_computed_once_per_iteration(monkeypatch):
+    wrapper, _ = smoothed_segment_state()
+    calls = []
+
+    def counted(a, **buffers):
+        calls.append(a)
+        return rms(a, **buffers)
+
+    monkeypatch.setattr(segment, "rms", counted)
+    for _ in range(4):
+        calls.clear()
+        wrapper.iterate()
+        wrapper.energy()
+        wrapper.primal_residual()
+        wrapper.primal_residual()
+        # the dual step's u - v serves the primal residual
+        assert len(calls) == 1
 
 
 def test_run_segment_rejects_state_of_another_image():

@@ -287,15 +287,17 @@ def solver_inputs(shape, seed):
 )
 def test_screened_solve_buffers_give_the_same_bits(shape, scalar):
     # A scratch full of NaN, as a reused workspace leaves it, and an out
-    # that is a fresh buffer, rhs itself or v0 itself.
+    # that is a fresh buffer, a strided view (a flow field stored
+    # interleaved), rhs itself or v0 itself.
     rhs, xi, v0 = solver_inputs(shape, 408)
     if scalar:
         xi = 2.5
     for sweeps in (0, 3):
         fresh = screened_solve(rhs, xi, v0, sweeps)
-        for target in ("new", "rhs", "v0"):
+        for target in ("new", "strided", "rhs", "v0"):
             r, v = rhs.copy(), v0.copy()
-            out = {"new": np.full(shape, np.nan), "rhs": r, "v0": v}[target]
+            strided = np.moveaxis(np.full(shape[1:] + shape[:1], np.nan), -1, 0)
+            out = {"new": np.full(shape, np.nan), "strided": strided, "rhs": r, "v0": v}[target]
             scratch = np.full(solve_scratch_size(shape), np.nan)
             assert screened_solve(r, xi, v, sweeps, out=out, scratch=scratch) is out
             assert_bitwise(out, fresh)
