@@ -37,10 +37,11 @@ def _read_gray(path) -> np.ndarray:
 
 
 def _read_labelmap(path) -> np.ndarray:
-    img = read_pnm(path)
-    if img.ndim == 3:
+    """The stored integers of a single-channel PGM, whatever its maxval."""
+    labels, _ = imageio._read_pnm_samples(path)
+    if labels.ndim == 3:
         raise ValueError("label maps must be single-channel PGM")
-    return np.rint(img * 255.0).astype(np.int64)
+    return labels.astype(np.int64)
 
 
 def _check_reference(ref: np.ndarray, shape, what: str) -> np.ndarray:

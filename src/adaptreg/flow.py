@@ -27,6 +27,9 @@ C-contiguous (2, H, W) memory (component-planar): each component is one
 contiguous plane, elementwise results of such fields inherit that
 layout, and the component-first stack that gradient and the v-solve
 take is a plain view.  update_u works per component on those planes.
+The steps write z, lambda (when it is a field), r, u, v and w into the
+state's own arrays, so code that keeps a field across an iteration must
+copy it.
 
 Each intermediate is computed once and shared.  The dual step forms
 u - v, from which it takes both the new w and the primal residual, kept
@@ -136,12 +139,15 @@ def _planar(field: np.ndarray) -> np.ndarray:
 class FlowState:
     """Velocity ADMM fields plus the frozen linearization (A, ft).
 
-    u, v, w and A are (H, W, 2) views of C-contiguous (2, H, W) memory,
-    as _planar makes them at construction, in relinearize and for a
-    pyramid level's seed; fields assigned in another layout give the
-    same results, only slower.  The gradient auxiliary z is
-    component-first, (2, H, W, 2).  lam is an (H, W) field, or a float
-    that broadcasts against the fields when the weight is constant.
+    u and v start at the seed u0 (zero if None), w at zero, and the
+    constructor linearizes around u0 at tau0.  u, v, w and A are
+    (H, W, 2) views of C-contiguous (2, H, W) memory, as _planar makes
+    them at construction and in relinearize; fields assigned in another
+    layout give the same results, only slower.  The gradient auxiliary
+    z is component-first, (2, H, W, 2), as grad v is.  lam is an (H, W)
+    field, or a float that broadcasts against the fields when the
+    weight is constant.  iterate writes the fields in place (see the
+    module docstring).
 
     It keeps three values of the current fields: gap, the data gap
     ft - A . u, and grad_v, the component gradients of v, both read by
@@ -150,7 +156,7 @@ class FlowState:
     assigned or written from outside is not seen by them until
     relinearize, which re-forms gap and grad_v."""
 
-    def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams):
+    def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams, u0=None):
         self.f1 = scalar_grid(f1)
         self.f2 = scalar_grid(f2)
         if self.f1.shape != self.f2.shape:
@@ -158,18 +164,17 @@ class FlowState:
         self.params = params
         shape = self.f1.shape
         zero = np.zeros(shape + (2,))
-        self.u = _planar(zero)
-        self.v = _planar(zero)
+        seed = zero if u0 is None else u0
+        self.u = _planar(seed)
+        self.v = _planar(seed)
         self.w = _planar(zero)
         self.r = np.zeros(shape, dtype=np.float64)
         self.z = np.zeros((2,) + shape + (2,), dtype=np.float64)
         self.lam = np.ones(shape, dtype=np.float64)
         self.tau_count = 0
         self.tau = tau_schedule(params.tau0, params.dtau, 0)
-        self.A = _planar(zero)
-        self.ft = np.zeros(shape, dtype=np.float64)
         self.residual = 0.0
-        self._form_intermediates()
+        self.relinearize()
 
     def relinearize(self):
         """Re-expand the data term around the current field at the
@@ -190,18 +195,15 @@ class FlowState:
     def iterate(self):
         p = self.params
         sp = p.solver
-        # z reads only v, so it goes first and grad v is not held through
-        # the smoothing or the v-solve, the memory peaks.  The old z goes
-        # before the new one is made, which can then take its memory.
-        self.z = None
-        g, self.grad_v = self.grad_v, None
-        self.z = shrink(g, sp.eta) if p.anisotropic_reg else shrink_vec(g, sp.eta)
-        del g
-        q, self.gap = self.gap, None
-        self.lam = weight_fields(envelope_at(q, self.r, sp.mu), sp.adaptive)
-        self.r = shrink(q, sp.mu)
-        del q  # not held through the v-solve, the memory peak
-        self.u = update_u(self, sp)
+        if p.anisotropic_reg:
+            shrink(self.grad_v, sp.eta, out=self.z)
+        else:
+            shrink_vec(self.grad_v, sp.eta, out=self.z)
+        self.grad_v = None
+        self.lam = weight_fields(envelope_at(self.gap, self.r, sp.mu), sp.adaptive, out=self.lam)
+        shrink(self.gap, sp.mu, out=self.r)
+        self.gap = None
+        update_u(self, sp)
         update_v_w(self, sp)
         self._form_intermediates()
         self.tau_count += 1
@@ -238,13 +240,15 @@ class FlowState:
 
 def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
     """Per-pixel rank-one solve of (mu theta I + lambda A A^T) u = b,
-    b = mu theta (v - w) + lambda (ft - r) A.
+    b = mu theta (v - w) + lambda (ft - r) A, written into state.u,
+    which it returns.
 
     Written so that lambda = 0 or A = 0 returns v - w bitwise; the
     general case matches a direct 2x2 inversion to machine precision.
     The work runs on the component-first (2, H, W) views, where the
     (H, W) factors broadcast over the leading axis; on planar fields
-    these are contiguous planes, and so is the result.  Sums and
+    these are contiguous planes, as are the planes of state.u that take
+    the result.  Sums and
     products are accumulated in place with their operands swapped where
     that saves a temporary, which rounds the same.
     """
@@ -258,7 +262,6 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
     # scale = lambda (A . b) / (mu theta (mu theta + lambda |A|^2))
     scale = a[0] * b[0]
     scale += a[1] * b[1]
-    del b
     scale *= state.lam
     den = a[0] * a[0]
     den += a[1] * a[1]
@@ -266,13 +269,12 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
     den += mu_theta
     den *= mu_theta
     scale /= den
-    del den
     # u = base + (coeff / mu theta - scale) A
     gain = coeff / mu_theta
     gain -= scale
-    u = gain * a
+    u = np.multiply(gain, a, out=np.moveaxis(state.u, -1, 0))
     u += base
-    return np.moveaxis(u, 0, -1)
+    return state.u
 
 
 def update_v_w(state: FlowState, params: SolverParams) -> None:
@@ -284,15 +286,14 @@ def update_v_w(state: FlowState, params: SolverParams) -> None:
     primal_residual."""
     xi = (1.0 - state.lam) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
-    # rhs = (u + w) - xi div z, written over the xi div z temporary
-    rhs = xi * divergence(state.z)
+    # rhs = (u + w) - xi div z, written over div z
+    rhs = divergence(state.z)
+    rhs *= xi
     np.subtract(np.moveaxis(state.u + state.w, -1, 0), rhs, out=rhs)
     screened_solve(rhs, xi, v, params.gs_sweeps, out=v)
-    # The residual is kept as a number, not u - v as a field, which would
-    # raise the heap's peak through the energy.
     d = state.u - state.v
     state.residual = _interleaved_rms(d)
-    state.w = np.add(state.w, d, out=d)
+    state.w += d
 
 
 def _downsample(f: np.ndarray) -> np.ndarray:
@@ -315,14 +316,12 @@ def _upsample_flow(u: np.ndarray, shape) -> np.ndarray:
 
 
 def _run_warps(f1, f2, params: FlowParams, u_init, start_iter: int, on_check):
-    state = FlowState(f1, f2, params)
-    if u_init is not None:
-        state.u = _planar(u_init)
-        state.v = _planar(u_init)
+    state = FlowState(f1, f2, params, u0=u_init)
     history = []
     it = start_iter
-    for _ in range(params.n_warps):
-        state.relinearize()
+    for warp in range(params.n_warps):
+        if warp:
+            state.relinearize()
         _, h = run_admm(state, params.solver, start_iter=it, on_check=on_check)
         history.extend(h)
         it += params.solver.max_iters
@@ -336,7 +335,8 @@ def run_flow(f1: np.ndarray, f2: np.ndarray, params: FlowParams, on_check=None):
     ADMM run; with pyramid_levels > 1, a coarse-to-fine sweep over 2x
     downscaled frames seeds each finer level.  Iteration numbers in the
     history advance by the per-warp budget even when a warp stops early.
-    u is returned as a C-contiguous (H, W, 2) array.
+    u is returned as a C-contiguous (H, W, 2) array.  The state writes
+    its fields in place, so on_check must copy whatever it keeps of them.
     """
     f1 = scalar_grid(f1)
     f2 = scalar_grid(f2)

@@ -133,9 +133,8 @@ def divergence(
         chunk = max(1, BAND_BYTES // (d.itemsize * math.prod(lead)))
         shape = lead + (min(chunk, end - w),)
         if scratch is None:
-            scratch = np.empty(shape)
-        else:
-            scratch = scratch[: math.prod(shape)].reshape(shape)
+            scratch = np.empty(math.prod(shape))
+        scratch = scratch[: math.prod(shape)].reshape(shape)
         for lo in range(w, end, chunk):
             hi = min(lo + chunk, end)
             diff = scratch[..., : hi - lo]
@@ -170,12 +169,11 @@ def laplacian(
     n = h * w
     flat = u.reshape(u.shape[:-2] + (n,))
     d = np.empty(flat.shape) if out is None else out.reshape(flat.shape)
+    y_size = flat[..., w:].size
     if scratch is None:
-        diff = np.empty(flat.shape)
-        py = np.empty(flat.shape[:-1] + (n - w,))
-    else:
-        diff = scratch[: u.size].reshape(flat.shape)
-        py = scratch[u.size : u.size + flat[..., w:].size].reshape(flat.shape[:-1] + (n - w,))
+        scratch = np.empty(u.size + y_size)
+    diff = scratch[: u.size].reshape(flat.shape)
+    py = scratch[u.size : u.size + y_size].reshape(flat.shape[:-1] + (n - w,))
     if w >= 2:
         np.subtract(flat[..., 1:], flat[..., :-1], out=diff[..., :-1])
         diff.reshape(u.shape)[..., :, -1] = 0.0
@@ -320,7 +318,7 @@ def _pad_symmetric(u, radius, axis, padded):
     padded[_along(axis, slice(radius + n, None))] = reverse[_along(axis, slice(radius))]
 
 
-def _convolve_axis(u, k, radius, axis, out=None, scratch=None):
+def _convolve_axis(u, k, radius, axis, out, scratch):
     """One pass of convolve_gaussian from u into out, which may be u; the
     padded copy and the band buffers go into scratch."""
     h, w = u.shape[-2:]
@@ -331,10 +329,6 @@ def _convolve_axis(u, k, radius, axis, out=None, scratch=None):
     size = math.prod(pshape)
     rows = _band_rows(h, w)
     band_size = rows * (w + 2 * radius)
-    if out is None:
-        out = np.empty(u.shape, dtype=u.dtype)
-    if scratch is None:
-        scratch = np.empty(size + 2 * band_size, dtype=u.dtype)
     padded = scratch[:size].reshape(pshape)
     _pad_symmetric(u, radius, axis, padded)
     acc = scratch[size : size + band_size].reshape(rows, width) if axis == -1 else None

@@ -44,6 +44,13 @@ def read_pnm(path) -> np.ndarray:
     are ignored: Netpbm allows several images in one file, and this reads
     the first.
     """
+    samples, maxval = _read_pnm_samples(path)
+    return samples.astype(np.float64) / maxval
+
+
+def _read_pnm_samples(path):
+    """The stored integer samples of the first image of a binary PGM or
+    PPM, shaped as read_pnm returns them, and its maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:2]
@@ -76,7 +83,7 @@ def read_pnm(path) -> np.ndarray:
     if samples.max() > maxval:
         raise ValueError("PNM sample %d above maxval %d" % (samples.max(), maxval))
     shape = (height, width) if channels == 1 else (height, width, 3)
-    return (samples.astype(np.float64) / maxval).reshape(shape)
+    return samples.reshape(shape), maxval
 
 
 def write_pnm(path, img: np.ndarray, maxval: int = 255):

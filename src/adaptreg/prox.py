@@ -125,18 +125,15 @@ def shrink(x, t, *, out=None, scratch=None):
 def shrink_vec(v, t: float, *, norm=None, out=None):
     """Isotropic shrinkage of 2-vectors: v * max(0, 1 - t/|v|).
 
-    With out given, the factor is formed in out's component 0; with norm
-    given, |v| is read from it instead of computed."""
+    The factor is formed in out's component 0; with norm given, |v| is
+    read from it instead of computed."""
     v = np.asarray(v, dtype=np.float64)
-    if out is None:
-        factor = vector_norm(v) if norm is None else norm.copy()
-        out = np.empty(v.shape)
+    out = np.empty(v.shape) if out is None else out
+    factor = out[..., 0]
+    if norm is None:
+        vector_norm(v, out=factor, scratch=out[..., 1])
     else:
-        factor = out[..., 0]
-        if norm is None:
-            vector_norm(v, out=factor, scratch=out[..., 1])
-        else:
-            np.copyto(factor, norm)
+        np.copyto(factor, norm)
     # Guard the 0/0 at v = 0; the factor is 0 there anyway.
     np.copyto(factor, 1.0, where=~(factor > 0.0))
     np.divide(t, factor, out=factor)

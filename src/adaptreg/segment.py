@@ -25,6 +25,12 @@ style: labels already updated this iteration contribute their new u_j.
 After the dual step, and in the constructor, SegmentState forms grad v
 of the new v, which the energy and the next z-step read.
 
+The steps write z, lambda (when it is a field), r, u and w into the
+label state's own arrays, so code that keeps a field across an
+iteration must copy it; v is a new array after every v-step.  The warm
+start makes z component-planar: an (n, H, W, 2) view of (2, n, H, W)
+memory.
+
 The final labeling is the pixelwise argmax of the memberships.
 """
 
@@ -59,7 +65,8 @@ class LabelState:
     """Per-label fields, stacked label-major: u, v, w, r (n,H,W),
     z (n,H,W,2), lam (n,H,W), c (n,).  lam is a float that broadcasts
     against the stack when the weight is constant.  Degenerate region
-    updates are logged as (iteration, label) pairs."""
+    updates are logged as (iteration, label) pairs.  A segmentation run
+    writes u, w, r, z and a field lam in place."""
 
     def __init__(self, f, u, v, w, r, z, lam, c):
         self.f = f
@@ -129,7 +136,7 @@ def warm_start_labels(f: np.ndarray, n_labels: int) -> LabelState:
         v=u.copy(),
         w=np.zeros_like(u),
         r=np.zeros_like(u),
-        z=np.zeros(u.shape + (2,), dtype=np.float64),
+        z=np.moveaxis(np.zeros((2,) + u.shape), 0, -1),
         lam=np.ones_like(u),
         c=c,
     )
@@ -154,14 +161,16 @@ def update_c(state: LabelState) -> np.ndarray:
 
 def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndarray:
     """Membership step: gradient of the linear data and exclusivity
-    terms against the augmentation, clipped at zero.  d is
-    misfit(state, mu) at the current c and r.  The labels are swept in
-    ascending order, and the exclusivity sum reads the memberships
-    already updated in this sweep (Gauss-Seidel).
+    terms against the augmentation, clipped at zero, written into
+    state.u, which it returns.  d is misfit(state, mu) at the current c
+    and r.  The labels are swept in ascending order, and the exclusivity
+    sum reads the memberships already updated in this sweep
+    (Gauss-Seidel).
     """
     sp = params.solver
-    base = state.v - state.w - (state.lam / sp.theta) * d
-    u = state.u.copy()
+    base = state.v - state.w
+    base -= (state.lam / sp.theta) * d
+    u = state.u
     others = np.empty_like(base[0])
     for i in range(state.n_labels):
         # Ascending from +0.0, as np.sum over the other labels adds them.
@@ -183,7 +192,9 @@ def update_v_all(state: LabelState, params: SegmentParams) -> None:
     """
     sp = params.solver
     xi = (1.0 - state.lam) / (sp.eta * sp.theta)
-    rhs = state.u + state.w - xi * divergence(state.z)
+    rhs = divergence(state.z)
+    rhs *= xi
+    np.subtract(state.u + state.w, rhs, out=rhs)
     state.v = project_stack_sum_to_one(screened_solve(rhs, xi, state.v, sp.gs_sweeps, out=rhs))
 
 
@@ -198,7 +209,9 @@ class SegmentState:
     It keeps what the energy and the next iteration read: d, the misfit
     of the current c and r; grad_v, the gradient of the label stack s.v;
     and residual, the primal residual of the last dual step.  A field of
-    s assigned or written between iterations is not seen by them."""
+    s assigned or written between iterations is not seen by them.  The
+    iteration writes the fields of s in place (see the module
+    docstring)."""
 
     def __init__(self, f: np.ndarray, params: SegmentParams, state: LabelState | None = None):
         f = scalar_grid(f)
@@ -223,23 +236,20 @@ class SegmentState:
         sp = p.solver
         s = self.s
         s.iteration += 1
-        # z reads only v, so it goes first and grad v is not held through
-        # the smoothing or the v-solve, the memory peaks.  The old z goes
-        # before the new one is made, which can then take its memory.
-        s.z = None
-        g, self.grad_v = self.grad_v, None
-        s.z = shrink_vec(g, sp.eta)
-        del g
-        s.lam = weight_fields(self.d * s.u, sp.adaptive)
+        shrink_vec(self.grad_v, sp.eta, out=s.z)
+        self.grad_v = None
+        # lambda may be a float, as a constant-weight run leaves it
+        lam = s.lam if np.shape(s.lam) == s.u.shape else None
+        s.lam = weight_fields(self.d * s.u, sp.adaptive, out=lam)
         s.c = update_c(s)
-        s.r = shrink(s.f - s.c[:, None, None], sp.mu)
+        shrink(s.f - s.c[:, None, None], sp.mu, out=s.r)
         # read by the u-step, the energy and the next weight step
         self.d = misfit(s, sp.mu)
-        s.u = update_u(s, p, self.d)
+        update_u(s, p, self.d)
         update_v_all(s, p)
         uv = s.u - s.v
-        self.residual = rms(uv)
-        s.w = np.add(s.w, uv, out=uv)
+        s.w += uv
+        self.residual = rms(uv, out=uv)
         self._form_intermediates()
 
     def primal_residual(self) -> float:
@@ -272,7 +282,9 @@ def run_segment(f: np.ndarray, params: SegmentParams, state: LabelState | None =
     """Segment f (normalized to [0,1]); returns (labels, LabelState, history).
 
     A given state must have been built for f with params.n_labels
-    labels; otherwise ValueError.
+    labels; otherwise ValueError.  Its arrays are updated in place, and
+    it is the LabelState returned.  The run writes its fields in place,
+    so on_check must copy whatever it keeps of them.
     """
     wrapper = SegmentState(f, params, state=state)
     _, history = run_admm(wrapper, params.solver, on_check=on_check)

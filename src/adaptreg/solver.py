@@ -103,8 +103,9 @@ def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):
     early after the first iteration with primal_residual <= tol_primal;
     a non-finite energy raises DivergenceError.  on_check, if given, is
     called as on_check(state, record) after every iteration.  A state
-    may reuse its arrays between iterations (the denoising state writes
-    every field in place), so on_check must copy whatever it keeps.
+    may reuse its arrays between iterations (the three problem states
+    write their fields in place), so on_check must copy whatever it
+    keeps.
     """
     history: list[IterationRecord] = []
     for k in range(1, params.max_iters + 1):

@@ -119,6 +119,26 @@ def test_segment_scores_and_sidecar(tmp_path, capsys):
     assert "f_measure," in capsys.readouterr().out
 
 
+def test_segment_reads_label_maps_at_any_maxval(tmp_path):
+    # The labels are the stored integers, not samples rescaled to 255.
+    _, noisy_path, gt_path = _denoise_fixture(tmp_path)
+    labels = (np.arange(48)[None, :] >= 24) * np.ones((48, 1))
+    scores = {}
+    for maxval in (None, 7, 255, 65535):
+        path = gt_path
+        if maxval is not None:
+            path = tmp_path / ("gt%d.pgm" % maxval)
+            write_pnm(path, labels / maxval, maxval=maxval)
+        out_json = tmp_path / ("run%s.json" % maxval)
+        rc = entry(["segment", "--input", str(noisy_path), "--labels", "2", "--iters", "20",
+                    "--gt", str(path), "--out-json", str(out_json)])
+        assert rc == 0
+        scores[maxval] = json.loads(out_json.read_text())["scores"]
+    assert scores[None]["f_measure"] >= 0.99
+    for maxval in (7, 255, 65535):
+        assert scores[maxval] == scores[None], maxval
+
+
 def test_flow_same_frame_gives_zero_field(tmp_path):
     p1, _, _ = _flow_fixture(tmp_path)
     out = tmp_path / "u.flo"

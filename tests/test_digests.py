@@ -1,0 +1,34 @@
+"""tools/digests.py hashes every run the same way twice and names them all."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+spec = importlib.util.spec_from_file_location("digests", TOOL)
+digests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digests)
+
+RUNS = (
+    ["denoise-adaptive", "denoise-constant", "segment-adaptive", "segment-constant"]
+    + ["flow-%s-%dlevel-%s" % (reg, levels, kind)
+       for reg in ("anisotropic", "isotropic")
+       for levels in (1, 2)
+       for kind in ("adaptive", "constant")]
+    + ["cli-denoise", "cli-segment", "cli-flow"]
+)
+
+
+def test_two_runs_agree_and_name_every_run():
+    first = digests.digests(16, 2)
+    assert sorted(first) == sorted(RUNS)
+    assert all(len(d) == 64 for d in first.values())
+    assert len(set(first.values())) == len(RUNS)
+    assert digests.digests(16, 2) == first
+
+
+def test_main_prints_json(capsys):
+    assert digests.main(["digests.py", "16", "1"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert sorted(printed) == sorted(RUNS)
+    assert printed != digests.digests(16, 2)

@@ -1,6 +1,8 @@
 """Optical flow: annealing schedule, linearization, per-pixel solve,
 and the warp/pyramid drivers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,68 @@ def test_kept_intermediates_match_the_fields(monkeypatch, constant):
     run_flow(f1, f2, fp, on_check=check)
     assert relinearized == [(16, 16, 2)] * 2 + [(32, 32, 2)] * 2
     assert checked == [(16, 16, 2)] * 10 + [(32, 32, 2)] * 10
+
+
+def test_seed_is_copied_and_linearized_at_construction():
+    # The same state as assigning the seed to u and v and relinearizing.
+    f1, f2, gt = shifted_pair(smooth_texture(24, seed=8), (1.0, 0.5))
+    fp = FlowParams(solver=flow_solver())
+    seed = 0.5 * gt
+    st = FlowState(f1, f2, fp, u0=seed)
+    ref = FlowState(f1, f2, fp)
+    ref.u = planar(seed)
+    ref.v = planar(seed)
+    ref.relinearize()
+    for name in ("u", "v", "w", "A", "ft", "gap", "grad_v", "residual"):
+        assert_same_bits(getattr(st, name), getattr(ref, name))
+    assert_planar(st)
+    st.iterate()
+    assert np.array_equal(seed, 0.5 * gt)  # the seed is not written
+
+
+@pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
+@pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
+def test_iterate_writes_the_fields_in_place(anisotropic, constant):
+    st = steady_flow_state(32, constant, anisotropic)
+    names = ("z", "r", "w", "u", "v") + (("lam",) if constant is None else ())
+    arrays = {name: getattr(st, name) for name in names}
+    for _ in range(3):
+        st.iterate()
+        for name in names:
+            assert getattr(st, name) is arrays[name], name
+    assert_planar(st)
+
+
+def steady_flow_state(n, constant, anisotropic=True):
+    f1, f2, _ = shifted_pair(smooth_texture(n, seed=5), (1.0, 0.0))
+    ap = AdaptiveParams(beta=10.0, alpha=0.01, constant_lambda=constant)
+    st = FlowState(f1, f2, FlowParams(solver=flow_solver(adaptive=ap), anisotropic_reg=anisotropic))
+    # the first iteration turns a constant weight into a float
+    st.iterate()
+    st.energy()
+    st.primal_residual()
+    return st
+
+
+@pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
+def test_steady_state_allocation_is_bounded(constant):
+    # Fresh memory of one iteration with its energy and residual at 128^2,
+    # in fields: 22.3 (adaptive) and 21.3 (constant) while every step made
+    # new fields, 12.3 with z, lambda, r, u and w written in place.
+    # numpy's iteration buffer is shrunk as in the denoise guard.
+    st = steady_flow_state(128, constant)
+    st.iterate()
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        st.iterate()
+        st.energy()
+        st.primal_residual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak < 14 * st.f1.nbytes
 
 
 def planar(a):

@@ -168,10 +168,16 @@ def scalar_stacks(draw):
 def test_convolve_matches_frozen_formula(u, sigma, axis):
     with np.errstate(all="ignore"):
         if sigma > 0:
-            k = gaussian_kernel(sigma)
-            radius = (len(k) - 1) // 2
-            assert_same_bits(_convolve_axis(u, k, radius, axis), convolve_axis_reference(u, k, radius, axis))
+            assert_convolve_axis_matches(u, sigma, axis)
         assert_same_bits(convolve_gaussian(u, sigma), convolve_gaussian_reference(u, sigma))
+
+
+def assert_convolve_axis_matches(u, sigma, axis):
+    """One smoothing pass into NaN-filled buffers against the frozen formula."""
+    k = gaussian_kernel(sigma)
+    radius = (len(k) - 1) // 2
+    out = _convolve_axis(u, k, radius, axis, garbage(u.shape), garbage(smoothing_scratch_size(u.shape, sigma)))
+    assert_same_bits(out, convolve_axis_reference(u, k, radius, axis))
 
 
 def _banded_field(shape, seed, component_first=False):
@@ -214,11 +220,9 @@ def _banded_field(shape, seed, component_first=False):
 def test_banded_convolve_matches_frozen_formula(shape, sigma, component_first):
     u = _banded_field(shape, 120, component_first)
     assert u.nbytes > BAND_BYTES  # more than one band
-    k = gaussian_kernel(sigma)
-    radius = (len(k) - 1) // 2
     with np.errstate(all="ignore"):
         for axis in (-1, -2):
-            assert_same_bits(_convolve_axis(u, k, radius, axis), convolve_axis_reference(u, k, radius, axis))
+            assert_convolve_axis_matches(u, sigma, axis)
         assert_same_bits(convolve_gaussian(u, sigma), convolve_gaussian_reference(u, sigma))
 
 

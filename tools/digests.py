@@ -1,0 +1,181 @@
+"""Print a sha256 per solver run, over everything the run produces.
+
+Each library run hashes its outputs, every state field after every
+iteration (through on_check) and its history CSV; each command-line run
+hashes the files it writes, its history CSV among them.  The runs:
+
+    denoise-{adaptive,constant}
+    segment-{adaptive,constant}                    4 labels
+    flow-{anisotropic,isotropic}-{1,2}level-{adaptive,constant}
+    cli-{denoise,segment,flow}                     the criterion-15 runs
+
+A refactor that keeps every output bitwise prints the same JSON before
+and after it, so diffing the two is its bitwise gate.  Fields are hashed
+in C order with their shapes, so a field's memory layout does not
+change its digest.
+
+    python3 tools/digests.py [SIZE [ITERS]]      (default 64 30)
+
+SIZE is the side of the library runs' images and ITERS their iteration
+cap (per warp for flow); the command-line runs have fixed sizes.  Run it
+with src/ on PYTHONPATH or the package installed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from adaptreg import (
+    AdaptiveParams,
+    FlowParams,
+    SegmentParams,
+    SolverParams,
+    add_gaussian_noise,
+    biased_noise_image,
+    history_to_csv,
+    noisy_rectangles,
+    run_denoise,
+    run_flow,
+    run_segment,
+    shifted_pair,
+    smooth_texture,
+)
+from adaptreg.cli import entry
+from adaptreg.imageio import write_pnm
+
+FIELDS = {
+    "denoise": ("u", "v", "w", "r", "z", "lam"),
+    "segment": ("u", "v", "w", "r", "z", "lam", "c"),
+    "flow": ("u", "v", "w", "r", "z", "lam", "A", "ft"),
+}
+
+
+def _update(h, name: str, value) -> None:
+    """Hash a name, then an array by its shape and its C-ordered bytes, or
+    anything else (a float lambda, a list) by its repr."""
+    h.update(name.encode())
+    if hasattr(value, "tobytes"):
+        h.update(repr(value.shape).encode())
+        h.update(value.tobytes())
+    else:
+        h.update(repr(value).encode())
+
+
+class _Run:
+    """A sha256 fed by on_check with the fields of the state after every
+    iteration, and then with the run's outputs and history."""
+
+    def __init__(self, problem: str):
+        self.fields = FIELDS[problem]
+        self.problem = problem
+        self.h = hashlib.sha256()
+
+    def on_check(self, state, record):
+        fields = state.s if self.problem == "segment" else state
+        for name in self.fields:
+            _update(self.h, name, getattr(fields, name))
+
+    def finish(self, outputs: dict, history) -> str:
+        for name, value in outputs.items():
+            _update(self.h, name, value)
+        self.h.update(history_to_csv(history).encode())
+        return self.h.hexdigest()
+
+
+def _adaptive(beta: float, sigma: float, constant):
+    if constant is None:
+        return AdaptiveParams(beta=beta, alpha=0.01, smoothing_sigma=sigma)
+    return AdaptiveParams(beta=beta, alpha=0.01, constant_lambda=constant)
+
+
+def library_runs(size: int, iters: int) -> dict:
+    digests = {}
+    clean = noisy_rectangles(size, noise_levels=(0.0, 0.0, 0.0, 0.0))[0]
+    noisy = biased_noise_image(clean, 0.3, "half", seed=2)
+    for kind, constant in (("adaptive", None), ("constant", 0.5)):
+        sp = SolverParams(mu=0.16, eta=0.08, theta=1.0, adaptive=_adaptive(1.0, 1.0, constant),
+                          max_iters=iters, tol_primal=1e-12)
+        run = _Run("denoise")
+        u, history = run_denoise(noisy, sp, on_check=run.on_check)
+        digests["denoise-" + kind] = run.finish({"u": u}, history)
+
+    image = noisy_rectangles(size, seed=1)[0]
+    for kind, constant in (("adaptive", None), ("constant", 0.2)):
+        sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=_adaptive(0.05, 1.5, constant),
+                          max_iters=iters, tol_primal=1e-12)
+        run = _Run("segment")
+        labels, state, history = run_segment(image, SegmentParams(solver=sp, n_labels=4),
+                                             on_check=run.on_check)
+        outputs = {"labels": labels, "c": state.c, "degenerate": state.degenerate_events}
+        digests["segment-" + kind] = run.finish(outputs, history)
+
+    f1, f2, _ = shifted_pair(smooth_texture(size, seed=5), (1.0, 0.5))
+    for reg in ("anisotropic", "isotropic"):
+        for levels in (1, 2):
+            for kind, constant in (("adaptive", None), ("constant", 0.99)):
+                sp = SolverParams(mu=0.01, eta=0.01, theta=0.1,
+                                  adaptive=_adaptive(10.0, 1.0, constant),
+                                  max_iters=iters, tol_primal=1e-12)
+                fp = FlowParams(solver=sp, n_warps=2, pyramid_levels=levels,
+                                anisotropic_reg=reg == "anisotropic")
+                run = _Run("flow")
+                u, history = run_flow(f1, f2, fp, on_check=run.on_check)
+                digests["flow-%s-%dlevel-%s" % (reg, levels, kind)] = run.finish({"u": u}, history)
+    return digests
+
+
+def cli_runs(workdir: Path) -> dict:
+    """The three runs of acceptance criterion 15 (at --threads 1), each
+    with --history-csv."""
+    side = [0.25 if x < 24 else 0.75 for x in range(48)]
+    noisy = workdir / "noisy.pgm"
+    write_pnm(noisy, add_gaussian_noise([side] * 48, 0.08, seed=0))
+    f1, f2, _ = shifted_pair(smooth_texture(32, seed=5), (1.0, 0.0))
+    p1, p2 = workdir / "f1.pgm", workdir / "f2.pgm"
+    write_pnm(p1, f1)
+    write_pnm(p2, f2)
+    runs = {
+        "denoise": (["--input", str(noisy), "--output", "d.pgm", "--iters", "30"], ["d.pgm"]),
+        "segment": (["--input", str(noisy), "--labels", "2", "--iters", "30",
+                     "--out-labels", "s.pgm", "--out-json", "s.json"], ["s.pgm", "s.json"]),
+        "flow": (["--frame1", str(p1), "--frame2", str(p2), "--out-flo", "f.flo",
+                  "--warps", "2", "--iters", "15"], ["f.flo"]),
+    }
+    digests = {}
+    for name, (args, files) in runs.items():
+        out = workdir / name
+        out.mkdir()
+        args = [str(out / a) if a in files else a for a in args]
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = entry([name] + args + ["--threads", "1", "--history-csv", str(out / "history.csv")])
+        if rc != 0:
+            raise RuntimeError("cli %s exited with %d" % (name, rc))
+        h = hashlib.sha256()
+        for f in files + ["history.csv"]:
+            h.update(f.encode())
+            h.update((out / f).read_bytes())
+        digests["cli-" + name] = h.hexdigest()
+    return digests
+
+
+def digests(size: int = 64, iters: int = 30) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        cli = cli_runs(Path(tmp))
+    return {**library_runs(size, iters), **cli}
+
+
+def main(argv: list[str]) -> int:
+    size = int(argv[1]) if len(argv) > 1 else 64
+    iters = int(argv[2]) if len(argv) > 2 else 30
+    print(json.dumps(digests(size, iters), indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
