@@ -89,6 +89,16 @@ def _write_history(args, history):
             fh.write(history_to_csv(history))
 
 
+def _report_metrics(rows, csv_path=None) -> None:
+    """Print (name, value) metric rows as a CSV block, after writing the
+    same block to csv_path when one is given."""
+    block = metrics.metrics_csv(rows)
+    if csv_path:
+        with open(csv_path, "w") as fh:
+            fh.write(block)
+    sys.stdout.write(block)
+
+
 def cmd_denoise(args) -> int:
     every = args.dump_lambda_every
     if every is not None and every < 1:
@@ -113,13 +123,16 @@ def cmd_denoise(args) -> int:
     write_pnm(args.output, u)
     _write_history(args, history)
     if ref is not None:
-        rows = [("psnr", metrics.psnr(u, ref)), ("ssim", metrics.ssim(u, ref))]
-        block = metrics.metrics_csv(rows)
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(block)
-        sys.stdout.write(block)
+        _report_metrics([("psnr", metrics.psnr(u, ref)), ("ssim", metrics.ssim(u, ref))], args.csv)
     return 0
+
+
+# The flags whose values segment's --out-json sidecar records as params,
+# each under its args attribute.
+_SIDECAR_PARAMS = (
+    "mu", "eta", "alpha", "beta", "theta", "smooth_sigma", "constant_lambda",
+    "labels", "tau_excl", "iters", "tol",
+)
 
 
 def cmd_segment(args) -> int:
@@ -142,32 +155,12 @@ def cmd_segment(args) -> int:
         "c": [float(c) for c in state.c],
         "degenerate_updates": len(state.degenerate_events),
         "iterations": history[-1].iter if history else 0,
-        "params": {
-            "mu": args.mu,
-            "eta": args.eta,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "theta": args.theta,
-            "smooth_sigma": args.smooth_sigma,
-            "constant_lambda": args.constant_lambda,
-            "labels": args.labels,
-            "tau_excl": args.tau_excl,
-            "iters": args.iters,
-            "tol": args.tol,
-        },
+        "params": {name: getattr(args, name) for name in _SIDECAR_PARAMS},
     }
     if gt is not None:
-        precision, recall, f_measure = metrics.label_scores(labels, gt)
-        sidecar["scores"] = {
-            "precision": precision,
-            "recall": recall,
-            "f_measure": f_measure,
-        }
-        sys.stdout.write(
-            metrics.metrics_csv(
-                [("precision", precision), ("recall", recall), ("f_measure", f_measure)]
-            )
-        )
+        scores = dict(zip(("precision", "recall", "f_measure"), metrics.label_scores(labels, gt)))
+        sidecar["scores"] = scores
+        _report_metrics(scores.items())
     if args.out_json:
         with open(args.out_json, "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -194,12 +187,7 @@ def cmd_flow(args) -> int:
     if args.out_color:
         write_pnm(args.out_color, flow_to_color(u))
     if gt is not None:
-        rows = [("aee", metrics.aee(u, gt)), ("aae", metrics.aae(u, gt))]
-        block = metrics.metrics_csv(rows)
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(block)
-        sys.stdout.write(block)
+        _report_metrics([("aee", metrics.aee(u, gt)), ("aae", metrics.aae(u, gt))], args.csv)
     return 0
 
 
@@ -266,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--tau0", type=float, default=0.5, help="initial warp mix (default %(default)s)")
     f.add_argument("--dtau", type=float, default=0.005, help="warp mix increment per iteration (default %(default)s)")
     f.add_argument("--warps", type=int, default=10, help="outer re-linearizations (default %(default)s)")
-    f.add_argument("--pyramid", type=int, default=1, help="coarse-to-fine levels (default %(default)s)")
+    f.add_argument("--pyramid", type=int, default=1, help="at most this many coarse-to-fine levels; a level is halved only while both its sides are at least 16 px (default %(default)s)")
     f.add_argument("--isotropic", action="store_true", help="isotropic regularizer per velocity component")
     _add_solver_flags(f, mu=0.01, eta=0.3, alpha=0.01, beta=10.0, theta=0.1, iters=50)
     f.add_argument("--gt", metavar="FLO", help="ground-truth flow for AEE/AAE")

@@ -200,7 +200,10 @@ class FlowState:
         else:
             shrink_vec(self.grad_v, sp.eta, out=self.z)
         self.grad_v = None
-        self.lam = weight_fields(envelope_at(self.gap, self.r, sp.mu), sp.adaptive, out=self.lam)
+        adaptive = sp.adaptive.constant_lambda is None
+        self.lam = weight_fields(
+            envelope_at(self.gap, self.r, sp.mu) if adaptive else None, sp.adaptive, out=self.lam
+        )
         shrink(self.gap, sp.mu, out=self.r)
         self.gap = None
         update_u(self, sp)
@@ -333,7 +336,9 @@ def run_flow(f1: np.ndarray, f2: np.ndarray, params: FlowParams, on_check=None):
 
     Outer loop: n_warps re-linearizations, each followed by a full inner
     ADMM run; with pyramid_levels > 1, a coarse-to-fine sweep over 2x
-    downscaled frames seeds each finer level.  Iteration numbers in the
+    downscaled frames seeds each finer level.  pyramid_levels is a cap:
+    a level is halved only while both its sides are at least 16 px, so
+    5 levels of a 32 px pair run 3 (32, 16 and 8 px).  Iteration numbers in the
     history advance by the per-warp budget even when a warp stops early.
     u is returned as a C-contiguous (H, W, 2) array.  The state writes
     its fields in place, so on_check must copy whatever it keeps of them.

@@ -161,33 +161,28 @@ def write_flo(path, u: np.ndarray):
         fh.write(u.astype("<f4").tobytes())
 
 
-# Segment sizes of the flow color wheel: RY, YG, GC, CB, BM, MR.
-_WHEEL_SEGMENTS = (15, 6, 4, 11, 13, 6)
+# The segments of the flow color wheel, RY, YG, GC, CB, BM, MR: length,
+# the channel that ramps, whether it ramps up from 0 (else down from
+# 255), and the channel held at 255.
+_WHEEL_SEGMENTS = (
+    (15, 1, True, 0),
+    (6, 0, False, 1),
+    (4, 2, True, 1),
+    (11, 1, False, 2),
+    (13, 0, True, 2),
+    (6, 2, False, 0),
+)
 
 
 def color_wheel() -> np.ndarray:
     """The 55-entry flow color wheel as (55, 3) floats in [0, 255]."""
-    ry, yg, gc, cb, bm, mr = _WHEEL_SEGMENTS
-    ncols = sum(_WHEEL_SEGMENTS)
-    wheel = np.zeros((ncols, 3))
+    wheel = np.zeros((sum(n for n, *_ in _WHEEL_SEGMENTS), 3))
     col = 0
-    wheel[col : col + ry, 0] = 255
-    wheel[col : col + ry, 1] = np.floor(255 * np.arange(ry) / ry)
-    col += ry
-    wheel[col : col + yg, 0] = 255 - np.floor(255 * np.arange(yg) / yg)
-    wheel[col : col + yg, 1] = 255
-    col += yg
-    wheel[col : col + gc, 1] = 255
-    wheel[col : col + gc, 2] = np.floor(255 * np.arange(gc) / gc)
-    col += gc
-    wheel[col : col + cb, 1] = 255 - np.floor(255 * np.arange(cb) / cb)
-    wheel[col : col + cb, 2] = 255
-    col += cb
-    wheel[col : col + bm, 2] = 255
-    wheel[col : col + bm, 0] = np.floor(255 * np.arange(bm) / bm)
-    col += bm
-    wheel[col : col + mr, 2] = 255 - np.floor(255 * np.arange(mr) / mr)
-    wheel[col : col + mr, 0] = 255
+    for n, ramp, up, held in _WHEEL_SEGMENTS:
+        t = np.floor(255 * np.arange(n) / n)
+        wheel[col : col + n, ramp] = t if up else 255 - t
+        wheel[col : col + n, held] = 255
+        col += n
     return wheel
 
 

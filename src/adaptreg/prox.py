@@ -93,7 +93,8 @@ def huber_vec(v, mu: float, *, norm=None, out=None, scratch=None):
 
 
 def envelope_at(x, r, mu: float, *, out=None, scratch=None):
-    """The envelope's objective at r: |r| + (x - r)^2 / (2 mu).  scratch,
+    """The envelope's objective at r: |r| + (x - r)^2 / (2 mu).  out may
+    be x itself, which only the first, elementwise step reads; scratch,
     shaped like r, takes |r|."""
     x = np.asarray(x, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)

@@ -7,10 +7,12 @@ label-major.  One iteration runs these steps on the whole stack:
     z            vector shrink of grad v (it reads only v, so it runs
                  first, from the grad v the last iteration formed)
     lambda       from the residual d * u, d the misfit of the previous c, r
+                 (a constant weight forms no residual)
     c            c_i = sum(lambda_i (f - r_i) u_i) / sum(lambda_i u_i)
     r            shrink(f - c_i | mu)
-    d            |r_i| + (f - c_i - r_i)^2 / (2 mu), computed once here and
-                 read by the u-step, the energy and the next weight step
+    d            |r_i| + (f - c_i - r_i)^2 / (2 mu), computed once here,
+                 over the f - c_i the r-step read, and read by the
+                 u-step, the energy and the next weight step
     u            u_i = max(0, v_i - w_i - (lambda_i/theta) d_i
                                 - (tau_excl/theta) sum_{j != i} u_j)
     v            one screened solve (exact by the DCT for a constant
@@ -240,11 +242,13 @@ class SegmentState:
         self.grad_v = None
         # lambda may be a float, as a constant-weight run leaves it
         lam = s.lam if np.shape(s.lam) == s.u.shape else None
-        s.lam = weight_fields(self.d * s.u, sp.adaptive, out=lam)
+        adaptive = sp.adaptive.constant_lambda is None
+        s.lam = weight_fields(self.d * s.u if adaptive else None, sp.adaptive, out=lam)
         s.c = update_c(s)
-        shrink(s.f - s.c[:, None, None], sp.mu, out=s.r)
-        # read by the u-step, the energy and the next weight step
-        self.d = misfit(s, sp.mu)
+        gap = s.f - s.c[:, None, None]
+        shrink(gap, sp.mu, out=s.r)
+        # d over f - c, read by the u-step, the energy and the next weight step
+        self.d = envelope_at(gap, s.r, sp.mu, out=gap)
         update_u(s, p, self.d)
         update_v_all(s, p)
         uv = s.u - s.v

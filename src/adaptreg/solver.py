@@ -171,28 +171,30 @@ def _zero_pads(planes: np.ndarray) -> None:
         planes[..., :, edge] = 0.0
 
 
+def _slot(scratch, start: int, shape) -> np.ndarray:
+    """Entries start, start + 1, ... of a flat scratch as an array of this
+    shape, or a fresh uninitialized array without a scratch."""
+    if scratch is None:
+        return np.empty(shape)
+    return scratch[start : start + math.prod(shape)].reshape(shape)
+
+
 def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame, scratch=None) -> np.ndarray:
     """rhs, c*rhs and the gain xi/(1 + xi*c) of every sub-lattice, c the
     neighbor count, as a field-major (3 fields, 4 sub-lattices, ...,
     *frame) block of planes: one field of both sub-lattices of a color
     is one contiguous run.  Pad cells hold 0 in all three.  With a flat
     scratch given, the block is its start and the count planes follow
-    it; their pads are zeroed first, so what the scratch held before does
-    not matter."""
+    it; without one, both are fresh arrays.  Their pads are zeroed
+    first, so what the memory held before does not matter."""
     h, w = rhs.shape[-2:]
     shape = (3, 4) + rhs.shape[:-2] + frame
+    fields = _slot(scratch, 0, shape)
     # One count plane per sub-lattice, broadcast over the stack; 0 on pad.
-    count_shape = (4,) + (1,) * (rhs.ndim - 2) + frame
-    if scratch is None:
-        fields = np.zeros(shape)
-        count = np.zeros(count_shape)
-    else:
-        size = math.prod(shape)
-        fields = scratch[:size].reshape(shape)
-        count = scratch[size : size + math.prod(count_shape)].reshape(count_shape)
-        # c*rhs is written everywhere below; rhs and the gain only inside.
-        _zero_pads(fields[::2])
-        _zero_pads(count)
+    count = _slot(scratch, fields.size, (4,) + (1,) * (rhs.ndim - 2) + frame)
+    # c*rhs is written everywhere below; rhs and the gain only inside.
+    _zero_pads(fields[::2])
+    _zero_pads(count)
     b, bc, e = fields
     for k, (py, px) in enumerate(_SUBLATTICES):
         cells = _cells(h, w, py, px)
@@ -207,10 +209,11 @@ def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame, scratch=None) -> np.nd
     return fields
 
 
-def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int, scratch=None) -> None:
+def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int, scratch, start: int) -> None:
     """Red-black Gauss-Seidel sweeps in place on the (4, ..., *frame)
     parity planes of v: v = rhs + (T - c*rhs) * gain, 18 ufunc calls each.
-    scratch, if given, is a flat buffer of at least one plane."""
+    The neighbor sums take a run buffer of up to one plane: the entries
+    of a flat scratch from start on, or a fresh array without one."""
     n = planes[0].size
     stride = planes.shape[-1]
     v = planes.reshape(-1)
@@ -243,7 +246,7 @@ def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int, scratch=None) ->
     for k in (0, 2):
         tail = slice(k * n + lo, (k + 1) * n + hi)
         colors.append((sums[k : k + 2], v[tail], fields[:, tail]))
-    scratch = np.empty(hi - lo) if scratch is None else scratch[: hi - lo]
+    scratch = _slot(scratch, start, (hi - lo,))
     for _ in range(sweeps):
         for color_sums, center, (b, bc, e) in colors:
             # center = b + (((left + right) + (up + down)) - bc) * e
@@ -306,10 +309,12 @@ def screened_solve(
     both are read before out is written.  scratch, if given, is a flat
     float64 buffer of at least solve_scratch_size(rhs.shape) entries for
     every intermediate of either solve, whatever it held before.  With
-    both, a solve allocates nothing of field size; without them it
-    takes about 4.3 rhs sizes of fresh memory for a field xi (three
-    field planes, the v planes and a quarter-size scratch) and about
-    three for a scalar one.
+    both, a solve allocates nothing of field size.  Without a scratch, a
+    field xi's solve allocates the same parts as separate arrays and
+    zeroes the same pad cells in them, and it frees the field planes
+    before it allocates out; it takes about 4.3 rhs sizes of fresh
+    memory (three field planes, the v planes and a quarter-size run
+    buffer).  A scalar xi's solve takes about three.
 
     The sweeps use red-black ordering: each half sweep updates one
     checkerboard color from the other, which makes the result
@@ -367,18 +372,14 @@ def screened_solve(
     frame = _frame(h, w)
     shape = (4,) + rhs.shape[:-2] + frame
     fields = _plane_fields(rhs, xi, frame, scratch)
-    if scratch is None:
-        planes = np.zeros(shape)
-        run = None
-    else:
-        # the v planes follow the plane block, where the count planes were
-        size = math.prod(shape)
-        planes = scratch[3 * size : 4 * size].reshape(shape)
-        _zero_pads(planes)
-        run = scratch[4 * size : 4 * size + size // 4]
+    # in a scratch, the v planes follow the plane block, where the count
+    # planes were, and the sweep's run buffer follows them
+    size = math.prod(shape)
+    planes = _slot(scratch, 3 * size, shape)
+    _zero_pads(planes)
     for plane, (py, px) in zip(planes, _SUBLATTICES):
         plane[_cells(h, w, py, px)] = v0[..., py::2, px::2]
-    _sweep(planes, fields, sweeps, run)
+    _sweep(planes, fields, sweeps, scratch, 4 * size)
     del fields  # free before allocating the output, so the sweep sets the peak
     if out is None:
         out = np.empty(rhs.shape)

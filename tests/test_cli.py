@@ -68,7 +68,7 @@ def test_denoise_improves_and_reports_metrics(tmp_path, capsys):
     assert rows["psnr"] > 15.0
     assert 0.0 < rows["ssim"] <= 1.0
     # stdout carries the same block
-    assert "psnr," in capsys.readouterr().out
+    assert capsys.readouterr().out == csv.read_text()
     # the denoised image is closer to the clean one than the input was
     clean = read_pnm(clean_path)
     assert np.abs(read_pnm(out) - clean).mean() < np.abs(read_pnm(noisy_path) - clean).mean()
@@ -100,11 +100,19 @@ def test_segment_scores_and_sidecar(tmp_path, capsys):
     _, noisy_path, gt_path = _denoise_fixture(tmp_path)
     out_labels = tmp_path / "labels.pgm"
     out_json = tmp_path / "run.json"
+    # Every recorded flag is passed, each with its own value.
+    params = {
+        "mu": 0.4, "eta": 0.45, "alpha": 0.02, "beta": 8.0, "theta": 1.2,
+        "smooth_sigma": 0.5, "constant_lambda": 0.6, "labels": 2, "tau_excl": 0.3,
+        "iters": 80, "tol": 1e-7,
+    }
+    flags = []
+    for name, value in params.items():
+        flags += ["--" + name.replace("_", "-"), repr(value)]
     rc = entry([
-        "segment", "--input", str(noisy_path), "--labels", "2",
-        "--iters", "80", "--gt", str(gt_path),
+        "segment", "--input", str(noisy_path), "--gt", str(gt_path),
         "--out-labels", str(out_labels), "--out-json", str(out_json),
-    ])
+    ] + flags)
     assert rc == 0
     labels = np.rint(read_pnm(out_labels) * 255).astype(np.int64)
     assert set(np.unique(labels)) <= {0, 1}
@@ -112,7 +120,8 @@ def test_segment_scores_and_sidecar(tmp_path, capsys):
     assert set(sidecar) == {"c", "degenerate_updates", "iterations", "params", "scores"}
     assert sidecar["scores"]["f_measure"] >= 0.99
     assert sidecar["iterations"] >= 1
-    assert sidecar["params"]["labels"] == 2
+    assert sidecar["params"] == params
+    assert all(type(sidecar["params"][name]) is type(value) for name, value in params.items())
     c = sorted(sidecar["c"])
     assert abs(c[0] - 0.25) < 0.05
     assert abs(c[1] - 0.75) < 0.05
@@ -152,7 +161,7 @@ def test_flow_same_frame_gives_zero_field(tmp_path):
     assert np.max(np.abs(u)) == 0.0
 
 
-def test_flow_metrics_and_color_output(tmp_path):
+def test_flow_metrics_and_color_output(tmp_path, capsys):
     p1, p2, pgt = _flow_fixture(tmp_path)
     out = tmp_path / "u.flo"
     color = tmp_path / "u.ppm"
@@ -167,6 +176,7 @@ def test_flow_metrics_and_color_output(tmp_path):
     rows = _read_csv(csv)
     assert rows["aee"] < 0.5
     assert rows["aae"] < 0.5
+    assert capsys.readouterr().out == csv.read_text()
     assert read_pnm(color).shape == (32, 32, 3)
 
 

@@ -15,7 +15,11 @@ RUNS = (
        for reg in ("anisotropic", "isotropic")
        for levels in (1, 2)
        for kind in ("adaptive", "constant")]
-    + ["cli-denoise", "cli-segment", "cli-flow"]
+    + ["cli-%s%s" % (cmd, kind)
+       for cmd in ("denoise", "segment", "flow")
+       for kind in ("", "-scored")]
+    + ["cli-synth-" + generator
+       for generator in ("junction", "rectangles", "biased", "shifted-pair", "texture")]
 )
 
 

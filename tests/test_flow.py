@@ -224,6 +224,22 @@ def test_gradient_computed_once_per_iteration(monkeypatch):
     assert per_iteration == [1, 1, 1, 2, 1, 1]
 
 
+@pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
+def test_envelope_only_for_a_weight_field(monkeypatch, constant):
+    # A constant weight reads no residual, so none is formed.
+    st = steady_flow_state(16, constant)
+    calls = []
+
+    def counted(*args, _envelope=flow.envelope_at, **buffers):
+        calls.append(1)
+        return _envelope(*args, **buffers)
+
+    monkeypatch.setattr(flow, "envelope_at", counted)
+    for _ in range(3):
+        st.iterate()
+    assert len(calls) == (3 if constant is None else 0)
+
+
 def test_residual_computed_once_per_iteration(monkeypatch):
     st = smoothed_flow_state()
     calls = []
@@ -532,6 +548,16 @@ def test_pyramid_improves_large_shift():
     u_one, _ = run_flow(f1, f2, single)
     assert aee(u_pyr, gt) < 0.1
     assert aee(u_pyr, gt) < aee(u_one, gt)
+
+
+def test_pyramid_halves_only_frames_of_at_least_16_px():
+    # Five levels asked of a 32 px pair run three: 32 px, 16 px and 8 px.
+    f1, f2, _ = shifted_pair(smooth_texture(32, seed=5), (1.0, 0.0))
+    fp = FlowParams(solver=flow_solver(max_iters=2), n_warps=1, pyramid_levels=5)
+    shapes = []
+    _, history = run_flow(f1, f2, fp, on_check=lambda state, record: shapes.append(state.f1.shape))
+    assert len(history) == 6
+    assert shapes == [(8, 8)] * 2 + [(16, 16)] * 2 + [(32, 32)] * 2
 
 
 def test_pyramid_collapses_on_tiny_frames():

@@ -278,8 +278,13 @@ def test_envelope_at_writes_into_given_buffers(data, mu):
     x = data.draw(fields(vector=False))
     r = data.draw(hnp.arrays(np.float64, x.shape, elements=ELEMENTS))
     with np.errstate(all="ignore"):
+        ref = envelope_reference(x, r, mu)
         out = envelope_at(x, r, mu, out=garbage(x.shape), scratch=garbage(x.shape))
-        assert_same_bits(out, envelope_reference(x, r, mu))
+        assert_same_bits(out, ref)
+        # in place: x is read only by the first, elementwise step
+        y = np.array(x)
+        assert_same_bits(envelope_at(y, r, mu, out=y), ref)
+        assert_same_bits(y, np.asarray(ref))
 
 
 @KERNEL_SETTINGS

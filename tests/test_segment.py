@@ -319,6 +319,31 @@ def test_gradient_computed_once_per_iteration(monkeypatch):
     assert per_iteration == [1, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("const", [None, 0.3], ids=["adaptive", "constant"])
+def test_residual_only_for_a_weight_field_and_misfit_over_the_gap(monkeypatch, const):
+    # A constant weight reads no residual d * u, so none is formed; and d
+    # is written over the f - c that the r-step shrank, one envelope per
+    # iteration.
+    img, _ = noisy_rectangles(32, seed=0)
+    wrapper = SegmentState(img, seg_params(n_labels=4, const=const))
+    residuals, envelopes = [], []
+
+    def weights(rho, *args, _weights=segment.weight_fields, **kwargs):
+        residuals.append(rho)
+        return _weights(rho, *args, **kwargs)
+
+    def envelope(x, r, mu, _envelope=segment.envelope_at, **buffers):
+        envelopes.append(buffers.get("out") is x)
+        return _envelope(x, r, mu, **buffers)
+
+    monkeypatch.setattr(segment, "weight_fields", weights)
+    monkeypatch.setattr(segment, "envelope_at", envelope)
+    for _ in range(3):
+        wrapper.iterate()
+    assert [rho is None for rho in residuals] == [const is not None] * 3
+    assert envelopes == [True] * 3
+
+
 def test_residual_computed_once_per_iteration(monkeypatch):
     wrapper, _ = smoothed_segment_state()
     calls = []

@@ -2,12 +2,15 @@
 
 Each library run hashes its outputs, every state field after every
 iteration (through on_check) and its history CSV; each command-line run
-hashes the files it writes, its history CSV among them.  The runs:
+hashes the files it writes, its history CSV among them, and what it
+prints.  The runs:
 
     denoise-{adaptive,constant}
     segment-{adaptive,constant}                    4 labels
     flow-{anisotropic,isotropic}-{1,2}level-{adaptive,constant}
     cli-{denoise,segment,flow}                     the criterion-15 runs
+    cli-{denoise,segment,flow}-scored              metrics against a reference
+    cli-synth-{junction,rectangles,biased,shifted-pair,texture}
 
 A refactor that keeps every output bitwise prints the same JSON before
 and after it, so diffing the two is its bitwise gate.  Fields are hashed
@@ -47,7 +50,7 @@ from adaptreg import (
     smooth_texture,
 )
 from adaptreg.cli import entry
-from adaptreg.imageio import write_pnm
+from adaptreg.imageio import write_flo, write_pnm
 
 FIELDS = {
     "denoise": ("u", "v", "w", "r", "z", "lam"),
@@ -131,35 +134,65 @@ def library_runs(size: int, iters: int) -> dict:
 
 
 def cli_runs(workdir: Path) -> dict:
-    """The three runs of acceptance criterion 15 (at --threads 1), each
-    with --history-csv."""
+    """The three runs of acceptance criterion 15 (at --threads 1, each
+    with --history-csv), one run of denoise, segment and flow that scores
+    against a reference (metric CSV, scores, color flow), and one run per
+    synth generator."""
     side = [0.25 if x < 24 else 0.75 for x in range(48)]
-    noisy = workdir / "noisy.pgm"
-    write_pnm(noisy, add_gaussian_noise([side] * 48, 0.08, seed=0))
-    f1, f2, _ = shifted_pair(smooth_texture(32, seed=5), (1.0, 0.0))
-    p1, p2 = workdir / "f1.pgm", workdir / "f2.pgm"
-    write_pnm(p1, f1)
-    write_pnm(p2, f2)
+    write_pnm(workdir / "clean.pgm", [side] * 48)
+    write_pnm(workdir / "noisy.pgm", add_gaussian_noise([side] * 48, 0.08, seed=0))
+    # labels 0 and 1, since write_pnm stores rint(255 x)
+    write_pnm(workdir / "gt.pgm", [[0.0 if x < 24 else 1.0 / 255 for x in range(48)]] * 48)
+    f1, f2, gt = shifted_pair(smooth_texture(32, seed=5), (1.0, 0.0))
+    write_pnm(workdir / "f1.pgm", f1)
+    write_pnm(workdir / "f2.pgm", f2)
+    write_flo(workdir / "gt.flo", gt)
+    # {in} is the input directory and {out} the run's own; files are the
+    # run's outputs, named inside {out}.
+    denoise = ["denoise", "--input", "{in}/noisy.pgm", "--output", "{out}/d.pgm"]
+    segment = ["segment", "--input", "{in}/noisy.pgm", "--labels", "2"]
+    flow = ["flow", "--frame1", "{in}/f1.pgm", "--frame2", "{in}/f2.pgm"]
+    history = ["--threads", "1", "--history-csv", "{out}/history.csv"]
     runs = {
-        "denoise": (["--input", str(noisy), "--output", "d.pgm", "--iters", "30"], ["d.pgm"]),
-        "segment": (["--input", str(noisy), "--labels", "2", "--iters", "30",
-                     "--out-labels", "s.pgm", "--out-json", "s.json"], ["s.pgm", "s.json"]),
-        "flow": (["--frame1", str(p1), "--frame2", str(p2), "--out-flo", "f.flo",
-                  "--warps", "2", "--iters", "15"], ["f.flo"]),
+        "denoise": (denoise + ["--iters", "30"] + history, ["d.pgm", "history.csv"]),
+        "segment": (segment + ["--iters", "30", "--out-labels", "{out}/s.pgm",
+                               "--out-json", "{out}/s.json"] + history,
+                    ["s.pgm", "s.json", "history.csv"]),
+        "flow": (flow + ["--out-flo", "{out}/f.flo", "--warps", "2", "--iters", "15"] + history,
+                 ["f.flo", "history.csv"]),
+        "denoise-scored": (denoise + ["--iters", "10", "--metrics-ref", "{in}/clean.pgm",
+                                      "--csv", "{out}/m.csv"], ["d.pgm", "m.csv"]),
+        "segment-scored": (segment + ["--iters", "10", "--gt", "{in}/gt.pgm",
+                                      "--out-json", "{out}/s.json"], ["s.json"]),
+        "flow-scored": (flow + ["--warps", "1", "--iters", "10", "--gt", "{in}/gt.flo",
+                                "--csv", "{out}/m.csv", "--out-color", "{out}/c.ppm"],
+                        ["m.csv", "c.ppm"]),
     }
+    synth = {
+        "junction": ["x.pgm", "x_labels.pgm"],
+        "rectangles": ["x.pgm", "x_labels.pgm"],
+        "biased": ["x.pgm", "x_clean.pgm"],
+        "shifted-pair": ["x_1.pgm", "x_2.pgm", "x_gt.flo"],
+        "texture": ["x.pgm"],
+    }
+    for generator, files in synth.items():
+        runs["synth-" + generator] = (["synth", generator, "--size", "32", "--out", "{out}/x"], files)
     digests = {}
     for name, (args, files) in runs.items():
         out = workdir / name
         out.mkdir()
-        args = [str(out / a) if a in files else a for a in args]
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = entry([name] + args + ["--threads", "1", "--history-csv", str(out / "history.csv")])
+        args = [a.format(**{"in": workdir, "out": out}) for a in args]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = entry(args)
         if rc != 0:
             raise RuntimeError("cli %s exited with %d" % (name, rc))
         h = hashlib.sha256()
-        for f in files + ["history.csv"]:
+        for f in files:
             h.update(f.encode())
             h.update((out / f).read_bytes())
+        h.update(b"stdout")
+        h.update(stdout.getvalue().encode())
         digests["cli-" + name] = h.hexdigest()
     return digests
 
