@@ -8,7 +8,9 @@ for interface stability but results are bitwise identical for any value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -60,7 +62,7 @@ def _add_solver_flags(sp, mu, eta, alpha, beta, theta, iters):
     sp.add_argument("--constant-lambda", type=float, default=None, metavar="L0", help="disable adaptivity and use this constant fidelity weight")
     sp.add_argument("--iters", type=int, default=iters, help="iteration cap (default %(default)s)")
     sp.add_argument("--tol", type=float, default=1e-6, help="primal residual stop tolerance (default %(default)s)")
-    sp.add_argument("--history-csv", metavar="PATH", help="write per-iteration history as CSV")
+    sp.add_argument("--history-csv", metavar="PATH", help="write per-iteration history, with every iteration's energy, as CSV")
     sp.add_argument("--threads", type=int, default=1, help="accepted for interface stability; output is identical for any value")
 
 
@@ -83,10 +85,29 @@ def _solver_params(args) -> SolverParams:
     )
 
 
-def _write_history(args, history):
+def _history_recorder(args, then=None):
+    """(rows, on_check) for a run.  Under --history-csv, on_check appends
+    each record to rows with its energy, formed where the run left it
+    NaN, so the file reports every iteration's energy; without it the
+    run forms no extra energy.  then, if given, is called after."""
+    rows = []
+    if not args.history_csv:
+        return rows, then
+
+    def on_check(state, record):
+        if math.isnan(record.energy):
+            record = dataclasses.replace(record, energy=state.energy())
+        rows.append(record)
+        if then is not None:
+            then(state, record)
+
+    return rows, on_check
+
+
+def _write_history(args, rows):
     if args.history_csv:
         with open(args.history_csv, "w") as fh:
-            fh.write(history_to_csv(history))
+            fh.write(history_to_csv(rows))
 
 
 def _report_metrics(rows, csv_path=None) -> None:
@@ -103,25 +124,28 @@ def cmd_denoise(args) -> int:
     every = args.dump_lambda_every
     if every is not None and every < 1:
         raise ValueError("--dump-lambda-every must be a positive integer")
+    if args.csv and not args.metrics_ref:
+        raise ValueError("--csv needs --metrics-ref to score against")
     f = _read_gray(args.input)
     ref = None
     if args.metrics_ref:
         ref = _check_reference(_read_gray(args.metrics_ref), f.shape, "--metrics-ref")
         metrics.check_ssim_shape(ref.shape)
     params = _solver_params(args)
-    on_check = None
+    dump = None
     if every is not None:
 
-        def on_check(state, record):
+        def dump(state, record):
             if record.iter % every == 0:
                 path = "%s.lambda%04d.pgm" % (args.output, record.iter)
                 # a constant weight is a float
                 lam = np.broadcast_to(state.lam, state.f.shape)
                 write_pnm(path, grayscale_heatmap(lam, 0.0, 1.0))
 
-    u, history = run_denoise(f, params, on_check=on_check)
+    rows, on_check = _history_recorder(args, dump)
+    u, _ = run_denoise(f, params, on_check=on_check)
     write_pnm(args.output, u)
-    _write_history(args, history)
+    _write_history(args, rows)
     if ref is not None:
         _report_metrics([("psnr", metrics.psnr(u, ref)), ("ssim", metrics.ssim(u, ref))], args.csv)
     return 0
@@ -147,8 +171,9 @@ def cmd_segment(args) -> int:
         n_labels=args.labels,
         tau_excl=args.tau_excl,
     )
-    labels, state, history = run_segment(f, params)
-    _write_history(args, history)
+    rows, on_check = _history_recorder(args)
+    labels, state, history = run_segment(f, params, on_check=on_check)
+    _write_history(args, rows)
     if args.out_labels:
         write_pnm(args.out_labels, labels.astype(np.uint8))
     sidecar = {
@@ -169,6 +194,8 @@ def cmd_segment(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    if args.csv and not args.gt:
+        raise ValueError("--csv needs --gt to score against")
     f1 = _read_gray(args.frame1)
     f2 = _read_gray(args.frame2)
     gt = _check_reference(read_flo(args.gt), f1.shape + (2,), "--gt") if args.gt else None
@@ -180,8 +207,9 @@ def cmd_flow(args) -> int:
         pyramid_levels=args.pyramid,
         anisotropic_reg=not args.isotropic,
     )
-    u, history = run_flow(f1, f2, params)
-    _write_history(args, history)
+    rows, on_check = _history_recorder(args)
+    u, _ = run_flow(f1, f2, params, on_check=on_check)
+    _write_history(args, rows)
     if args.out_flo:
         write_flo(args.out_flo, u)
     if args.out_color:
@@ -233,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(d, mu=0.16, eta=0.08, alpha=0.01, beta=1.0, theta=1.0, iters=150)
     d.add_argument("--dump-lambda-every", type=int, metavar="K", help="write the fidelity-weight field as a heatmap every K >= 1 iterations")
     d.add_argument("--metrics-ref", metavar="CLEAN", help="clean reference for PSNR/SSIM")
-    d.add_argument("--csv", metavar="PATH", help="write metric rows to this CSV")
+    d.add_argument("--csv", metavar="PATH", help="write the metric rows to this CSV (needs --metrics-ref)")
     d.set_defaults(func=cmd_denoise)
 
     s = sub.add_parser("segment", help="multi-label segmentation")
@@ -258,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--isotropic", action="store_true", help="isotropic regularizer per velocity component")
     _add_solver_flags(f, mu=0.01, eta=0.3, alpha=0.01, beta=10.0, theta=0.1, iters=50)
     f.add_argument("--gt", metavar="FLO", help="ground-truth flow for AEE/AAE")
-    f.add_argument("--csv", metavar="PATH", help="write metric rows to this CSV")
+    f.add_argument("--csv", metavar="PATH", help="write the metric rows to this CSV (needs --gt)")
     f.set_defaults(func=cmd_flow)
 
     g = sub.add_parser("synth", help="write synthetic fixtures")

@@ -6,7 +6,8 @@ same driver through a small duck-typed state protocol:
     state.iterate()            run one full update sweep (weights first,
                                then r, z, u, v, w in the documented order)
     state.primal_residual()    RMS of u - v over all scalar entries
-    state.energy()             current model energy (finite unless diverged)
+    state.energy()             current model energy (run_admm forms it
+                               only on a run's last iteration)
     state.mean_lambda()        mean fidelity weight, in [0, 1]
     state.solution()           object handed back to the caller
 
@@ -72,6 +73,10 @@ def check_count(name: str, value, least: int) -> None:
 
 @dataclass
 class IterationRecord:
+    """One iteration of a run.  energy is math.nan on every record but a
+    run's last, since run_admm forms the energy only there; a caller that
+    wants it earlier calls state.energy() in its on_check."""
+
     iter: int
     energy: float
     primal_residual: float
@@ -79,7 +84,8 @@ class IterationRecord:
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the tracked energy stops being finite."""
+    """Raised when the primal residual, formed every iteration, or the
+    energy of a run's last iteration stops being finite."""
 
     def __init__(self, iteration: int):
         super().__init__("divergence detected at iteration %d" % iteration)
@@ -88,8 +94,8 @@ class DivergenceError(RuntimeError):
 
 def rms(a: np.ndarray, *, out: np.ndarray | None = None) -> float:
     """Root mean square over all entries of an array.  out, if given,
-    takes the squares and may be a itself; np.mean sums in memory order,
-    so it must be C-contiguous like a fresh product."""
+    takes the squares and may be a; np.mean sums in memory order, so it
+    must be C-contiguous like a fresh product."""
     a = np.asarray(a, dtype=np.float64)
     return float(np.sqrt(np.mean(np.multiply(a, a, out=out))))
 
@@ -97,29 +103,36 @@ def rms(a: np.ndarray, *, out: np.ndarray | None = None) -> float:
 def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):
     """Drive a problem state to convergence or the iteration cap.
 
-    Returns (solution, history).  Every iteration is checked: history
-    holds one IterationRecord per iteration (1-based, offset by
-    start_iter so chained runs keep a global counter).  The run stops
-    early after the first iteration with primal_residual <= tol_primal;
-    a non-finite energy raises DivergenceError.  on_check, if given, is
-    called as on_check(state, record) after every iteration.  A state
-    may reuse its arrays between iterations (the three problem states
-    write their fields in place), so on_check must copy whatever it
-    keeps.
+    Returns (solution, history).  history holds one IterationRecord per
+    iteration (1-based, offset by start_iter so chained runs keep a
+    global counter).  The run stops early after the first iteration with
+    primal_residual <= tol_primal.  The energy is formed only on the
+    run's last iteration, the one that converged or hit the cap; every
+    earlier record carries math.nan.  A non-finite primal residual, or a
+    non-finite last energy, raises DivergenceError.  The residual is an
+    RMS, so one whose square overflows is infinite and counts as
+    divergence too.  on_check, if given, is called as on_check(state,
+    record) after every iteration; it may call state.energy() for an
+    energy the record does not carry.  A state may reuse its arrays
+    between iterations (the three problem states write their fields in
+    place), so on_check must copy whatever it keeps.
     """
     history: list[IterationRecord] = []
     for k in range(1, params.max_iters + 1):
         state.iterate()
         it = start_iter + k
-        energy = state.energy()
-        if not math.isfinite(energy):
-            raise DivergenceError(it)
         residual = state.primal_residual()
+        if not math.isfinite(residual):
+            raise DivergenceError(it)
+        last = k == params.max_iters or residual <= params.tol_primal
+        energy = state.energy() if last else math.nan
+        if last and not math.isfinite(energy):
+            raise DivergenceError(it)
         record = IterationRecord(it, energy, residual, state.mean_lambda())
         history.append(record)
         if on_check is not None:
             on_check(state, record)
-        if residual <= params.tol_primal:
+        if last:
             break
     return state.solution(), history
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaptreg import denoise, flow, segment
 from adaptreg.cli import entry
 from adaptreg.imageio import read_flo, read_pnm, write_flo, write_pnm
 from adaptreg.synth import add_gaussian_noise, shifted_pair, smooth_texture
@@ -94,6 +95,43 @@ def test_denoise_history_and_lambda_dumps(tmp_path):
         dump = tmp_path / ("out.pgm.lambda%04d.pgm" % k)
         lam = read_pnm(dump)
         assert lam.shape == (48, 48)
+
+
+STATES = {
+    "denoise": denoise.DenoiseState,
+    "segment": segment.SegmentState,
+    "flow": flow.FlowState,
+}
+
+
+@pytest.mark.parametrize("command", ["denoise", "segment", "flow"])
+def test_history_rows_carry_every_energy(tmp_path, monkeypatch, command):
+    # A run forms its energy once (flow: once per warp); --history-csv
+    # forms the energy of every other iteration, and only it does.
+    _, noisy_path, _ = _denoise_fixture(tmp_path)
+    p1, p2, _ = _flow_fixture(tmp_path)
+    calls = []
+    energy = STATES[command].energy
+
+    def counted(self):
+        calls.append(self)
+        return energy(self)
+
+    monkeypatch.setattr(STATES[command], "energy", counted)
+    argv = {
+        "denoise": ["denoise", "--input", str(noisy_path), "--output", str(tmp_path / "d.pgm")],
+        "segment": ["segment", "--input", str(noisy_path), "--labels", "2"],
+        "flow": ["flow", "--frame1", str(p1), "--frame2", str(p2), "--warps", "2"],
+    }[command] + ["--iters", "6", "--tol", "1e-300"]
+    runs = 2 if command == "flow" else 1
+    assert entry(argv) == 0
+    assert len(calls) == runs
+    hist = tmp_path / "history.csv"
+    assert entry(argv + ["--history-csv", str(hist)]) == 0
+    lines = hist.read_text().splitlines()
+    assert len(lines) == 1 + 6 * runs == len(calls) - runs + 1
+    for line in lines[1:]:
+        assert all(np.isfinite(float(v)) for v in line.split(",")[1:])
 
 
 def test_segment_scores_and_sidecar(tmp_path, capsys):
@@ -290,6 +328,30 @@ def test_bad_reference_exits_2_before_solving(tmp_path, capsys, command):
     assert entry(argv + ["--history-csv", str(history)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() and not history.exists()
+
+
+@pytest.mark.parametrize("command", ["denoise", "flow"])
+def test_csv_without_a_reference_exits_2_before_reading(tmp_path, capsys, command):
+    # --csv holds scores against a reference, so without one it is a usage
+    # error, found before any file is read: no output, history or CSV.
+    _, noisy_path, _ = _denoise_fixture(tmp_path)
+    p1, p2, _ = _flow_fixture(tmp_path)
+    out = tmp_path / "out"
+    history = tmp_path / "history.csv"
+    csv = tmp_path / "m.csv"
+    missing = str(tmp_path / "missing.pgm")
+    inputs = {
+        "denoise": [["--input", str(noisy_path)], ["--input", missing]],
+        "flow": [["--frame1", str(p1), "--frame2", str(p2)],
+                 ["--frame1", missing, "--frame2", missing]],
+    }[command]
+    output = "--output" if command == "denoise" else "--out-flo"
+    for given in inputs:
+        argv = [command] + given + [output, str(out), "--iters", "2"]
+        assert entry(argv + ["--csv", str(csv), "--history-csv", str(history)]) == 2
+        err = capsys.readouterr().err
+        assert "--csv" in err and "missing" not in err
+        assert not out.exists() and not history.exists() and not csv.exists()
 
 
 @pytest.mark.parametrize("command, message", [("denoise", "SSIM"), ("segment", "256 labels")])

@@ -1,6 +1,7 @@
 """ADMM driver mechanics, the screened Gauss-Seidel inner solver and the
 exact constant-weight solve."""
 
+import math
 import os
 import subprocess
 import sys
@@ -13,9 +14,9 @@ import pytest
 import adaptreg
 from adaptreg import solver
 from adaptreg.adaptive import AdaptiveParams
-from adaptreg.denoise import run_denoise
-from adaptreg.flow import FlowParams, run_flow
-from adaptreg.segment import SegmentParams, run_segment
+from adaptreg.denoise import DenoiseState, run_denoise
+from adaptreg.flow import FlowParams, FlowState, run_flow
+from adaptreg.segment import SegmentParams, SegmentState, run_segment
 from adaptreg.solver import (
     DivergenceError,
     IterationRecord,
@@ -44,17 +45,20 @@ def make_params(**kw):
 
 
 class ScriptedState:
-    """Replays prescribed energies/residuals; counts iterate() calls."""
+    """Replays prescribed energies/residuals; counts iterate() calls and
+    the iterations whose energy was formed."""
 
     def __init__(self, energies, residuals):
         self.energies = list(energies)
         self.residuals = list(residuals)
         self.k = 0
+        self.formed = []
 
     def iterate(self):
         self.k += 1
 
     def energy(self):
+        self.formed.append(self.k)
         return self.energies[self.k - 1]
 
     def primal_residual(self):
@@ -124,17 +128,43 @@ def test_early_stop_at_first_passing_checkpoint():
 
 
 def test_divergence_raises_with_iteration_number():
-    state = ScriptedState([1.0, float("nan")], [1.0, 1.0])
+    state = ScriptedState([1.0] * 5, [1.0, float("nan"), 1.0, 1.0, 1.0])
     with pytest.raises(DivergenceError) as exc:
         run_admm(state, make_params(max_iters=5))
     assert exc.value.iteration == 2
     assert "divergence detected at iteration 2" in str(exc.value)
+    assert state.formed == []
+
+
+@pytest.mark.parametrize("residual", [float("inf"), 1e200], ids=["inf", "overflow"])
+def test_infinite_residual_also_diverges(residual):
+    # An RMS whose square overflows is infinite: divergence, not a stop.
+    with np.errstate(over="ignore"):
+        r = rms(np.full(4, residual))
+    assert r == float("inf")
+    state = ScriptedState([1.0, 1.0], [1.0, r])
+    with pytest.raises(DivergenceError) as exc:
+        run_admm(state, make_params(max_iters=2))
+    assert exc.value.iteration == 2
 
 
 def test_infinite_energy_also_diverges():
     state = ScriptedState([float("inf")], [1.0])
     with pytest.raises(DivergenceError):
         run_admm(state, make_params(max_iters=1))
+
+
+@pytest.mark.parametrize("last", ["cap", "converged"])
+def test_energy_formed_only_on_the_last_iteration(last):
+    # A non-finite energy before the last iteration is never formed, so it
+    # cannot raise; the last record carries the only energy.
+    residuals = [1.0, 1.0, 1e-9 if last == "converged" else 1.0, 1.0]
+    state = ScriptedState([float("nan"), 2.0, 1.5, 1.0], residuals)
+    _, hist = run_admm(state, make_params(max_iters=3 if last == "cap" else 4))
+    assert state.formed == [3]
+    assert [r.iter for r in hist] == [1, 2, 3]
+    assert all(math.isnan(r.energy) for r in hist[:-1])
+    assert hist[-1].energy == 1.5
 
 
 def test_start_iter_offsets_records():
@@ -144,17 +174,30 @@ def test_start_iter_offsets_records():
 
 
 def test_on_check_sees_every_record():
+    # Every record, with its residual; the energy only on the last, and
+    # an on_check that wants more forms it from the state.
+    state = ScriptedState([3.0, 2.0, 1.0], [1.0, float("nan"), 1.0])
+    seen = []
+    with pytest.raises(DivergenceError):
+        run_admm(
+            state,
+            make_params(max_iters=3),
+            on_check=lambda st, rec: seen.append((st, rec.iter, rec.primal_residual, rec.energy)),
+        )
+    assert [(s is state, i, r) for s, i, r, _ in seen] == [(True, 1, 1.0)]
+    assert math.isnan(seen[0][3])
     state = ScriptedState([3.0, 2.0], [1.0, 1.0])
     seen = []
     run_admm(
         state,
         make_params(max_iters=2),
-        on_check=lambda st, rec: seen.append((st, rec.iter, rec.energy)),
+        on_check=lambda st, rec: seen.append((st, rec.iter, st.energy(), rec.energy)),
     )
-    assert [(s is state, i, e) for s, i, e in seen] == [
+    assert [(s is state, i, e) for s, i, e, _ in seen] == [
         (True, 1, 3.0),
         (True, 2, 2.0),
     ]
+    assert math.isnan(seen[0][3]) and seen[1][3] == 2.0
 
 
 def test_history_csv_round_trips_floats():
@@ -510,15 +553,82 @@ def test_exact_screened_solve_rejects_bad_input():
             exact_screened_solve(np.zeros((4, 5)), xi)
 
 
-def _run_problem(problem, sp):
-    """Run one problem on a 16x16 texture; returns the history."""
+def _run_problem(problem, sp, on_check=None, n_warps=1, levels=1):
+    """Run one problem on a 16x16 texture; returns (outputs, history),
+    outputs a tuple of arrays.  n_warps and levels apply to flow."""
     tex = smooth_texture(16, seed=3)
     if problem == "denoise":
-        return run_denoise(tex, sp)[1]
+        u, history = run_denoise(tex, sp, on_check=on_check)
+        return (u,), history
     if problem == "segment":
-        return run_segment(tex, SegmentParams(solver=sp, n_labels=3))[2]
+        labels, state, history = run_segment(tex, SegmentParams(solver=sp, n_labels=3),
+                                             on_check=on_check)
+        return (labels, state.u, state.c), history
     f1, f2, _ = shifted_pair(tex, (1.0, 0.0))
-    return run_flow(f1, f2, FlowParams(solver=sp, n_warps=1))[1]
+    fp = FlowParams(solver=sp, n_warps=n_warps, pyramid_levels=levels)
+    u, history = run_flow(f1, f2, fp, on_check=on_check)
+    return (u,), history
+
+
+STATES = {"denoise": DenoiseState, "segment": SegmentState, "flow": FlowState}
+
+
+@pytest.mark.parametrize("problem", ["denoise", "segment", "flow"])
+def test_nan_in_w_diverges_on_the_next_iteration(problem):
+    # Every state carries a non-finite w into u within one iteration, so
+    # the primal residual reports it on the iteration after the write.
+    def poison(state, record):
+        if record.iter == 3:
+            fields = state.s if problem == "segment" else state
+            fields.w[(0,) * fields.w.ndim] = np.nan
+
+    with pytest.raises(DivergenceError) as exc:
+        _run_problem(problem, make_params(max_iters=8, tol_primal=1e-300), on_check=poison)
+    assert exc.value.iteration == 4
+
+
+@pytest.mark.parametrize("with_check", [False, True], ids=["plain", "on_check"])
+@pytest.mark.parametrize("problem", ["denoise", "segment", "flow"])
+def test_energy_formed_once_per_run(monkeypatch, problem, with_check):
+    # Once per run_admm call: once per denoise or segment run, once per
+    # warp of every pyramid level of a flow run (2 warps x 2 levels).
+    calls = []
+    energy = STATES[problem].energy
+
+    def counted(self):
+        calls.append(self)
+        return energy(self)
+
+    monkeypatch.setattr(STATES[problem], "energy", counted)
+    on_check = (lambda state, record: None) if with_check else None
+    _, history = _run_problem(problem, make_params(max_iters=4, tol_primal=1e-300),
+                              on_check=on_check, n_warps=2, levels=2)
+    runs = 4 if problem == "flow" else 1
+    assert len(calls) == runs
+    assert len(history) == 4 * runs
+    assert sum(math.isfinite(rec.energy) for rec in history) == runs
+
+
+@pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
+@pytest.mark.parametrize("problem", ["denoise", "segment", "flow"])
+def test_forming_every_energy_changes_no_bits(problem, constant):
+    # A run whose on_check forms every iteration's energy gives the same
+    # outputs, residuals and weights, and the same last energy.
+    sp = make_params(adaptive=AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=constant),
+                     max_iters=6, tol_primal=1e-300)
+    plain, history = _run_problem(problem, sp, n_warps=2)
+    formed = []
+    every, full = _run_problem(problem, sp, n_warps=2,
+                               on_check=lambda state, record: formed.append(state.energy()))
+    for a, b in zip(plain, every):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    strip = [(r.iter, r.primal_residual, r.mean_lambda) for r in history]
+    assert strip == [(r.iter, r.primal_residual, r.mean_lambda) for r in full]
+    assert all(math.isfinite(e) for e in formed) and len(formed) == len(history)
+    last = [k for k, r in enumerate(history) if math.isfinite(r.energy)]
+    assert last[-1] == len(history) - 1
+    assert [history[k].energy for k in last] == [full[k].energy for k in last]
+    assert [history[k].energy for k in last] == [formed[k] for k in last]
 
 
 @pytest.mark.parametrize("constant", [True, False], ids=["constant", "adaptive"])
@@ -545,7 +655,7 @@ def test_constant_weight_history_reports_the_constant(problem):
     # A constant weight is the float itself, so its mean is exact, not
     # the rounded mean of a filled field (0.29999999999999993 on 16^2).
     ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=0.3)
-    history = _run_problem(problem, make_params(adaptive=ap, max_iters=3, tol_primal=1e-300))
+    _, history = _run_problem(problem, make_params(adaptive=ap, max_iters=3, tol_primal=1e-300))
     assert [rec.mean_lambda for rec in history] == [0.3] * 3
 
 

@@ -1,7 +1,9 @@
 """Print a sha256 per solver run, over everything the run produces.
 
 Each library run hashes its outputs, every state field after every
-iteration (through on_check) and its history CSV; each command-line run
+iteration (through on_check) and its history CSV, with every
+iteration's energy formed as the command line's --history-csv forms it
+(a run forms the energy only on its last iteration); each command-line run
 hashes the files it writes, its history CSV among them, and what it
 prints.  The runs:
 
@@ -27,9 +29,11 @@ with src/ on PYTHONPATH or the package installed.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -72,22 +76,27 @@ def _update(h, name: str, value) -> None:
 
 class _Run:
     """A sha256 fed by on_check with the fields of the state after every
-    iteration, and then with the run's outputs and history."""
+    iteration, and then with the run's outputs and the history rows that
+    on_check kept, each with its energy formed."""
 
     def __init__(self, problem: str):
         self.fields = FIELDS[problem]
         self.problem = problem
         self.h = hashlib.sha256()
+        self.rows = []
 
     def on_check(self, state, record):
+        if math.isnan(record.energy):
+            record = dataclasses.replace(record, energy=state.energy())
+        self.rows.append(record)
         fields = state.s if self.problem == "segment" else state
         for name in self.fields:
             _update(self.h, name, getattr(fields, name))
 
-    def finish(self, outputs: dict, history) -> str:
+    def finish(self, outputs: dict) -> str:
         for name, value in outputs.items():
             _update(self.h, name, value)
-        self.h.update(history_to_csv(history).encode())
+        self.h.update(history_to_csv(self.rows).encode())
         return self.h.hexdigest()
 
 
@@ -105,18 +114,18 @@ def library_runs(size: int, iters: int) -> dict:
         sp = SolverParams(mu=0.16, eta=0.08, theta=1.0, adaptive=_adaptive(1.0, 1.0, constant),
                           max_iters=iters, tol_primal=1e-12)
         run = _Run("denoise")
-        u, history = run_denoise(noisy, sp, on_check=run.on_check)
-        digests["denoise-" + kind] = run.finish({"u": u}, history)
+        u, _ = run_denoise(noisy, sp, on_check=run.on_check)
+        digests["denoise-" + kind] = run.finish({"u": u})
 
     image = noisy_rectangles(size, seed=1)[0]
     for kind, constant in (("adaptive", None), ("constant", 0.2)):
         sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=_adaptive(0.05, 1.5, constant),
                           max_iters=iters, tol_primal=1e-12)
         run = _Run("segment")
-        labels, state, history = run_segment(image, SegmentParams(solver=sp, n_labels=4),
-                                             on_check=run.on_check)
+        labels, state, _ = run_segment(image, SegmentParams(solver=sp, n_labels=4),
+                                       on_check=run.on_check)
         outputs = {"labels": labels, "c": state.c, "degenerate": state.degenerate_events}
-        digests["segment-" + kind] = run.finish(outputs, history)
+        digests["segment-" + kind] = run.finish(outputs)
 
     f1, f2, _ = shifted_pair(smooth_texture(size, seed=5), (1.0, 0.5))
     for reg in ("anisotropic", "isotropic"):
@@ -128,8 +137,8 @@ def library_runs(size: int, iters: int) -> dict:
                 fp = FlowParams(solver=sp, n_warps=2, pyramid_levels=levels,
                                 anisotropic_reg=reg == "anisotropic")
                 run = _Run("flow")
-                u, history = run_flow(f1, f2, fp, on_check=run.on_check)
-                digests["flow-%s-%dlevel-%s" % (reg, levels, kind)] = run.finish({"u": u}, history)
+                u, _ = run_flow(f1, f2, fp, on_check=run.on_check)
+                digests["flow-%s-%dlevel-%s" % (reg, levels, kind)] = run.finish({"u": u})
     return digests
 
 
