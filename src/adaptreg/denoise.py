@@ -24,14 +24,14 @@ the auxiliaries r (data) and z (gradient), and alternates:
 Initialization u = v = f, everything else zero.  A constant image is a
 fixed point: the first iteration already has a zero primal residual.
 
-Each intermediate is computed once and shared.  The dual step forms
-u - v, from which it takes the new w and then the primal residual, kept
-as a number.  After it, at the end of every iteration (and in the
-constructor), DenoiseState._form_intermediates forms grad v, |grad v|
-and the data gap f - u of the new fields: the energy reads them, and so
-does the next iteration (huber_vec and shrink_vec both read the norm,
-the weights and the r-step the gap).  energy() and primal_residual()
-only read what is kept.
+Each intermediate is computed once and shared.  The dual step
+(solver.dual_step) forms u - v, from which it takes the new w and then
+the primal residual, kept as a number.  After it, at the end of every
+iteration (and in the constructor), DenoiseState._form_intermediates
+forms grad v, |grad v| and the data gap f - u of the new fields: the
+energy reads them, and so does the next iteration (huber_vec and
+shrink_vec both read the norm, the weights and the r-step the gap).
+energy() and primal_residual() only read what is kept.
 
 Workspace: a DenoiseState allocates one _Workspace at construction and
 reuses it for every iteration, so a steady-state iteration allocates
@@ -52,7 +52,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import divergence, gradient, scalar_grid, smoothing_scratch_size
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec, vector_norm
-from .solver import SolverParams, rms, run_admm, screened_solve, solve_scratch_size
+from .solver import SolverParams, dual_step, run_admm, screened_solve, solve_scratch_size
 
 
 class _Workspace:
@@ -131,10 +131,7 @@ class DenoiseState:
         update_u(self, p, out=self.u, scratch=ws.temps)
         v = update_v(self, p, out=ws.spare, xi=ws.field, scratch=ws.solve)
         ws.spare, self.v = self.v, v
-        d = np.subtract(self.u, self.v, out=ws.temps[0])
-        self.w += d
-        # after w has read u - v: the squares go over it
-        self.residual = rms(d, out=d)
+        self.residual = dual_step(self.u, self.v, self.w, out=ws.temps[0])
         self._form_intermediates()
 
     def primal_residual(self) -> float:

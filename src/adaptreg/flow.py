@@ -31,15 +31,13 @@ The steps write z, lambda (when it is a field), r, u, v and w into the
 state's own arrays, so code that keeps a field across an iteration must
 copy it.
 
-Each intermediate is computed once and shared.  The dual step forms
-u - v, from which it takes both the new w and the primal residual, kept
-as a number.  FlowState._form_intermediates forms the data gap
-ft - A . u and the component gradients of v, which the energy and the
-next iteration read; it runs at the end of every iteration, in the
-constructor and in relinearize.  The residual still sums u - v in
-interleaved (H, W, 2) order, through one C-ordered copy: np.mean's
-pairwise summation follows memory order, so summing the planes would
-change the last bits of the history.
+Each intermediate is computed once and shared.  The dual step
+(solver.dual_step) forms u - v as a C-contiguous component-first stack,
+from which it takes both the new w and the primal residual, kept as a
+number.  FlowState._form_intermediates forms the data gap ft - A . u
+and the component gradients of v, which the energy and the next
+iteration read; it runs at the end of every iteration, in the
+constructor and in relinearize.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import central_gradient, divergence, gradient, scalar_grid, warp_bilinear
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import SolverParams, check_count, rms, run_admm, screened_solve
+from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve
 
 
 @dataclass
@@ -115,17 +113,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _component_gradient(v: np.ndarray) -> np.ndarray:
     """Gradients of both components of an (H, W, 2) field, (2, H, W, 2)."""
     return gradient(np.moveaxis(v, -1, 0))
-
-
-def _interleaved_rms(d: np.ndarray) -> float:
-    """rms of an (H, W, 2) field, summed in C (interleaved) order: np.mean
-    sums pairwise in memory order, so d goes through one C-ordered copy,
-    made one component at a time (a strided write per plane beats an
-    elementwise copy of a planar view)."""
-    c = np.empty(d.shape)
-    c[..., 0] = d[..., 0]
-    c[..., 1] = d[..., 1]
-    return rms(c)
 
 
 def _planar(field: np.ndarray) -> np.ndarray:
@@ -286,7 +273,8 @@ def update_v_w(state: FlowState, params: SolverParams) -> None:
     a weight field) from the gradient auxiliaries z, then dual ascent.
     The solve writes v into state.v in place, and the new u - v gives
     both the new w and the primal residual, which is kept for
-    primal_residual."""
+    primal_residual.  u - v is formed as a C-contiguous (2, H, W) stack,
+    so the residual sums in that order whatever the fields' layout."""
     xi = (1.0 - state.lam) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
     # rhs = (u + w) - xi div z, written over div z
@@ -294,9 +282,8 @@ def update_v_w(state: FlowState, params: SolverParams) -> None:
     rhs *= xi
     np.subtract(np.moveaxis(state.u + state.w, -1, 0), rhs, out=rhs)
     screened_solve(rhs, xi, v, params.gs_sweeps, out=v)
-    d = state.u - state.v
-    state.residual = _interleaved_rms(d)
-    state.w += d
+    u, w = np.moveaxis(state.u, -1, 0), np.moveaxis(state.w, -1, 0)
+    state.residual = dual_step(u, v, w, out=np.empty(v.shape))
 
 
 def _downsample(f: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ label-major.  One iteration runs these steps on the whole stack:
     v            one screened solve (exact by the DCT for a constant
                  weight, a float lambda and so a scalar xi; else
                  Gauss-Seidel sweeps), projected onto sum_i v_i = 1
-    w            w += u - v, from the u - v that also gives the primal
-                 residual, kept as a number
+    w            w += u - v by solver.dual_step, from the u - v that
+                 also gives the primal residual, kept as a number
 
 All steps but u are pointwise per label.  The exclusivity sum couples
 the labels, so the u-step sweeps them in ascending order, Gauss-Seidel
@@ -46,7 +46,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
-from .solver import SolverParams, check_count, rms, run_admm, screened_solve
+from .solver import SolverParams, check_count, dual_step, rms, run_admm, screened_solve
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -167,20 +167,27 @@ def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndar
     state.u, which it returns.  d is misfit(state, mu) at the current c
     and r.  The labels are swept in ascending order, and the exclusivity
     sum reads the memberships already updated in this sweep
-    (Gauss-Seidel).
+    (Gauss-Seidel): for label i it is (new u_0 + ... + u_{i-1}), summed
+    in ascending order from +0.0, plus the sweep-start u_{i+1} + ... +
+    u_{n-1}, summed from the last label down.  The second sums are
+    formed once, before the sweep, so the step takes O(n) adds.
     """
     sp = params.solver
     base = state.v - state.w
     base -= (state.lam / sp.theta) * d
     u = state.u
-    others = np.empty_like(base[0])
+    # later[i] = u_{i+1} + ... + u_{n-1} at the start of the sweep; the
+    # last label's is zero, which adds nothing to a sum from +0.0
+    later = np.empty_like(base)
+    later[-1] = 0.0
+    for i in range(state.n_labels - 2, -1, -1):
+        np.add(u[i + 1], later[i + 1], out=later[i])
+    earlier = np.zeros_like(base[0])
     for i in range(state.n_labels):
-        # Ascending from +0.0, as np.sum over the other labels adds them.
-        others.fill(0.0)
-        for j in range(state.n_labels):
-            if j != i:
-                others += u[j]
-        u[i] = np.maximum(0.0, base[i] - (params.tau_excl / sp.theta) * others)
+        others = np.add(earlier, later[i], out=later[i])
+        others *= params.tau_excl / sp.theta
+        np.maximum(0.0, np.subtract(base[i], others, out=base[i]), out=u[i])
+        earlier += u[i]
     return u
 
 
@@ -251,9 +258,7 @@ class SegmentState:
         self.d = envelope_at(gap, s.r, sp.mu, out=gap)
         update_u(s, p, self.d)
         update_v_all(s, p)
-        uv = s.u - s.v
-        s.w += uv
-        self.residual = rms(uv, out=uv)
+        self.residual = dual_step(s.u, s.v, s.w)
         self._form_intermediates()
 
     def primal_residual(self) -> float:
@@ -263,17 +268,14 @@ class SegmentState:
         p = self.params
         sp = p.solver
         s = self.s
+        # the overlap first: its temporaries are freed before the stacked terms
+        overlap = float(np.sum((np.sum(s.u, axis=0) ** 2 - np.sum(s.u**2, axis=0)) / 2.0))
         data = s.lam * self.d
         data *= s.u
-        data = np.sum(data, axis=(1, 2))
-        reg = huber_vec(self.grad_v, sp.eta)
+        total = np.sum(data)
+        reg = huber_vec(self.grad_v, sp.eta, out=data)
         reg *= 1.0 - s.lam
-        reg = np.sum(reg, axis=(1, 2))
-        # A strict left-to-right sum, label by label and data before
-        # regularizer; np.sum and sum() group the terms and round otherwise.
-        total = float(np.add.accumulate(np.column_stack((data, reg)).ravel())[-1])
-        overlap = (np.sum(s.u, axis=0) ** 2 - np.sum(s.u**2, axis=0)) / 2.0
-        return total + p.tau_excl * float(np.sum(overlap))
+        return float(total + np.sum(reg)) + p.tau_excl * overlap
 
     def mean_lambda(self) -> float:
         return float(np.mean(self.s.lam))

@@ -11,6 +11,10 @@ same driver through a small duck-typed state protocol:
     state.mean_lambda()        mean fidelity weight, in [0, 1]
     state.solution()           object handed back to the caller
 
+The three problem states take their dual step with dual_step, which
+forms the new w and the primal residual from one u - v; their
+primal_residual() returns the residual kept from it.
+
 The driver itself is single-threaded over iterations; any parallelism
 lives inside the per-pixel updates and is bitwise deterministic.
 """
@@ -94,10 +98,22 @@ class DivergenceError(RuntimeError):
 
 def rms(a: np.ndarray, *, out: np.ndarray | None = None) -> float:
     """Root mean square over all entries of an array.  out, if given,
-    takes the squares and may be a; np.mean sums in memory order, so it
-    must be C-contiguous like a fresh product."""
+    takes the squares and may be a; np.mean sums in memory order, so out
+    must be laid out as the fresh product a * a would be (a itself is,
+    when contiguous).  A square that overflows gives inf without a
+    warning: run_admm checks the residual with isfinite."""
     a = np.asarray(a, dtype=np.float64)
-    return float(np.sqrt(np.mean(np.multiply(a, a, out=out))))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(np.multiply(a, a, out=out))))
+
+
+def dual_step(u: np.ndarray, v: np.ndarray, w: np.ndarray, *, out: np.ndarray | None = None) -> float:
+    """Dual ascent w += u - v; returns the primal residual, the rms of
+    u - v, summed in the memory order of the difference.  out, if given,
+    takes u - v and then its squares."""
+    d = np.subtract(u, v, out=out)
+    w += d
+    return rms(d, out=d)
 
 
 def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):

@@ -329,6 +329,15 @@ def _label_misfit(s, i, mu):
     return envelope_reference(s.f - s.c[i], s.r[i], mu)
 
 
+def exclusivity_sum_reference(u, i):
+    """Sum of the memberships of every label but i, in the grouping of the
+    u-step: (u_0 + ... + u_{i-1}) in ascending order from +0.0, plus
+    u_{i+1} + ... + u_{n-1} summed from the last label down.  np.sum over
+    the label axis adds one label at a time, and reversing the labels
+    gives the descending order."""
+    return np.sum(u[:i], axis=0) + np.sum(u[i + 1 :][::-1], axis=0)
+
+
 def segment_iterate_reference(s, params):
     """One segmentation iteration on the LabelState s, label by label.
 
@@ -355,7 +364,7 @@ def segment_iterate_reference(s, params):
         s.r[i] = shrink_reference(s.f - s.c[i], sp.mu)
         s.z[i] = shrink_vec_reference(gradient(s.v[i]), sp.eta)
         d = _label_misfit(s, i, sp.mu)
-        others = np.sum(s.u[labels != i], axis=0)
+        others = exclusivity_sum_reference(s.u, i)
         s.u[i] = np.maximum(
             0.0,
             s.v[i] - s.w[i] - (lam / sp.theta) * d - (params.tau_excl / sp.theta) * others,
@@ -365,14 +374,15 @@ def segment_iterate_reference(s, params):
 
 
 def segment_energy_reference(s, params):
-    """Segmentation energy summed label by label, data term first."""
+    """Segmentation energy from per-label terms: the data terms of all
+    labels, stacked and summed, plus the stacked regularizer terms."""
     sp = params.solver
-    total = 0.0
     lam = np.broadcast_to(s.lam, s.u.shape)
-    for i in range(s.n_labels):
-        d = _label_misfit(s, i, sp.mu)
-        total += float(np.sum(lam[i] * d * s.u[i]))
-        total += float(np.sum((1.0 - lam[i]) * huber_vec_reference(gradient(s.v[i]), sp.eta)))
+    data = np.stack([lam[i] * _label_misfit(s, i, sp.mu) * s.u[i] for i in range(s.n_labels)])
+    reg = np.stack([
+        (1.0 - lam[i]) * huber_vec_reference(gradient(s.v[i]), sp.eta) for i in range(s.n_labels)
+    ])
+    total = float(np.sum(data) + np.sum(reg))
     overlap = (np.sum(s.u, axis=0) ** 2 - np.sum(s.u**2, axis=0)) / 2.0
     return total + params.tau_excl * float(np.sum(overlap))
 

@@ -427,7 +427,7 @@ def test_state_writes_its_fields_in_place():
 
 def test_intermediates_computed_once_per_iteration(monkeypatch):
     # grad v, |grad v| and f - u are formed once per iteration, and the
-    # residual's squares once, whatever run_admm then reads.
+    # dual step once, whatever run_admm then reads.
     st = smoothed_state()
     counts = Counter()
 
@@ -438,7 +438,7 @@ def test_intermediates_computed_once_per_iteration(monkeypatch):
 
         return counted
 
-    for name in ("gradient", "vector_norm", "rms"):
+    for name in ("gradient", "vector_norm", "dual_step"):
         monkeypatch.setattr(denoise, name, counting(name, getattr(denoise, name)))
     form = st._form_intermediates
     monkeypatch.setattr(st, "_form_intermediates", counting("form", form))
@@ -449,7 +449,7 @@ def test_intermediates_computed_once_per_iteration(monkeypatch):
         st.primal_residual()
         st.energy()
         st.primal_residual()
-        assert counts == {"gradient": 1, "vector_norm": 1, "rms": 1, "form": 1}
+        assert counts == {"gradient": 1, "vector_norm": 1, "dual_step": 1, "form": 1}
 
 
 @pytest.mark.parametrize("constant", [None, 0.3], ids=["adaptive", "constant"])

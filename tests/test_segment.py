@@ -30,6 +30,7 @@ from adaptreg.synth import Splitmix64, add_gaussian_noise, noisy_rectangles
 from helpers import (
     assemble_screened_matrix,
     assert_same_bits,
+    exclusivity_sum_reference,
     segment_energy_reference,
     segment_iterate_reference,
 )
@@ -130,23 +131,35 @@ def test_update_c_degenerate_region_keeps_value_and_logs():
     assert st.degenerate_events == [(7, 0), (7, 2)]
 
 
-def test_update_u_matches_formula():
-    st = random_label_state(606, n=3)
-    params = seg_params(n_labels=3, tau=0.7)
-    sp = params.solver
-    d = misfit(st, sp.mu)
-    ref = st.u.copy()
-    for i in range(3):
-        # Gauss-Seidel: labels before i already carry their new values
-        others = np.sum(ref[[j for j in range(3) if j != i]], axis=0)
-        ref[i] = np.maximum(
-            0.0,
-            st.v[i] - st.w[i] - (st.lam[i] / sp.theta) * d[i]
-            - (params.tau_excl / sp.theta) * others,
-        )
-    u = st.u
-    assert update_u(st, params, d) is u  # written in place
-    assert np.array_equal(u, ref)
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_update_u_matches_formula(n):
+    # Shifting v by 3 keeps most memberships above the clip at zero, so
+    # the grouping of the exclusivity sum shows in u.
+    for shift in (0.0, 3.0):
+        st = random_label_state(606, n=n)
+        st.v += shift
+        params = seg_params(n_labels=n, tau=0.7)
+        sp = params.solver
+        d = misfit(st, sp.mu)
+        ref = st.u.copy()
+        ascending = st.u.copy()
+        for i in range(n):
+            # Gauss-Seidel: labels before i already carry their new values
+            for fields, others in (
+                (ref, exclusivity_sum_reference(ref, i)),
+                (ascending, np.sum(ascending[[j for j in range(n) if j != i]], axis=0)),
+            ):
+                fields[i] = np.maximum(
+                    0.0,
+                    st.v[i] - st.w[i] - (st.lam[i] / sp.theta) * d[i]
+                    - (params.tau_excl / sp.theta) * others,
+                )
+        u = st.u
+        assert update_u(st, params, d) is u  # written in place
+        assert np.array_equal(u, ref)
+        # up to three labels the grouping is that of one ascending sum
+        if n <= 3 or shift:
+            assert np.array_equal(u, ascending) == (n <= 3)
 
 
 def test_update_u_gauss_seidel_couples_to_the_new_memberships():
@@ -349,11 +362,11 @@ def test_residual_computed_once_per_iteration(monkeypatch):
     wrapper, _ = smoothed_segment_state()
     calls = []
 
-    def counted(a, **buffers):
-        calls.append(a)
-        return rms(a, **buffers)
+    def counted(*fields, _dual_step=segment.dual_step, **buffers):
+        calls.append(fields)
+        return _dual_step(*fields, **buffers)
 
-    monkeypatch.setattr(segment, "rms", counted)
+    monkeypatch.setattr(segment, "dual_step", counted)
     for _ in range(4):
         calls.clear()
         wrapper.iterate()

@@ -21,6 +21,7 @@ from adaptreg.solver import (
     DivergenceError,
     IterationRecord,
     SolverParams,
+    dual_step,
     exact_screened_solve,
     history_to_csv,
     rms,
@@ -138,9 +139,9 @@ def test_divergence_raises_with_iteration_number():
 
 @pytest.mark.parametrize("residual", [float("inf"), 1e200], ids=["inf", "overflow"])
 def test_infinite_residual_also_diverges(residual):
-    # An RMS whose square overflows is infinite: divergence, not a stop.
-    with np.errstate(over="ignore"):
-        r = rms(np.full(4, residual))
+    # An RMS whose square overflows is infinite, without a warning:
+    # divergence, not a stop.
+    r = rms(np.full(4, residual))
     assert r == float("inf")
     state = ScriptedState([1.0, 1.0], [1.0, r])
     with pytest.raises(DivergenceError) as exc:
@@ -365,6 +366,21 @@ def test_reused_scratch_pad_cells_stay_zero(shape, scalar):
     assert_bitwise(out, screened_solve(rhs, xi, v0, 5))
 
 
+def test_dual_step_updates_w_and_returns_the_residual():
+    rng = Splitmix64(412)
+    u, v, w = (rng.normals(3 * 40 * 31).reshape(3, 40, 31) for _ in range(3))
+    expected_w = w + (u - v)
+    expected = rms(u - v)
+    w_given = w.copy()
+    out = np.full(u.shape, np.nan)
+    assert dual_step(u, v, w_given, out=out) == expected
+    assert np.array_equal(w_given, expected_w)
+    # out took u - v and then its squares
+    assert np.array_equal(out, (u - v) * (u - v))
+    assert dual_step(u, v, w) == expected
+    assert np.array_equal(w, expected_w)
+
+
 def test_rms_takes_its_squares_in_a_given_buffer():
     a = Splitmix64(410).normals(40 * 31).reshape(40, 31)
     expected = float(np.sqrt(np.mean(a * a)))
@@ -585,6 +601,22 @@ def test_nan_in_w_diverges_on_the_next_iteration(problem):
     with pytest.raises(DivergenceError) as exc:
         _run_problem(problem, make_params(max_iters=8, tol_primal=1e-300), on_check=poison)
     assert exc.value.iteration == 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
+def test_overflow_in_w_diverges_without_a_warning(constant):
+    # u - v overflows when squared on the iteration after the write; the
+    # run raises DivergenceError there, and no RuntimeWarning comes first.
+    def poison(state, record):
+        if record.iter == 1:
+            state.w[...] = 1e200
+
+    sp = make_params(adaptive=AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=constant),
+                     max_iters=8, tol_primal=1e-300)
+    with pytest.raises(DivergenceError) as exc:
+        _run_problem("denoise", sp, on_check=poison)
+    assert exc.value.iteration == 2
 
 
 @pytest.mark.parametrize("with_check", [False, True], ids=["plain", "on_check"])
