@@ -174,11 +174,14 @@ def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndar
     """
     sp = params.solver
     base = state.v - state.w
-    base -= (state.lam / sp.theta) * d
+    # (lambda / theta) d goes through later before the suffix sums
+    # overwrite it
+    later = np.empty_like(base)
+    np.multiply(np.divide(state.lam, sp.theta, out=later), d, out=later)
+    base -= later
     u = state.u
     # later[i] = u_{i+1} + ... + u_{n-1} at the start of the sweep; the
     # last label's is zero, which adds nothing to a sum from +0.0
-    later = np.empty_like(base)
     later[-1] = 0.0
     for i in range(state.n_labels - 2, -1, -1):
         np.add(u[i + 1], later[i + 1], out=later[i])

@@ -42,7 +42,10 @@ class SolverParams:
     primal residual is at most tol_primal.
     gs_sweeps is the exact number of inner Gauss-Seidel passes of each
     v-update with a spatially varying weight (screened_solve); the inner
-    solve has no early exit.  A constant weight
+    solve has no early exit.  The passes run in float32 on the correction
+    to a float64 defect, in chunks of at most 20 that each restart from a
+    fresh float64 defect, so more passes keep converging to float64
+    accuracy.  A constant weight
     (adaptive.constant_lambda set) is a float lambda, so xi is a scalar
     and screened_solve takes the exact DCT solve, on which gs_sweeps has
     no effect.
@@ -173,10 +176,13 @@ def history_to_csv(history) -> str:
 _SUBLATTICES = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
+@lru_cache(maxsize=16)
 def _neighbor_count(n: int, parity: int) -> np.ndarray:
     """Neighbors along an axis of length n, at the indices of one parity."""
     idx = np.arange(parity, n, 2)
-    return 2.0 - (idx == 0) - (idx == n - 1)
+    count = 2.0 - (idx == 0) - (idx == n - 1)
+    count.flags.writeable = False
+    return count
 
 
 def _cells(h: int, w: int, py: int, px: int):
@@ -200,22 +206,24 @@ def _zero_pads(planes: np.ndarray) -> None:
         planes[..., :, edge] = 0.0
 
 
-def _slot(scratch, start: int, shape) -> np.ndarray:
+def _slot(scratch, start: int, shape, dtype=np.float32) -> np.ndarray:
     """Entries start, start + 1, ... of a flat scratch as an array of this
-    shape, or a fresh uninitialized array without a scratch."""
+    shape, or a fresh uninitialized array of dtype without a scratch."""
     if scratch is None:
-        return np.empty(shape)
+        return np.empty(shape, dtype)
     return scratch[start : start + math.prod(shape)].reshape(shape)
 
 
 def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame, scratch=None) -> np.ndarray:
     """rhs, c*rhs and the gain xi/(1 + xi*c) of every sub-lattice, c the
     neighbor count, as a field-major (3 fields, 4 sub-lattices, ...,
-    *frame) block of planes: one field of both sub-lattices of a color
-    is one contiguous run.  Pad cells hold 0 in all three.  With a flat
-    scratch given, the block is its start and the count planes follow
-    it; without one, both are fresh arrays.  Their pads are zeroed
-    first, so what the memory held before does not matter."""
+    *frame) block of float32 planes: one field of both sub-lattices of a
+    color is one contiguous run.  rhs and xi are rounded to float32 and
+    the gain is formed in float32.  Pad cells hold 0 in all three.  With
+    a flat float32 scratch given, the block is its start and the count
+    planes follow it; without one, both are fresh arrays.  Their pads
+    are zeroed first, so what the memory held before does not
+    matter."""
     h, w = rhs.shape[-2:]
     shape = (3, 4) + rhs.shape[:-2] + frame
     fields = _slot(scratch, 0, shape)
@@ -288,27 +296,75 @@ def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int, scratch, start: 
             center += b
 
 
-def _check_system(rhs, xi) -> np.ndarray:
-    """rhs as float64, after the checks both screened solves share: rhs
-    is a stack of nonempty (H, W) grids and xi is finite and
-    nonnegative."""
+def _check_system(rhs, xi):
+    """rhs as float64 and the least xi, after the checks both screened
+    solves share: rhs is a stack of nonempty (H, W) grids and xi is
+    finite and nonnegative."""
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim < 2 or rhs.size == 0:
         raise ValueError("rhs must be a nonempty (..., H, W) stack, got shape %s" % (rhs.shape,))
-    if not (0.0 <= np.min(xi) and np.max(xi) < math.inf):
+    least = np.min(xi)
+    if not (0.0 <= least and np.max(xi) < math.inf):
         raise ValueError("xi must be finite and nonnegative")
-    return rhs
+    return rhs, least
 
 
 def solve_scratch_size(shape) -> int:
     """Entries of the flat float64 scratch that screened_solve takes for
-    an rhs of this shape, enough for either kind of xi: the plane block,
-    the v planes and one plane for the neighbor sums of the sweeps, or
-    the two fields and the spectrum of the exact solve."""
+    an rhs of this shape, enough for either kind of xi: the float64
+    defect, the iterate between chunks and, as float32, the plane block,
+    the planes of the correction and one plane for the neighbor sums of
+    the sweeps; or the two fields and the spectrum of the exact solve."""
     h, w = shape[-2:]
     entries = math.prod(shape[:-2])
     plane = entries * math.prod(_frame(h, w))
     return max(17 * plane, _exact_scratch_size(shape))
+
+
+# Sweeps per float32 chunk.  Each chunk starts from a fresh float64
+# defect, so a long solve still converges to float64 accuracy.
+_CHUNK = 20
+
+
+def _correct(rhs, xi, v, sweeps: int, out, scratch, fixed) -> np.ndarray:
+    """v + e into out, or a fresh array: e from `sweeps` float32
+    Gauss-Seidel sweeps from zero on (1 - xi laplacian) e = the float64
+    defect of v.  Where fixed (a mask, or None) is set, out takes rhs
+    instead.  The defect takes the first rhs.size entries of a flat
+    float64 scratch and the float32 block starts at entry 2 rhs.size,
+    where laplacian's scratch goes first."""
+    h, w = rhs.shape[-2:]
+    frame = _frame(h, w)
+    block = None if scratch is None else scratch[2 * rhs.size :]
+    # the defect rhs - (v - xi laplacian v)
+    d = laplacian(v, out=_slot(scratch, 0, rhs.shape, np.float64), scratch=block)
+    d *= xi
+    np.subtract(v, d, out=d)
+    np.subtract(rhs, d, out=d)
+    if block is not None:
+        block = block.view(np.float32)
+    shape = (4,) + rhs.shape[:-2] + frame
+    size = math.prod(shape)
+    # A defect beyond float32's range becomes inf, and the sweeps turn it
+    # into NaN, which the run's residual check reports as divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = _plane_fields(d, xi, frame, block)
+        del d
+        # in a scratch, the planes of e follow the plane block, where the
+        # count planes were, and the sweep's run buffer follows them
+        planes = _slot(block, 3 * size, shape)
+        planes.fill(0.0)
+        _sweep(planes, fields, sweeps, block, 4 * size)
+    del fields  # free before allocating the output
+    if out is None:
+        out = np.empty(rhs.shape)
+    for plane, (py, px) in zip(planes, _SUBLATTICES):
+        sub = (Ellipsis, slice(py, None, 2), slice(px, None, 2))
+        where = True if fixed is None else ~fixed[sub]
+        np.add(v[sub], plane[_cells(h, w, py, px)], out=out[sub], where=where)
+    if fixed is not None:
+        np.copyto(out, rhs, where=fixed)
+    return out
 
 
 def screened_solve(
@@ -333,17 +389,35 @@ def screened_solve(
     Callers pass rhs, xi, v0 and sweeps by position and the buffers by
     keyword.
 
+    Mixed precision: the sweeps solve for the correction e = v - v0 in
+    float32, while the defect they solve for and the result stay
+    float64.  In chunks of at most 20 sweeps, the solve forms the
+    defect d = rhs - (v - xi laplacian v) of its iterate v in float64,
+    runs the sweeps on (1 - xi laplacian) e = d in float32 from e = 0,
+    and adds e to v in float64.  Gauss-Seidel is affine, so in exact
+    arithmetic this is sweeping v itself; only the rounding of e
+    changes.  Each chunk restarts from a float64 defect, so a long
+    solve still reaches float64 accuracy.  Kept exactly (bitwise):
+    sweeps = 0 returns v0; cells with xi = 0 return rhs (the solve
+    writes rhs there, as the exact solve gives it); and a constant rhs
+    with v0 = rhs returns rhs, since its defect is exactly zero.  The
+    sweeps round the defect and xi to float32, so a value beyond
+    float32's range (about 3.4e38) turns the result into NaN.
+
     Buffers: out, if given, is a float64 array of rhs's shape, of any
     strides, that receives the result; it may be rhs or v0 itself, since
     both are read before out is written.  scratch, if given, is a flat
     float64 buffer of at least solve_scratch_size(rhs.shape) entries for
-    every intermediate of either solve, whatever it held before.  With
-    both, a solve allocates nothing of field size.  Without a scratch, a
-    field xi's solve allocates the same parts as separate arrays and
-    zeroes the same pad cells in them, and it frees the field planes
-    before it allocates out; it takes about 4.3 rhs sizes of fresh
-    memory (three field planes, the v planes and a quarter-size run
-    buffer).  A scalar xi's solve takes about three.
+    every intermediate of either solve, whatever it held before; a field
+    xi's solve uses part of it as float32.  With both, a solve allocates
+    nothing of field size.  Without a scratch, a field xi's solve
+    allocates the same parts as separate arrays and zeroes the same pad
+    cells in them.  The defect, with laplacian's two difference runs,
+    sets its peak of about three rhs sizes; the float32 field planes,
+    the planes of e and a quarter-size run buffer take about 2.1 rhs
+    sizes, the defect is freed before the planes of e are allocated and
+    the field planes before out is.  A scalar xi's solve takes about
+    three rhs sizes.
 
     The sweeps use red-black ordering: each half sweep updates one
     checkerboard color from the other, which makes the result
@@ -359,9 +433,9 @@ def screened_solve(
     plane of the other column parity and by 0 or one frame row (up,
     down) in the plane of the other row parity.  The run also covers the
     pad cells between its rows and between stack entries.  The fields
-    rhs, c*rhs and the gain e sit in one field-major block (3 fields,
+    d, c*d and the gain g sit in one field-major block (3 fields,
     4 sub-lattices, ..., *frame), so the two planes of one color are
-    adjacent in v and in every field, and the pointwise rest of the
+    adjacent in e and in every field, and the pointwise rest of the
     update runs once per color over a single run that spans both planes,
     the pad rows between them included.  A sweep thus takes 18 ufunc
     calls: 3 per sub-lattice for the neighbor sum and 3 per color for
@@ -369,22 +443,20 @@ def screened_solve(
     writes +0.0 there while the neighbors are finite, and a pad cell
     keeps standing in for a missing neighbor.  (A non-finite value turns
     its pad neighbors to NaN, which then reach the next row and the next
-    stack entry.)  Every call zeroes the pad cells of the planes and
-    fields it uses, also in a reused scratch, so a non-finite value never
-    outlives the call that met it.  The neighbor sum is taken pairwise,
-    (left + right) + (up + down), so that for a constant field it rounds
-    identically to count * value.
+    stack entry.)  Every chunk zeroes the pad cells of the fields and
+    the whole planes of e it uses, also in a reused scratch, so a
+    non-finite value never outlives the call that met it.  The neighbor
+    sum is taken pairwise, (left + right) + (up + down).
 
-    The update (rhs + xi*T)/(1 + xi*c), T the neighbor sum and c the
-    neighbor count, runs as v = rhs + (T - c*rhs) * e with the gain
-    e = xi/(1 + xi*c) formed once per call: no divide in a sweep, and
-    exact (bitwise) at xi = 0 (e = 0) and on constants (T = c*rhs).
+    The update (d + xi*T)/(1 + xi*c), T the neighbor sum and c the
+    neighbor count, runs as e = d + (T - c*d) * g with the gain
+    g = xi/(1 + xi*c) formed once per chunk: no divide in a sweep.
 
     Raises ValueError when rhs is not a stack of nonempty grids, v0 does
     not have the shape of rhs, xi does not broadcast to it or is not
     finite and nonnegative, or sweeps is not an integer >= 0.
     """
-    rhs = _check_system(rhs, xi)
+    rhs, least = _check_system(rhs, xi)
     v0 = np.asarray(v0)
     if v0.shape != rhs.shape:
         raise ValueError("v0 shape %s differs from rhs shape %s" % (v0.shape, rhs.shape))
@@ -397,24 +469,24 @@ def screened_solve(
         raise ValueError(
             "xi shape %s does not broadcast to rhs shape %s" % (np.shape(xi), rhs.shape)
         ) from None
-    h, w = rhs.shape[-2:]
-    frame = _frame(h, w)
-    shape = (4,) + rhs.shape[:-2] + frame
-    fields = _plane_fields(rhs, xi, frame, scratch)
-    # in a scratch, the v planes follow the plane block, where the count
-    # planes were, and the sweep's run buffer follows them
-    size = math.prod(shape)
-    planes = _slot(scratch, 3 * size, shape)
-    _zero_pads(planes)
-    for plane, (py, px) in zip(planes, _SUBLATTICES):
-        plane[_cells(h, w, py, px)] = v0[..., py::2, px::2]
-    _sweep(planes, fields, sweeps, scratch, 4 * size)
-    del fields  # free before allocating the output, so the sweep sets the peak
-    if out is None:
-        out = np.empty(rhs.shape)
-    for plane, (py, px) in zip(planes, _SUBLATTICES):
-        out[..., py::2, px::2] = plane[_cells(h, w, py, px)]
-    return out
+    if sweeps == 0:
+        out = np.empty(rhs.shape) if out is None else out
+        out[...] = v0
+        return out
+    fixed = xi == 0.0 if least == 0.0 else None
+    v = v0
+    if sweeps > _CHUNK:
+        # Every chunk's defect reads rhs, so the iterate between chunks
+        # takes out only when out cannot be rhs.
+        if out is None:
+            out = np.empty(rhs.shape)
+        between = out
+        if np.may_share_memory(out, rhs):
+            between = _slot(scratch, rhs.size, rhs.shape, np.float64)
+        for _ in range((sweeps - 1) // _CHUNK):
+            v = _correct(rhs, xi, v, _CHUNK, between, scratch, fixed)
+        sweeps -= (sweeps - 1) // _CHUNK * _CHUNK
+    return _correct(rhs, xi, v, sweeps, out, scratch, fixed)
 
 
 @lru_cache(maxsize=8)
@@ -573,7 +645,7 @@ def exact_screened_solve(
     """
     if np.ndim(xi) != 0:
         raise ValueError("xi must be a scalar, got shape %s" % (np.shape(xi),))
-    rhs = _check_system(rhs, xi)
+    rhs, _ = _check_system(rhs, xi)
     h, w = rhs.shape[-2:]
     g_real, g_imag, twiddle, twiddle_conj = _column_gains(h, w, float(xi))
     first = second = spectrum = lap_scratch = None

@@ -100,34 +100,49 @@ def assemble_screened_matrix(xi):
 
 
 def screened_sweep_reference(rhs, xi, v0, sweeps):
-    """Full-grid red-black Gauss-Seidel for (1 - xi * laplacian) v = rhs
-    on one (H, W) grid: each half sweep computes the update everywhere
-    from zero-filled neighbor copies and keeps its color through a
-    parity mask.  Same update formula and pairwise neighbor sum as the
-    package solver, so the two agree bitwise."""
+    """Mixed-precision red-black Gauss-Seidel for (1 - xi * laplacian) v
+    = rhs on one (H, W) grid.  In chunks of at most 20 sweeps: the
+    float64 defect d = rhs - (v - xi laplacian v), full-grid float32
+    sweeps on (1 - xi laplacian) e = d from e = 0, and v + e in float64,
+    with rhs kept where xi = 0.  Each half sweep computes the update
+    everywhere from zero-filled neighbor copies and keeps its color
+    through a parity mask.  sweeps = 0 returns v0.  Same update formula
+    and pairwise neighbor sum as the package solver, so the two agree
+    bitwise."""
     v = np.array(v0, dtype=np.float64, copy=True)
     h, w = v.shape
-    cnt = np.full((h, w), 4.0)
+    xi = np.broadcast_to(xi, (h, w))
+    cnt = np.full((h, w), 4.0, dtype=np.float32)
     cnt[0, :] -= 1
     cnt[-1, :] -= 1
     cnt[:, 0] -= 1
     cnt[:, -1] -= 1
     parity = (np.add.outer(np.arange(h), np.arange(w)) % 2) == 0
-    cr = cnt * rhs
-    denom = 1.0 + xi * cnt
-    for _ in range(sweeps):
-        for mask in (parity, ~parity):
-            left = np.zeros_like(v)
-            left[:, 1:] = v[:, :-1]
-            right = np.zeros_like(v)
-            right[:, :-1] = v[:, 1:]
-            up = np.zeros_like(v)
-            up[1:, :] = v[:-1, :]
-            down = np.zeros_like(v)
-            down[:-1, :] = v[1:, :]
-            t = (left + right) + (up + down)
-            vnew = rhs + (t - cr) * (xi / denom)
-            v[mask] = vnew[mask]
+    xi32 = xi.astype(np.float32)
+    gain = xi32 / (np.float32(1.0) + xi32 * cnt)
+    fixed = xi == 0.0
+    done = 0
+    while done < sweeps:
+        chunk = min(20, sweeps - done)
+        d = (rhs - (v - xi * laplacian_reference(v))).astype(np.float32)
+        cr = cnt * d
+        e = np.zeros((h, w), dtype=np.float32)
+        for _ in range(chunk):
+            for mask in (parity, ~parity):
+                left = np.zeros_like(e)
+                left[:, 1:] = e[:, :-1]
+                right = np.zeros_like(e)
+                right[:, :-1] = e[:, 1:]
+                up = np.zeros_like(e)
+                up[1:, :] = e[:-1, :]
+                down = np.zeros_like(e)
+                down[:-1, :] = e[1:, :]
+                t = (left + right) + (up + down)
+                enew = d + (t - cr) * gain
+                e[mask] = enew[mask]
+        v = v + e.astype(np.float64)
+        v[fixed] = rhs[fixed]
+        done += chunk
     return v
 
 

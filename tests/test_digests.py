@@ -36,3 +36,16 @@ def test_main_prints_json(capsys):
     printed = json.loads(capsys.readouterr().out)
     assert sorted(printed) == sorted(RUNS)
     assert printed != digests.digests(16, 2)
+
+
+def test_against_names_changed_and_unchanged_runs(capsys, tmp_path):
+    old = digests.digests(16, 1)
+    old["cli-flow"] = "0" * 64
+    del old["segment-adaptive"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    assert digests.main(["digests.py", "16", "1", "--against", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    same = sorted(set(RUNS) - {"cli-flow", "segment-adaptive"})
+    assert lines == (["changed (2):", "  cli-flow", "  segment-adaptive"]
+                     + ["unchanged (%d):" % len(same)] + ["  " + name for name in same])

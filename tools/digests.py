@@ -20,14 +20,20 @@ in C order with their shapes, so a field's memory layout does not
 change its digest.
 
     python3 tools/digests.py [SIZE [ITERS]]      (default 64 30)
+    python3 tools/digests.py [SIZE [ITERS]] --against OLD.json
 
 SIZE is the side of the library runs' images and ITERS their iteration
-cap (per warp for flow); the command-line runs have fixed sizes.  Run it
-with src/ on PYTHONPATH or the package installed.
+cap (per warp for flow); the command-line runs have fixed sizes.  With
+--against, it prints, instead of the JSON, the names of the runs whose
+digests differ from those in OLD.json (a run missing there counts as
+changed) and of those that do not; OLD.json must come from the same
+SIZE and ITERS.  Run it with src/ on PYTHONPATH or the package
+installed.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -212,10 +218,27 @@ def digests(size: int = 64, iters: int = 30) -> dict:
     return {**library_runs(size, iters), **cli}
 
 
+def compare(new: dict, old: dict) -> str:
+    """The names of the runs in new whose digests differ from old's, then
+    those of the runs whose digests match."""
+    changed = sorted(name for name, d in new.items() if old.get(name) != d)
+    same = sorted(name for name in new if name not in changed)
+    lines = ["changed (%d):" % len(changed)] + ["  " + name for name in changed]
+    lines += ["unchanged (%d):" % len(same)] + ["  " + name for name in same]
+    return "\n".join(lines)
+
+
 def main(argv: list[str]) -> int:
-    size = int(argv[1]) if len(argv) > 1 else 64
-    iters = int(argv[2]) if len(argv) > 2 else 30
-    print(json.dumps(digests(size, iters), indent=1, sort_keys=True))
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("size", nargs="?", type=int, default=64)
+    p.add_argument("iters", nargs="?", type=int, default=30)
+    p.add_argument("--against", type=Path, help="digests printed earlier, to compare with")
+    args = p.parse_args(argv[1:])
+    new = digests(args.size, args.iters)
+    if args.against is None:
+        print(json.dumps(new, indent=1, sort_keys=True))
+    else:
+        print(compare(new, json.loads(args.against.read_text())))
     return 0
 
 
