@@ -11,8 +11,8 @@ from .denoise import DenoiseState, run_denoise
 from .flow import FlowParams, FlowState, linearize, run_flow, tau_schedule
 from .metrics import aae, aee, label_scores, match_labels, psnr, ssim
 from .segment import (
-    LabelState,
     SegmentParams,
+    SegmentState,
     extract_labels,
     run_segment,
     warm_start_labels,
@@ -45,8 +45,8 @@ __all__ = [
     "FlowParams",
     "FlowState",
     "IterationRecord",
-    "LabelState",
     "SegmentParams",
+    "SegmentState",
     "SolverParams",
     "Splitmix64",
     "aae",

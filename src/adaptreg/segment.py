@@ -28,10 +28,9 @@ After the dual step, and in the constructor, SegmentState forms grad v
 of the new v, which the energy and the next z-step read.
 
 The steps write z, lambda (when it is a field), r, u and w into the
-label state's own arrays, so code that keeps a field across an
-iteration must copy it; v is a new array after every v-step.  The warm
-start makes z component-planar: an (n, H, W, 2) view of (2, n, H, W)
-memory.
+state's own arrays, so code that keeps a field across an iteration
+must copy it; v is a new array after every v-step.  z is
+component-planar: an (n, H, W, 2) view of (2, n, H, W) memory.
 
 The final labeling is the pixelwise argmax of the memberships.
 """
@@ -46,7 +45,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
-from .solver import SolverParams, check_count, dual_step, rms, run_admm, screened_solve
+from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -61,30 +60,6 @@ class SegmentParams:
         check_count("n_labels", self.n_labels, 2)
         if not 0.0 <= self.tau_excl < math.inf:
             raise ValueError("tau_excl must be nonnegative and finite")
-
-
-class LabelState:
-    """Per-label fields, stacked label-major: u, v, w, r (n,H,W),
-    z (n,H,W,2), lam (n,H,W), c (n,).  lam is a float that broadcasts
-    against the stack when the weight is constant.  Degenerate region
-    updates are logged as (iteration, label) pairs.  A segmentation run
-    writes u, w, r, z and a field lam in place."""
-
-    def __init__(self, f, u, v, w, r, z, lam, c):
-        self.f = f
-        self.u = u
-        self.v = v
-        self.w = w
-        self.r = r
-        self.z = z
-        self.lam = lam
-        self.c = c
-        self.iteration = 0
-        self.degenerate_events: list[tuple[int, int]] = []
-
-    @property
-    def n_labels(self) -> int:
-        return self.u.shape[0]
 
 
 def _lloyd_1d(values: np.ndarray, centers: np.ndarray, iters: int = 50) -> np.ndarray:
@@ -108,10 +83,11 @@ def _lloyd_1d(values: np.ndarray, centers: np.ndarray, iters: int = 50) -> np.nd
     return np.sort(centers)
 
 
-def warm_start_labels(f: np.ndarray, n_labels: int) -> LabelState:
-    """Deterministic intensity warm start: c_i from 1-D k-means on a
-    Gaussian (sigma 1) low-pass copy of f (seeded at evenly spaced
-    quantiles), each pixel assigned to the c_i nearest its raw value.
+def warm_start_labels(f: np.ndarray, n_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic intensity warm start (u, c): c_i from 1-D k-means on
+    a Gaussian (sigma 1) low-pass copy of f (seeded at evenly spaced
+    quantiles), and one-hot memberships u (n, H, W) that assign each
+    pixel to the c_i nearest its raw value.
 
     The relaxed iteration cannot separate region intensities that start
     collapsed: under a per-pixel random layout the first c step averages
@@ -124,32 +100,22 @@ def warm_start_labels(f: np.ndarray, n_labels: int) -> LabelState:
     on the blurred image would hand every region boundary a thin ring
     of intermediate-level labels, which the solver then has to undo.
     """
-    if n_labels < 2:
-        raise ValueError("n_labels must be at least 2")
+    check_count("n_labels", n_labels, 2)
     f = scalar_grid(f)
     fs = convolve_gaussian(f, 1.0)
     seeds = np.quantile(fs, (np.arange(n_labels) + 0.5) / n_labels)
     c = _lloyd_1d(fs.ravel(), seeds)
     assignment = np.argmin(np.abs(f[None] - c[:, None, None]), axis=0)
     u = (assignment[None] == np.arange(n_labels)[:, None, None]).astype(np.float64)
-    return LabelState(
-        f=f,
-        u=u,
-        v=u.copy(),
-        w=np.zeros_like(u),
-        r=np.zeros_like(u),
-        z=np.moveaxis(np.zeros((2,) + u.shape), 0, -1),
-        lam=np.ones_like(u),
-        c=c,
-    )
+    return u, c
 
 
-def misfit(state: LabelState, mu: float) -> np.ndarray:
+def misfit(state: SegmentState, mu: float) -> np.ndarray:
     """d_i = |r_i| + (f - c_i - r_i)^2 / (2 mu) at the current fields, (n, H, W)."""
     return envelope_at(state.f - state.c[:, None, None], state.r, mu)
 
 
-def update_c(state: LabelState) -> np.ndarray:
+def update_c(state: SegmentState) -> np.ndarray:
     """Weighted region intensities, (n,).  A label whose region weight
     sum degenerates (empty region) keeps its previous value and is
     logged; labels are logged in ascending order."""
@@ -161,7 +127,7 @@ def update_c(state: LabelState) -> np.ndarray:
     return np.divide(num, den, out=state.c.copy(), where=~degenerate)
 
 
-def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndarray:
+def update_u(state: SegmentState, params: SegmentParams, d: np.ndarray) -> np.ndarray:
     """Membership step: gradient of the linear data and exclusivity
     terms against the augmentation, clipped at zero, written into
     state.u, which it returns.  d is misfit(state, mu) at the current c
@@ -194,7 +160,7 @@ def update_u(state: LabelState, params: SegmentParams, d: np.ndarray) -> np.ndar
     return u
 
 
-def update_v_all(state: LabelState, params: SegmentParams) -> None:
+def update_v_all(state: SegmentState, params: SegmentParams) -> None:
     """One screened solve over the (n, H, W) label stack, then projection
     onto sum_i v_i = 1.  The solve is exact for a float lambda (scalar
     xi) and gs_sweeps Gauss-Seidel sweeps from v for a weight field.
@@ -210,58 +176,73 @@ def update_v_all(state: LabelState, params: SegmentParams) -> None:
     state.v = project_stack_sum_to_one(screened_solve(rhs, xi, state.v, sp.gs_sweeps, out=rhs))
 
 
-def extract_labels(state: LabelState) -> np.ndarray:
+def extract_labels(state: SegmentState) -> np.ndarray:
     """Pixelwise argmax membership; ties go to the smallest label."""
     return np.argmax(state.u, axis=0).astype(np.int64)
 
 
 class SegmentState:
-    """run_admm adapter wrapping a LabelState built for f and its parameters.
+    """Per-label fields of the segmentation ADMM, stacked label-major:
+    u, v, w, r (n,H,W), z (n,H,W,2), lam (n,H,W), c (n,).  lam is a
+    float that broadcasts against the stack when the weight is constant.
+    Degenerate region updates are logged as (iteration, label) pairs.
+
+    start is a (u, c) pair as warm_start_labels(f, params.n_labels)
+    returns it, and that warm start when None; u and c of other shapes
+    raise ValueError.  The state adopts u, which the run writes in
+    place; v starts as a copy of it, w, r and z at zero and lam at one.
 
     It keeps what the energy and the next iteration read: d, the misfit
-    of the current c and r; grad_v, the gradient of the label stack s.v;
-    and residual, the primal residual of the last dual step.  A field of
-    s assigned or written between iterations is not seen by them.  The
-    iteration writes the fields of s in place (see the module
-    docstring)."""
+    of the current c and r; grad_v, the gradient of the stack v; and
+    residual, the primal residual of the last dual step (0.0 at the
+    start, where u = v).  A field assigned or written between iterations
+    is not seen by them.  The iteration writes the fields in place (see
+    the module docstring)."""
 
-    def __init__(self, f: np.ndarray, params: SegmentParams, state: LabelState | None = None):
-        f = scalar_grid(f)
-        if state is None:
-            state = warm_start_labels(f, params.n_labels)
-        elif not np.array_equal(state.f, f):
-            raise ValueError("the label state was built for a different image")
-        elif state.n_labels != params.n_labels:
-            raise ValueError("the label state has %d labels, not %d" % (state.n_labels, params.n_labels))
+    def __init__(self, f: np.ndarray, params: SegmentParams, start=None):
+        self.f = scalar_grid(f)
         self.params = params
-        self.s = state
-        self.d = misfit(state, params.solver.mu)
-        self.residual = rms(state.u - state.v)
+        self.n_labels = params.n_labels
+        u, c = warm_start_labels(self.f, self.n_labels) if start is None else start
+        shape = (self.n_labels,) + self.f.shape
+        if np.shape(u) != shape or np.shape(c) != shape[:1]:
+            raise ValueError("the start needs u of shape %s and c of shape %s, got %s and %s"
+                             % (shape, shape[:1], np.shape(u), np.shape(c)))
+        self.u = u
+        self.v = u.copy()
+        self.w = np.zeros_like(u)
+        self.r = np.zeros_like(u)
+        self.z = np.moveaxis(np.zeros((2,) + shape), 0, -1)
+        self.lam = np.ones_like(u)
+        self.c = c
+        self.iteration = 0
+        self.degenerate_events: list[tuple[int, int]] = []
+        self.residual = 0.0
+        self.d = misfit(self, params.solver.mu)
         self._form_intermediates()
 
     def _form_intermediates(self):
         """grad v of the label stack."""
-        self.grad_v = gradient(self.s.v)
+        self.grad_v = gradient(self.v)
 
     def iterate(self):
         p = self.params
         sp = p.solver
-        s = self.s
-        s.iteration += 1
-        shrink_vec(self.grad_v, sp.eta, out=s.z)
+        self.iteration += 1
+        shrink_vec(self.grad_v, sp.eta, out=self.z)
         self.grad_v = None
         # lambda may be a float, as a constant-weight run leaves it
-        lam = s.lam if np.shape(s.lam) == s.u.shape else None
+        lam = self.lam if np.shape(self.lam) == self.u.shape else None
         adaptive = sp.adaptive.constant_lambda is None
-        s.lam = weight_fields(self.d * s.u if adaptive else None, sp.adaptive, out=lam)
-        s.c = update_c(s)
-        gap = s.f - s.c[:, None, None]
-        shrink(gap, sp.mu, out=s.r)
+        self.lam = weight_fields(self.d * self.u if adaptive else None, sp.adaptive, out=lam)
+        self.c = update_c(self)
+        gap = self.f - self.c[:, None, None]
+        shrink(gap, sp.mu, out=self.r)
         # d over f - c, read by the u-step, the energy and the next weight step
-        self.d = envelope_at(gap, s.r, sp.mu, out=gap)
-        update_u(s, p, self.d)
-        update_v_all(s, p)
-        self.residual = dual_step(s.u, s.v, s.w)
+        self.d = envelope_at(gap, self.r, sp.mu, out=gap)
+        update_u(self, p, self.d)
+        update_v_all(self, p)
+        self.residual = dual_step(self.u, self.v, self.w)
         self._form_intermediates()
 
     def primal_residual(self) -> float:
@@ -269,32 +250,30 @@ class SegmentState:
 
     def energy(self) -> float:
         p = self.params
-        sp = p.solver
-        s = self.s
+        u = self.u
         # the overlap first: its temporaries are freed before the stacked terms
-        overlap = float(np.sum((np.sum(s.u, axis=0) ** 2 - np.sum(s.u**2, axis=0)) / 2.0))
-        data = s.lam * self.d
-        data *= s.u
+        overlap = float(np.sum((np.sum(u, axis=0) ** 2 - np.sum(u**2, axis=0)) / 2.0))
+        data = self.lam * self.d
+        data *= u
         total = np.sum(data)
-        reg = huber_vec(self.grad_v, sp.eta, out=data)
-        reg *= 1.0 - s.lam
+        reg = huber_vec(self.grad_v, p.solver.eta, out=data)
+        reg *= 1.0 - self.lam
         return float(total + np.sum(reg)) + p.tau_excl * overlap
 
     def mean_lambda(self) -> float:
-        return float(np.mean(self.s.lam))
+        return float(np.mean(self.lam))
 
     def solution(self):
         return self
 
 
-def run_segment(f: np.ndarray, params: SegmentParams, state: LabelState | None = None, on_check=None):
-    """Segment f (normalized to [0,1]); returns (labels, LabelState, history).
+def run_segment(f: np.ndarray, params: SegmentParams, state=None, on_check=None):
+    """Segment f (normalized to [0,1]); returns (labels, SegmentState, history).
 
-    A given state must have been built for f with params.n_labels
-    labels; otherwise ValueError.  Its arrays are updated in place, and
-    it is the LabelState returned.  The run writes its fields in place,
-    so on_check must copy whatever it keeps of them.
+    state is the (u, c) start of the SegmentState (see there).  The run
+    writes the state's fields in place, the start's u among them, so
+    on_check must copy whatever it keeps of them.
     """
-    wrapper = SegmentState(f, params, state=state)
-    _, history = run_admm(wrapper, params.solver, on_check=on_check)
-    return extract_labels(wrapper.s), wrapper.s, history
+    state = SegmentState(f, params, start=state)
+    _, history = run_admm(state, params.solver, on_check=on_check)
+    return extract_labels(state), state, history

@@ -512,12 +512,6 @@ def _parities(even_odd: np.ndarray, natural: np.ndarray, axis: int):
     )
 
 
-def _part(buffer, shape):
-    """The first entries of a flat buffer as an array of this shape, or
-    None without a buffer."""
-    return None if buffer is None else buffer[: math.prod(shape)].reshape(shape)
-
-
 def _dct_rows(x: np.ndarray, out=None, spectrum=None) -> np.ndarray:
     """Unnormalized DCT-II along the last axis,
     X_k = sum_j x_j cos(pi k (2j + 1) / 2n), through one real FFT (Makhoul):
@@ -531,7 +525,7 @@ def _dct_rows(x: np.ndarray, out=None, spectrum=None) -> np.ndarray:
     out = np.empty(x.shape) if out is None else out
     for dst, src in _parities(out, x, -1):
         dst[...] = src
-    z = np.fft.rfft(out, axis=-1, out=_part(spectrum, x.shape[:-1] + (n // 2 + 1,)))
+    z = np.fft.rfft(out, axis=-1, out=_slot(spectrum, 0, x.shape[:-1] + (n // 2 + 1,), np.complex128))
     z *= _twiddle(n)
     for dst, src in _parities(out, z, -2):
         dst[..., : n // 2 + 1] = src.real
@@ -551,7 +545,7 @@ def _idct_rows(c: np.ndarray, rhs: np.ndarray, out=None, spectrum=None, x=None) 
     n = c.shape[-1]
     half = n // 2 + 1
     shape = c.shape[:-1] + (half,)
-    z = np.empty(shape, dtype=np.complex128) if spectrum is None else _part(spectrum, shape)
+    z = _slot(spectrum, 0, shape, np.complex128)
     for src, dst in _parities(c, z, -2):
         dst.real = src[..., :half]
         dst.imag[..., 0] = 0.0
@@ -656,7 +650,7 @@ def exact_screened_solve(
         lap_scratch = scratch[n:]
         spectrum = scratch[2 * n : _exact_scratch_size(rhs.shape)].view(np.complex128)
     rows = _dct_rows(laplacian(rhs, out=first, scratch=lap_scratch), second, spectrum)
-    z = np.fft.rfft(rows, axis=-2, out=_part(spectrum, rhs.shape[:-2] + (h // 2 + 1, w)))
+    z = np.fft.rfft(rows, axis=-2, out=_slot(spectrum, 0, rhs.shape[:-2] + (h // 2 + 1, w), np.complex128))
     z *= twiddle
     z.real *= g_real
     z.imag *= g_imag

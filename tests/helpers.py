@@ -354,7 +354,8 @@ def exclusivity_sum_reference(u, i):
 
 
 def segment_iterate_reference(s, params):
-    """One segmentation iteration on the LabelState s, label by label.
+    """One segmentation iteration on the fields of s (a SegmentState or
+    a namespace with its fields), label by label.
 
     For label i in ascending order: weights, region value, r, z and u,
     each from that label's own (H, W) fields; then the shared v-step and

@@ -112,7 +112,7 @@ def test_criterion_04_weight_range_law():
                        adaptive=AdaptiveParams(beta=10.0, alpha=alpha_s),
                        max_iters=40, tol_primal=1e-12)
     run_segment(g, SegmentParams(solver=sps, n_labels=2),
-                on_check=lambda w, rec: samples.append((w.s.lam.copy(), alpha_s)))
+                on_check=lambda w, rec: samples.append((w.lam.copy(), alpha_s)))
 
     alpha_f = 0.01
     f1, f2, _ = shifted_pair(smooth_texture(32, seed=5), (1.0, 0.0))

@@ -5,6 +5,7 @@ invariants."""
 import copy
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from adaptreg.adaptive import AdaptiveParams
 from adaptreg.grid import divergence, gradient
 from adaptreg.prox import project_stack_sum_to_one, shrink_vec
 from adaptreg.segment import (
-    LabelState,
     SegmentParams,
     SegmentState,
     extract_labels,
@@ -25,7 +25,7 @@ from adaptreg.segment import (
     update_v_all,
     warm_start_labels,
 )
-from adaptreg.solver import SolverParams, rms
+from adaptreg.solver import SolverParams, rms, run_admm
 from adaptreg.synth import Splitmix64, add_gaussian_noise, noisy_rectangles
 from helpers import (
     assemble_screened_matrix,
@@ -47,9 +47,11 @@ def seg_params(n_labels=2, tau=0.5, beta=10.0, alpha=0.01, const=None,
 
 
 def random_label_state(seed, n=2, size=6):
+    """Random segmentation fields, with the attributes of a SegmentState
+    that the step functions read."""
     rng = Splitmix64(seed)
     f = rng.uniforms(size * size).reshape(size, size)
-    return LabelState(
+    return SimpleNamespace(
         f=f,
         u=rng.uniforms(n * size * size).reshape(n, size, size),
         v=rng.normals(n * size * size).reshape(n, size, size) * 0.3 + 0.5,
@@ -58,6 +60,9 @@ def random_label_state(seed, n=2, size=6):
         z=rng.normals(n * size * size * 2).reshape(n, size, size, 2) * 0.2,
         lam=rng.uniforms(n * size * size).reshape(n, size, size) * 0.99,
         c=rng.uniforms(n),
+        n_labels=n,
+        iteration=0,
+        degenerate_events=[],
     )
 
 
@@ -79,13 +84,25 @@ def test_warm_start_rejects_single_label():
         warm_start_labels(np.zeros((4, 4)), 1)
 
 
+@pytest.mark.parametrize("n_labels", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+def test_warm_start_rejects_a_label_count_that_is_not_an_integer(n_labels):
+    with pytest.raises(ValueError, match="n_labels"):
+        warm_start_labels(np.zeros((4, 4)), n_labels)
+
+
+def test_warm_start_accepts_a_numpy_integer_label_count():
+    u, c = warm_start_labels(np.zeros((4, 4)), np.int64(3))
+    assert u.shape == (3, 4, 4)
+    assert c.shape == (3,)
+
+
 def test_warm_start_separates_two_levels():
     f = np.where(np.arange(32)[None, :] < 16, 0.2, 0.8) * np.ones((32, 32))
-    st = warm_start_labels(f, 2)
-    lab = np.argmax(st.u, axis=0)
+    u, c = warm_start_labels(f, 2)
+    lab = np.argmax(u, axis=0)
     # the two centers straddle the levels and the assignment is exact
-    assert abs(st.c[0] - 0.2) < 0.05
-    assert abs(st.c[1] - 0.8) < 0.05
+    assert abs(c[0] - 0.2) < 0.05
+    assert abs(c[1] - 0.8) < 0.05
     assert np.array_equal(lab, (np.arange(32)[None, :] >= 16) * np.ones((32, 32), dtype=int))
 
 
@@ -94,8 +111,8 @@ def test_warm_start_is_deterministic():
     f = rng.uniforms(256).reshape(16, 16)
     a = warm_start_labels(f, 3)
     b = warm_start_labels(f, 3)
-    assert np.array_equal(a.u, b.u)
-    assert np.array_equal(a.c, b.c)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_misfit_formula():
@@ -231,10 +248,10 @@ def test_extract_labels_argmax_with_low_tie():
 
 def test_pairwise_overlap_hand_value():
     f = np.full((2, 2), 0.5)
-    state = warm_start_labels(f, 2)
-    state.u = np.stack([np.full((2, 2), 0.5), np.full((2, 2), 0.25)])
-    with_penalty = SegmentState(f, seg_params(n_labels=2, tau=1.0), state=state).energy()
-    without = SegmentState(f, seg_params(n_labels=2, tau=0.0), state=state).energy()
+    _, c = warm_start_labels(f, 2)
+    start = (np.stack([np.full((2, 2), 0.5), np.full((2, 2), 0.25)]), c)
+    with_penalty = SegmentState(f, seg_params(n_labels=2, tau=1.0), start=start).energy()
+    without = SegmentState(f, seg_params(n_labels=2, tau=0.0), start=start).energy()
     # the exclusivity term sums u_0 u_1 = 0.5 * 0.25 over the 4 pixels
     assert with_penalty - without == pytest.approx(4 * 0.125, abs=1e-14)
 
@@ -257,22 +274,22 @@ def test_stacked_iterate_matches_per_label_reference(n, sigma, const, empty):
     params = SegmentParams(solver=sp, n_labels=n, tau_excl=0.5)
 
     def start():
-        s = warm_start_labels(img, n)
+        u, c = warm_start_labels(img, n)
         if empty is not None:
-            s.u[empty] = 0.0
-        return s
+            u[empty] = 0.0
+        return SegmentState(img, params, start=(u, c))
 
-    wrapper = SegmentState(img, params, state=start())
+    state = start()
     ref = start()
     for _ in range(6):
-        wrapper.iterate()
+        state.iterate()
         segment_iterate_reference(ref, params)
         # the misfit kept across the iteration is the one of the current c, r
-        assert np.array_equal(wrapper.d, misfit(wrapper.s, sp.mu))
-        assert wrapper.energy() == segment_energy_reference(ref, params)
+        assert np.array_equal(state.d, misfit(state, sp.mu))
+        assert state.energy() == segment_energy_reference(ref, params)
     for name in ("u", "v", "w", "r", "z", "lam", "c"):
-        assert np.array_equal(getattr(wrapper.s, name), getattr(ref, name)), name
-    assert wrapper.s.degenerate_events == ref.degenerate_events
+        assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+    assert state.degenerate_events == ref.degenerate_events
     assert (empty is not None) == bool(ref.degenerate_events)
 
 
@@ -285,37 +302,35 @@ def smoothed_segment_state():
 
 
 def test_energy_reads_the_gradient_of_the_current_v():
-    wrapper, params = smoothed_segment_state()
+    state, params = smoothed_segment_state()
     for _ in range(5):
-        v = wrapper.s.v
-        wrapper.iterate()
-        assert wrapper.s.v is not v
-        assert wrapper.energy() == segment_energy_reference(wrapper.s, params)
-        assert wrapper.energy() == segment_energy_reference(wrapper.s, params)
+        v = state.v
+        state.iterate()
+        assert state.v is not v
+        assert state.energy() == segment_energy_reference(state, params)
+        assert state.energy() == segment_energy_reference(state, params)
 
 
 @pytest.mark.parametrize("const", [None, 0.3], ids=["adaptive", "constant"])
 def test_kept_intermediates_match_the_fields(const):
-    # What energy() and the next iterate() read is formed from the label
+    # What energy() and the next iterate() read is formed from the
     # state's own fields, at construction and at the end of every
-    # iteration; the given state's u and v differ at the start.
+    # iteration.  A start sets v = u, so the residual is 0.0 until the
+    # first dual step.
     img, _ = noisy_rectangles(24, seed=4)
     params = seg_params(n_labels=3, beta=0.05, const=const)
-    state = warm_start_labels(img, 3)
-    state.v = project_stack_sum_to_one(state.v + 0.25 * img)
-    wrapper = SegmentState(img, params, state=state)
+    state = SegmentState(img, params)
     for k in range(6):
         if k:
-            wrapper.iterate()
-        s = wrapper.s
-        assert_same_bits(wrapper.d, misfit(s, params.solver.mu))
-        assert_same_bits(wrapper.grad_v, gradient(s.v))
-        assert_same_bits(wrapper.primal_residual(), rms(s.u - s.v))
-        assert wrapper.primal_residual() > 0.0
+            state.iterate()
+        assert_same_bits(state.d, misfit(state, params.solver.mu))
+        assert_same_bits(state.grad_v, gradient(state.v))
+        assert_same_bits(state.primal_residual(), rms(state.u - state.v))
+        assert (state.primal_residual() > 0.0) == (k > 0)
 
 
 def test_gradient_computed_once_per_iteration(monkeypatch):
-    wrapper, _ = smoothed_segment_state()
+    state, _ = smoothed_segment_state()
     calls = []
 
     def counted(u):
@@ -326,8 +341,8 @@ def test_gradient_computed_once_per_iteration(monkeypatch):
     per_iteration = []
     for _ in range(5):
         before = len(calls)
-        wrapper.iterate()
-        wrapper.energy()
+        state.iterate()
+        state.energy()
         per_iteration.append(len(calls) - before)
     # the constructor differentiated the warm-start v
     assert per_iteration == [1, 1, 1, 1, 1]
@@ -339,7 +354,7 @@ def test_residual_only_for_a_weight_field_and_misfit_over_the_gap(monkeypatch, c
     # is written over the f - c that the r-step shrank, one envelope per
     # iteration.
     img, _ = noisy_rectangles(32, seed=0)
-    wrapper = SegmentState(img, seg_params(n_labels=4, const=const))
+    state = SegmentState(img, seg_params(n_labels=4, const=const))
     residuals, envelopes = [], []
 
     def weights(rho, *args, _weights=segment.weight_fields, **kwargs):
@@ -353,13 +368,13 @@ def test_residual_only_for_a_weight_field_and_misfit_over_the_gap(monkeypatch, c
     monkeypatch.setattr(segment, "weight_fields", weights)
     monkeypatch.setattr(segment, "envelope_at", envelope)
     for _ in range(3):
-        wrapper.iterate()
+        state.iterate()
     assert [rho is None for rho in residuals] == [const is not None] * 3
     assert envelopes == [True] * 3
 
 
 def test_residual_computed_once_per_iteration(monkeypatch):
-    wrapper, _ = smoothed_segment_state()
+    state, _ = smoothed_segment_state()
     calls = []
 
     def counted(*fields, _dual_step=segment.dual_step, **buffers):
@@ -369,10 +384,10 @@ def test_residual_computed_once_per_iteration(monkeypatch):
     monkeypatch.setattr(segment, "dual_step", counted)
     for _ in range(4):
         calls.clear()
-        wrapper.iterate()
-        wrapper.energy()
-        wrapper.primal_residual()
-        wrapper.primal_residual()
+        state.iterate()
+        state.energy()
+        state.primal_residual()
+        state.primal_residual()
         # the dual step's u - v serves the primal residual
         assert len(calls) == 1
 
@@ -380,22 +395,21 @@ def test_residual_computed_once_per_iteration(monkeypatch):
 @pytest.mark.parametrize("const", [None, 0.3], ids=["adaptive", "constant"])
 def test_iterate_writes_the_fields_in_place(const):
     img, _ = noisy_rectangles(24, seed=4)
-    wrapper = SegmentState(img, seg_params(n_labels=3, beta=0.05, const=const))
-    s = wrapper.s
+    s = SegmentState(img, seg_params(n_labels=3, beta=0.05, const=const))
     assert np.moveaxis(s.z, -1, 0).flags.c_contiguous  # component-planar
     # the first iteration turns a constant weight into a float
-    wrapper.iterate()
+    s.iterate()
     names = ("z", "r", "w", "u") + (("lam",) if const is None else ())
     arrays = {name: getattr(s, name) for name in names}
     for _ in range(3):
-        wrapper.iterate()
+        s.iterate()
         for name in names:
             assert getattr(s, name) is arrays[name], name
     assert np.shape(s.lam) == (() if const is not None else s.u.shape)
 
 
 def test_adaptive_run_from_a_constant_runs_state():
-    # A constant-weight run leaves lambda a float.  An adaptive run from
+    # A constant-weight run leaves lambda a float.  An adaptive run of
     # that state forms its weight field once and then writes it in place;
     # it matches the frozen label-by-label reference started from the
     # same state with lambda a field, since the weight step writes lambda
@@ -408,10 +422,9 @@ def test_adaptive_run_from_a_constant_runs_state():
     ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=1.5)
     sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=ap, max_iters=5, tol_primal=1e-15)
     params = SegmentParams(solver=sp, n_labels=3, tau_excl=0.5)
+    state.params = params
     energies = []
-    _, out, _ = run_segment(img, params, state=state,
-                            on_check=lambda wrapper, rec: energies.append(wrapper.energy()))
-    assert out is state
+    run_admm(state, sp, on_check=lambda s, rec: energies.append(s.energy()))
     for energy in energies:
         segment_iterate_reference(ref, params)
         assert energy == segment_energy_reference(ref, params)
@@ -430,17 +443,17 @@ def test_steady_state_allocation_is_bounded(const, bound):
     img, _ = noisy_rectangles(128, seed=0)
     ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=1.5, constant_lambda=const)
     sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=ap, max_iters=10, tol_primal=1e-15)
-    wrapper = SegmentState(img, SegmentParams(solver=sp, n_labels=4, tau_excl=0.5))
+    state = SegmentState(img, SegmentParams(solver=sp, n_labels=4, tau_excl=0.5))
     for _ in range(2):
-        wrapper.iterate()
-        wrapper.energy()
-        wrapper.primal_residual()
+        state.iterate()
+        state.energy()
+        state.primal_residual()
     bufsize = np.setbufsize(1024)
     tracemalloc.start()
     try:
-        wrapper.iterate()
-        wrapper.energy()
-        wrapper.primal_residual()
+        state.iterate()
+        state.energy()
+        state.primal_residual()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -451,11 +464,10 @@ def test_steady_state_allocation_is_bounded(const, bound):
 def test_run_segment_rejects_state_of_another_image():
     f = np.where(np.arange(16)[None, :] < 8, 0.2, 0.8) * np.ones((16, 16))
     params = seg_params(iters=2)
-    other = f.copy()
-    other[3, 3] = 0.5
-    for g, n in ((other, 2), (f[:, :12], 2), (f, 3)):
-        with pytest.raises(ValueError):
-            run_segment(f, params, state=warm_start_labels(g, n))
+    u, c = warm_start_labels(f, 2)
+    for start in (warm_start_labels(f[:, :12], 2), warm_start_labels(f, 3), (u, c[:1])):
+        with pytest.raises(ValueError, match="start"):
+            run_segment(f, params, state=start)
     run_segment(f, params, state=warm_start_labels(f.copy(), 2))
 
 
@@ -474,8 +486,7 @@ def test_memberships_keep_invariants_during_run():
     alpha = 0.01
     checks = []
 
-    def grab(wrapper, rec):
-        s = wrapper.s
+    def grab(s, rec):
         checks.append((
             float(s.u.min()),
             float(np.max(np.abs(s.v.sum(axis=0) - 1.0))),

@@ -633,8 +633,7 @@ def test_nan_in_w_diverges_on_the_next_iteration(problem):
     # the primal residual reports it on the iteration after the write.
     def poison(state, record):
         if record.iter == 3:
-            fields = state.s if problem == "segment" else state
-            fields.w[(0,) * fields.w.ndim] = np.nan
+            state.w[(0,) * state.w.ndim] = np.nan
 
     with pytest.raises(DivergenceError) as exc:
         _run_problem(problem, make_params(max_iters=8, tol_primal=1e-300), on_check=poison)

@@ -87,7 +87,6 @@ class _Run:
 
     def __init__(self, problem: str):
         self.fields = FIELDS[problem]
-        self.problem = problem
         self.h = hashlib.sha256()
         self.rows = []
 
@@ -95,9 +94,8 @@ class _Run:
         if math.isnan(record.energy):
             record = dataclasses.replace(record, energy=state.energy())
         self.rows.append(record)
-        fields = state.s if self.problem == "segment" else state
         for name in self.fields:
-            _update(self.h, name, getattr(fields, name))
+            _update(self.h, name, getattr(state, name))
 
     def finish(self, outputs: dict) -> str:
         for name, value in outputs.items():
