@@ -31,7 +31,7 @@ iteration (and in the constructor), DenoiseState._form_intermediates
 forms grad v, |grad v| and the data gap f - u of the new fields: the
 energy reads them, and so does the next iteration (huber_vec and
 shrink_vec both read the norm, the weights and the r-step the gap).
-energy() and primal_residual() only read what is kept.
+energy() only reads what is kept.
 
 Workspace: a DenoiseState allocates one _Workspace at construction and
 reuses it for every iteration, so a steady-state iteration allocates
@@ -134,9 +134,6 @@ class DenoiseState:
         self.residual = dual_step(self.u, self.v, self.w, out=ws.temps[0])
         self._form_intermediates()
 
-    def primal_residual(self) -> float:
-        return self.residual
-
     def energy(self) -> float:
         p = self.params
         ws = self.workspace
@@ -149,12 +146,6 @@ class DenoiseState:
         else:
             reg *= 1.0 - self.lam
         return float(total + np.sum(reg))
-
-    def mean_lambda(self) -> float:
-        return float(np.mean(self.lam))
-
-    def solution(self) -> np.ndarray:
-        return self.u
 
 
 def update_u(state: DenoiseState, params: SolverParams, *, out=None, scratch=None) -> np.ndarray:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import weight_fields
-from .grid import central_gradient, divergence, gradient, scalar_grid, warp_bilinear
+from .grid import central_gradient, divergence, gradient, scalar_grid, vector_grid, warp_bilinear
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
 from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve
 
@@ -127,14 +127,15 @@ class FlowState:
     """Velocity ADMM fields plus the frozen linearization (A, ft).
 
     u and v start at the seed u0 (zero if None), w at zero, and the
-    constructor linearizes around u0 at tau0.  u, v, w and A are
-    (H, W, 2) views of C-contiguous (2, H, W) memory, as _planar makes
-    them at construction and in relinearize; fields assigned in another
-    layout give the same results, only slower.  The gradient auxiliary
-    z is component-first, (2, H, W, 2), as grad v is.  lam is an (H, W)
-    field, or a float that broadcasts against the fields when the
-    weight is constant.  iterate writes the fields in place (see the
-    module docstring).
+    constructor linearizes around u0 at tau0.  A seed that is not a
+    finite (H, W, 2) field on the frames' grid raises ValueError.
+    u, v, w and A are (H, W, 2) views of C-contiguous (2, H, W) memory,
+    as _planar makes them at construction and in relinearize; fields
+    assigned in another layout give the same results, only slower.  The
+    gradient auxiliary z is component-first, (2, H, W, 2), as grad v
+    is.  lam is an (H, W) field, or a float that broadcasts against the
+    fields when the weight is constant.  iterate writes the fields in
+    place (see the module docstring).
 
     It keeps three values of the current fields: gap, the data gap
     ft - A . u, and grad_v, the component gradients of v, both read by
@@ -151,7 +152,10 @@ class FlowState:
         self.params = params
         shape = self.f1.shape
         zero = np.zeros(shape + (2,))
-        seed = zero if u0 is None else u0
+        seed = zero if u0 is None else vector_grid(u0)
+        if seed.shape != zero.shape:
+            raise ValueError("the seed u0 must have the frames' shape %s, got %s"
+                             % (zero.shape, seed.shape))
         self.u = _planar(seed)
         self.v = _planar(seed)
         self.w = _planar(zero)
@@ -199,9 +203,6 @@ class FlowState:
         self.tau_count += 1
         self.tau = tau_schedule(p.tau0, p.dtau, self.tau_count)
 
-    def primal_residual(self) -> float:
-        return self.residual
-
     def energy(self) -> float:
         sp = self.params.solver
         g = self.grad_v
@@ -220,12 +221,6 @@ class FlowState:
         data = huber(self.gap, sp.mu)
         data *= self.lam
         return float(np.sum(data) + np.sum(reg))
-
-    def mean_lambda(self) -> float:
-        return float(np.mean(self.lam))
-
-    def solution(self) -> np.ndarray:
-        return self.u
 
 
 def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
@@ -272,9 +267,9 @@ def update_v_w(state: FlowState, params: SolverParams) -> None:
     (exact for a float lambda, gs_sweeps Gauss-Seidel sweeps from v for
     a weight field) from the gradient auxiliaries z, then dual ascent.
     The solve writes v into state.v in place, and the new u - v gives
-    both the new w and the primal residual, which is kept for
-    primal_residual.  u - v is formed as a C-contiguous (2, H, W) stack,
-    so the residual sums in that order whatever the fields' layout."""
+    both the new w and the primal residual, kept as state.residual.
+    u - v is formed as a C-contiguous (2, H, W) stack, so the residual
+    sums in that order whatever the fields' layout."""
     xi = (1.0 - state.lam) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
     # rhs = (u + w) - xi div z, written over div z
@@ -305,21 +300,9 @@ def _upsample_flow(u: np.ndarray, shape) -> np.ndarray:
     return up
 
 
-def _run_warps(f1, f2, params: FlowParams, u_init, start_iter: int, on_check):
-    state = FlowState(f1, f2, params, u0=u_init)
-    history = []
-    it = start_iter
-    for warp in range(params.n_warps):
-        if warp:
-            state.relinearize()
-        _, h = run_admm(state, params.solver, start_iter=it, on_check=on_check)
-        history.extend(h)
-        it += params.solver.max_iters
-    return state, history, it
-
-
 def run_flow(f1: np.ndarray, f2: np.ndarray, params: FlowParams, on_check=None):
-    """Estimate the flow from f1 to f2; returns (u, history).
+    """Estimate the flow u from f1 to f2, f2(x) = f1(x + u); returns
+    (u, history).
 
     Outer loop: n_warps re-linearizations, each followed by a full inner
     ADMM run; with pyramid_levels > 1, a coarse-to-fine sweep over 2x
@@ -340,13 +323,17 @@ def run_flow(f1: np.ndarray, f2: np.ndarray, params: FlowParams, on_check=None):
         if min(a.shape) < 16:
             break
         pyramid.append((_downsample(a), _downsample(b)))
-    u_init = None
+    u = None
     history = []
     it = 0
     for level_f1, level_f2 in reversed(pyramid):
-        if u_init is not None:
-            u_init = _upsample_flow(u_init, level_f1.shape)
-        state, h, it = _run_warps(level_f1, level_f2, params, u_init, it, on_check)
-        history.extend(h)
-        u_init = state.u
-    return np.ascontiguousarray(state.u), history
+        if u is not None:
+            u = _upsample_flow(u, level_f1.shape)
+        state = FlowState(level_f1, level_f2, params, u0=u)
+        for warp in range(params.n_warps):
+            if warp:
+                state.relinearize()
+            u, h = run_admm(state, params.solver, start_iter=it, on_check=on_check)
+            history.extend(h)
+            it += params.solver.max_iters
+    return np.ascontiguousarray(u), history

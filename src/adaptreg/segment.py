@@ -188,9 +188,10 @@ class SegmentState:
     Degenerate region updates are logged as (iteration, label) pairs.
 
     start is a (u, c) pair as warm_start_labels(f, params.n_labels)
-    returns it, and that warm start when None; u and c of other shapes
-    raise ValueError.  The state adopts u, which the run writes in
-    place; v starts as a copy of it, w, r and z at zero and lam at one.
+    returns it, and that warm start when None; u and c that are not
+    finite float64 arrays of those shapes raise ValueError.  The state
+    adopts u, which the run writes in place; v starts as a copy of it,
+    w, r and z at zero and lam at one.
 
     It keeps what the energy and the next iteration read: d, the misfit
     of the current c and r; grad_v, the gradient of the stack v; and
@@ -205,6 +206,9 @@ class SegmentState:
         self.n_labels = params.n_labels
         u, c = warm_start_labels(self.f, self.n_labels) if start is None else start
         shape = (self.n_labels,) + self.f.shape
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 and np.all(np.isfinite(a))
+                   for a in (u, c)):
+            raise ValueError("the start needs u and c as finite float64 arrays")
         if np.shape(u) != shape or np.shape(c) != shape[:1]:
             raise ValueError("the start needs u of shape %s and c of shape %s, got %s and %s"
                              % (shape, shape[:1], np.shape(u), np.shape(c)))
@@ -245,9 +249,6 @@ class SegmentState:
         self.residual = dual_step(self.u, self.v, self.w)
         self._form_intermediates()
 
-    def primal_residual(self) -> float:
-        return self.residual
-
     def energy(self) -> float:
         p = self.params
         u = self.u
@@ -259,12 +260,6 @@ class SegmentState:
         reg = huber_vec(self.grad_v, p.solver.eta, out=data)
         reg *= 1.0 - self.lam
         return float(total + np.sum(reg)) + p.tau_excl * overlap
-
-    def mean_lambda(self) -> float:
-        return float(np.mean(self.lam))
-
-    def solution(self):
-        return self
 
 
 def run_segment(f: np.ndarray, params: SegmentParams, state=None, on_check=None):

@@ -3,17 +3,16 @@
 The three problems (denoising, segmentation, optical flow) plug into the
 same driver through a small duck-typed state protocol:
 
-    state.iterate()            run one full update sweep (weights first,
-                               then r, z, u, v, w in the documented order)
-    state.primal_residual()    RMS of u - v over all scalar entries
-    state.energy()             current model energy (run_admm forms it
-                               only on a run's last iteration)
-    state.mean_lambda()        mean fidelity weight, in [0, 1]
-    state.solution()           object handed back to the caller
+    state.iterate()     run one full update sweep (weights first, then
+                        r, z, u, v, w in the documented order)
+    state.energy()      current model energy (run_admm forms it only on
+                        a run's last iteration)
+    state.u             the solution the driver hands back
+    state.lam           fidelity weight in [0, 1], a float or a field
+    state.residual      RMS of u - v of the last dual step
 
 The three problem states take their dual step with dual_step, which
-forms the new w and the primal residual from one u - v; their
-primal_residual() returns the residual kept from it.
+forms the new w and the primal residual from one u - v.
 
 The driver itself is single-threaded over iterations; any parallelism
 lives inside the per-pixel updates and is bitwise deterministic.
@@ -122,10 +121,10 @@ def dual_step(u: np.ndarray, v: np.ndarray, w: np.ndarray, *, out: np.ndarray | 
 def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):
     """Drive a problem state to convergence or the iteration cap.
 
-    Returns (solution, history).  history holds one IterationRecord per
+    Returns (state.u, history).  history holds one IterationRecord per
     iteration (1-based, offset by start_iter so chained runs keep a
     global counter).  The run stops early after the first iteration with
-    primal_residual <= tol_primal.  The energy is formed only on the
+    state.residual <= tol_primal.  The energy is formed only on the
     run's last iteration, the one that converged or hit the cap; every
     earlier record carries math.nan.  A non-finite primal residual, or a
     non-finite last energy, raises DivergenceError.  The residual is an
@@ -140,20 +139,20 @@ def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):
     for k in range(1, params.max_iters + 1):
         state.iterate()
         it = start_iter + k
-        residual = state.primal_residual()
+        residual = state.residual
         if not math.isfinite(residual):
             raise DivergenceError(it)
         last = k == params.max_iters or residual <= params.tol_primal
         energy = state.energy() if last else math.nan
         if last and not math.isfinite(energy):
             raise DivergenceError(it)
-        record = IterationRecord(it, energy, residual, state.mean_lambda())
+        record = IterationRecord(it, energy, residual, float(np.mean(state.lam)))
         history.append(record)
         if on_check is not None:
             on_check(state, record)
         if last:
             break
-    return state.solution(), history
+    return state.u, history
 
 
 def history_to_csv(history) -> str:

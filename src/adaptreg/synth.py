@@ -174,9 +174,10 @@ def add_gaussian_noise(clean: np.ndarray, sigma: float, seed: int = 0) -> np.nda
 def shifted_pair(base: np.ndarray, shift):
     """Frame pair related by a constant translation, plus ground truth.
 
-    f1 is the base image; f2 samples the base at x + shift, so content
-    moves by `shift` from frame 1 to frame 2 and the true flow field is
-    constant equal to shift (x component first).
+    f1 is the base image and f2 samples it at x + shift, so content
+    moves by -shift from frame 1 to frame 2.  Under the package's flow
+    convention f2(x) = f1(x + u), the true flow is the constant field
+    u = shift (x component first).
     """
     base = scalar_grid(base)
     shift = np.asarray(shift, dtype=np.float64)

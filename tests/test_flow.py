@@ -254,8 +254,6 @@ def test_residual_computed_once_per_iteration(monkeypatch):
         st.iterate()
         in_iterate = len(calls)
         st.energy()
-        st.primal_residual()
-        st.primal_residual()
         per_iteration.append((in_iterate, len(calls) - in_iterate))
         calls.clear()
     # the dual step's u - v serves the primal residual
@@ -271,13 +269,12 @@ def component_first_rms(d):
 def test_update_v_w_refreshes_the_residual():
     st = smoothed_flow_state()
     st.iterate()
-    st.primal_residual()
     # update_v_w moves v in place, twice without an iterate in between
     for _ in range(2):
         w0 = st.w.copy()
         update_v_w(st, st.params.solver)
         assert np.array_equal(st.w, w0 + (st.u - st.v))
-        assert st.primal_residual() == component_first_rms(st.u - st.v)
+        assert st.residual == component_first_rms(st.u - st.v)
 
 
 def test_gap_computed_once_per_iteration(monkeypatch):
@@ -307,7 +304,7 @@ def assert_intermediates_match_the_fields(st):
     au = st.A[..., 0] * st.u[..., 0] + st.A[..., 1] * st.u[..., 1]
     assert_same_bits(st.gap, st.ft - au)
     assert_same_bits(st.grad_v, gradient(np.moveaxis(st.v, -1, 0)))
-    assert_same_bits(st.primal_residual(), component_first_rms(st.u - st.v))
+    assert_same_bits(st.residual, component_first_rms(st.u - st.v))
 
 
 @pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
@@ -363,6 +360,24 @@ def test_seed_is_copied_and_linearized_at_construction():
     assert np.array_equal(seed, 0.5 * gt)  # the seed is not written
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (np.full((16, 16, 2), np.nan), "non-finite"),
+        (np.full((16, 16, 2), np.inf), "non-finite"),
+        (np.zeros((16, 16)), "vector grid must have shape"),
+        (np.zeros((16, 12, 2)), "frames' shape"),
+    ],
+    ids=["nan", "inf", "scalar", "wrong-size"],
+)
+def test_bad_seed_raises_value_error(seed, message):
+    # At construction, before a NaN or inf seed casts into the warp
+    # indices or an (H, W) one fails to broadcast.
+    f1, f2, _ = shifted_pair(smooth_texture(16, seed=8), (1.0, 0.0))
+    with pytest.raises(ValueError, match=message):
+        FlowState(f1, f2, FlowParams(solver=flow_solver()), u0=seed)
+
+
 @pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
 @pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
 def test_iterate_writes_the_fields_in_place(anisotropic, constant):
@@ -383,13 +398,12 @@ def steady_flow_state(n, constant, anisotropic=True):
     # the first iteration turns a constant weight into a float
     st.iterate()
     st.energy()
-    st.primal_residual()
     return st
 
 
 @pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
 def test_steady_state_allocation_is_bounded(constant):
-    # Fresh memory of one iteration with its energy and residual at 128^2,
+    # Fresh memory of one iteration with its energy at 128^2,
     # in fields: 22.3 (adaptive) and 21.3 (constant) while every step made
     # new fields, 12.3 with z, lambda, r, u and w written in place.
     # numpy's iteration buffer is shrunk as in the denoise guard.
@@ -400,7 +414,6 @@ def test_steady_state_allocation_is_bounded(constant):
     try:
         st.iterate()
         st.energy()
-        st.primal_residual()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -454,7 +467,7 @@ def test_primal_residual_sums_the_component_first_stack():
         st.u = rng.normals(2 * 128 * 128).reshape(128, 128, 2)
         st.w = rng.normals(2 * 128 * 128).reshape(128, 128, 2)
         update_v_w(st, st.params.solver)
-        assert st.primal_residual() == component_first_rms(st.u - st.v)
+        assert st.residual == component_first_rms(st.u - st.v)
 
 
 @pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
@@ -476,7 +489,7 @@ def test_planar_state_matches_interleaved_state(anisotropic):
         for s in (st, interleaved):
             update_v_w(s, sp)
         assert_same_bits(st.v, interleaved.v)
-        assert st.primal_residual() == interleaved.primal_residual()
+        assert st.residual == interleaved.residual
 
 
 def test_update_u_degenerate_rows_pass_through_bitwise():

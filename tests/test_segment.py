@@ -325,8 +325,8 @@ def test_kept_intermediates_match_the_fields(const):
             state.iterate()
         assert_same_bits(state.d, misfit(state, params.solver.mu))
         assert_same_bits(state.grad_v, gradient(state.v))
-        assert_same_bits(state.primal_residual(), rms(state.u - state.v))
-        assert (state.primal_residual() > 0.0) == (k > 0)
+        assert_same_bits(state.residual, rms(state.u - state.v))
+        assert (state.residual > 0.0) == (k > 0)
 
 
 def test_gradient_computed_once_per_iteration(monkeypatch):
@@ -386,8 +386,6 @@ def test_residual_computed_once_per_iteration(monkeypatch):
         calls.clear()
         state.iterate()
         state.energy()
-        state.primal_residual()
-        state.primal_residual()
         # the dual step's u - v serves the primal residual
         assert len(calls) == 1
 
@@ -447,13 +445,11 @@ def test_steady_state_allocation_is_bounded(const, bound):
     for _ in range(2):
         state.iterate()
         state.energy()
-        state.primal_residual()
     bufsize = np.setbufsize(1024)
     tracemalloc.start()
     try:
         state.iterate()
         state.energy()
-        state.primal_residual()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -469,6 +465,25 @@ def test_run_segment_rejects_state_of_another_image():
         with pytest.raises(ValueError, match="start"):
             run_segment(f, params, state=start)
     run_segment(f, params, state=warm_start_labels(f.copy(), 2))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda u, c: (u.astype(np.int64), c),
+        lambda u, c: (u.astype(np.float32), c),
+        lambda u, c: (u, np.arange(2)),
+        lambda u, c: (np.where(u > 0, np.nan, u), c),
+        lambda u, c: (u, np.array([0.2, np.inf])),
+    ],
+    ids=["int-u", "float32-u", "int-c", "nan-u", "inf-c"],
+)
+def test_start_must_be_finite_float64(bad):
+    # An int u failed on the first iterate and an int c in the c-step; a
+    # float32 u ran silently in float32.
+    f = np.where(np.arange(16)[None, :] < 8, 0.2, 0.8) * np.ones((16, 16))
+    with pytest.raises(ValueError, match="finite float64"):
+        SegmentState(f, seg_params(), start=bad(*warm_start_labels(f, 2)))
 
 
 def test_constant_image_collapses_to_shared_intensity():

@@ -47,30 +47,25 @@ def make_params(**kw):
 
 
 class ScriptedState:
-    """Replays prescribed energies/residuals; counts iterate() calls and
-    the iterations whose energy was formed."""
+    """Replays prescribed energies/residuals through the driver's state
+    contract; u counts the iterate() calls, and formed lists the
+    iterations whose energy was formed."""
 
     def __init__(self, energies, residuals):
         self.energies = list(energies)
         self.residuals = list(residuals)
-        self.k = 0
+        self.u = 0
+        self.lam = np.array([0.25, 0.75])
+        self.residual = 0.0
         self.formed = []
 
     def iterate(self):
-        self.k += 1
+        self.u += 1
+        self.residual = self.residuals[self.u - 1]
 
     def energy(self):
-        self.formed.append(self.k)
-        return self.energies[self.k - 1]
-
-    def primal_residual(self):
-        return self.residuals[self.k - 1]
-
-    def mean_lambda(self):
-        return 0.5
-
-    def solution(self):
-        return self.k
+        self.formed.append(self.u)
+        return self.energies[self.u - 1]
 
 
 def test_params_validation():
@@ -126,6 +121,7 @@ def test_early_stop_at_first_passing_checkpoint():
     sol, hist = run_admm(state, make_params(max_iters=4, tol_primal=1e-6))
     assert sol == 2
     assert [r.iter for r in hist] == [1, 2]
+    assert [r.mean_lambda for r in hist] == [0.5, 0.5]  # the mean of the lam field
     assert hist[-1].primal_residual == 1e-9
 
 
