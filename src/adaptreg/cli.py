@@ -159,11 +159,16 @@ _SIDECAR_PARAMS = (
 )
 
 
+def _check_8bit_labels(count: int) -> None:
+    if count > 256:
+        raise ValueError("cannot write more than 256 labels as 8-bit")
+
+
 def cmd_segment(args) -> int:
     if args.labels < 2:
         raise ValueError("--labels must be at least 2")
-    if args.out_labels and args.labels > 256:
-        raise ValueError("cannot write more than 256 labels as 8-bit")
+    if args.out_labels:
+        _check_8bit_labels(args.labels)
     f = _read_gray(args.input)
     gt = _check_reference(_read_labelmap(args.gt), f.shape, "--gt") if args.gt else None
     params = SegmentParams(
@@ -222,6 +227,7 @@ def cmd_flow(args) -> int:
 def cmd_synth(args) -> int:
     out = args.out
     if args.generator == "junction":
+        _check_8bit_labels(args.regions)
         image, labels = synth.junction_image(
             args.regions, args.size, args.disc_frac, args.seed
         )

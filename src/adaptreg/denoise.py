@@ -95,7 +95,8 @@ class DenoiseState:
     place (see the module docstring), so code that keeps a field across
     an iteration must copy it.  grad v, |grad v| and f - u of the
     current fields sit in the workspace, and residual is the primal
-    residual of the last dual step (0.0 at the start, where u = v)."""
+    residual of the last dual step (0.0 at the start, where u = v).
+    energy() takes the data term at u and the regularizer at grad v."""
 
     def __init__(self, f: np.ndarray, params: SolverParams):
         self.f = scalar_grid(f)

@@ -142,7 +142,8 @@ class FlowState:
     the energy and the next iteration; and residual, the primal residual
     of the last dual step (0.0 at the start, where u = v).  A field
     assigned or written from outside is not seen by them until
-    relinearize, which re-forms gap and grad_v."""
+    relinearize, which re-forms gap and grad_v.  energy() takes the data
+    term at u and the regularizer at grad v."""
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams, u0=None):
         self.f1 = scalar_grid(f1)

@@ -198,7 +198,8 @@ class SegmentState:
     residual, the primal residual of the last dual step (0.0 at the
     start, where u = v).  A field assigned or written between iterations
     is not seen by them.  The iteration writes the fields in place (see
-    the module docstring)."""
+    the module docstring).  energy() takes the data term at u and the
+    regularizer at grad v."""
 
     def __init__(self, f: np.ndarray, params: SegmentParams, start=None):
         self.f = scalar_grid(f)

@@ -5,8 +5,8 @@ same driver through a small duck-typed state protocol:
 
     state.iterate()     run one full update sweep (weights first, then
                         r, z, u, v, w in the documented order)
-    state.energy()      current model energy (run_admm forms it only on
-                        a run's last iteration)
+    state.energy()      data term at u plus regularizer at grad v: it
+                        can read below the minimum while u != v
     state.u             the solution the driver hands back
     state.lam           fidelity weight in [0, 1], a float or a field
     state.residual      RMS of u - v of the last dual step
@@ -80,8 +80,7 @@ def check_count(name: str, value, least: int) -> None:
 @dataclass
 class IterationRecord:
     """One iteration of a run.  energy is math.nan on every record but a
-    run's last, since run_admm forms the energy only there; a caller that
-    wants it earlier calls state.energy() in its on_check."""
+    run's last, since run_admm forms the energy only there."""
 
     iter: int
     energy: float

@@ -72,9 +72,12 @@ def junction_image(n_regions: int, size: int, disc_radius_frac: float = 0.25, se
     fraction is 0) forms the last region.  Gray levels are k/(n-1),
     assigned to regions in seed-shuffled order.  Returns (image, labels)
     with labels 0..n-2 for the sectors and n-1 for the disc.
+    disc_radius_frac must be nonnegative and finite.
     """
     check_count("n_regions", n_regions, 3)
     check_count("size", size, 2)
+    if not 0.0 <= disc_radius_frac < np.inf:
+        raise ValueError("disc_radius_frac must be nonnegative and finite")
     n_sectors = n_regions - 1
     cy = (size - 1) / 2.0
     cx = (size - 1) / 2.0
@@ -177,12 +180,14 @@ def shifted_pair(base: np.ndarray, shift):
     f1 is the base image and f2 samples it at x + shift, so content
     moves by -shift from frame 1 to frame 2.  Under the package's flow
     convention f2(x) = f1(x + u), the true flow is the constant field
-    u = shift (x component first).
+    u = shift (x component first), which must be finite.
     """
     base = scalar_grid(base)
     shift = np.asarray(shift, dtype=np.float64)
     if shift.shape != (2,):
         raise ValueError("shift must be a 2-vector (x, y)")
+    if not np.all(np.isfinite(shift)):
+        raise ValueError("shift must be finite, got %s" % shift.tolist())
     gt = np.broadcast_to(shift, base.shape + (2,)).copy()
     f2 = warp_bilinear(base, gt, scale=1.0)
     return base.copy(), f2, gt

@@ -1,10 +1,23 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
+from adaptreg.adaptive import AdaptiveParams
+from adaptreg.denoise import DenoiseState
+from adaptreg.flow import FlowParams, FlowState
 from adaptreg.grid import gaussian_kernel, gradient
 from adaptreg.metrics import match_labels
-from adaptreg.segment import DEGENERATE_REGION_WEIGHT, update_v_all
+from adaptreg.segment import (
+    DEGENERATE_REGION_WEIGHT,
+    SegmentParams,
+    SegmentState,
+    misfit,
+    update_v_all,
+)
+from adaptreg.solver import SolverParams, rms
+from adaptreg.synth import Splitmix64, biased_noise_image, noisy_rectangles, shifted_pair, smooth_texture
 
 
 def assert_same_bits(out, ref):
@@ -470,3 +483,192 @@ def ssim_direct(a, b):
                 / ((m1 * m1 + m2 * m2 + c1) * (s11 + s22 + c2))
             )
     return float(np.mean(vals))
+
+
+# State builders of the three problems, and the checks of what each
+# state keeps between iterations.  A builder's constant flag picks the
+# problem's constant weight instead of an adaptive one.
+
+
+def adaptive_defaults(**kw):
+    ap = kw.pop("adaptive", AdaptiveParams(beta=1.0, alpha=0.01))
+    base = dict(mu=0.16, eta=0.08, theta=1.0, adaptive=ap)
+    base.update(kw)
+    return SolverParams(**base)
+
+
+def halfplane_params(constant):
+    ap = AdaptiveParams(beta=0.05, alpha=0.1, smoothing_sigma=2.0, constant_lambda=constant)
+    return adaptive_defaults(adaptive=ap, max_iters=6, tol_primal=1e-300)
+
+
+def random_denoise_state(seed, n=6, params=None):
+    rng = Splitmix64(seed)
+    st = DenoiseState(rng.uniforms(n * n).reshape(n, n), params or adaptive_defaults())
+    st.u = rng.normals(n * n).reshape(n, n) * 0.3 + 0.5
+    st.v = rng.normals(n * n).reshape(n, n) * 0.3 + 0.5
+    st.w = rng.normals(n * n).reshape(n, n) * 0.1
+    st.r = rng.normals(n * n).reshape(n, n) * 0.1
+    st.z = rng.normals(n * n * 2).reshape(n, n, 2) * 0.2
+    st.lam = rng.uniforms(n * n).reshape(n, n) * 0.99
+    st._form_intermediates()
+    return st
+
+
+def denoise_state(constant):
+    f = biased_noise_image(make_scene(32), 0.3, "half", seed=2)
+    return DenoiseState(f, halfplane_params(0.3 if constant else None))
+
+
+def _warm(st):
+    for _ in range(2):
+        st.iterate()
+        st.energy()
+    return st
+
+
+def denoise_steady_state(n, constant):
+    f = Splitmix64(n).uniforms(n * n).reshape(n, n)
+    return _warm(DenoiseState(f, halfplane_params(0.3 if constant else None)))
+
+
+def assert_denoise_intermediates(st):
+    ws = st.workspace
+    g = gradient(st.v)
+    assert_same_bits(ws.grad, g)
+    assert_same_bits(ws.norm, np.sqrt(np.sum(g * g, axis=-1)))
+    assert_same_bits(ws.gap, st.f - st.u)
+    assert_same_bits(st.residual, rms(st.u - st.v))
+
+
+def seg_params(n_labels=2, tau=0.5, beta=10.0, alpha=0.01, const=None,
+               iters=300, tol=1e-6, sweeps=20, sigma=0.0):
+    ap = AdaptiveParams(beta=beta, alpha=alpha, smoothing_sigma=sigma, constant_lambda=const)
+    sp = SolverParams(
+        mu=0.5, eta=0.5, theta=1.0, adaptive=ap,
+        max_iters=iters, tol_primal=tol, gs_sweeps=sweeps,
+    )
+    return SegmentParams(solver=sp, n_labels=n_labels, tau_excl=tau)
+
+
+def random_label_state(seed, n=2, size=6):
+    """Random segmentation fields, with the attributes of a SegmentState
+    that the step functions read."""
+    rng = Splitmix64(seed)
+    f = rng.uniforms(size * size).reshape(size, size)
+    return SimpleNamespace(
+        f=f,
+        u=rng.uniforms(n * size * size).reshape(n, size, size),
+        v=rng.normals(n * size * size).reshape(n, size, size) * 0.3 + 0.5,
+        w=rng.normals(n * size * size).reshape(n, size, size) * 0.1,
+        r=rng.normals(n * size * size).reshape(n, size, size) * 0.1,
+        z=rng.normals(n * size * size * 2).reshape(n, size, size, 2) * 0.2,
+        lam=rng.uniforms(n * size * size).reshape(n, size, size) * 0.99,
+        c=rng.uniforms(n),
+        n_labels=n,
+        iteration=0,
+        degenerate_events=[],
+    )
+
+
+def random_segment_state(seed):
+    """A 3-label SegmentState holding random_label_state's fields, with
+    what it keeps formed from them."""
+    fields = random_label_state(seed, n=3, size=5)
+    st = SegmentState(fields.f, seg_params(n_labels=3), start=(fields.u, fields.c))
+    for name in ("v", "w", "r", "z", "lam"):
+        setattr(st, name, getattr(fields, name))
+    st.d = misfit(st, st.params.solver.mu)
+    st._form_intermediates()
+    return st
+
+
+def segment_state(constant, size=24, n_labels=3, const=0.3, seed=4):
+    img, _ = noisy_rectangles(size, seed=seed)
+    params = seg_params(n_labels, beta=0.05, const=const if constant else None,
+                        iters=6, tol=1e-15, sigma=1.5)
+    return SegmentState(img, params)
+
+
+def segment_steady_state(n, constant):
+    return _warm(segment_state(constant, size=n, n_labels=4, const=0.2, seed=0))
+
+
+def assert_segment_intermediates(st):
+    assert_same_bits(st.d, misfit(st, st.params.solver.mu))
+    assert_same_bits(st.grad_v, gradient(st.v))
+    assert_same_bits(st.residual, rms(st.u - st.v))
+
+
+def flow_solver(**kw):
+    ap = kw.pop("adaptive", AdaptiveParams(beta=10.0, alpha=0.01))
+    base = dict(mu=0.01, eta=0.3, theta=0.1, adaptive=ap,
+                max_iters=30, tol_primal=1e-9)
+    base.update(kw)
+    return SolverParams(**base)
+
+
+def random_flow_state(seed, n=20, anisotropic=True):
+    rng = Splitmix64(seed)
+    params = FlowParams(solver=flow_solver(mu=0.5, theta=1.0), anisotropic_reg=anisotropic)
+    st = FlowState(np.zeros((n, n)), np.zeros((n, n)), params)
+    st.v = rng.normals(n * n * 2).reshape(n, n, 2)
+    st.w = rng.normals(n * n * 2).reshape(n, n, 2)
+    st.A = rng.normals(n * n * 2).reshape(n, n, 2)
+    st.ft = rng.normals(n * n).reshape(n, n)
+    st.r = rng.normals(n * n).reshape(n, n)
+    st.lam = rng.uniforms(n * n).reshape(n, n) * 0.99
+    st.u = rng.normals(n * n * 2).reshape(n, n, 2)
+    st._form_intermediates()
+    return st
+
+
+def flow_state(constant, anisotropic=True):
+    f1, f2, _ = shifted_pair(smooth_texture(32, seed=5), (1.0, 0.5))
+    ap = AdaptiveParams(beta=10.0, alpha=0.01, smoothing_sigma=1.0,
+                        constant_lambda=0.4 if constant else None)
+    fp = FlowParams(solver=flow_solver(adaptive=ap, max_iters=5), n_warps=2,
+                    anisotropic_reg=anisotropic)
+    return FlowState(f1, f2, fp)
+
+
+def flow_steady_state(n, constant, anisotropic=True):
+    f1, f2, _ = shifted_pair(smooth_texture(n, seed=5), (1.0, 0.0))
+    ap = AdaptiveParams(beta=10.0, alpha=0.01, constant_lambda=0.4 if constant else None)
+    fp = FlowParams(solver=flow_solver(adaptive=ap), anisotropic_reg=anisotropic)
+    return _warm(FlowState(f1, f2, fp))
+
+
+def flow_energy_reference(st, params):
+    """Flow energy of the fields of st, from the frozen Huber formulas."""
+    sp = params.solver
+    data = st.lam * huber_reference(st.ft - _dot_reference(st.A, st.u), sp.mu)
+    g = gradient(np.moveaxis(st.v, -1, 0))
+    if params.anisotropic_reg:
+        reg = (huber_reference(g[0], sp.eta).sum(axis=-1)
+               + huber_reference(g[1], sp.eta).sum(axis=-1))
+    else:
+        reg = huber_vec_reference(g[0], sp.eta) + huber_vec_reference(g[1], sp.eta)
+    return float(np.sum(data) + np.sum((1.0 - st.lam) * reg))
+
+
+def _dot_reference(a, u):
+    return a[..., 0] * u[..., 0] + a[..., 1] * u[..., 1]
+
+
+def component_first_rms(d):
+    """rms of an (H, W, 2) field summed over its C-contiguous (2, H, W)
+    stack, the order of the dual step."""
+    return rms(np.ascontiguousarray(np.moveaxis(d, -1, 0)))
+
+
+def assert_planar(st, names=("u", "v", "w", "A")):
+    """Each named (..., 2) field is a view of component-first C-contiguous memory."""
+    for name in names:
+        assert np.moveaxis(getattr(st, name), -1, 0).flags.c_contiguous, name
+
+
+def assert_flow_intermediates(st):
+    assert_same_bits(st.gap, st.ft - _dot_reference(st.A, st.u))
+    assert_same_bits(st.grad_v, gradient(np.moveaxis(st.v, -1, 0)))
+    assert_same_bits(st.residual, component_first_rms(st.u - st.v))

@@ -371,6 +371,14 @@ def test_unwritable_request_exits_2_before_solving(tmp_path, capsys, command, me
     assert not out.exists() and not history.exists()
 
 
+def test_synth_junction_beyond_256_regions_exits_2(tmp_path, capsys):
+    # labels 256 and above wrapped in the 8-bit label map
+    assert entry(["synth", "junction", "--out", str(tmp_path / "j"), "--size", "32",
+                  "--regions", "300"]) == 2
+    assert "cannot write more than 256 labels as 8-bit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, flag, value, name", [
     ("denoise", "--mu", "nan", "mu"),
     ("denoise", "--mu", "inf", "mu"),
@@ -401,6 +409,10 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value, na
     ("rectangles", "--noise", ["inf", "0", "0", "0"]),
     ("biased", "--sigma-max", ["nan"]),
     ("biased", "--sigma-max", ["inf"]),
+    ("junction", "--disc-frac", ["nan"]),
+    ("junction", "--disc-frac", ["-1"]),
+    ("shifted-pair", "--shift", ["nan", "0"]),
+    ("shifted-pair", "--shift", ["0", "inf"]),
 ])
 def test_non_finite_synth_parameters_exit_2(tmp_path, capsys, generator, flag, values):
     rc = entry(["synth", generator, "--out", str(tmp_path / "s"), "--size", "16", flag] + values)

@@ -3,14 +3,11 @@ behavior (fixed points, energy descent under heavy damping, GD oracle)."""
 
 import math
 import resource
-import tracemalloc
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adaptreg import denoise
 from adaptreg.adaptive import AdaptiveParams
 from adaptreg.denoise import (
     DenoiseState,
@@ -19,41 +16,22 @@ from adaptreg.denoise import (
     update_v,
 )
 from adaptreg.grid import divergence, gradient
-from adaptreg.prox import huber, huber_vec, shrink, shrink_vec
+from adaptreg.prox import huber, huber_vec, shrink
 from adaptreg.solver import SolverParams
 from adaptreg.synth import Splitmix64, add_gaussian_noise, biased_noise_image
 from adaptreg.metrics import ssim
 from helpers import (
+    adaptive_defaults,
     assemble_screened_matrix,
     assert_same_bits,
     denoise_energy_reference,
     denoise_iterate_reference,
-    huber_reference,
-    huber_vec_reference,
+    denoise_steady_state,
+    halfplane_params,
     make_scene,
     moreau_envelope_bruteforce,
+    random_denoise_state,
 )
-
-
-def adaptive_defaults(**kw):
-    ap = kw.pop("adaptive", AdaptiveParams(beta=1.0, alpha=0.01))
-    base = dict(mu=0.16, eta=0.08, theta=1.0, adaptive=ap)
-    base.update(kw)
-    return SolverParams(**base)
-
-
-def random_state(seed, n=6, params=None):
-    rng = Splitmix64(seed)
-    p = params or adaptive_defaults()
-    st = DenoiseState(rng.uniforms(n * n).reshape(n, n), p)
-    st.u = rng.normals(n * n).reshape(n, n) * 0.3 + 0.5
-    st.v = rng.normals(n * n).reshape(n, n) * 0.3 + 0.5
-    st.w = rng.normals(n * n).reshape(n, n) * 0.1
-    st.r = rng.normals(n * n).reshape(n, n) * 0.1
-    st.z = rng.normals(n * n * 2).reshape(n, n, 2) * 0.2
-    st.lam = rng.uniforms(n * n).reshape(n, n) * 0.99
-    st._form_intermediates()
-    return st
 
 
 def test_constant_image_is_fixed_point():
@@ -81,7 +59,7 @@ def test_rejects_non_finite_input():
 
 
 def test_update_r_minimizes_the_envelope():
-    st = random_state(502, n=3)
+    st = random_denoise_state(502, n=3)
     residual = st.f - st.u
     st.iterate()
     r = st.r
@@ -93,7 +71,7 @@ def test_update_r_minimizes_the_envelope():
 
 
 def test_update_u_solves_pointwise_equation():
-    st = random_state(503, n=8)
+    st = random_denoise_state(503, n=8)
     p = st.params
     u = update_u(st, p)
     lhs = (st.lam + p.mu * p.theta) * u
@@ -102,13 +80,13 @@ def test_update_u_solves_pointwise_equation():
 
 
 def test_update_u_lambda_zero_is_bitwise_passthrough():
-    st = random_state(504)
+    st = random_denoise_state(504)
     st.lam = np.zeros_like(st.lam)
     assert np.array_equal(update_u(st, st.params), st.v - st.w)
 
 
 def test_update_u_agreeing_targets_short_circuit():
-    st = random_state(505)
+    st = random_denoise_state(505)
     st.r = np.zeros_like(st.r)
     st.w = np.zeros_like(st.w)
     st.v = st.f.copy()  # both targets equal f
@@ -116,55 +94,8 @@ def test_update_u_agreeing_targets_short_circuit():
 
 
 
-def frozen_energy(st):
-    p = st.params
-    data = st.lam * huber_reference(st.f - st.u, p.mu)
-    reg = (1.0 - st.lam) * huber_vec_reference(gradient(st.v), p.eta)
-    return float(np.sum(data) + np.sum(reg))
-
-
-def test_energy_matches_frozen_formula():
-    st = random_state(311, n=9)
-    assert st.energy() == frozen_energy(st)
-
-
-def smoothed_state():
-    f = biased_noise_image(make_scene(16), 0.2, seed=3)
-    ap = AdaptiveParams(beta=0.05, alpha=0.1, smoothing_sigma=1.0)
-    return DenoiseState(f, adaptive_defaults(adaptive=ap))
-
-
-def test_energy_reads_the_gradient_of_the_current_v():
-    st = smoothed_state()
-    for _ in range(5):
-        v = st.v
-        st.iterate()
-        assert st.v is not v
-        assert st.energy() == frozen_energy(st)
-        assert st.energy() == frozen_energy(st)
-
-
-def test_gradient_computed_once_per_iteration(monkeypatch):
-    st = smoothed_state()
-    calls = []
-
-    def counted(u, **buffers):
-        calls.append(u)
-        return gradient(u, **buffers)
-
-    monkeypatch.setattr(denoise, "gradient", counted)
-    per_iteration = []
-    for _ in range(5):
-        before = len(calls)
-        st.iterate()
-        st.energy()
-        per_iteration.append(len(calls) - before)
-    # the constructor differentiated the initial v
-    assert per_iteration == [1, 1, 1, 1, 1]
-
-
 def test_update_v_full_fidelity_skips_smoothing():
-    st = random_state(506)
+    st = random_denoise_state(506)
     st.lam = np.ones_like(st.lam)  # xi = 0
     assert np.array_equal(update_v(st, st.params), st.u + st.w)
 
@@ -178,7 +109,7 @@ def test_update_v_keeps_constants():
 
 
 def test_update_v_matches_dense_solve():
-    st = random_state(507, n=8, params=adaptive_defaults(gs_sweeps=500))
+    st = random_denoise_state(507, n=8, params=adaptive_defaults(gs_sweeps=500))
     p = st.params
     v = update_v(st, p)
     xi = (1.0 - st.lam) / (p.eta * p.theta)
@@ -370,14 +301,6 @@ def test_constant_mode_pins_weights():
         assert np.all(lam == 0.3)
 
 
-FIELDS = ("f", "u", "v", "w", "r", "z", "lam")
-
-
-def halfplane_params(constant, sweeps=20):
-    ap = AdaptiveParams(beta=0.05, alpha=0.1, smoothing_sigma=2.0, constant_lambda=constant)
-    return adaptive_defaults(adaptive=ap, gs_sweeps=sweeps, max_iters=6, tol_primal=1e-300)
-
-
 @pytest.mark.parametrize("constant", [None, 0.3], ids=["adaptive", "constant"])
 @pytest.mark.parametrize("shape", [(31, 47), (128, 128)], ids=["31x47", "128x128"])
 def test_iterations_match_frozen_reference(shape, constant):
@@ -386,12 +309,13 @@ def test_iterations_match_frozen_reference(shape, constant):
     # field and every history figure must agree bit for bit.
     f = biased_noise_image(make_scene(128)[: shape[0], : shape[1]], 0.3, "half", seed=4)
     params = halfplane_params(constant)
-    ref = SimpleNamespace(**{k: getattr(DenoiseState(f, params), k) for k in FIELDS})
+    fields = ("f", "u", "v", "w", "r", "z", "lam")
+    ref = SimpleNamespace(**{k: getattr(DenoiseState(f, params), k) for k in fields})
     records = []
 
     def check(st, rec):
         denoise_iterate_reference(ref, params)
-        for name in FIELDS:
+        for name in fields:
             assert_same_bits(getattr(st, name), getattr(ref, name))
         d = ref.u - ref.v
         expected = (
@@ -406,121 +330,11 @@ def test_iterations_match_frozen_reference(shape, constant):
     assert len(records) == 6
 
 
-def test_state_writes_its_fields_in_place():
-    st = DenoiseState(biased_noise_image(make_scene(32), 0.3, "half", seed=1), halfplane_params(None))
-    st.iterate()
-    ws = st.workspace
-    owned = {name: getattr(st, name) for name in ("u", "w", "r", "z", "lam")}
-    buffers = {id(st.v), id(ws.spare)}
-    for _ in range(4):
-        v = st.v
-        st.iterate()
-        st.energy()
-        assert st.workspace is ws
-        assert all(getattr(st, name) is a for name, a in owned.items())
-        # v alternates with the spare buffer, which the v-step fills
-        assert st.v is not v and ws.spare is v
-        assert {id(st.v), id(ws.spare)} == buffers
-    # z stays component-planar
-    assert st.z[..., 0].flags.c_contiguous and st.z[..., 1].flags.c_contiguous
-
-
-def test_intermediates_computed_once_per_iteration(monkeypatch):
-    # grad v, |grad v| and f - u are formed once per iteration, and the
-    # dual step once, whatever run_admm then reads.
-    st = smoothed_state()
-    counts = Counter()
-
-    def counting(name, kernel):
-        def counted(*args, **buffers):
-            counts[name] += 1
-            return kernel(*args, **buffers)
-
-        return counted
-
-    for name in ("gradient", "vector_norm", "dual_step"):
-        monkeypatch.setattr(denoise, name, counting(name, getattr(denoise, name)))
-    form = st._form_intermediates
-    monkeypatch.setattr(st, "_form_intermediates", counting("form", form))
-    for _ in range(4):
-        counts.clear()
-        st.iterate()
-        st.energy()
-        st.energy()
-        assert counts == {"gradient": 1, "vector_norm": 1, "dual_step": 1, "form": 1}
-
-
-@pytest.mark.parametrize("constant", [None, 0.3], ids=["adaptive", "constant"])
-def test_envelope_only_for_a_weight_field(monkeypatch, constant):
-    calls = []
-
-    def counted(*args, _envelope=denoise.envelope_at, **buffers):
-        calls.append(1)
-        return _envelope(*args, **buffers)
-
-    monkeypatch.setattr(denoise, "envelope_at", counted)
-    st = DenoiseState(biased_noise_image(make_scene(16), 0.3, "half", seed=1), halfplane_params(constant))
-    for _ in range(3):
-        st.iterate()
-    assert len(calls) == (3 if constant is None else 0)
-
-
-def assert_intermediates_match_the_fields(st):
-    ws = st.workspace
-    g = gradient(st.v)
-    assert_same_bits(ws.grad, g)
-    assert_same_bits(ws.norm, np.sqrt(np.sum(g * g, axis=-1)))
-    assert_same_bits(ws.gap, st.f - st.u)
-    d = st.u - st.v
-    assert_same_bits(st.residual, float(np.sqrt(np.mean(d * d))))
-
-
-@pytest.mark.parametrize("constant", [None, 0.3], ids=["adaptive", "constant"])
-def test_kept_intermediates_match_the_fields(constant):
-    # What energy() and the next iterate() read is formed from the state's
-    # own fields, at construction and at the end of every iteration.
-    st = DenoiseState(biased_noise_image(make_scene(32), 0.3, "half", seed=2), halfplane_params(constant))
-    assert_intermediates_match_the_fields(st)
-    for _ in range(5):
-        st.iterate()
-        assert_intermediates_match_the_fields(st)
-
-
-def steady_state(n, constant):
-    f = Splitmix64(n).uniforms(n * n).reshape(n, n)
-    st = DenoiseState(f, halfplane_params(constant))
-    for _ in range(2):
-        st.iterate()
-        st.energy()
-    return st
-
-
-@pytest.mark.parametrize("constant", [None, 0.3], ids=["adaptive", "constant"])
-@pytest.mark.parametrize("n", [128, 512])
-def test_steady_state_allocates_less_than_a_field(n, constant):
-    # Without the workspace an iteration allocated 12 to 14 fields.  numpy
-    # copies a broadcast operand through an iteration buffer of
-    # np.getbufsize() entries per ufunc call, 128 KiB for complex128
-    # whatever the grid; at 128^2 that alone is a field, so it is shrunk
-    # here to measure the package's own buffers.
-    st = steady_state(n, constant)
-    bufsize = np.setbufsize(1024)
-    tracemalloc.start()
-    try:
-        st.iterate()
-        st.energy()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(bufsize)
-    assert peak < st.f.nbytes
-
-
 def test_steady_state_takes_no_fresh_pages():
     # Without the workspace, five 512^2 adaptive iterations took 3097
     # minor faults (about 1.75 fields faulted in fresh per iteration);
     # the bound is a tenth of that.
-    st = steady_state(512, None)
+    st = denoise_steady_state(512, False)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(5):
         st.iterate()

@@ -44,8 +44,17 @@ def test_against_names_changed_and_unchanged_runs(capsys, tmp_path):
     del old["segment-adaptive"]
     path = tmp_path / "old.json"
     path.write_text(json.dumps(old))
-    assert digests.main(["digests.py", "16", "1", "--against", str(path)]) == 0
+    assert digests.main(["digests.py", "16", "1", "--against", str(path)]) == 1
     lines = capsys.readouterr().out.splitlines()
     same = sorted(set(RUNS) - {"cli-flow", "segment-adaptive"})
     assert lines == (["changed (2):", "  cli-flow", "  segment-adaptive"]
                      + ["unchanged (%d):" % len(same)] + ["  " + name for name in same])
+
+
+def test_against_exits_0_when_no_run_changed(capsys, tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(digests.digests(16, 1)))
+    assert digests.main(["digests.py", "16", "1", "--against", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == (["changed (0):", "unchanged (%d):" % len(RUNS)]
+                     + ["  " + name for name in sorted(RUNS)])

@@ -1,13 +1,10 @@
 """Optical flow: annealing schedule, linearization, per-pixel solve,
 and the warp/pyramid drivers."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from adaptreg import flow
-from adaptreg.adaptive import AdaptiveParams
 from adaptreg.flow import (
     FlowParams,
     FlowState,
@@ -17,20 +14,20 @@ from adaptreg.flow import (
     update_u,
     update_v_w,
 )
-from adaptreg.grid import central_gradient, gradient
+from adaptreg.grid import central_gradient
 from adaptreg.metrics import aee
 from adaptreg.prox import shrink
-from adaptreg.solver import SolverParams, rms
 from adaptreg.synth import Splitmix64, shifted_pair, smooth_texture
-from helpers import assert_same_bits, flow_update_u_reference, huber_reference, huber_vec_reference
-
-
-def flow_solver(**kw):
-    ap = kw.pop("adaptive", AdaptiveParams(beta=10.0, alpha=0.01))
-    base = dict(mu=0.01, eta=0.3, theta=0.1, adaptive=ap,
-                max_iters=30, tol_primal=1e-9)
-    base.update(kw)
-    return SolverParams(**base)
+from helpers import (
+    assert_flow_intermediates,
+    assert_planar,
+    assert_same_bits,
+    component_first_rms,
+    flow_solver,
+    flow_state,
+    flow_update_u_reference,
+    random_flow_state,
+)
 
 
 def test_params_validation():
@@ -133,21 +130,6 @@ def test_alternative_gradient_mixing():
     )
 
 
-def random_flow_state(seed, n=20):
-    rng = Splitmix64(seed)
-    params = FlowParams(solver=flow_solver(mu=0.5, theta=1.0))
-    st = FlowState(np.zeros((n, n)), np.zeros((n, n)), params)
-    st.v = rng.normals(n * n * 2).reshape(n, n, 2)
-    st.w = rng.normals(n * n * 2).reshape(n, n, 2)
-    st.A = rng.normals(n * n * 2).reshape(n, n, 2)
-    st.ft = rng.normals(n * n).reshape(n, n)
-    st.r = rng.normals(n * n).reshape(n, n)
-    st.lam = rng.uniforms(n * n).reshape(n, n) * 0.99
-    st.u = rng.normals(n * n * 2).reshape(n, n, 2)
-    st._form_intermediates()
-    return st
-
-
 def test_update_r_shrinks_linearized_residual():
     st = random_flow_state(703)
     mu = st.params.solver.mu
@@ -158,90 +140,19 @@ def test_update_r_shrinks_linearized_residual():
 
 
 
-def frozen_energy(st):
-    sp = st.params.solver
-    au = st.A[..., 0] * st.u[..., 0] + st.A[..., 1] * st.u[..., 1]
-    data = st.lam * huber_reference(st.ft - au, sp.mu)
-    g = gradient(np.moveaxis(st.v, -1, 0))
-    if st.params.anisotropic_reg:
-        reg = (huber_reference(g[0], sp.eta).sum(axis=-1)
-               + huber_reference(g[1], sp.eta).sum(axis=-1))
-    else:
-        reg = huber_vec_reference(g[0], sp.eta) + huber_vec_reference(g[1], sp.eta)
-    return float(np.sum(data) + np.sum((1.0 - st.lam) * reg))
-
-
-@pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
-def test_energy_matches_frozen_formula(anisotropic):
-    # Small grids and many of them: on a large grid the total absorbs a
-    # last-bit change in how the four partial derivatives are grouped.
-    for seed in range(20):
-        st = random_flow_state(730 + seed, n=4)
-        st.params.anisotropic_reg = anisotropic
-        assert st.energy() == frozen_energy(st)
-
-
-def smoothed_flow_state(anisotropic=True):
-    f1, f2, _ = shifted_pair(smooth_texture(16, seed=5), (0.5, 0.25))
-    sp = flow_solver(adaptive=AdaptiveParams(beta=10.0, alpha=0.01, smoothing_sigma=1.0))
-    st = FlowState(f1, f2, FlowParams(solver=sp, anisotropic_reg=anisotropic))
-    st.relinearize()
-    return st
-
-
-@pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
-def test_energy_reads_the_gradient_of_the_current_v(anisotropic):
-    st = smoothed_flow_state(anisotropic)
-    for _ in range(4):
-        st.iterate()
-        assert st.energy() == frozen_energy(st)
-        assert st.energy() == frozen_energy(st)
-    # relinearizing moves A and ft, keeps v and re-forms what it reads
-    v = st.v
-    st.relinearize()
-    assert st.v is v
-    assert st.energy() == frozen_energy(st)
-
-
-def test_gradient_computed_once_per_iteration(monkeypatch):
-    st = smoothed_flow_state()
-    calls = []
-
-    def counted(u):
-        calls.append(u)
-        return gradient(u)
-
-    monkeypatch.setattr(flow, "gradient", counted)
-    per_iteration = []
-    for k in range(6):
-        before = len(calls)
-        if k == 3:
-            st.relinearize()
-        st.iterate()
-        st.energy()
-        per_iteration.append(len(calls) - before)
-    # relinearize differentiates v once more, as the constructor did
-    assert per_iteration == [1, 1, 1, 2, 1, 1]
-
-
-@pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
-def test_envelope_only_for_a_weight_field(monkeypatch, constant):
-    # A constant weight reads no residual, so none is formed.
-    st = steady_flow_state(16, constant)
-    calls = []
-
-    def counted(*args, _envelope=flow.envelope_at, **buffers):
-        calls.append(1)
-        return _envelope(*args, **buffers)
-
-    monkeypatch.setattr(flow, "envelope_at", counted)
-    for _ in range(3):
-        st.iterate()
-    assert len(calls) == (3 if constant is None else 0)
+def test_update_v_w_refreshes_the_residual():
+    st = flow_state(False)
+    st.iterate()
+    # update_v_w moves v in place, twice without an iterate in between
+    for _ in range(2):
+        w0 = st.w.copy()
+        update_v_w(st, st.params.solver)
+        assert np.array_equal(st.w, w0 + (st.u - st.v))
+        assert st.residual == component_first_rms(st.u - st.v)
 
 
 def test_residual_computed_once_per_iteration(monkeypatch):
-    st = smoothed_flow_state()
+    st = flow_state(False)
     calls = []
 
     def counted(*fields, _dual_step=flow.dual_step, **buffers):
@@ -260,25 +171,8 @@ def test_residual_computed_once_per_iteration(monkeypatch):
     assert per_iteration == [(1, 0)] * 4
 
 
-def component_first_rms(d):
-    """rms of an (H, W, 2) field summed over its C-contiguous (2, H, W)
-    stack, the order of the dual step."""
-    return rms(np.ascontiguousarray(np.moveaxis(d, -1, 0)))
-
-
-def test_update_v_w_refreshes_the_residual():
-    st = smoothed_flow_state()
-    st.iterate()
-    # update_v_w moves v in place, twice without an iterate in between
-    for _ in range(2):
-        w0 = st.w.copy()
-        update_v_w(st, st.params.solver)
-        assert np.array_equal(st.w, w0 + (st.u - st.v))
-        assert st.residual == component_first_rms(st.u - st.v)
-
-
 def test_gap_computed_once_per_iteration(monkeypatch):
-    st = smoothed_flow_state()
+    st = flow_state(False)
     calls = []
 
     def counted(a, b):
@@ -300,45 +194,27 @@ def test_gap_computed_once_per_iteration(monkeypatch):
     assert per_iteration == [1, 1, 1, 3, 1, 1]
 
 
-def assert_intermediates_match_the_fields(st):
-    au = st.A[..., 0] * st.u[..., 0] + st.A[..., 1] * st.u[..., 1]
-    assert_same_bits(st.gap, st.ft - au)
-    assert_same_bits(st.grad_v, gradient(np.moveaxis(st.v, -1, 0)))
-    assert_same_bits(st.residual, component_first_rms(st.u - st.v))
-
-
-@pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
-def test_kept_intermediates_match_the_fields(monkeypatch, constant):
-    # What energy() and the next iterate() read is formed from the state's
-    # own fields: at construction, after relinearize and at the end of
-    # every iteration, also on a pyramid level seeded from a coarser one.
-    f1, f2, _ = shifted_pair(smooth_texture(32, seed=5), (1.0, 0.5))
-    ap = AdaptiveParams(beta=10.0, alpha=0.01, smoothing_sigma=1.0, constant_lambda=constant)
-    fp = FlowParams(solver=flow_solver(adaptive=ap, max_iters=5), n_warps=2)
-    st = FlowState(f1, f2, fp)
-    assert_intermediates_match_the_fields(st)
-    for _ in range(2):
-        st.relinearize()
-        assert_intermediates_match_the_fields(st)
-        for _ in range(5):
-            st.iterate()
-            assert_intermediates_match_the_fields(st)
+@pytest.mark.parametrize("constant", [False, True], ids=["adaptive", "constant"])
+def test_kept_intermediates_match_the_fields_on_every_pyramid_level(monkeypatch, constant):
+    # A pyramid level seeded from a coarser one keeps what its energy and
+    # next iteration read, after each relinearize and each iteration.
+    st = flow_state(constant)
+    st.params.pyramid_levels = 2
     relinearized = []
 
     def relinearize(state, _relinearize=FlowState.relinearize):
         _relinearize(state)
-        assert_intermediates_match_the_fields(state)
+        assert_flow_intermediates(state)
         relinearized.append(state.u.shape)
 
     monkeypatch.setattr(FlowState, "relinearize", relinearize)
     checked = []
 
     def check(state, record):
-        assert_intermediates_match_the_fields(state)
+        assert_flow_intermediates(state)
         checked.append(state.u.shape)
 
-    fp.pyramid_levels = 2
-    run_flow(f1, f2, fp, on_check=check)
+    run_flow(st.f1, st.f2, st.params, on_check=check)
     assert relinearized == [(16, 16, 2)] * 2 + [(32, 32, 2)] * 2
     assert checked == [(16, 16, 2)] * 10 + [(32, 32, 2)] * 10
 
@@ -378,57 +254,9 @@ def test_bad_seed_raises_value_error(seed, message):
         FlowState(f1, f2, FlowParams(solver=flow_solver()), u0=seed)
 
 
-@pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
-@pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
-def test_iterate_writes_the_fields_in_place(anisotropic, constant):
-    st = steady_flow_state(32, constant, anisotropic)
-    names = ("z", "r", "w", "u", "v") + (("lam",) if constant is None else ())
-    arrays = {name: getattr(st, name) for name in names}
-    for _ in range(3):
-        st.iterate()
-        for name in names:
-            assert getattr(st, name) is arrays[name], name
-    assert_planar(st)
-
-
-def steady_flow_state(n, constant, anisotropic=True):
-    f1, f2, _ = shifted_pair(smooth_texture(n, seed=5), (1.0, 0.0))
-    ap = AdaptiveParams(beta=10.0, alpha=0.01, constant_lambda=constant)
-    st = FlowState(f1, f2, FlowParams(solver=flow_solver(adaptive=ap), anisotropic_reg=anisotropic))
-    # the first iteration turns a constant weight into a float
-    st.iterate()
-    st.energy()
-    return st
-
-
-@pytest.mark.parametrize("constant", [None, 0.4], ids=["adaptive", "constant"])
-def test_steady_state_allocation_is_bounded(constant):
-    # Fresh memory of one iteration with its energy at 128^2,
-    # in fields: 22.3 (adaptive) and 21.3 (constant) while every step made
-    # new fields, 12.3 with z, lambda, r, u and w written in place.
-    # numpy's iteration buffer is shrunk as in the denoise guard.
-    st = steady_flow_state(128, constant)
-    st.iterate()
-    bufsize = np.setbufsize(1024)
-    tracemalloc.start()
-    try:
-        st.iterate()
-        st.energy()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(bufsize)
-    assert peak < 14 * st.f1.nbytes
-
-
 def planar(a):
     """a's values in an (H, W, 2) view of C-contiguous (2, H, W) memory."""
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
-
-
-def assert_planar(st):
-    for name in ("u", "v", "w", "A"):
-        assert np.moveaxis(getattr(st, name), -1, 0).flags.c_contiguous, name
 
 
 @pytest.mark.parametrize("case", ["anisotropic", "isotropic", "pyramid"])

@@ -4,18 +4,13 @@ invariants."""
 
 import copy
 import math
-import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adaptreg import segment
-from adaptreg.adaptive import AdaptiveParams
-from adaptreg.grid import divergence, gradient
-from adaptreg.prox import project_stack_sum_to_one, shrink_vec
+from adaptreg.grid import divergence
+from adaptreg.prox import project_stack_sum_to_one
 from adaptreg.segment import (
-    SegmentParams,
     SegmentState,
     extract_labels,
     misfit,
@@ -25,45 +20,17 @@ from adaptreg.segment import (
     update_v_all,
     warm_start_labels,
 )
-from adaptreg.solver import SolverParams, rms, run_admm
+from adaptreg.solver import run_admm
 from adaptreg.synth import Splitmix64, add_gaussian_noise, noisy_rectangles
 from helpers import (
     assemble_screened_matrix,
     assert_same_bits,
     exclusivity_sum_reference,
+    random_label_state,
+    seg_params,
     segment_energy_reference,
     segment_iterate_reference,
 )
-
-
-def seg_params(n_labels=2, tau=0.5, beta=10.0, alpha=0.01, const=None,
-               iters=300, tol=1e-6, sweeps=20, **kw):
-    ap = AdaptiveParams(beta=beta, alpha=alpha, constant_lambda=const)
-    sp = SolverParams(
-        mu=0.5, eta=0.5, theta=1.0, adaptive=ap,
-        max_iters=iters, tol_primal=tol, gs_sweeps=sweeps,
-    )
-    return SegmentParams(solver=sp, n_labels=n_labels, tau_excl=tau, **kw)
-
-
-def random_label_state(seed, n=2, size=6):
-    """Random segmentation fields, with the attributes of a SegmentState
-    that the step functions read."""
-    rng = Splitmix64(seed)
-    f = rng.uniforms(size * size).reshape(size, size)
-    return SimpleNamespace(
-        f=f,
-        u=rng.uniforms(n * size * size).reshape(n, size, size),
-        v=rng.normals(n * size * size).reshape(n, size, size) * 0.3 + 0.5,
-        w=rng.normals(n * size * size).reshape(n, size, size) * 0.1,
-        r=rng.normals(n * size * size).reshape(n, size, size) * 0.1,
-        z=rng.normals(n * size * size * 2).reshape(n, size, size, 2) * 0.2,
-        lam=rng.uniforms(n * size * size).reshape(n, size, size) * 0.99,
-        c=rng.uniforms(n),
-        n_labels=n,
-        iteration=0,
-        degenerate_events=[],
-    )
 
 
 def test_params_validation():
@@ -269,9 +236,8 @@ def test_pairwise_overlap_hand_value():
 )
 def test_stacked_iterate_matches_per_label_reference(n, sigma, const, empty):
     img, _ = noisy_rectangles(32, seed=4)
-    ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=sigma, constant_lambda=const)
-    sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=ap, max_iters=6, tol_primal=1e-15)
-    params = SegmentParams(solver=sp, n_labels=n, tau_excl=0.5)
+    params = seg_params(n, beta=0.05, const=const, iters=6, tol=1e-15, sigma=sigma)
+    sp = params.solver
 
     def start():
         u, c = warm_start_labels(img, n)
@@ -293,119 +259,6 @@ def test_stacked_iterate_matches_per_label_reference(n, sigma, const, empty):
     assert (empty is not None) == bool(ref.degenerate_events)
 
 
-def smoothed_segment_state():
-    img, _ = noisy_rectangles(24, seed=4)
-    ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=1.5)
-    sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=ap, max_iters=6, tol_primal=1e-15)
-    params = SegmentParams(solver=sp, n_labels=3, tau_excl=0.5)
-    return SegmentState(img, params), params
-
-
-def test_energy_reads_the_gradient_of_the_current_v():
-    state, params = smoothed_segment_state()
-    for _ in range(5):
-        v = state.v
-        state.iterate()
-        assert state.v is not v
-        assert state.energy() == segment_energy_reference(state, params)
-        assert state.energy() == segment_energy_reference(state, params)
-
-
-@pytest.mark.parametrize("const", [None, 0.3], ids=["adaptive", "constant"])
-def test_kept_intermediates_match_the_fields(const):
-    # What energy() and the next iterate() read is formed from the
-    # state's own fields, at construction and at the end of every
-    # iteration.  A start sets v = u, so the residual is 0.0 until the
-    # first dual step.
-    img, _ = noisy_rectangles(24, seed=4)
-    params = seg_params(n_labels=3, beta=0.05, const=const)
-    state = SegmentState(img, params)
-    for k in range(6):
-        if k:
-            state.iterate()
-        assert_same_bits(state.d, misfit(state, params.solver.mu))
-        assert_same_bits(state.grad_v, gradient(state.v))
-        assert_same_bits(state.residual, rms(state.u - state.v))
-        assert (state.residual > 0.0) == (k > 0)
-
-
-def test_gradient_computed_once_per_iteration(monkeypatch):
-    state, _ = smoothed_segment_state()
-    calls = []
-
-    def counted(u):
-        calls.append(u)
-        return gradient(u)
-
-    monkeypatch.setattr(segment, "gradient", counted)
-    per_iteration = []
-    for _ in range(5):
-        before = len(calls)
-        state.iterate()
-        state.energy()
-        per_iteration.append(len(calls) - before)
-    # the constructor differentiated the warm-start v
-    assert per_iteration == [1, 1, 1, 1, 1]
-
-
-@pytest.mark.parametrize("const", [None, 0.3], ids=["adaptive", "constant"])
-def test_residual_only_for_a_weight_field_and_misfit_over_the_gap(monkeypatch, const):
-    # A constant weight reads no residual d * u, so none is formed; and d
-    # is written over the f - c that the r-step shrank, one envelope per
-    # iteration.
-    img, _ = noisy_rectangles(32, seed=0)
-    state = SegmentState(img, seg_params(n_labels=4, const=const))
-    residuals, envelopes = [], []
-
-    def weights(rho, *args, _weights=segment.weight_fields, **kwargs):
-        residuals.append(rho)
-        return _weights(rho, *args, **kwargs)
-
-    def envelope(x, r, mu, _envelope=segment.envelope_at, **buffers):
-        envelopes.append(buffers.get("out") is x)
-        return _envelope(x, r, mu, **buffers)
-
-    monkeypatch.setattr(segment, "weight_fields", weights)
-    monkeypatch.setattr(segment, "envelope_at", envelope)
-    for _ in range(3):
-        state.iterate()
-    assert [rho is None for rho in residuals] == [const is not None] * 3
-    assert envelopes == [True] * 3
-
-
-def test_residual_computed_once_per_iteration(monkeypatch):
-    state, _ = smoothed_segment_state()
-    calls = []
-
-    def counted(*fields, _dual_step=segment.dual_step, **buffers):
-        calls.append(fields)
-        return _dual_step(*fields, **buffers)
-
-    monkeypatch.setattr(segment, "dual_step", counted)
-    for _ in range(4):
-        calls.clear()
-        state.iterate()
-        state.energy()
-        # the dual step's u - v serves the primal residual
-        assert len(calls) == 1
-
-
-@pytest.mark.parametrize("const", [None, 0.3], ids=["adaptive", "constant"])
-def test_iterate_writes_the_fields_in_place(const):
-    img, _ = noisy_rectangles(24, seed=4)
-    s = SegmentState(img, seg_params(n_labels=3, beta=0.05, const=const))
-    assert np.moveaxis(s.z, -1, 0).flags.c_contiguous  # component-planar
-    # the first iteration turns a constant weight into a float
-    s.iterate()
-    names = ("z", "r", "w", "u") + (("lam",) if const is None else ())
-    arrays = {name: getattr(s, name) for name in names}
-    for _ in range(3):
-        s.iterate()
-        for name in names:
-            assert getattr(s, name) is arrays[name], name
-    assert np.shape(s.lam) == (() if const is not None else s.u.shape)
-
-
 def test_adaptive_run_from_a_constant_runs_state():
     # A constant-weight run leaves lambda a float.  An adaptive run of
     # that state forms its weight field once and then writes it in place;
@@ -417,44 +270,16 @@ def test_adaptive_run_from_a_constant_runs_state():
     assert isinstance(state.lam, float)
     ref = copy.deepcopy(state)
     ref.lam = np.full(ref.u.shape, ref.lam)
-    ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=1.5)
-    sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=ap, max_iters=5, tol_primal=1e-15)
-    params = SegmentParams(solver=sp, n_labels=3, tau_excl=0.5)
+    params = seg_params(3, beta=0.05, iters=5, tol=1e-15, sigma=1.5)
     state.params = params
     energies = []
-    run_admm(state, sp, on_check=lambda s, rec: energies.append(s.energy()))
+    run_admm(state, params.solver, on_check=lambda s, rec: energies.append(s.energy()))
     for energy in energies:
         segment_iterate_reference(ref, params)
         assert energy == segment_energy_reference(ref, params)
     assert len(energies) == 5
     for name in ("u", "v", "w", "r", "z", "lam", "c"):
         assert_same_bits(getattr(state, name), getattr(ref, name))
-
-
-@pytest.mark.parametrize("const, bound", [(None, 32), (0.2, 27)], ids=["adaptive", "constant"])
-def test_steady_state_allocation_is_bounded(const, bound):
-    # Fresh memory of one iteration with its energy and residual, 4 labels
-    # at 128^2, in fields: 50.1 (adaptive) and 44.6 (constant) while every
-    # step made new fields, 30.1 and 24.6 with z, lambda, r, u and w
-    # written in place.  numpy's iteration buffer is shrunk as in the
-    # denoise guard.
-    img, _ = noisy_rectangles(128, seed=0)
-    ap = AdaptiveParams(beta=0.05, alpha=0.01, smoothing_sigma=1.5, constant_lambda=const)
-    sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=ap, max_iters=10, tol_primal=1e-15)
-    state = SegmentState(img, SegmentParams(solver=sp, n_labels=4, tau_excl=0.5))
-    for _ in range(2):
-        state.iterate()
-        state.energy()
-    bufsize = np.setbufsize(1024)
-    tracemalloc.start()
-    try:
-        state.iterate()
-        state.energy()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(bufsize)
-    assert peak < bound * img.nbytes
 
 
 def test_run_segment_rejects_state_of_another_image():

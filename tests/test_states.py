@@ -1,0 +1,252 @@
+"""The state contract of denoising, segmentation and flow, tested once
+over a table of the three problems (flow once per regularizer): what a
+state keeps between iterations, what it forms once per iteration, what
+it writes in place and what it allocates."""
+
+import tracemalloc
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import partial
+from types import ModuleType
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from adaptreg import denoise, flow, segment
+from helpers import (
+    assert_denoise_intermediates,
+    assert_flow_intermediates,
+    assert_planar,
+    assert_segment_intermediates,
+    denoise_energy_reference,
+    denoise_state,
+    denoise_steady_state,
+    flow_energy_reference,
+    flow_state,
+    flow_steady_state,
+    random_denoise_state,
+    random_flow_state,
+    random_segment_state,
+    segment_energy_reference,
+    segment_state,
+    segment_steady_state,
+)
+
+
+@dataclass
+class Problem:
+    name: str
+    module: ModuleType
+    state: Callable  # state(constant): a smoothed state, adaptive or constant
+    steady: Callable  # steady(n, constant): a state after two iterations
+    random: Callable  # random(k): the k-th state of random fields
+    energy: Callable  # energy(state, params): the frozen energy formula
+    kept: Callable  # kept(state): asserts what the state keeps is of its fields
+    once: tuple  # kernels besides the gradient formed once per iteration
+    in_place: tuple  # attributes that iterate() keeps and writes into
+    v_policy: str  # "alternate" with a spare buffer, "rebind" or "in place"
+    planar: tuple  # (..., 2) fields that are views of component-first memory
+    allocation: dict  # {(n, constant): bound}, in fields of the frame
+    frame: str = "f"
+    misfit_over_gap: bool = False  # forms an envelope every iteration, over its gap
+    relinearize: dict = field(default_factory=dict)  # calls of one relinearize
+
+
+def flow_problem(regularizer):
+    aniso = regularizer == "anisotropic"
+    return Problem(
+        "flow-" + regularizer, flow, state=partial(flow_state, anisotropic=aniso),
+        steady=partial(flow_steady_state, anisotropic=aniso),
+        random=lambda k: random_flow_state(730 + k, n=4, anisotropic=aniso),
+        energy=flow_energy_reference, kept=assert_flow_intermediates,
+        once=("dual_step", "_dot"), in_place=("z", "r", "w", "u"), v_policy="in place",
+        planar=("u", "v", "w", "A"), allocation={(128, False): 14, (128, True): 14},
+        frame="f1", relinearize={"gradient": 1, "_dot": 2, "_form_intermediates": 1},
+    )
+
+
+# Allocation bounds in fields: an iteration with its energy took 30.1
+# (adaptive) and 24.6 (constant) for segment with 4 labels at 128^2, 12.3
+# for flow when these were set, and 12 to 14 for denoise before its workspace.
+PROBLEMS = [
+    Problem(
+        "denoise", denoise, state=denoise_state, steady=denoise_steady_state,
+        random=lambda k: random_denoise_state(311 + k, n=9),
+        energy=denoise_energy_reference, kept=assert_denoise_intermediates,
+        once=("dual_step", "vector_norm"), in_place=("u", "w", "r", "z", "workspace"),
+        v_policy="alternate", planar=("z",),
+        allocation={(n, c): 1 for n in (128, 512) for c in (False, True)},
+    ),
+    Problem(
+        "segment", segment, state=segment_state, steady=segment_steady_state,
+        random=lambda k: random_segment_state(650 + k),
+        energy=segment_energy_reference, kept=assert_segment_intermediates,
+        once=("dual_step",), in_place=("z", "r", "w", "u"), v_policy="rebind", planar=("z",),
+        allocation={(128, False): 32, (128, True): 27}, misfit_over_gap=True,
+    ),
+    flow_problem("anisotropic"),
+    flow_problem("isotropic"),
+]
+
+ALLOCATION = [
+    pytest.param(case, n, constant, bound,
+                 id="%s-%d-%s" % (case.name, n, "constant" if constant else "adaptive"))
+    for case in PROBLEMS
+    for (n, constant), bound in case.allocation.items()
+]
+
+
+@pytest.fixture(params=PROBLEMS, ids=lambda case: case.name)
+def case(request):
+    return request.param
+
+
+@pytest.fixture(params=[False, True], ids=["adaptive", "constant"])
+def constant(request):
+    return request.param
+
+
+def spy(monkeypatch, owner, name, log, note):
+    """Wrap owner.name so that every call appends note(*args, **kwargs) to log."""
+    kernel = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        log.append(note(*args, **kwargs))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+def assert_formed_once_per_iteration(monkeypatch, case, constant, names):
+    """Each named kernel of the problem module, or the state's
+    _form_intermediates, runs once in each of six iterations, plus what
+    one relinearize calls before the fourth; energy() calls none."""
+    st = case.state(constant)
+    calls = []
+    for name in names:
+        owner = st if name == "_form_intermediates" else case.module
+        spy(monkeypatch, owner, name, calls, lambda *a, _name=name, **k: _name)
+    once = Counter(dict.fromkeys(names, 1))
+    for k in range(6):
+        expected = once
+        if k == 3 and case.relinearize:
+            st.relinearize()
+            expected = once + Counter({n: case.relinearize.get(n, 0) for n in names})
+        st.iterate()
+        assert Counter(calls) == expected
+        calls.clear()
+        st.energy()
+        st.energy()
+        assert calls == []
+
+
+def test_kept_intermediates_match_the_fields(case, constant):
+    # What energy() and the next iterate() read is formed from the state's
+    # own fields: at construction, after relinearize and at the end of
+    # every iteration.  The start has u = v, so the residual is 0.0
+    # until the first dual step.
+    st = case.state(constant)
+    case.kept(st)
+    assert st.residual == 0.0
+    for _ in range(2):
+        if case.relinearize:
+            st.relinearize()
+            case.kept(st)
+        for _ in range(5):
+            st.iterate()
+            case.kept(st)
+            assert st.residual > 0.0
+
+
+def test_gradient_formed_once_per_iteration(monkeypatch, case, constant):
+    # relinearize differentiates v once more, as the constructor did
+    assert_formed_once_per_iteration(monkeypatch, case, constant, ("gradient",))
+
+
+def test_dual_step_and_intermediates_formed_once_per_iteration(monkeypatch, case, constant):
+    # The dual step's u - v serves the primal residual; denoise's |grad v|
+    # and flow's A . u for the gap are formed once, whatever run_admm then
+    # reads.  relinearize folds the prior into ft with one more A . u.
+    names = case.once + ("_form_intermediates",)
+    assert_formed_once_per_iteration(monkeypatch, case, constant, names)
+
+
+def test_energy_reads_the_gradient_of_the_current_v(case, constant):
+    st = case.state(constant)
+    for _ in range(5):
+        st.iterate()
+        assert st.energy() == case.energy(st, st.params)
+        assert st.energy() == case.energy(st, st.params)
+    if case.relinearize:
+        # relinearizing moves A and ft, keeps v and re-forms what it reads
+        v = st.v
+        st.relinearize()
+        assert st.v is v
+        assert st.energy() == case.energy(st, st.params)
+
+
+def test_envelope_only_for_a_weight_field(monkeypatch, case, constant):
+    # A constant weight reads no residual, so none is formed.  Segment
+    # forms its misfit d every iteration all the same, written over the
+    # f - c that the r-step shrank.
+    st = case.state(constant)
+    residuals, over_gap = [], []
+    spy(monkeypatch, case.module, "weight_fields", residuals, lambda rho, *a, **k: rho)
+    spy(monkeypatch, case.module, "envelope_at", over_gap,
+        lambda x, *a, **buffers: buffers.get("out") is x)
+    for _ in range(3):
+        st.iterate()
+    assert [rho is None for rho in residuals] == [constant] * 3
+    formed = 3 if case.misfit_over_gap or not constant else 0
+    assert over_gap == [case.misfit_over_gap] * formed
+
+
+def test_energy_matches_frozen_formula(case):
+    # Small grids and many of them: on a large grid the total absorbs a
+    # last-bit change in how the terms are grouped.
+    for k in range(20):
+        st = case.random(k)
+        assert st.energy() == case.energy(st, st.params)
+
+
+def test_iterate_writes_the_fields_in_place(case, constant):
+    st = case.state(constant)
+    assert_planar(st, case.planar)
+    # the first iteration turns a constant weight into a float
+    st.iterate()
+    names = case.in_place + (() if constant else ("lam",))
+    arrays = {name: getattr(st, name) for name in names}
+    if case.v_policy == "alternate":
+        pair = {id(st.v), id(st.workspace.spare)}
+    for _ in range(4):
+        v = st.v
+        st.iterate()
+        st.energy()
+        for name in names:
+            assert getattr(st, name) is arrays[name], name
+        assert (st.v is v) == (case.v_policy == "in place")
+        if case.v_policy == "alternate":
+            # the v-step fills the spare buffer, and the old v becomes it
+            assert st.workspace.spare is v and {id(st.v), id(v)} == pair
+    assert np.shape(st.lam) == (() if constant else st.r.shape)
+    assert_planar(st, case.planar)
+
+
+@pytest.mark.parametrize("case, n, constant, bound", ALLOCATION)
+def test_steady_state_allocation_is_bounded(case, n, constant, bound):
+    # numpy copies a broadcast operand through an iteration buffer of
+    # np.getbufsize() entries per ufunc call, 128 KiB for complex128
+    # whatever the grid; at 128^2 that alone is a field, so it is shrunk
+    # here to measure the package's own buffers.
+    st = case.steady(n, constant)
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        st.iterate()
+        st.energy()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak < bound * getattr(st, case.frame).nbytes

@@ -80,6 +80,9 @@ def test_junction_image_validation():
         junction_image(2, 64)
     with pytest.raises(ValueError):
         junction_image(5, 1)
+    for frac in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="disc_radius_frac"):
+            junction_image(5, 64, disc_radius_frac=frac)
 
 
 def test_junction_image_deterministic():
@@ -198,6 +201,9 @@ def test_shifted_pair_integer_shift():
 def test_shifted_pair_validation():
     with pytest.raises(ValueError):
         shifted_pair(np.zeros((8, 8)), (1.0, 0.0, 0.0))
+    for shift in ((float("nan"), 0.0), (0.0, float("inf"))):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            shifted_pair(np.zeros((8, 8)), shift)
 
 
 def test_smooth_texture_properties():

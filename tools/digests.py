@@ -26,9 +26,9 @@ SIZE is the side of the library runs' images and ITERS their iteration
 cap (per warp for flow); the command-line runs have fixed sizes.  With
 --against, it prints, instead of the JSON, the names of the runs whose
 digests differ from those in OLD.json (a run missing there counts as
-changed) and of those that do not; OLD.json must come from the same
-SIZE and ITERS.  Run it with src/ on PYTHONPATH or the package
-installed.
+changed) and of those that do not, and exits 1 if any run changed, 0
+if none did; OLD.json must come from the same SIZE and ITERS.  Run it
+with src/ on PYTHONPATH or the package installed.
 """
 
 from __future__ import annotations
@@ -216,14 +216,14 @@ def digests(size: int = 64, iters: int = 30) -> dict:
     return {**library_runs(size, iters), **cli}
 
 
-def compare(new: dict, old: dict) -> str:
+def compare(new: dict, old: dict) -> tuple[str, bool]:
     """The names of the runs in new whose digests differ from old's, then
-    those of the runs whose digests match."""
+    those of the runs whose digests match; and whether any run changed."""
     changed = sorted(name for name, d in new.items() if old.get(name) != d)
     same = sorted(name for name in new if name not in changed)
     lines = ["changed (%d):" % len(changed)] + ["  " + name for name in changed]
     lines += ["unchanged (%d):" % len(same)] + ["  " + name for name in same]
-    return "\n".join(lines)
+    return "\n".join(lines), bool(changed)
 
 
 def main(argv: list[str]) -> int:
@@ -235,9 +235,10 @@ def main(argv: list[str]) -> int:
     new = digests(args.size, args.iters)
     if args.against is None:
         print(json.dumps(new, indent=1, sort_keys=True))
-    else:
-        print(compare(new, json.loads(args.against.read_text())))
-    return 0
+        return 0
+    report, changed = compare(new, json.loads(args.against.read_text()))
+    print(report)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
