@@ -86,13 +86,17 @@ def weight_fields(
     With ``constant_lambda`` set, lambda is that constant as a float,
     which broadcasts against rho, and the residual is not read (it may
     be None); otherwise lambda is a field that follows the residual
-    pointwise.  out, if given, receives that field; scratch, if given,
-    is a flat float64 buffer of at least
+    pointwise.  out, if an array, receives that field; any other out (as
+    the float a constant-weight run leaves) gives a new field, so a state
+    can pass its lambda whatever the weight was.  scratch, if given, is
+    a flat float64 buffer of at least
     max(rho.size, smoothing_scratch_size(rho.shape, smoothing_sigma))
     entries for the smoothing and the shrink.
     """
     if params.constant_lambda is not None:
         return float(params.constant_lambda)
+    if not isinstance(out, np.ndarray):
+        out = None
     nu = residual_to_nu(rho, params, out=out, scratch=scratch)
     sign = None if scratch is None else scratch[: nu.size].reshape(nu.shape)
     return shrink(nu, params.alpha, out=nu, scratch=sign)

@@ -59,7 +59,7 @@ def _add_solver_flags(sp, mu, eta, alpha, beta, theta, iters):
     sp.add_argument("--beta", type=float, default=beta, help="residual decay scale (default %(default)s)")
     sp.add_argument("--theta", type=float, default=theta, help="augmentation weight (default %(default)s)")
     sp.add_argument("--smooth-sigma", type=float, default=0.0, help="Gaussian smoothing of the residual before weighting (default %(default)s)")
-    sp.add_argument("--constant-lambda", type=float, default=None, metavar="L0", help="disable adaptivity and use this constant fidelity weight")
+    sp.add_argument("--constant-lambda", type=float, default=None, metavar="L0", help="disable adaptivity and use this constant fidelity weight; the residual is then not read, so --beta, --alpha and --smooth-sigma have no effect")
     sp.add_argument("--iters", type=int, default=iters, help="iteration cap (default %(default)s)")
     sp.add_argument("--tol", type=float, default=1e-6, help="primal residual stop tolerance (default %(default)s)")
     sp.add_argument("--history-csv", metavar="PATH", help="write per-iteration history, with every iteration's energy, as CSV")

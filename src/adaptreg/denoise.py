@@ -35,10 +35,11 @@ energy() only reads what is kept.
 
 Workspace: a DenoiseState allocates one _Workspace at construction and
 reuses it for every iteration, so a steady-state iteration allocates
-nothing of field size.  The steps write u, w, r, z and a weight field
-lambda in place, and v alternates between two buffers: the v-step builds
-its right-hand side in the spare one, the solve writes v over it, and
-the old v becomes the spare.  The workspace's slots share memory across
+nothing of field size.  The steps write u, v, w, r, z and a weight field
+lambda in place: the v-step builds its right-hand side in the
+workspace's rhs field and the solve writes v over the old v.  A float
+lambda, as a constant-weight run leaves it, is replaced by a field when
+a weight field is next formed.  The workspace's slots share memory across
 the phases of an iteration (see _Workspace), so it takes no more memory
 than the v-solve's temporaries did.  A field assigned or written from
 outside the state between iterations is not seen by the kept
@@ -70,7 +71,8 @@ class _Workspace:
     and f - u sits past the smoothing's part (end of iteration -> energy
     and next r-step).  The field slot takes the envelope, xi, |grad v|'s
     second square, the energy's terms and the signs of the shrinks; the
-    spare v buffer takes the energy's scratch."""
+    rhs field takes the v-step's right-hand side and the energy's
+    scratch."""
 
     def __init__(self, shape, sigma: float):
         n = shape[0] * shape[1]
@@ -83,7 +85,7 @@ class _Workspace:
         self.norm = self.temps[2]
         self.gap = self.solve[gap_at : gap_at + n].reshape(shape)
         self.field = arena[-n:].reshape(shape)
-        self.spare = np.empty(shape)
+        self.rhs = np.empty(shape)
 
 
 class DenoiseState:
@@ -107,9 +109,7 @@ class DenoiseState:
         self.r = np.zeros_like(self.f)
         self.z = np.moveaxis(np.zeros((2,) + self.f.shape), 0, -1)
         self.lam = np.ones_like(self.f)
-        ap = params.adaptive
-        sigma = ap.smoothing_sigma if ap.constant_lambda is None else 0.0
-        self.workspace = _Workspace(self.f.shape, sigma)
+        self.workspace = _Workspace(self.f.shape, params.adaptive.smoothing_sigma)
         self.residual = 0.0
         self._form_intermediates()
 
@@ -130,22 +130,18 @@ class DenoiseState:
         self.lam = weight_fields(rho, p.adaptive, out=self.lam, scratch=ws.smoothing)
         shrink(ws.gap, p.mu, out=self.r, scratch=ws.field)
         update_u(self, p, out=self.u, scratch=ws.temps)
-        v = update_v(self, p, out=ws.spare, xi=ws.field, scratch=ws.solve)
-        ws.spare, self.v = self.v, v
+        update_v(self, p, rhs=ws.rhs, xi=ws.field, scratch=ws.solve)
         self.residual = dual_step(self.u, self.v, self.w, out=ws.temps[0])
         self._form_intermediates()
 
     def energy(self) -> float:
         p = self.params
         ws = self.workspace
-        data = huber(ws.gap, p.mu, out=ws.field, scratch=ws.spare)
+        data = huber(ws.gap, p.mu, out=ws.field, scratch=ws.rhs)
         data *= self.lam
         total = np.sum(data)
-        reg = huber_vec(ws.grad, p.eta, norm=ws.norm, out=ws.field, scratch=ws.spare)
-        if np.ndim(self.lam):
-            reg *= np.subtract(1.0, self.lam, out=ws.spare)
-        else:
-            reg *= 1.0 - self.lam
+        reg = huber_vec(ws.grad, p.eta, norm=ws.norm, out=ws.field, scratch=ws.rhs)
+        reg *= np.subtract(1.0, self.lam, out=ws.rhs)
         return float(total + np.sum(reg))
 
 
@@ -162,35 +158,29 @@ def update_u(state: DenoiseState, params: SolverParams, *, out=None, scratch=Non
     gap = np.subtract(state.f, state.r, out=gap)
     gap -= base
     gap *= state.lam
-    mu_theta = params.mu * params.theta
-    if np.ndim(state.lam):
-        gap /= np.add(state.lam, mu_theta, out=den)
-    else:
-        gap /= state.lam + mu_theta
+    gap /= np.add(state.lam, params.mu * params.theta, out=den)
     return np.add(base, gap, out=out)
 
 
-def update_v(state: DenoiseState, params: SolverParams, *, out=None, xi=None, scratch=None) -> np.ndarray:
-    """Screened solve of (1 - xi Laplacian) v = u + w - xi div z: exact
-    for a float lambda (scalar xi), gs_sweeps Gauss-Seidel sweeps from v
-    for a weight field.
+def update_v(state: DenoiseState, params: SolverParams, *, rhs=None, xi=None, scratch=None) -> np.ndarray:
+    """Screened solve of (1 - xi Laplacian) v = u + w - xi div z, written
+    into state.v, which it returns: exact for a float lambda (scalar xi),
+    gs_sweeps Gauss-Seidel sweeps from v for a weight field.
 
-    The right-hand side is built in out, which must not be state.v, and
-    the solve writes v over it.  xi, if given, is a free field for xi
-    when lambda is a field; scratch, if given, a flat float64 buffer of
-    at least solve_scratch_size(state.f.shape) entries for the
-    divergence, u + w and the solve."""
-    coef = params.eta * params.theta
-    if np.ndim(state.lam):
-        xi = np.subtract(1.0, state.lam, out=xi)
-        xi /= coef
-    else:
-        xi = (1.0 - state.lam) / coef
-    rhs = divergence(state.z, out=out, scratch=scratch)
+    rhs, if given, is a free field for the right-hand side; xi, if
+    given, a free field whose first np.size(lambda) entries take xi, in
+    lambda's shape; scratch, if given, a flat float64 buffer of at least
+    solve_scratch_size(state.f.shape) entries for the divergence, u + w
+    and the solve."""
+    if xi is not None:
+        xi = xi.reshape(-1)[: np.size(state.lam)].reshape(np.shape(state.lam))
+    xi = np.subtract(1.0, state.lam, out=xi)
+    xi /= params.eta * params.theta
+    rhs = divergence(state.z, out=rhs, scratch=scratch)
     rhs *= xi
     uw = None if scratch is None else scratch[: rhs.size].reshape(rhs.shape)
     np.subtract(np.add(state.u, state.w, out=uw), rhs, out=rhs)
-    return screened_solve(rhs, xi, state.v, params.gs_sweeps, out=rhs, scratch=scratch)
+    return screened_solve(rhs, xi, state.v, params.gs_sweeps, out=state.v, scratch=scratch)
 
 
 def run_denoise(f: np.ndarray, params: SolverParams, on_check=None):

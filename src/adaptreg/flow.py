@@ -50,7 +50,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import central_gradient, divergence, gradient, scalar_grid, vector_grid, warp_bilinear
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve
+from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve, solve_scratch_size
 
 
 @dataclass
@@ -135,7 +135,8 @@ class FlowState:
     gradient auxiliary z is component-first, (2, H, W, 2), as grad v
     is.  lam is an (H, W) field, or a float that broadcasts against the
     fields when the weight is constant.  iterate writes the fields in
-    place (see the module docstring).
+    place (see the module docstring); solve_scratch is the v-solve's
+    scratch, allocated once.
 
     It keeps three values of the current fields: gap, the data gap
     ft - A . u, and grad_v, the component gradients of v, both read by
@@ -163,6 +164,7 @@ class FlowState:
         self.r = np.zeros(shape, dtype=np.float64)
         self.z = np.zeros((2,) + shape + (2,), dtype=np.float64)
         self.lam = np.ones(shape, dtype=np.float64)
+        self.solve_scratch = np.empty(solve_scratch_size((2,) + shape))
         self.tau_count = 0
         self.tau = tau_schedule(params.tau0, params.dtau, 0)
         self.residual = 0.0
@@ -199,7 +201,7 @@ class FlowState:
         shrink(self.gap, sp.mu, out=self.r)
         self.gap = None
         update_u(self, sp)
-        update_v_w(self, sp)
+        update_v_w(self, sp, scratch=self.solve_scratch)
         self._form_intermediates()
         self.tau_count += 1
         self.tau = tau_schedule(p.tau0, p.dtau, self.tau_count)
@@ -263,21 +265,22 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
     return state.u
 
 
-def update_v_w(state: FlowState, params: SolverParams) -> None:
+def update_v_w(state: FlowState, params: SolverParams, *, scratch=None) -> None:
     """One screened v-solve over the component-first (2, H, W) stack
     (exact for a float lambda, gs_sweeps Gauss-Seidel sweeps from v for
     a weight field) from the gradient auxiliaries z, then dual ascent.
-    The solve writes v into state.v in place, and the new u - v gives
-    both the new w and the primal residual, kept as state.residual.
-    u - v is formed as a C-contiguous (2, H, W) stack, so the residual
-    sums in that order whatever the fields' layout."""
+    The solve writes v into state.v in place, through scratch, if given
+    (see screened_solve), and the new u - v gives both the new w and the
+    primal residual, kept as state.residual.  u - v is formed as a
+    C-contiguous (2, H, W) stack, so the residual sums in that order
+    whatever the fields' layout."""
     xi = (1.0 - state.lam) / (params.eta * params.theta)
     v = np.moveaxis(state.v, -1, 0)
     # rhs = (u + w) - xi div z, written over div z
     rhs = divergence(state.z)
     rhs *= xi
     np.subtract(np.moveaxis(state.u + state.w, -1, 0), rhs, out=rhs)
-    screened_solve(rhs, xi, v, params.gs_sweeps, out=v)
+    screened_solve(rhs, xi, v, params.gs_sweeps, out=v, scratch=scratch)
     u, w = np.moveaxis(state.u, -1, 0), np.moveaxis(state.w, -1, 0)
     state.residual = dual_step(u, v, w, out=np.empty(v.shape))
 

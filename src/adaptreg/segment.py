@@ -27,10 +27,11 @@ style: labels already updated this iteration contribute their new u_j.
 After the dual step, and in the constructor, SegmentState forms grad v
 of the new v, which the energy and the next z-step read.
 
-The steps write z, lambda (when it is a field), r, u and w into the
+The steps write z, lambda (when it is a field), r, u, v and w into the
 state's own arrays, so code that keeps a field across an iteration
-must copy it; v is a new array after every v-step.  z is
-component-planar: an (n, H, W, 2) view of (2, n, H, W) memory.
+must copy it.  The v-step solves into v through the state's solve
+scratch and projects it in place.  z is component-planar: an
+(n, H, W, 2) view of (2, n, H, W) memory.
 
 The final labeling is the pixelwise argmax of the memberships.
 """
@@ -45,7 +46,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
-from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve
+from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve, solve_scratch_size
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -160,10 +161,12 @@ def update_u(state: SegmentState, params: SegmentParams, d: np.ndarray) -> np.nd
     return u
 
 
-def update_v_all(state: SegmentState, params: SegmentParams) -> None:
+def update_v_all(state: SegmentState, params: SegmentParams, *, scratch=None) -> None:
     """One screened solve over the (n, H, W) label stack, then projection
-    onto sum_i v_i = 1.  The solve is exact for a float lambda (scalar
-    xi) and gs_sweeps Gauss-Seidel sweeps from v for a weight field.
+    onto sum_i v_i = 1, both written into state.v.  The solve is exact
+    for a float lambda (scalar xi) and gs_sweeps Gauss-Seidel sweeps from
+    v for a weight field; scratch, if given, is the solve's flat scratch
+    (see screened_solve).
 
     Each label's system only reads that label's own fields, so the
     stacked solve matches solving the labels one by one.
@@ -173,7 +176,8 @@ def update_v_all(state: SegmentState, params: SegmentParams) -> None:
     rhs = divergence(state.z)
     rhs *= xi
     np.subtract(state.u + state.w, rhs, out=rhs)
-    state.v = project_stack_sum_to_one(screened_solve(rhs, xi, state.v, sp.gs_sweeps, out=rhs))
+    screened_solve(rhs, xi, state.v, sp.gs_sweeps, out=state.v, scratch=scratch)
+    project_stack_sum_to_one(state.v, out=state.v)
 
 
 def extract_labels(state: SegmentState) -> np.ndarray:
@@ -185,6 +189,7 @@ class SegmentState:
     """Per-label fields of the segmentation ADMM, stacked label-major:
     u, v, w, r (n,H,W), z (n,H,W,2), lam (n,H,W), c (n,).  lam is a
     float that broadcasts against the stack when the weight is constant.
+    solve_scratch is the v-solve's scratch, allocated once.
     Degenerate region updates are logged as (iteration, label) pairs.
 
     start is a (u, c) pair as warm_start_labels(f, params.n_labels)
@@ -219,6 +224,7 @@ class SegmentState:
         self.r = np.zeros_like(u)
         self.z = np.moveaxis(np.zeros((2,) + shape), 0, -1)
         self.lam = np.ones_like(u)
+        self.solve_scratch = np.empty(solve_scratch_size(shape))
         self.c = c
         self.iteration = 0
         self.degenerate_events: list[tuple[int, int]] = []
@@ -236,17 +242,15 @@ class SegmentState:
         self.iteration += 1
         shrink_vec(self.grad_v, sp.eta, out=self.z)
         self.grad_v = None
-        # lambda may be a float, as a constant-weight run leaves it
-        lam = self.lam if np.shape(self.lam) == self.u.shape else None
         adaptive = sp.adaptive.constant_lambda is None
-        self.lam = weight_fields(self.d * self.u if adaptive else None, sp.adaptive, out=lam)
+        self.lam = weight_fields(self.d * self.u if adaptive else None, sp.adaptive, out=self.lam)
         self.c = update_c(self)
         gap = self.f - self.c[:, None, None]
         shrink(gap, sp.mu, out=self.r)
         # d over f - c, read by the u-step, the energy and the next weight step
         self.d = envelope_at(gap, self.r, sp.mu, out=gap)
         update_u(self, p, self.d)
-        update_v_all(self, p)
+        update_v_all(self, p, scratch=self.solve_scratch)
         self.residual = dual_step(self.u, self.v, self.w)
         self._form_intermediates()
 

@@ -407,8 +407,9 @@ def screened_solve(
     both are read before out is written.  scratch, if given, is a flat
     float64 buffer of at least solve_scratch_size(rhs.shape) entries for
     every intermediate of either solve, whatever it held before; a field
-    xi's solve uses part of it as float32.  With both, a solve allocates
-    nothing of field size.  Without a scratch, a field xi's solve
+    xi's solve uses part of it as float32.  The result is out, or else a
+    fresh array, never a view of the scratch.  With both, a solve
+    allocates nothing of field size.  Without a scratch, a field xi's solve
     allocates the same parts as separate arrays and zeroes the same pad
     cells in them.  The defect, with laplacian's two difference runs,
     sets its peak of about three rhs sizes; the float32 field planes,
@@ -625,7 +626,8 @@ def exact_screened_solve(
     scratch holds the Laplacian and the column pass's output in its
     first field, the row transforms in its second, and every spectrum
     after them, each one over the last.  Every FFT writes its output
-    there through out=.
+    there through out=.  The result never shares memory with the
+    scratch: with a scratch and no out, it is a fresh array.
 
     Residual form: v = rhs + e with (1 - xi laplacian) e = xi laplacian
     rhs, the Laplacian of rhs taken in space.  A constant rhs has an
@@ -642,6 +644,8 @@ def exact_screened_solve(
     g_real, g_imag, twiddle, twiddle_conj = _column_gains(h, w, float(xi))
     first = second = spectrum = lap_scratch = None
     if scratch is not None:
+        if out is None:
+            out = np.empty(rhs.shape)
         n = rhs.size
         first = scratch[:n].reshape(rhs.shape)
         second = scratch[n : 2 * n].reshape(rhs.shape)

@@ -72,7 +72,9 @@ def junction_image(n_regions: int, size: int, disc_radius_frac: float = 0.25, se
     fraction is 0) forms the last region.  Gray levels are k/(n-1),
     assigned to regions in seed-shuffled order.  Returns (image, labels)
     with labels 0..n-2 for the sectors and n-1 for the disc.
-    disc_radius_frac must be nonnegative and finite.
+    disc_radius_frac must be nonnegative and finite, and a sector that
+    gets no pixel (too many sectors for the size, or a disc that covers
+    them) raises ValueError.
     """
     check_count("n_regions", n_regions, 3)
     check_count("size", size, 2)
@@ -90,6 +92,9 @@ def junction_image(n_regions: int, size: int, disc_radius_frac: float = 0.25, se
     radius = np.hypot(yy - cy, xx - cx)
     disc = radius < disc_radius_frac * size / 2.0
     labels[disc] = n_regions - 1
+    empty = np.flatnonzero(np.bincount(labels.ravel(), minlength=n_regions)[:n_sectors] == 0)
+    if empty.size:
+        raise ValueError("junction sectors %s get no pixel at size %d" % (empty.tolist(), size))
     order = Splitmix64(seed).permutation(n_regions)
     levels = order.astype(np.float64) / (n_regions - 1)
     image = levels[labels]

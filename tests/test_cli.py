@@ -379,6 +379,16 @@ def test_synth_junction_beyond_256_regions_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["--size", "16", "--disc-frac", "1.5"],
+    ["--size", "8", "--regions", "40"],
+], ids=["disc-covers-sectors", "too-many-sectors"])
+def test_synth_junction_with_an_empty_sector_exits_2(tmp_path, capsys, args):
+    assert entry(["synth", "junction", "--out", str(tmp_path / "j")] + args) == 2
+    assert "get no pixel" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, flag, value, name", [
     ("denoise", "--mu", "nan", "mu"),
     ("denoise", "--mu", "inf", "mu"),

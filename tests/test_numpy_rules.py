@@ -123,3 +123,41 @@ def test_screened_solve_calls_pass_four_positional_arguments():
     assert {name for name, calls in found.items() if calls} >= {"denoise.py", "segment.py", "flow.py"}
     assert {name: [line for line, ok in calls if not ok] for name, calls in found.items()
             if not all(ok for _, ok in calls)} == {}
+
+
+def screened_solve_without_buffers(tree):
+    """Line numbers of screened_solve calls that do not pass both out=
+    and scratch= by keyword."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "screened_solve" and not {"out", "scratch"} <= {k.arg for k in node.keywords}:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_rule_flags_screened_solve_without_buffers():
+    code = (
+        "screened_solve(rhs, xi, v, n, out=v, scratch=s)\n"
+        "screened_solve(rhs, xi, v, n, out=v)\n"
+        "solver.screened_solve(rhs, xi, v, n, scratch=s)\n"
+        "screened_solve(rhs, xi, v, n)\n"
+        "screened_solve(rhs, xi, v, n, **buffers)\n"
+        "exact_screened_solve(rhs, xi, out=v)\n"
+    )
+    assert screened_solve_without_buffers(ast.parse(code)) == [2, 3, 4, 5]
+
+
+def test_screened_solve_calls_pass_their_buffers():
+    # Every state solves v in place through a scratch it owns: a solve
+    # without out= returns a new array, and one without scratch=
+    # allocates its whole workspace afresh on every call.
+    files = sorted(SOURCE.glob("*.py"))
+    found = {
+        path.name: screened_solve_without_buffers(ast.parse(path.read_text(), str(path)))
+        for path in files
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

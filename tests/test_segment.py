@@ -2,7 +2,6 @@
 stacked iteration against a label-by-label reference, and membership
 invariants."""
 
-import copy
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from adaptreg.segment import (
     update_v_all,
     warm_start_labels,
 )
-from adaptreg.solver import run_admm
 from adaptreg.synth import Splitmix64, add_gaussian_noise, noisy_rectangles
 from helpers import (
     assemble_screened_matrix,
@@ -257,29 +255,6 @@ def test_stacked_iterate_matches_per_label_reference(n, sigma, const, empty):
         assert np.array_equal(getattr(state, name), getattr(ref, name)), name
     assert state.degenerate_events == ref.degenerate_events
     assert (empty is not None) == bool(ref.degenerate_events)
-
-
-def test_adaptive_run_from_a_constant_runs_state():
-    # A constant-weight run leaves lambda a float.  An adaptive run of
-    # that state forms its weight field once and then writes it in place;
-    # it matches the frozen label-by-label reference started from the
-    # same state with lambda a field, since the weight step writes lambda
-    # before anything reads it.
-    img, _ = noisy_rectangles(32, seed=4)
-    _, state, _ = run_segment(img, seg_params(n_labels=3, const=0.3, iters=4, tol=1e-15))
-    assert isinstance(state.lam, float)
-    ref = copy.deepcopy(state)
-    ref.lam = np.full(ref.u.shape, ref.lam)
-    params = seg_params(3, beta=0.05, iters=5, tol=1e-15, sigma=1.5)
-    state.params = params
-    energies = []
-    run_admm(state, params.solver, on_check=lambda s, rec: energies.append(s.energy()))
-    for energy in energies:
-        segment_iterate_reference(ref, params)
-        assert energy == segment_energy_reference(ref, params)
-    assert len(energies) == 5
-    for name in ("u", "v", "w", "r", "z", "lam", "c"):
-        assert_same_bits(getattr(state, name), getattr(ref, name))
 
 
 def test_run_segment_rejects_state_of_another_image():

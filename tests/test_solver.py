@@ -379,6 +379,25 @@ def test_screened_solve_buffers_give_the_same_bits(shape, scalar):
             assert_bitwise(out, fresh)
 
 
+@pytest.mark.parametrize("solve", ["screened-field", "screened-scalar", "exact"])
+def test_result_without_out_never_aliases_the_scratch(solve):
+    # A second solve through the same scratch must leave the first
+    # result as it was.
+    shape = (2, 7, 9)
+    rhs, xi, v0 = solver_inputs(shape, 411)
+    if solve != "screened-field":
+        xi = 2.5
+    scratch = np.empty(solve_scratch_size(shape))
+    results = []
+    for r in (rhs, 2.0 * rhs):
+        if solve == "exact":
+            results.append(exact_screened_solve(r, xi, scratch=scratch))
+        else:
+            results.append(screened_solve(r, xi, v0, 3, scratch=scratch))
+        assert not np.shares_memory(results[-1], scratch)
+    assert_bitwise(results[0], screened_solve(rhs, xi, v0, 3))
+
+
 @pytest.mark.parametrize("scalar", [False, True], ids=["field", "scalar"])
 @pytest.mark.parametrize("shape", [(6, 6), (2, 6, 6), (7, 9)], ids=["6x6", "2x6x6", "7x9"])
 def test_reused_scratch_pad_cells_stay_zero(shape, scalar):

@@ -83,6 +83,10 @@ def test_junction_image_validation():
     for frac in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="disc_radius_frac"):
             junction_image(5, 64, disc_radius_frac=frac)
+    # a disc over the whole canvas, or more sectors than the grid resolves
+    for n_regions, size, frac in ((5, 16, 1.5), (40, 8, 0.25)):
+        with pytest.raises(ValueError, match="sectors"):
+            junction_image(n_regions, size, disc_radius_frac=frac)
 
 
 def test_junction_image_deterministic():
