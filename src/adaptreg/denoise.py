@@ -145,20 +145,28 @@ class DenoiseState:
         return float(total + np.sum(reg))
 
 
+def _like_lam(field, lam):
+    """The first np.size(lam) entries of a free field in lambda's shape,
+    one entry for a float lambda, or None without a field."""
+    return None if field is None else field.reshape(-1)[: np.size(lam)].reshape(np.shape(lam))
+
+
 def update_u(state: DenoiseState, params: SolverParams, *, out=None, scratch=None) -> np.ndarray:
     """Pointwise solve of (lambda + mu theta) u = mu theta (v - w) + lambda (f - r).
 
     Written incrementally, u = (v - w) + lambda ((f - r) - (v - w)) / (lambda
     + mu theta), which returns v - w bitwise where lambda = 0 and f where the
     two targets coincide.  out, if given, receives u and may be state.u;
-    scratch, if given, is a (3, H, W) stack of free fields.
+    scratch, if given, is a (3, H, W) stack of free fields; the third
+    takes lambda + mu theta in lambda's shape, so a float lambda divides
+    by one entry.
     """
     base, gap, den = (None, None, None) if scratch is None else scratch
     base = np.subtract(state.v, state.w, out=base)
     gap = np.subtract(state.f, state.r, out=gap)
     gap -= base
     gap *= state.lam
-    gap /= np.add(state.lam, params.mu * params.theta, out=den)
+    gap /= np.add(state.lam, params.mu * params.theta, out=_like_lam(den, state.lam))
     return np.add(base, gap, out=out)
 
 
@@ -172,9 +180,7 @@ def update_v(state: DenoiseState, params: SolverParams, *, rhs=None, xi=None, sc
     lambda's shape; scratch, if given, a flat float64 buffer of at least
     solve_scratch_size(state.f.shape) entries for the divergence, u + w
     and the solve."""
-    if xi is not None:
-        xi = xi.reshape(-1)[: np.size(state.lam)].reshape(np.shape(state.lam))
-    xi = np.subtract(1.0, state.lam, out=xi)
+    xi = np.subtract(1.0, state.lam, out=_like_lam(xi, state.lam))
     xi /= params.eta * params.theta
     rhs = divergence(state.z, out=rhs, scratch=scratch)
     rhs *= xi

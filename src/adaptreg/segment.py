@@ -27,11 +27,11 @@ style: labels already updated this iteration contribute their new u_j.
 After the dual step, and in the constructor, SegmentState forms grad v
 of the new v, which the energy and the next z-step read.
 
-The steps write z, lambda (when it is a field), r, u, v and w into the
-state's own arrays, so code that keeps a field across an iteration
-must copy it.  The v-step solves into v through the state's solve
-scratch and projects it in place.  z is component-planar: an
-(n, H, W, 2) view of (2, n, H, W) memory.
+The steps write z, lambda (when it is a field), r, u, v, w and grad v
+into the state's own arrays, so code that keeps a field across an
+iteration must copy it.  The v-step solves into v through the state's
+solve scratch and projects it in place.  z and grad v are
+component-planar: (n, H, W, 2) views of (2, n, H, W) memory.
 
 The final labeling is the pixelwise argmax of the memberships.
 """
@@ -225,6 +225,7 @@ class SegmentState:
         self.z = np.moveaxis(np.zeros((2,) + shape), 0, -1)
         self.lam = np.ones_like(u)
         self.solve_scratch = np.empty(solve_scratch_size(shape))
+        self.grad_v = np.moveaxis(np.empty((2,) + shape), 0, -1)
         self.c = c
         self.iteration = 0
         self.degenerate_events: list[tuple[int, int]] = []
@@ -234,14 +235,13 @@ class SegmentState:
 
     def _form_intermediates(self):
         """grad v of the label stack."""
-        self.grad_v = gradient(self.v)
+        gradient(self.v, out=self.grad_v)
 
     def iterate(self):
         p = self.params
         sp = p.solver
         self.iteration += 1
         shrink_vec(self.grad_v, sp.eta, out=self.z)
-        self.grad_v = None
         adaptive = sp.adaptive.constant_lambda is None
         self.lam = weight_fields(self.d * self.u if adaptive else None, sp.adaptive, out=self.lam)
         self.c = update_c(self)

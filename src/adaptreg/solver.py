@@ -174,15 +174,6 @@ def history_to_csv(history) -> str:
 _SUBLATTICES = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
-@lru_cache(maxsize=16)
-def _neighbor_count(n: int, parity: int) -> np.ndarray:
-    """Neighbors along an axis of length n, at the indices of one parity."""
-    idx = np.arange(parity, n, 2)
-    count = 2.0 - (idx == 0) - (idx == n - 1)
-    count.flags.writeable = False
-    return count
-
-
 def _cells(h: int, w: int, py: int, px: int):
     """Index of sub-lattice (py, px) of an (H, W) grid inside its plane."""
     return (Ellipsis, slice(1, 1 + (h - py + 1) // 2), slice(1, 1 + (w - px + 1) // 2))
@@ -212,51 +203,56 @@ def _slot(scratch, start: int, shape, dtype=np.float32) -> np.ndarray:
     return scratch[start : start + math.prod(shape)].reshape(shape)
 
 
-def _plane_fields(rhs: np.ndarray, xi: np.ndarray, frame, scratch=None) -> np.ndarray:
-    """rhs, c*rhs and the gain xi/(1 + xi*c) of every sub-lattice, c the
-    neighbor count, as a field-major (3 fields, 4 sub-lattices, ...,
-    *frame) block of float32 planes: one field of both sub-lattices of a
-    color is one contiguous run.  rhs and xi are rounded to float32 and
-    the gain is formed in float32.  Pad cells hold 0 in all three.  With
-    a flat float32 scratch given, the block is its start and the count
-    planes follow it; without one, both are fresh arrays.  Their pads
-    are zeroed first, so what the memory held before does not
-    matter."""
-    h, w = rhs.shape[-2:]
-    shape = (3, 4) + rhs.shape[:-2] + frame
-    fields = _slot(scratch, 0, shape)
-    # One count plane per sub-lattice, broadcast over the stack; 0 on pad.
-    count = _slot(scratch, fields.size, (4,) + (1,) * (rhs.ndim - 2) + frame)
-    # c*rhs is written everywhere below; rhs and the gain only inside.
-    _zero_pads(fields[::2])
-    _zero_pads(count)
-    b, bc, e = fields
+def _neighbor_count(n: int, parity: int) -> np.ndarray:
+    """Neighbors along an axis of length n, at the indices of one parity."""
+    idx = np.arange(parity, n, 2)
+    return 2.0 - (idx == 0) - (idx == n - 1)
+
+
+@lru_cache(maxsize=16)
+def _count_planes(h: int, w: int) -> np.ndarray:
+    """The neighbor count c of every sub-lattice of an (H, W) grid, as
+    read-only (4, *frame) float32 planes with 0 on every pad cell."""
+    count = np.zeros((4,) + _frame(h, w), np.float32)
+    for k, (py, px) in enumerate(_SUBLATTICES):
+        np.add(_neighbor_count(h, py)[:, None], _neighbor_count(w, px), out=count[k][_cells(h, w, py, px)])
+    count.flags.writeable = False
+    return count
+
+
+def _plane_fields(d: np.ndarray, xi: np.ndarray, fields: np.ndarray, den: np.ndarray) -> None:
+    """d/(1 + xi*c) and the gain xi/(1 + xi*c) of every sub-lattice, c
+    the neighbor count, into fields, a field-major (2 fields,
+    4 sub-lattices, ..., *frame) float32 block.  d and xi are rounded to
+    float32 and the rest is formed in float32.  den, a (4, ..., *frame)
+    float32 array, takes 1 + xi*c on the way.  The pads of both fields
+    are zeroed first, so they hold 0 whatever the memory held."""
+    h, w = d.shape[-2:]
+    _zero_pads(fields)
+    dt, g = fields
     for k, (py, px) in enumerate(_SUBLATTICES):
         cells = _cells(h, w, py, px)
-        b[k][cells] = rhs[..., py::2, px::2]
-        e[k][cells] = xi[..., py::2, px::2]
-        np.add(_neighbor_count(h, py)[:, None], _neighbor_count(w, px), out=count[k][cells])
-    # The gain in place: 1 + xi*c goes into the c*rhs slot for the divide.
-    np.multiply(e, count, out=bc)
-    bc += 1.0
-    e /= bc
-    np.multiply(count, b, out=bc)
-    return fields
+        dt[k][cells] = d[..., py::2, px::2]
+        g[k][cells] = xi[..., py::2, px::2]
+    count = _count_planes(h, w).reshape((4,) + (1,) * (d.ndim - 2) + den.shape[-2:])
+    np.multiply(g, count, out=den)
+    den += 1.0
+    dt /= den
+    g /= den
 
 
-def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int, scratch, start: int) -> None:
+def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
     """Red-black Gauss-Seidel sweeps in place on the (4, ..., *frame)
-    parity planes of v: v = rhs + (T - c*rhs) * gain, 18 ufunc calls each.
-    The neighbor sums take a run buffer of up to one plane: the entries
-    of a flat scratch from start on, or a fresh array without one."""
+    parity planes of e: e = T*g + d/(1 + xi*c), T the neighbor sum,
+    formed in the center's own run; 16 ufunc calls each."""
     n = planes[0].size
     stride = planes.shape[-1]
-    v = planes.reshape(-1)
-    fields = fields.reshape(3, -1)
+    e = planes.reshape(-1)
+    fields = fields.reshape(2, -1)
     lo, hi = stride + 1, n - stride - 1
 
     def run(k, s=0):
-        return v[k * n + lo + s : k * n + hi + s]
+        return e[k * n + lo + s : k * n + hi + s]
 
     sums = []
     for k, (py, px) in enumerate(_SUBLATTICES):
@@ -280,18 +276,16 @@ def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int, scratch, start: 
     colors = []
     for k in (0, 2):
         tail = slice(k * n + lo, (k + 1) * n + hi)
-        colors.append((sums[k : k + 2], v[tail], fields[:, tail]))
-    scratch = _slot(scratch, start, (hi - lo,))
+        colors.append((sums[k : k + 2], e[tail], fields[:, tail]))
     for _ in range(sweeps):
-        for color_sums, center, (b, bc, e) in colors:
-            # center = b + (((left + right) + (up + down)) - bc) * e
+        for color_sums, center, (dt, g) in colors:
+            # center = (((left + right) + up) + down) * g + dt
             for total, left, right, up, down in color_sums:
-                np.add(left, right, out=scratch)
-                np.add(up, down, out=total)
-                total += scratch
-            center -= bc
-            center *= e
-            center += b
+                np.add(left, right, out=total)
+                total += up
+                total += down
+            center *= g
+            center += dt
 
 
 def _check_system(rhs, xi):
@@ -310,13 +304,15 @@ def _check_system(rhs, xi):
 def solve_scratch_size(shape) -> int:
     """Entries of the flat float64 scratch that screened_solve takes for
     an rhs of this shape, enough for either kind of xi: the float64
-    defect, the iterate between chunks and, as float32, the plane block,
-    the planes of the correction and one plane for the neighbor sums of
-    the sweeps; or the two fields and the spectrum of the exact solve."""
+    defect and the iterate between chunks, then laplacian's two
+    difference runs or, as float32, the two plane fields and the planes
+    of the correction; or the two fields and the spectrum of the exact
+    solve."""
     h, w = shape[-2:]
     entries = math.prod(shape[:-2])
+    n = entries * h * w
     plane = entries * math.prod(_frame(h, w))
-    return max(17 * plane, _exact_scratch_size(shape))
+    return max(2 * n + max(2 * n, 6 * plane), _exact_scratch_size(shape))
 
 
 # Sweeps per float32 chunk.  Each chunk starts from a fresh float64
@@ -332,7 +328,6 @@ def _correct(rhs, xi, v, sweeps: int, out, scratch, fixed) -> np.ndarray:
     float64 scratch and the float32 block starts at entry 2 rhs.size,
     where laplacian's scratch goes first."""
     h, w = rhs.shape[-2:]
-    frame = _frame(h, w)
     block = None if scratch is None else scratch[2 * rhs.size :]
     # the defect rhs - (v - xi laplacian v)
     d = laplacian(v, out=_slot(scratch, 0, rhs.shape, np.float64), scratch=block)
@@ -341,18 +336,19 @@ def _correct(rhs, xi, v, sweeps: int, out, scratch, fixed) -> np.ndarray:
     np.subtract(rhs, d, out=d)
     if block is not None:
         block = block.view(np.float32)
-    shape = (4,) + rhs.shape[:-2] + frame
+    shape = (4,) + rhs.shape[:-2] + _frame(h, w)
     size = math.prod(shape)
     # A defect beyond float32's range becomes inf, and the sweeps turn it
     # into NaN, which the run's residual check reports as divergence.
     with np.errstate(over="ignore", invalid="ignore"):
-        fields = _plane_fields(d, xi, frame, block)
+        # in a scratch, the planes of e follow the two plane fields; they
+        # hold 1 + xi*c until the fields are formed
+        fields = _slot(block, 0, (2,) + shape)
+        planes = _slot(block, 2 * size, shape)
+        _plane_fields(d, xi, fields, planes)
         del d
-        # in a scratch, the planes of e follow the plane block, where the
-        # count planes were, and the sweep's run buffer follows them
-        planes = _slot(block, 3 * size, shape)
         planes.fill(0.0)
-        _sweep(planes, fields, sweeps, block, 4 * size)
+        _sweep(planes, fields, sweeps)
     del fields  # free before allocating the output
     if out is None:
         out = np.empty(rhs.shape)
@@ -409,14 +405,14 @@ def screened_solve(
     every intermediate of either solve, whatever it held before; a field
     xi's solve uses part of it as float32.  The result is out, or else a
     fresh array, never a view of the scratch.  With both, a solve
-    allocates nothing of field size.  Without a scratch, a field xi's solve
-    allocates the same parts as separate arrays and zeroes the same pad
-    cells in them.  The defect, with laplacian's two difference runs,
-    sets its peak of about three rhs sizes; the float32 field planes,
-    the planes of e and a quarter-size run buffer take about 2.1 rhs
-    sizes, the defect is freed before the planes of e are allocated and
-    the field planes before out is.  A scalar xi's solve takes about
-    three rhs sizes.
+    allocates nothing of field size but a mask of the cells where xi is
+    0, if any, and the neighbor counts, cached per grid shape.  Without a
+    scratch, a field xi's solve allocates the same parts as separate
+    arrays and zeroes the same pad cells in them.  The defect, with
+    laplacian's two difference runs, sets its peak of about three rhs
+    sizes; the two float32 field planes and the planes of e take about
+    1.5, and the field planes are freed before out is allocated.  A
+    scalar xi's solve takes about three rhs sizes.
 
     The sweeps use red-black ordering: each half sweep updates one
     checkerboard color from the other, which makes the result
@@ -432,24 +428,25 @@ def screened_solve(
     plane of the other column parity and by 0 or one frame row (up,
     down) in the plane of the other row parity.  The run also covers the
     pad cells between its rows and between stack entries.  The fields
-    d, c*d and the gain g sit in one field-major block (3 fields,
+    d/(1 + xi*c) and the gain g sit in one field-major block (2 fields,
     4 sub-lattices, ..., *frame), so the two planes of one color are
-    adjacent in e and in every field, and the pointwise rest of the
+    adjacent in e and in both fields, and the pointwise rest of the
     update runs once per color over a single run that spans both planes,
-    the pad rows between them included.  A sweep thus takes 18 ufunc
-    calls: 3 per sub-lattice for the neighbor sum and 3 per color for
-    the rest.  Pad cells carry 0 in all three fields, so the update
-    writes +0.0 there while the neighbors are finite, and a pad cell
-    keeps standing in for a missing neighbor.  (A non-finite value turns
-    its pad neighbors to NaN, which then reach the next row and the next
-    stack entry.)  Every chunk zeroes the pad cells of the fields and
+    the pad rows between them included.  A sweep thus takes 16 ufunc
+    calls: 3 per sub-lattice for the neighbor sum, formed in the center's
+    own run, and 2 per color for the rest.  Pad cells carry 0 in both
+    fields, so the update writes +0.0 there while the neighbors are
+    finite, and a pad cell keeps standing in for a missing neighbor.  (A
+    non-finite value turns its pad neighbors to NaN, which then reach
+    the next row and the next stack entry.)  Every chunk zeroes the pad cells of the fields and
     the whole planes of e it uses, also in a reused scratch, so a
     non-finite value never outlives the call that met it.  The neighbor
-    sum is taken pairwise, (left + right) + (up + down).
+    sum is taken as ((left + right) + up) + down.
 
     The update (d + xi*T)/(1 + xi*c), T the neighbor sum and c the
-    neighbor count, runs as e = d + (T - c*d) * g with the gain
-    g = xi/(1 + xi*c) formed once per chunk: no divide in a sweep.
+    neighbor count, runs as e = T*g + d/(1 + xi*c) with the gain
+    g = xi/(1 + xi*c) and d/(1 + xi*c) formed once per chunk: no divide
+    in a sweep.
 
     Raises ValueError when rhs is not a stack of nonempty grids, v0 does
     not have the shape of rhs, xi does not broadcast to it or is not

@@ -119,9 +119,10 @@ def screened_sweep_reference(rhs, xi, v0, sweeps):
     sweeps on (1 - xi laplacian) e = d from e = 0, and v + e in float64,
     with rhs kept where xi = 0.  Each half sweep computes the update
     everywhere from zero-filled neighbor copies and keeps its color
-    through a parity mask.  sweeps = 0 returns v0.  Same update formula
-    and pairwise neighbor sum as the package solver, so the two agree
-    bitwise."""
+    through a parity mask.  sweeps = 0 returns v0.  Same update formula,
+    e = T g + d/(1 + xi c) with g = xi/(1 + xi c), and neighbor sum
+    T = ((left + right) + up) + down as the package solver, so the two
+    agree bitwise."""
     v = np.array(v0, dtype=np.float64, copy=True)
     h, w = v.shape
     xi = np.broadcast_to(xi, (h, w))
@@ -132,13 +133,13 @@ def screened_sweep_reference(rhs, xi, v0, sweeps):
     cnt[:, -1] -= 1
     parity = (np.add.outer(np.arange(h), np.arange(w)) % 2) == 0
     xi32 = xi.astype(np.float32)
-    gain = xi32 / (np.float32(1.0) + xi32 * cnt)
+    den = np.float32(1.0) + xi32 * cnt
+    gain = xi32 / den
     fixed = xi == 0.0
     done = 0
     while done < sweeps:
         chunk = min(20, sweeps - done)
-        d = (rhs - (v - xi * laplacian_reference(v))).astype(np.float32)
-        cr = cnt * d
+        d = (rhs - (v - xi * laplacian_reference(v))).astype(np.float32) / den
         e = np.zeros((h, w), dtype=np.float32)
         for _ in range(chunk):
             for mask in (parity, ~parity):
@@ -150,8 +151,8 @@ def screened_sweep_reference(rhs, xi, v0, sweeps):
                 up[1:, :] = e[:-1, :]
                 down = np.zeros_like(e)
                 down[:-1, :] = e[1:, :]
-                t = (left + right) + (up + down)
-                enew = d + (t - cr) * gain
+                t = ((left + right) + up) + down
+                enew = t * gain + d
                 e[mask] = enew[mask]
         v = v + e.astype(np.float64)
         v[fixed] = rhs[fixed]

@@ -465,12 +465,12 @@ def test_screened_solve_rejects_mismatched_inputs():
 
 def test_screened_solve_peak_memory():
     # The float64 defect and laplacian's two difference runs set the peak:
-    # 3.13 rhs sizes at 512^2.  The float32 field planes (d, c*d and the
-    # gain), the planes of the correction and a run buffer come after the
-    # difference runs are freed and take 2.1.  The bound leaves no room
-    # for a float64 plane block (4.3 sizes, as the float64 sweeps took),
-    # nor for holding the defect while the planes of the correction are
-    # allocated, nor the field planes while the output is.
+    # 3.13 rhs sizes at 512^2.  The float32 field planes (d/(1 + xi*c) and
+    # the gain), the planes of the correction and the cached count planes
+    # come after the difference runs are freed and take 2.0 besides the
+    # defect.  The bound leaves no room for a float64 plane block (4.3
+    # sizes, as the float64 sweeps took), nor for a full-size float32
+    # temporary while the fields are formed (3.53).
     rng = Splitmix64(405)
     shape = (512, 512)
     rhs = rng.normals(shape[0] * shape[1]).reshape(shape)
@@ -483,6 +483,29 @@ def test_screened_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.2 * rhs.nbytes
+
+
+def test_screened_solve_with_buffers_allocates_nothing_of_field_size():
+    # Given out and a scratch, a field xi's solve (two chunks, the count
+    # planes of its grid cached by a first call) allocates only numpy's
+    # iteration buffers, shrunk here as in test_states: 0.05 rhs sizes at
+    # 256^2.  A full-size float32 temporary would take 0.5.
+    rng = Splitmix64(417)
+    shape = (256, 256)
+    rhs = rng.normals(shape[0] * shape[1]).reshape(shape)
+    xi = rng.uniforms(shape[0] * shape[1]).reshape(shape) * 12.0 + 0.1
+    out = np.empty(shape)
+    scratch = np.empty(solve_scratch_size(shape))
+    screened_solve(rhs, xi, rhs, 25, out=out, scratch=scratch)
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        screened_solve(rhs, xi, rhs, 25, out=out, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak < 0.1 * rhs.nbytes
 
 
 def test_exact_screened_solve_peak_memory():
