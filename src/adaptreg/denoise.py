@@ -53,14 +53,15 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import divergence, gradient, scalar_grid, smoothing_scratch_size
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec, vector_norm
-from .solver import SolverParams, dual_step, run_admm, screened_solve, solve_scratch_size
+from .solver import SolverParams, dual_step, run_admm, screened_solve, screened_system, slot, v_step_buffers
 
 
 class _Workspace:
     """The buffers of one DenoiseState, allocated once.
 
-    One arena holds the v-solve's scratch, then one field.  Between
-    v-solves, the scratch's start holds other slots in turn:
+    solver.v_step_buffers allocates the v-step's buffers: one arena that
+    holds the v-solve's scratch and then one field, and the rhs field.
+    Between v-solves, the scratch's start holds other slots in turn:
 
         the smoothing's scratch                  weights
         the u-step's temporaries                 u-step
@@ -77,15 +78,12 @@ class _Workspace:
     def __init__(self, shape, sigma: float):
         n = shape[0] * shape[1]
         gap_at = max(3 * n, smoothing_scratch_size(shape, sigma))
-        arena = np.empty(max(solve_scratch_size(shape), gap_at + n) + n)
-        self.solve = arena[:-n]
+        self.solve, self.field, self.rhs = v_step_buffers(shape, shape, gap_at + n)
         self.smoothing = self.solve[:gap_at]
         self.temps = self.solve[: 3 * n].reshape((3,) + shape)
         self.grad = np.moveaxis(self.solve[: 2 * n].reshape((2,) + shape), 0, -1)
         self.norm = self.temps[2]
         self.gap = self.solve[gap_at : gap_at + n].reshape(shape)
-        self.field = arena[-n:].reshape(shape)
-        self.rhs = np.empty(shape)
 
 
 class DenoiseState:
@@ -145,12 +143,6 @@ class DenoiseState:
         return float(total + np.sum(reg))
 
 
-def _like_lam(field, lam):
-    """The first np.size(lam) entries of a free field in lambda's shape,
-    one entry for a float lambda, or None without a field."""
-    return None if field is None else field.reshape(-1)[: np.size(lam)].reshape(np.shape(lam))
-
-
 def update_u(state: DenoiseState, params: SolverParams, *, out=None, scratch=None) -> np.ndarray:
     """Pointwise solve of (lambda + mu theta) u = mu theta (v - w) + lambda (f - r).
 
@@ -166,7 +158,7 @@ def update_u(state: DenoiseState, params: SolverParams, *, out=None, scratch=Non
     gap = np.subtract(state.f, state.r, out=gap)
     gap -= base
     gap *= state.lam
-    gap /= np.add(state.lam, params.mu * params.theta, out=_like_lam(den, state.lam))
+    gap /= np.add(state.lam, params.mu * params.theta, out=slot(den, np.shape(state.lam)))
     return np.add(base, gap, out=out)
 
 
@@ -175,17 +167,12 @@ def update_v(state: DenoiseState, params: SolverParams, *, rhs=None, xi=None, sc
     into state.v, which it returns: exact for a float lambda (scalar xi),
     gs_sweeps Gauss-Seidel sweeps from v for a weight field.
 
-    rhs, if given, is a free field for the right-hand side; xi, if
-    given, a free field whose first np.size(lambda) entries take xi, in
-    lambda's shape; scratch, if given, a flat float64 buffer of at least
-    solve_scratch_size(state.f.shape) entries for the divergence, u + w
-    and the solve."""
-    xi = np.subtract(1.0, state.lam, out=_like_lam(xi, state.lam))
-    xi /= params.eta * params.theta
-    rhs = divergence(state.z, out=rhs, scratch=scratch)
-    rhs *= xi
-    uw = None if scratch is None else scratch[: rhs.size].reshape(rhs.shape)
-    np.subtract(np.add(state.u, state.w, out=uw), rhs, out=rhs)
+    rhs, xi and scratch are the buffers of solver.v_step_buffers, or
+    None: rhs takes the divergence of z and then the right-hand side,
+    xi's head takes xi (solver.screened_system), and the flat scratch
+    takes the divergence's bands, u + w and the solve."""
+    div_z = divergence(state.z, out=rhs, scratch=scratch)
+    rhs, xi = screened_system(div_z, state.u, state.w, state.lam, params, xi=xi, scratch=scratch)
     return screened_solve(rhs, xi, state.v, params.gs_sweeps, out=state.v, scratch=scratch)
 
 

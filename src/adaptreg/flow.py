@@ -50,7 +50,8 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import central_gradient, divergence, gradient, scalar_grid, vector_grid, warp_bilinear
 from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve, solve_scratch_size
+from .solver import (SolverParams, check_count, dual_step, run_admm, screened_solve, screened_system, slot,
+                     v_step_buffers)
 
 
 @dataclass
@@ -75,11 +76,13 @@ def tau_schedule(tau0: float, dtau: float, k: int) -> float:
     """Warp mix after k inner iterations: min(1, tau0 + k dtau).
 
     Clamped by step count so the value is exactly 1.0 once
-    k >= ceil((1 - tau0)/dtau); dtau = 0 keeps tau0 forever.
+    k >= ceil((1 - tau0)/dtau); dtau = 0 keeps tau0 forever.  For an
+    integer k that holds exactly when k >= (1 - tau0)/dtau, which is
+    what is compared, so a quotient that overflows to inf never clamps.
     """
     if dtau <= 0.0:
         return tau0
-    if k >= math.ceil((1.0 - tau0) / dtau):
+    if k >= (1.0 - tau0) / dtau:
         return 1.0
     return min(1.0, tau0 + k * dtau)
 
@@ -135,8 +138,8 @@ class FlowState:
     gradient auxiliary z is component-first, (2, H, W, 2), as grad v
     is.  lam is an (H, W) field, or a float that broadcasts against the
     fields when the weight is constant.  iterate writes the fields in
-    place (see the module docstring); solve_scratch is the v-solve's
-    scratch, allocated once.
+    place (see the module docstring); solve_scratch, xi and rhs are the
+    v-step's buffers, allocated once (solver.v_step_buffers).
 
     It keeps three values of the current fields: gap, the data gap
     ft - A . u, and grad_v, the component gradients of v, both read by
@@ -164,7 +167,7 @@ class FlowState:
         self.r = np.zeros(shape, dtype=np.float64)
         self.z = np.zeros((2,) + shape + (2,), dtype=np.float64)
         self.lam = np.ones(shape, dtype=np.float64)
-        self.solve_scratch = np.empty(solve_scratch_size((2,) + shape))
+        self.solve_scratch, self.xi, self.rhs = v_step_buffers((2,) + shape, shape)
         self.tau_count = 0
         self.tau = tau_schedule(params.tau0, params.dtau, 0)
         self.residual = 0.0
@@ -201,7 +204,7 @@ class FlowState:
         shrink(self.gap, sp.mu, out=self.r)
         self.gap = None
         update_u(self, sp)
-        update_v_w(self, sp, scratch=self.solve_scratch)
+        update_v_w(self, sp, rhs=self.rhs, xi=self.xi, scratch=self.solve_scratch)
         self._form_intermediates()
         self.tau_count += 1
         self.tau = tau_schedule(p.tau0, p.dtau, self.tau_count)
@@ -209,9 +212,11 @@ class FlowState:
     def energy(self) -> float:
         sp = self.params.solver
         g = self.grad_v
-        # One Huber call per component: a single call on the whole
-        # (2, H, W, 2) stack measured about 3% slower end to end on the
-        # 128^2 flow benchmark (slower in 5 of 6 paired runs, 2-core x86).
+        # One Huber call per component: on a 128^2 state, one call on the
+        # whole (2, H, W, 2) stack peaked 1.1 to 1.2 fields higher under
+        # tracemalloc, and with the anisotropic regularizer it took twice
+        # as long (435-449 against 227-229 us, best of 7 in two runs;
+        # 2-core Xeon, numpy 2.4.6).
         if self.params.anisotropic_reg:
             h = huber(g[0], sp.eta)
             reg = h[..., 0] + h[..., 1]
@@ -265,24 +270,23 @@ def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
     return state.u
 
 
-def update_v_w(state: FlowState, params: SolverParams, *, scratch=None) -> None:
+def update_v_w(state: FlowState, params: SolverParams, *, rhs=None, xi=None, scratch=None) -> None:
     """One screened v-solve over the component-first (2, H, W) stack
     (exact for a float lambda, gs_sweeps Gauss-Seidel sweeps from v for
     a weight field) from the gradient auxiliaries z, then dual ascent.
-    The solve writes v into state.v in place, through scratch, if given
-    (see screened_solve), and the new u - v gives both the new w and the
-    primal residual, kept as state.residual.  u - v is formed as a
-    C-contiguous (2, H, W) stack, so the residual sums in that order
-    whatever the fields' layout."""
-    xi = (1.0 - state.lam) / (params.eta * params.theta)
-    v = np.moveaxis(state.v, -1, 0)
-    # rhs = (u + w) - xi div z, written over div z
-    rhs = divergence(state.z)
-    rhs *= xi
-    np.subtract(np.moveaxis(state.u + state.w, -1, 0), rhs, out=rhs)
+    rhs, xi and scratch are the buffers of solver.v_step_buffers, or
+    None: rhs takes the divergence of z and then the right-hand side,
+    xi's head takes xi (solver.screened_system), and the flat scratch
+    takes the divergence's bands, u + w, the solve and u - v.  The solve
+    writes v into state.v in place, and the new u - v gives both the new
+    w and the primal residual, kept as state.residual.  u - v is formed
+    as a C-contiguous (2, H, W) stack, so the residual sums in that
+    order whatever the fields' layout."""
+    u, v, w = (np.moveaxis(a, -1, 0) for a in (state.u, state.v, state.w))
+    div_z = divergence(state.z, out=rhs, scratch=scratch)
+    rhs, xi = screened_system(div_z, u, w, state.lam, params, xi=xi, scratch=scratch)
     screened_solve(rhs, xi, v, params.gs_sweeps, out=v, scratch=scratch)
-    u, w = np.moveaxis(state.u, -1, 0), np.moveaxis(state.w, -1, 0)
-    state.residual = dual_step(u, v, w, out=np.empty(v.shape))
+    state.residual = dual_step(u, v, w, out=slot(scratch, v.shape))
 
 
 def _downsample(f: np.ndarray) -> np.ndarray:

@@ -145,14 +145,17 @@ def shrink_vec(v, t: float, *, norm=None, out=None):
     return out
 
 
-def project_stack_sum_to_one(arr: np.ndarray, *, out=None) -> np.ndarray:
+def project_stack_sum_to_one(arr: np.ndarray, *, out=None, scratch=None) -> np.ndarray:
     """Euclidean projection of a (n, H, W) stack onto {sum_i v_i(x) = 1}.
 
     Subtracts (sum_i v_i - 1)/n from every layer pointwise.  out, if
-    given, receives the projection and may be arr.
+    given, receives the projection and may be arr; scratch, if given, is
+    a free (H, W) field that takes the correction.
     """
     n = arr.shape[0]
     if n == 0:
         raise ValueError("empty label stack")
-    correction = (arr.sum(axis=0) - 1.0) / n
-    return np.subtract(arr, correction[None, ...], out=out)
+    correction = np.sum(arr, axis=0, out=scratch)
+    correction -= 1.0
+    correction /= n
+    return np.subtract(arr, correction, out=out)

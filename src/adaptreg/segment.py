@@ -29,9 +29,11 @@ of the new v, which the energy and the next z-step read.
 
 The steps write z, lambda (when it is a field), r, u, v, w and grad v
 into the state's own arrays, so code that keeps a field across an
-iteration must copy it.  The v-step solves into v through the state's
-solve scratch and projects it in place.  z and grad v are
-component-planar: (n, H, W, 2) views of (2, n, H, W) memory.
+iteration must copy it.  The v-step forms its right-hand side and xi in
+buffers the state allocates once, solves into v through the state's
+solve scratch and projects v in place; the dual step forms u - v in
+the scratch.  z and grad v are component-planar: (n, H, W, 2) views of
+(2, n, H, W) memory.
 
 The final labeling is the pixelwise argmax of the memberships.
 """
@@ -46,7 +48,8 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
-from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve, solve_scratch_size
+from .solver import (SolverParams, check_count, dual_step, run_admm, screened_solve, screened_system, slot,
+                     v_step_buffers)
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -161,23 +164,24 @@ def update_u(state: SegmentState, params: SegmentParams, d: np.ndarray) -> np.nd
     return u
 
 
-def update_v_all(state: SegmentState, params: SegmentParams, *, scratch=None) -> None:
+def update_v_all(state: SegmentState, params: SegmentParams, *, rhs=None, xi=None, scratch=None) -> None:
     """One screened solve over the (n, H, W) label stack, then projection
     onto sum_i v_i = 1, both written into state.v.  The solve is exact
     for a float lambda (scalar xi) and gs_sweeps Gauss-Seidel sweeps from
-    v for a weight field; scratch, if given, is the solve's flat scratch
-    (see screened_solve).
+    v for a weight field.  rhs, xi and scratch are the buffers of
+    solver.v_step_buffers, or None: rhs takes the divergence of z and
+    then the right-hand side, xi's head takes xi (solver.screened_system),
+    and the flat scratch takes the divergence's bands, u + w, the solve
+    and the projection's correction.
 
     Each label's system only reads that label's own fields, so the
     stacked solve matches solving the labels one by one.
     """
     sp = params.solver
-    xi = (1.0 - state.lam) / (sp.eta * sp.theta)
-    rhs = divergence(state.z)
-    rhs *= xi
-    np.subtract(state.u + state.w, rhs, out=rhs)
+    div_z = divergence(state.z, out=rhs, scratch=scratch)
+    rhs, xi = screened_system(div_z, state.u, state.w, state.lam, sp, xi=xi, scratch=scratch)
     screened_solve(rhs, xi, state.v, sp.gs_sweeps, out=state.v, scratch=scratch)
-    project_stack_sum_to_one(state.v, out=state.v)
+    project_stack_sum_to_one(state.v, out=state.v, scratch=slot(scratch, state.f.shape))
 
 
 def extract_labels(state: SegmentState) -> np.ndarray:
@@ -189,7 +193,9 @@ class SegmentState:
     """Per-label fields of the segmentation ADMM, stacked label-major:
     u, v, w, r (n,H,W), z (n,H,W,2), lam (n,H,W), c (n,).  lam is a
     float that broadcasts against the stack when the weight is constant.
-    solve_scratch is the v-solve's scratch, allocated once.
+    solve_scratch, xi and rhs are the v-step's buffers, allocated once
+    (solver.v_step_buffers); the dual step's u - v takes the scratch's
+    head.
     Degenerate region updates are logged as (iteration, label) pairs.
 
     start is a (u, c) pair as warm_start_labels(f, params.n_labels)
@@ -224,7 +230,7 @@ class SegmentState:
         self.r = np.zeros_like(u)
         self.z = np.moveaxis(np.zeros((2,) + shape), 0, -1)
         self.lam = np.ones_like(u)
-        self.solve_scratch = np.empty(solve_scratch_size(shape))
+        self.solve_scratch, self.xi, self.rhs = v_step_buffers(shape, shape)
         self.grad_v = np.moveaxis(np.empty((2,) + shape), 0, -1)
         self.c = c
         self.iteration = 0
@@ -250,8 +256,8 @@ class SegmentState:
         # d over f - c, read by the u-step, the energy and the next weight step
         self.d = envelope_at(gap, self.r, sp.mu, out=gap)
         update_u(self, p, self.d)
-        update_v_all(self, p, scratch=self.solve_scratch)
-        self.residual = dual_step(self.u, self.v, self.w)
+        update_v_all(self, p, rhs=self.rhs, xi=self.xi, scratch=self.solve_scratch)
+        self.residual = dual_step(self.u, self.v, self.w, out=slot(self.solve_scratch, self.u.shape))
         self._form_intermediates()
 
     def energy(self) -> float:

@@ -11,8 +11,10 @@ same driver through a small duck-typed state protocol:
     state.lam           fidelity weight in [0, 1], a float or a field
     state.residual      RMS of u - v of the last dual step
 
-The three problem states take their dual step with dual_step, which
-forms the new w and the primal residual from one u - v.
+The three problem states form their v-step's system with
+screened_system, in buffers from v_step_buffers, and take their dual
+step with dual_step, which forms the new w and the primal residual from
+one u - v.
 
 The driver itself is single-threaded over iterations; any parallelism
 lives inside the per-pixel updates and is bitwise deterministic.
@@ -117,6 +119,40 @@ def dual_step(u: np.ndarray, v: np.ndarray, w: np.ndarray, *, out: np.ndarray | 
     return rms(d, out=d)
 
 
+def slot(buffer, shape, dtype=np.float64, start: int = 0) -> np.ndarray:
+    """An array of this shape and dtype over the memory of a free
+    contiguous buffer, from its entry start on (counted from the end when
+    negative), or a fresh uninitialized C-ordered array without a
+    buffer."""
+    if buffer is None:
+        return np.empty(shape, dtype)
+    return buffer.reshape(-1)[start:].view(dtype)[: math.prod(shape)].reshape(shape)
+
+
+def screened_system(div_z, u, w, lam, params: SolverParams, *, xi=None, scratch=None):
+    """The system (1 - xi laplacian) v = u + w - xi div z of every
+    state's v-step, as (rhs, xi): xi = (1 - lam)/(eta theta) in lam's
+    shape, a 0-d array for a float lam, and rhs written over div_z, the
+    divergence of z that the caller passes.  xi, if given, is a free
+    buffer that takes xi, and scratch a free buffer whose head takes
+    u + w; without them both are allocated."""
+    xi = np.subtract(1.0, lam, out=slot(xi, np.shape(lam)))
+    xi /= params.eta * params.theta
+    div_z *= xi
+    np.subtract(np.add(u, w, out=slot(scratch, div_z.shape)), div_z, out=div_z)
+    return div_z, xi
+
+
+def v_step_buffers(shape, xi_shape, least: int = 0):
+    """The buffers a state allocates once for its v-steps, as (scratch,
+    xi, rhs) for an rhs of this shape: one block holds the flat solve
+    scratch, of at least solve_scratch_size(shape) and least entries, and
+    after it a field of xi_shape for xi; rhs is a separate field."""
+    m = math.prod(xi_shape)
+    block = np.empty(max(solve_scratch_size(shape), least) + m)
+    return block[:-m], block[-m:].reshape(xi_shape), np.empty(shape)
+
+
 def run_admm(state, params: SolverParams, start_iter: int = 0, on_check=None):
     """Drive a problem state to convergence or the iteration cap.
 
@@ -193,14 +229,6 @@ def _zero_pads(planes: np.ndarray) -> None:
     for edge in (0, -2, -1):
         planes[..., edge, :] = 0.0
         planes[..., :, edge] = 0.0
-
-
-def _slot(scratch, start: int, shape, dtype=np.float32) -> np.ndarray:
-    """Entries start, start + 1, ... of a flat scratch as an array of this
-    shape, or a fresh uninitialized array of dtype without a scratch."""
-    if scratch is None:
-        return np.empty(shape, dtype)
-    return scratch[start : start + math.prod(shape)].reshape(shape)
 
 
 def _neighbor_count(n: int, parity: int) -> np.ndarray:
@@ -306,13 +334,14 @@ def solve_scratch_size(shape) -> int:
     an rhs of this shape, enough for either kind of xi: the float64
     defect and the iterate between chunks, then laplacian's two
     difference runs or, as float32, the two plane fields and the planes
-    of the correction; or the two fields and the spectrum of the exact
-    solve."""
+    of the correction, and last the masks of the cells where xi is 0 and
+    where it is not, one byte per rhs entry each; or the two fields and
+    the spectrum of the exact solve."""
     h, w = shape[-2:]
     entries = math.prod(shape[:-2])
     n = entries * h * w
     plane = entries * math.prod(_frame(h, w))
-    return max(2 * n + max(2 * n, 6 * plane), _exact_scratch_size(shape))
+    return max(2 * n + max(2 * n, 6 * plane) + (n + 3) // 4, _exact_scratch_size(shape))
 
 
 # Sweeps per float32 chunk.  Each chunk starts from a fresh float64
@@ -320,22 +349,20 @@ def solve_scratch_size(shape) -> int:
 _CHUNK = 20
 
 
-def _correct(rhs, xi, v, sweeps: int, out, scratch, fixed) -> np.ndarray:
+def _correct(rhs, xi, v, sweeps: int, out, scratch, masks) -> np.ndarray:
     """v + e into out, or a fresh array: e from `sweeps` float32
     Gauss-Seidel sweeps from zero on (1 - xi laplacian) e = the float64
-    defect of v.  Where fixed (a mask, or None) is set, out takes rhs
-    instead.  The defect takes the first rhs.size entries of a flat
+    defect of v.  masks is None or the pair of masks of the cells where
+    xi is 0, where out takes rhs instead, and where it is not.  The defect takes the first rhs.size entries of a flat
     float64 scratch and the float32 block starts at entry 2 rhs.size,
     where laplacian's scratch goes first."""
     h, w = rhs.shape[-2:]
     block = None if scratch is None else scratch[2 * rhs.size :]
     # the defect rhs - (v - xi laplacian v)
-    d = laplacian(v, out=_slot(scratch, 0, rhs.shape, np.float64), scratch=block)
+    d = laplacian(v, out=slot(scratch, rhs.shape), scratch=block)
     d *= xi
     np.subtract(v, d, out=d)
     np.subtract(rhs, d, out=d)
-    if block is not None:
-        block = block.view(np.float32)
     shape = (4,) + rhs.shape[:-2] + _frame(h, w)
     size = math.prod(shape)
     # A defect beyond float32's range becomes inf, and the sweeps turn it
@@ -343,8 +370,8 @@ def _correct(rhs, xi, v, sweeps: int, out, scratch, fixed) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         # in a scratch, the planes of e follow the two plane fields; they
         # hold 1 + xi*c until the fields are formed
-        fields = _slot(block, 0, (2,) + shape)
-        planes = _slot(block, 2 * size, shape)
+        fields = slot(block, (2,) + shape, np.float32)
+        planes = slot(block, shape, np.float32, size)
         _plane_fields(d, xi, fields, planes)
         del d
         planes.fill(0.0)
@@ -354,10 +381,10 @@ def _correct(rhs, xi, v, sweeps: int, out, scratch, fixed) -> np.ndarray:
         out = np.empty(rhs.shape)
     for plane, (py, px) in zip(planes, _SUBLATTICES):
         sub = (Ellipsis, slice(py, None, 2), slice(px, None, 2))
-        where = True if fixed is None else ~fixed[sub]
+        where = True if masks is None else masks[1][sub]
         np.add(v[sub], plane[_cells(h, w, py, px)], out=out[sub], where=where)
-    if fixed is not None:
-        np.copyto(out, rhs, where=fixed)
+    if masks is not None:
+        np.copyto(out, rhs, where=masks[0])
     return out
 
 
@@ -403,10 +430,11 @@ def screened_solve(
     both are read before out is written.  scratch, if given, is a flat
     float64 buffer of at least solve_scratch_size(rhs.shape) entries for
     every intermediate of either solve, whatever it held before; a field
-    xi's solve uses part of it as float32.  The result is out, or else a
-    fresh array, never a view of the scratch.  With both, a solve
-    allocates nothing of field size but a mask of the cells where xi is
-    0, if any, and the neighbor counts, cached per grid shape.  Without a
+    xi's solve uses part of it as float32, and where xi has zeros, its
+    last rhs.size / 4 entries as the masks of the cells where xi is 0 and
+    where it is not.  The result is out, or else a fresh array, never a
+    view of the scratch.  With both, a solve allocates nothing of field
+    size but the neighbor counts, cached per grid shape.  Without a
     scratch, a field xi's solve allocates the same parts as separate
     arrays and zeroes the same pad cells in them.  The defect, with
     laplacian's two difference runs, sets its peak of about three rhs
@@ -469,7 +497,12 @@ def screened_solve(
         out = np.empty(rhs.shape) if out is None else out
         out[...] = v0
         return out
-    fixed = xi == 0.0 if least == 0.0 else None
+    masks = None
+    if least == 0.0:
+        # the cells where xi is 0 and those where it is not, in the
+        # scratch's last rhs.size / 4 entries
+        masks = slot(scratch, (2,) + rhs.shape, bool, -((rhs.size + 3) // 4))
+        np.logical_not(np.equal(xi, 0.0, out=masks[0]), out=masks[1])
     v = v0
     if sweeps > _CHUNK:
         # Every chunk's defect reads rhs, so the iterate between chunks
@@ -478,11 +511,11 @@ def screened_solve(
             out = np.empty(rhs.shape)
         between = out
         if np.may_share_memory(out, rhs):
-            between = _slot(scratch, rhs.size, rhs.shape, np.float64)
+            between = slot(scratch, rhs.shape, start=rhs.size)
         for _ in range((sweeps - 1) // _CHUNK):
-            v = _correct(rhs, xi, v, _CHUNK, between, scratch, fixed)
+            v = _correct(rhs, xi, v, _CHUNK, between, scratch, masks)
         sweeps -= (sweeps - 1) // _CHUNK * _CHUNK
-    return _correct(rhs, xi, v, sweeps, out, scratch, fixed)
+    return _correct(rhs, xi, v, sweeps, out, scratch, masks)
 
 
 @lru_cache(maxsize=8)
@@ -521,7 +554,7 @@ def _dct_rows(x: np.ndarray, out=None, spectrum=None) -> np.ndarray:
     out = np.empty(x.shape) if out is None else out
     for dst, src in _parities(out, x, -1):
         dst[...] = src
-    z = np.fft.rfft(out, axis=-1, out=_slot(spectrum, 0, x.shape[:-1] + (n // 2 + 1,), np.complex128))
+    z = np.fft.rfft(out, axis=-1, out=slot(spectrum, x.shape[:-1] + (n // 2 + 1,), np.complex128))
     z *= _twiddle(n)
     for dst, src in _parities(out, z, -2):
         dst[..., : n // 2 + 1] = src.real
@@ -541,7 +574,7 @@ def _idct_rows(c: np.ndarray, rhs: np.ndarray, out=None, spectrum=None, x=None) 
     n = c.shape[-1]
     half = n // 2 + 1
     shape = c.shape[:-1] + (half,)
-    z = _slot(spectrum, 0, shape, np.complex128)
+    z = slot(spectrum, shape, np.complex128)
     for src, dst in _parities(c, z, -2):
         dst.real = src[..., :half]
         dst.imag[..., 0] = 0.0
@@ -643,13 +676,11 @@ def exact_screened_solve(
     if scratch is not None:
         if out is None:
             out = np.empty(rhs.shape)
-        n = rhs.size
-        first = scratch[:n].reshape(rhs.shape)
-        second = scratch[n : 2 * n].reshape(rhs.shape)
-        lap_scratch = scratch[n:]
-        spectrum = scratch[2 * n : _exact_scratch_size(rhs.shape)].view(np.complex128)
+        first, second = slot(scratch, (2,) + rhs.shape)
+        lap_scratch = scratch[rhs.size :]
+        spectrum = scratch[2 * rhs.size : _exact_scratch_size(rhs.shape)].view(np.complex128)
     rows = _dct_rows(laplacian(rhs, out=first, scratch=lap_scratch), second, spectrum)
-    z = np.fft.rfft(rows, axis=-2, out=_slot(spectrum, 0, rhs.shape[:-2] + (h // 2 + 1, w), np.complex128))
+    z = np.fft.rfft(rows, axis=-2, out=slot(spectrum, rhs.shape[:-2] + (h // 2 + 1, w), np.complex128))
     z *= twiddle
     z.real *= g_real
     z.imag *= g_imag

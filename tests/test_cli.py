@@ -199,6 +199,16 @@ def test_flow_same_frame_gives_zero_field(tmp_path):
     assert np.max(np.abs(u)) == 0.0
 
 
+def test_flow_with_a_step_whose_schedule_quotient_overflows(tmp_path):
+    # (1 - tau0)/dtau overflows to inf at dtau 1e-320; the run keeps tau
+    # at tau0 instead of failing.
+    p1, p2, _ = _flow_fixture(tmp_path)
+    rc = entry(["flow", "--frame1", str(p1), "--frame2", str(p2), "--dtau", "1e-320",
+                "--warps", "1", "--iters", "5", "--out-flo", str(tmp_path / "u.flo")])
+    assert rc == 0
+    assert np.all(np.isfinite(read_flo(tmp_path / "u.flo")))
+
+
 def test_flow_metrics_and_color_output(tmp_path, capsys):
     p1, p2, pgt = _flow_fixture(tmp_path)
     out = tmp_path / "u.flo"

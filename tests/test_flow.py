@@ -1,6 +1,8 @@
 """Optical flow: annealing schedule, linearization, per-pixel solve,
 and the warp/pyramid drivers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,21 @@ def test_tau_schedule_values_and_exact_clamp():
     assert tau_schedule(0.5, 0.005, 99) < 1.0
     assert tau_schedule(0.5, 0.005, 100) == 1.0
     assert tau_schedule(0.5, 0.005, 5000) == 1.0
+
+
+def test_tau_schedule_clamps_from_the_ceiling_of_the_quotient():
+    # For a finite quotient (1 - tau0)/dtau the schedule clamps exactly
+    # from step ceil((1 - tau0)/dtau) on, even where tau0 + k dtau rounds
+    # to 1.0 or beyond before it.  At dtau 1e-320 the quotient overflows
+    # to inf, so the schedule never clamps and tau0 + k dtau rounds to
+    # tau0.
+    for tau0, dtau in ((0.5, 0.005), (0.25, 0.01), (0.0, 0.1), (0.3, 0.7), (0.1, 0.3), (1.0, 0.5)):
+        steps = math.ceil((1.0 - tau0) / dtau)
+        for k in range(steps + 3):
+            expected = 1.0 if k >= steps else min(1.0, tau0 + k * dtau)
+            assert tau_schedule(tau0, dtau, k) == expected
+    for k in (0, 1, 100, 10**6):
+        assert tau_schedule(0.5, 1e-320, k) == 0.5
 
 
 def test_tau_schedule_frozen_and_monotone():

@@ -125,16 +125,24 @@ def test_screened_solve_calls_pass_four_positional_arguments():
             if not all(ok for _, ok in calls)} == {}
 
 
-def screened_solve_without_buffers(tree):
-    """Line numbers of screened_solve calls that do not pass both out=
-    and scratch= by keyword."""
+# The package functions whose every call passes these buffers by keyword.
+BUFFERS = {
+    "screened_solve": {"out", "scratch"},
+    "divergence": {"out", "scratch"},
+    "dual_step": {"out"},
+}
+
+
+def calls_without_buffers(tree, names):
+    """Line numbers of calls of the named functions that do not pass all
+    their BUFFERS by keyword."""
     lines = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "screened_solve" and not {"out", "scratch"} <= {k.arg for k in node.keywords}:
+        if name in names and not BUFFERS[name] <= {k.arg for k in node.keywords}:
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -148,7 +156,7 @@ def test_rule_flags_screened_solve_without_buffers():
         "screened_solve(rhs, xi, v, n, **buffers)\n"
         "exact_screened_solve(rhs, xi, out=v)\n"
     )
-    assert screened_solve_without_buffers(ast.parse(code)) == [2, 3, 4, 5]
+    assert calls_without_buffers(ast.parse(code), ("screened_solve",)) == [2, 3, 4, 5]
 
 
 def test_screened_solve_calls_pass_their_buffers():
@@ -157,7 +165,34 @@ def test_screened_solve_calls_pass_their_buffers():
     # allocates its whole workspace afresh on every call.
     files = sorted(SOURCE.glob("*.py"))
     found = {
-        path.name: screened_solve_without_buffers(ast.parse(path.read_text(), str(path)))
+        path.name: calls_without_buffers(ast.parse(path.read_text(), str(path)), ("screened_solve",))
+        for path in files
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_rule_flags_divergence_and_dual_step_without_buffers():
+    code = (
+        "divergence(z, out=rhs, scratch=s)\n"
+        "grid.divergence(z, out=rhs)\n"
+        "divergence(z, scratch=s)\n"
+        "divergence(z)\n"
+        "dual_step(u, v, w, out=d)\n"
+        "solver.dual_step(u, v, w)\n"
+        "dual_step(u, v, w, d)\n"
+        "divergence(z, **buffers)\n"
+        "gradient(v)\n"
+    )
+    assert calls_without_buffers(ast.parse(code), ("divergence", "dual_step")) == [2, 3, 4, 6, 7, 8]
+
+
+def test_divergence_and_dual_step_calls_pass_their_buffers():
+    # The v-step writes div z into its rhs buffer, with the solve scratch
+    # for the divergence's bands, and the dual step writes u - v into a
+    # buffer: without them each call allocates a field or a stack afresh.
+    files = sorted(SOURCE.glob("*.py"))
+    found = {
+        path.name: calls_without_buffers(ast.parse(path.read_text(), str(path)), ("divergence", "dual_step"))
         for path in files
     }
     assert {name: lines for name, lines in found.items() if lines} == {}

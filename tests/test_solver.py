@@ -489,23 +489,29 @@ def test_screened_solve_with_buffers_allocates_nothing_of_field_size():
     # Given out and a scratch, a field xi's solve (two chunks, the count
     # planes of its grid cached by a first call) allocates only numpy's
     # iteration buffers, shrunk here as in test_states: 0.05 rhs sizes at
-    # 256^2.  A full-size float32 temporary would take 0.5.
+    # 256^2.  A full-size float32 temporary would take 0.5.  Where xi has
+    # zeros, their masks live in the scratch too; the mask xi == 0 alone
+    # would take 0.125.
     rng = Splitmix64(417)
     shape = (256, 256)
     rhs = rng.normals(shape[0] * shape[1]).reshape(shape)
     xi = rng.uniforms(shape[0] * shape[1]).reshape(shape) * 12.0 + 0.1
+    with_zeros = xi.copy()
+    with_zeros[::3, ::2] = 0.0
     out = np.empty(shape)
     scratch = np.empty(solve_scratch_size(shape))
-    screened_solve(rhs, xi, rhs, 25, out=out, scratch=scratch)
-    bufsize = np.setbufsize(1024)
-    tracemalloc.start()
-    try:
-        screened_solve(rhs, xi, rhs, 25, out=out, scratch=scratch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(bufsize)
-    assert peak < 0.1 * rhs.nbytes
+    for field in (xi, with_zeros):
+        screened_solve(rhs, field, rhs, 25, out=out, scratch=scratch)
+        bufsize = np.setbufsize(1024)
+        tracemalloc.start()
+        try:
+            screened_solve(rhs, field, rhs, 25, out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak < 0.1 * rhs.nbytes
+    assert np.array_equal(out[::3, ::2], rhs[::3, ::2])
 
 
 def test_exact_screened_solve_peak_memory():

@@ -49,6 +49,7 @@ class Problem:
     in_place: tuple  # attributes that iterate() keeps and writes into
     planar: tuple  # (..., 2) fields that are views of component-first memory
     allocation: dict  # {(n, constant): bound}, in fields of the frame
+    v_step: Callable  # v_step(state): the v-step through the state's own buffers
     frame: str = "f"
     misfit_over_gap: bool = False  # forms an envelope every iteration, over its gap
     relinearize: dict = field(default_factory=dict)  # calls of one relinearize
@@ -63,14 +64,15 @@ def flow_problem(regularizer):
         energy=flow_energy_reference, kept=assert_flow_intermediates,
         once=("dual_step", "_dot"), in_place=("z", "r", "w", "u", "v", "solve_scratch"),
         planar=("u", "v", "w", "A"), allocation={(128, False): 14, (128, True): 14},
+        v_step=lambda st: flow.update_v_w(st, st.params.solver, rhs=st.rhs, xi=st.xi, scratch=st.solve_scratch),
         frame="f1", relinearize={"gradient": 1, "_dot": 2, "_form_intermediates": 1},
     )
 
 
-# Allocation bounds in fields: an iteration with its energy took 16.0
-# (adaptive) and 13.0 (constant) for segment with 4 labels at 128^2,
-# 12.3 for flow when these were set, and 12 to 14 for denoise before its
-# workspace.
+# Allocation bounds in fields: an iteration with its energy took 13.0
+# for segment with 4 labels at 128^2 (16.0 adaptive before its v-step
+# formed xi and the right-hand side in buffers it keeps), 12.3 for flow
+# when these were set, and 12 to 14 for denoise before its workspace.
 PROBLEMS = [
     Problem(
         "denoise", denoise, state=denoise_state, steady=denoise_steady_state,
@@ -79,13 +81,16 @@ PROBLEMS = [
         once=("dual_step", "vector_norm"), in_place=("u", "v", "w", "r", "z", "workspace"),
         planar=("z",),
         allocation={(n, c): 1 for n in (128, 512) for c in (False, True)},
+        v_step=lambda st: denoise.update_v(st, st.params, rhs=st.workspace.rhs, xi=st.workspace.field,
+                                           scratch=st.workspace.solve),
     ),
     Problem(
         "segment", segment, state=segment_state, steady=segment_steady_state,
         random=lambda k: random_segment_state(650 + k),
         energy=segment_energy_reference, kept=assert_segment_intermediates,
         once=("dual_step",), in_place=("z", "r", "w", "u", "v", "solve_scratch", "grad_v"),
-        planar=("z", "grad_v"), allocation={(128, False): 18, (128, True): 15}, misfit_over_gap=True,
+        planar=("z", "grad_v"), allocation={(128, False): 15, (128, True): 15}, misfit_over_gap=True,
+        v_step=lambda st: segment.update_v_all(st, st.params, rhs=st.rhs, xi=st.xi, scratch=st.solve_scratch),
     ),
     flow_problem("anisotropic"),
     flow_problem("isotropic"),
@@ -245,6 +250,23 @@ def test_steady_state_allocation_is_bounded(case, n, constant, bound):
         tracemalloc.stop()
         np.setbufsize(bufsize)
     assert peak < bound * getattr(st, case.frame).nbytes
+
+
+def test_v_step_with_the_states_buffers_allocates_nothing_of_field_size(case, constant):
+    # The right-hand side, xi, u + w, the solve, segment's projection and
+    # flow's u - v all go into the state's own buffers, so only numpy's
+    # iteration buffers remain, shrunk as above: 0.05 fields at 256^2.
+    st = case.steady(256, constant)
+    case.v_step(st)
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        case.v_step(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak < 0.1 * getattr(st, case.frame).nbytes
 
 
 def test_adaptive_run_continues_a_constant_runs_state(case):
