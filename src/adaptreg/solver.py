@@ -316,17 +316,18 @@ def _sweep(planes: np.ndarray, fields: np.ndarray, sweeps: int) -> None:
             center += dt
 
 
-def _check_system(rhs, xi):
-    """rhs as float64 and the least xi, after the checks both screened
-    solves share: rhs is a stack of nonempty (H, W) grids and xi is
-    finite and nonnegative."""
+def _check_rhs(rhs) -> np.ndarray:
+    """rhs as float64, checked to be a stack of nonempty (H, W) grids."""
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim < 2 or rhs.size == 0:
         raise ValueError("rhs must be a nonempty (..., H, W) stack, got shape %s" % (rhs.shape,))
-    least = np.min(xi)
-    if not (0.0 <= least and np.max(xi) < math.inf):
+    return rhs
+
+
+def _check_xi(least, most) -> None:
+    """Raise ValueError unless xi, of these extremes, is finite and >= 0."""
+    if not (0.0 <= least and most < math.inf):
         raise ValueError("xi must be finite and nonnegative")
-    return rhs, least
 
 
 def solve_scratch_size(shape) -> int:
@@ -334,14 +335,14 @@ def solve_scratch_size(shape) -> int:
     an rhs of this shape, enough for either kind of xi: the float64
     defect and the iterate between chunks, then laplacian's two
     difference runs or, as float32, the two plane fields and the planes
-    of the correction, and last the masks of the cells where xi is 0 and
-    where it is not, one byte per rhs entry each; or the two fields and
-    the spectrum of the exact solve."""
+    of the correction (the masks of where xi is 0 reuse the defect's
+    entries); or the field and spectrum of the exact solve.  65536
+    entries at 128^2."""
     h, w = shape[-2:]
     entries = math.prod(shape[:-2])
     n = entries * h * w
     plane = entries * math.prod(_frame(h, w))
-    return max(2 * n + max(2 * n, 6 * plane) + (n + 3) // 4, _exact_scratch_size(shape))
+    return max(2 * n + max(2 * n, 6 * plane), _exact_scratch_size(shape))
 
 
 # Sweeps per float32 chunk.  Each chunk starts from a fresh float64
@@ -349,13 +350,13 @@ def solve_scratch_size(shape) -> int:
 _CHUNK = 20
 
 
-def _correct(rhs, xi, v, sweeps: int, out, scratch, masks) -> np.ndarray:
+def _correct(rhs, xi, v, sweeps: int, out, scratch, zeros: bool) -> np.ndarray:
     """v + e into out, or a fresh array: e from `sweeps` float32
     Gauss-Seidel sweeps from zero on (1 - xi laplacian) e = the float64
-    defect of v.  masks is None or the pair of masks of the cells where
-    xi is 0, where out takes rhs instead, and where it is not.  The defect takes the first rhs.size entries of a flat
-    float64 scratch and the float32 block starts at entry 2 rhs.size,
-    where laplacian's scratch goes first."""
+    defect of v.  zeros says whether xi has any; out takes rhs there.  The
+    defect, and then the masks of where xi is 0 and where not, take the
+    first rhs.size entries of a flat float64 scratch, and the float32
+    block at entry 2 rhs.size, where laplacian's scratch goes first."""
     h, w = rhs.shape[-2:]
     block = None if scratch is None else scratch[2 * rhs.size :]
     # the defect rhs - (v - xi laplacian v)
@@ -379,6 +380,11 @@ def _correct(rhs, xi, v, sweeps: int, out, scratch, masks) -> np.ndarray:
     del fields  # free before allocating the output
     if out is None:
         out = np.empty(rhs.shape)
+    masks = None
+    if zeros:
+        # in the defect's slot, dead since the fields were formed
+        masks = slot(scratch, (2,) + rhs.shape, bool)
+        np.logical_not(np.equal(xi, 0.0, out=masks[0]), out=masks[1])
     for plane, (py, px) in zip(planes, _SUBLATTICES):
         sub = (Ellipsis, slice(py, None, 2), slice(px, None, 2))
         where = True if masks is None else masks[1][sub]
@@ -430,17 +436,15 @@ def screened_solve(
     both are read before out is written.  scratch, if given, is a flat
     float64 buffer of at least solve_scratch_size(rhs.shape) entries for
     every intermediate of either solve, whatever it held before; a field
-    xi's solve uses part of it as float32, and where xi has zeros, its
-    last rhs.size / 4 entries as the masks of the cells where xi is 0 and
-    where it is not.  The result is out, or else a fresh array, never a
-    view of the scratch.  With both, a solve allocates nothing of field
-    size but the neighbor counts, cached per grid shape.  Without a
-    scratch, a field xi's solve allocates the same parts as separate
-    arrays and zeroes the same pad cells in them.  The defect, with
-    laplacian's two difference runs, sets its peak of about three rhs
-    sizes; the two float32 field planes and the planes of e take about
-    1.5, and the field planes are freed before out is allocated.  A
-    scalar xi's solve takes about three rhs sizes.
+    xi's solve uses part of it as float32.  The result is out, or else a
+    fresh array, never a view of the scratch.  With both, a solve
+    allocates nothing of field size but the neighbor counts, cached per
+    grid shape.  Without a scratch, a field xi's solve allocates the
+    same parts as separate arrays and zeroes the same pad cells in them.
+    The defect, with laplacian's two difference runs, sets its peak of
+    about three rhs sizes; the two float32 field planes and the planes
+    of e take about 1.5, and the field planes are freed before out is
+    allocated.  A scalar xi's solve takes about two rhs sizes.
 
     The sweeps use red-black ordering: each half sweep updates one
     checkerboard color from the other, which makes the result
@@ -466,10 +470,9 @@ def screened_solve(
     fields, so the update writes +0.0 there while the neighbors are
     finite, and a pad cell keeps standing in for a missing neighbor.  (A
     non-finite value turns its pad neighbors to NaN, which then reach
-    the next row and the next stack entry.)  Every chunk zeroes the pad cells of the fields and
-    the whole planes of e it uses, also in a reused scratch, so a
-    non-finite value never outlives the call that met it.  The neighbor
-    sum is taken as ((left + right) + up) + down.
+    the next row and the next stack entry.)  Every chunk zeroes the pad
+    cells of the fields and the planes of e it uses, so a non-finite
+    value never outlives the call that met it.
 
     The update (d + xi*T)/(1 + xi*c), T the neighbor sum and c the
     neighbor count, runs as e = T*g + d/(1 + xi*c) with the gain
@@ -480,13 +483,15 @@ def screened_solve(
     not have the shape of rhs, xi does not broadcast to it or is not
     finite and nonnegative, or sweeps is not an integer >= 0.
     """
-    rhs, least = _check_system(rhs, xi)
+    rhs = _check_rhs(rhs)
     v0 = np.asarray(v0)
     if v0.shape != rhs.shape:
         raise ValueError("v0 shape %s differs from rhs shape %s" % (v0.shape, rhs.shape))
     check_count("sweeps", sweeps, 0)
     if np.ndim(xi) == 0:
         return exact_screened_solve(rhs, xi, out=out, scratch=scratch)
+    least = np.min(xi)
+    _check_xi(least, np.max(xi))
     try:
         xi = np.broadcast_to(xi, rhs.shape)
     except ValueError:
@@ -497,12 +502,7 @@ def screened_solve(
         out = np.empty(rhs.shape) if out is None else out
         out[...] = v0
         return out
-    masks = None
-    if least == 0.0:
-        # the cells where xi is 0 and those where it is not, in the
-        # scratch's last rhs.size / 4 entries
-        masks = slot(scratch, (2,) + rhs.shape, bool, -((rhs.size + 3) // 4))
-        np.logical_not(np.equal(xi, 0.0, out=masks[0]), out=masks[1])
+    zeros = least == 0.0
     v = v0
     if sweeps > _CHUNK:
         # Every chunk's defect reads rhs, so the iterate between chunks
@@ -513,18 +513,20 @@ def screened_solve(
         if np.may_share_memory(out, rhs):
             between = slot(scratch, rhs.shape, start=rhs.size)
         for _ in range((sweeps - 1) // _CHUNK):
-            v = _correct(rhs, xi, v, _CHUNK, between, scratch, masks)
+            v = _correct(rhs, xi, v, _CHUNK, between, scratch, zeros)
         sweeps -= (sweeps - 1) // _CHUNK * _CHUNK
-    return _correct(rhs, xi, v, sweeps, out, scratch, masks)
+    return _correct(rhs, xi, v, sweeps, out, scratch, zeros)
 
 
 @lru_cache(maxsize=8)
-def _twiddle(n: int) -> np.ndarray:
-    """exp(-i pi k / 2n) for k = 0 .. n // 2: the factors that turn the
-    FFT of a length-n sequence in even-odd order into its DCT-II."""
+def _twiddles(n: int) -> np.ndarray:
+    """exp(-i pi k / 2n), k = 0 .. n // 2, and its conjugate, read-only:
+    the factors between the FFT of a length-n even-odd sequence and its
+    DCT-II."""
     twiddle = np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1))
-    twiddle.flags.writeable = False
-    return twiddle
+    twiddles = np.stack((twiddle, twiddle.conj()))
+    twiddles.flags.writeable = False
+    return twiddles
 
 
 def _parities(even_odd: np.ndarray, natural: np.ndarray, axis: int):
@@ -541,21 +543,22 @@ def _parities(even_odd: np.ndarray, natural: np.ndarray, axis: int):
     )
 
 
-def _dct_rows(x: np.ndarray, out=None, spectrum=None) -> np.ndarray:
-    """Unnormalized DCT-II along the last axis,
-    X_k = sum_j x_j cos(pi k (2j + 1) / 2n), through one real FFT (Makhoul):
-    with Z_k = exp(-i pi k / 2n) rfft(even-odd x)_k, X_k = Re Z_k and
+def _dct_rows(x: np.ndarray, shift, out=None, spectrum=None) -> np.ndarray:
+    """Unnormalized DCT-II along the last axis of y = x - shift (shift
+    broadcasts, and the even-odd reorder subtracts it),
+    X_k = sum_j y_j cos(pi k (2j + 1) / 2n), through one real FFT (Makhoul):
+    with Z_k = exp(-i pi k / 2n) rfft(even-odd y)_k, X_k = Re Z_k and
     X_{n-k} = -Im Z_k.  The rows of the result come in even-odd order,
-    ready for the column transform: the assembly of X writes them
-    there.  out and the flat complex spectrum are optional buffers."""
+    ready for the column transform.  out and the flat complex spectrum
+    are optional buffers."""
     n = x.shape[-1]
     m = (n + 1) // 2
-    # the even-odd x until the FFT has read it
+    # the even-odd y until the FFT has read it
     out = np.empty(x.shape) if out is None else out
     for dst, src in _parities(out, x, -1):
-        dst[...] = src
+        np.subtract(src, shift, out=dst)
     z = np.fft.rfft(out, axis=-1, out=slot(spectrum, x.shape[:-1] + (n // 2 + 1,), np.complex128))
-    z *= _twiddle(n)
+    z *= _twiddles(n)[0]
     for dst, src in _parities(out, z, -2):
         dst[..., : n // 2 + 1] = src.real
         # np.multiply, not np.negative: numpy 2.4's negative miscomputes
@@ -564,25 +567,25 @@ def _dct_rows(x: np.ndarray, out=None, spectrum=None) -> np.ndarray:
     return out
 
 
-def _idct_rows(c: np.ndarray, rhs: np.ndarray, out=None, spectrum=None, x=None) -> np.ndarray:
+def _idct_rows(c: np.ndarray, rhs: np.ndarray, out=None, spectrum=None) -> np.ndarray:
     """rhs plus the inverse of _dct_rows of c, whose rows come in
     even-odd order: Z_k = c_k - i c_{n-k} (c_n = 0), built in natural row
-    order, undo the twiddle, inverse real FFT, and add rhs at the natural
-    positions of the even-odd entries.  The result goes into out, which
-    may be rhs, or else overwrites c; spectrum and x are optional
-    buffers for Z and the inverse FFT."""
+    order, undo the twiddle, inverse real FFT over c, and add rhs at the
+    natural positions of the even-odd entries.  The result goes into
+    out, which may be rhs, or else a fresh array allocated once Z is
+    freed; spectrum is an optional buffer for Z."""
     n = c.shape[-1]
     half = n // 2 + 1
-    shape = c.shape[:-1] + (half,)
-    z = slot(spectrum, shape, np.complex128)
+    z = slot(spectrum, c.shape[:-1] + (half,), np.complex128)
     for src, dst in _parities(c, z, -2):
         dst.real = src[..., :half]
         dst.imag[..., 0] = 0.0
         np.multiply(src[..., n - 1 : n - half : -1], -1.0, out=dst.imag[..., 1:])
-    z *= _twiddle(n).conj()
-    x = np.fft.irfft(z, n=n, axis=-1, out=x)
+    z *= _twiddles(n)[1]
+    x = np.fft.irfft(z, n=n, axis=-1, out=c)
+    del z, dst  # free the spectrum before out is allocated
     m = (n + 1) // 2
-    out = c if out is None else out
+    out = np.empty(c.shape) if out is None else out
     np.add(x[..., :m], rhs[..., ::2], out=out[..., ::2])
     np.add(x[..., n - 1 : m - 1 : -1], rhs[..., 1::2], out=out[..., 1::2])
     return out
@@ -596,31 +599,30 @@ def _kappa(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _column_gains(h: int, w: int, xi: float):
-    """Gain xi / (1 + xi (kappa_y + kappa_x)) in the half-spectrum
+    """Gain -xi k / (1 + xi k), k = kappa_y + kappa_x, in the half-spectrum
     layout of the column transform, where Z_k = c_k - i c_{h-k}: the
-    factor of Re Z_k (frequency k) and of Im Z_k (frequency h - k), as
-    (h // 2 + 1, W) arrays, with the twiddle column and its conjugate."""
-    gain = np.add.outer(_kappa(h), _kappa(w))
-    gain *= xi
-    gain += 1.0
-    np.divide(xi, gain, out=gain)
-    half = h // 2 + 1
-    g_imag = np.zeros((half, w))
-    g_imag[1:] = gain[h - 1 : h - half : -1]
-    twiddle = _twiddle(h)[:, None]
-    out = (gain[:half].copy(), g_imag, twiddle, twiddle.conj())
-    for a in out:
-        a.flags.writeable = False
-    return out
+    factors of Re Z_k (frequency k) and of Im Z_k (frequency (h - k) mod
+    h), as one (2, h // 2 + 1, W) array, with the (2, h // 2 + 1, 1)
+    column twiddles.  Formed in place as -1 / (1 + 1 / (xi k)), exactly 0
+    where xi k is: at frequency (0, 0), and everywhere for xi = 0."""
+    k = np.arange(h // 2 + 1)
+    gains = np.add.outer(_kappa(h)[np.stack((k, -k))], _kappa(w))
+    gains *= xi
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, gains, out=gains)
+    gains += 1.0
+    np.divide(-1.0, gains, out=gains)
+    gains.flags.writeable = False
+    return gains, _twiddles(h)[:, :, None]
 
 
 def _exact_scratch_size(shape) -> int:
-    """Entries of the flat float64 scratch of exact_screened_solve: two
-    fields and a complex spectrum as large as the bigger of the row and
+    """Entries of the flat float64 scratch of exact_screened_solve: one
+    field and a complex spectrum as large as the bigger of the row and
     the column half spectra."""
     h, w = shape[-2:]
     entries = math.prod(shape[:-2])
-    return entries * (2 * h * w + 2 * max(h * (w // 2 + 1), (h // 2 + 1) * w))
+    return entries * (h * w + 2 * max(h * (w // 2 + 1), (h // 2 + 1) * w))
 
 
 def exact_screened_solve(
@@ -635,56 +637,53 @@ def exact_screened_solve(
     rhs has shape (..., H, W); every leading index is a separate grid.
     Same five-point Neumann Laplacian as screened_solve, which the
     DCT-II diagonalizes: frequency k along an axis of length n has
-    eigenvalue -kappa_k, kappa_k = 2 - 2 cos(pi k / n).  So the solve
-    transforms along both axes, divides by 1 + xi (kappa_y + kappa_x)
-    and transforms back.  Each transform is one real FFT of the
-    even-odd reordered sequence (Makhoul, IEEE TASSP 1980).  Along the
-    rows the DCT coefficients are formed explicitly; along the columns
-    the gain is applied to the real and imaginary parts of the twiddled
+    eigenvalue -kappa_k, kappa_k = 2 - 2 cos(pi k / n).  Each transform
+    is one real FFT of the even-odd reordered sequence (Makhoul, IEEE
+    TASSP 1980): explicit DCT coefficients along the rows; along the
+    columns the gain scales the real and imaginary parts of the twiddled
     half spectrum, which hold frequencies k and H - k.  numpy's FFT runs
     on one thread, so the result does not depend on any thread setting.
 
-    Only the reorder of each row before its forward FFT is a copy pass
-    of its own.  The other reorders ride on passes that copy anyway: the
-    row DCT is assembled straight into even-odd row order for the column
-    FFT, the inverse row spectrum is built in natural row order straight
-    from the column inverse FFT, and the final add of rhs reads the even
-    and the reversed odd half of each row for the even and odd columns.
-    The result overwrites the column pass's output, so once the gains
-    of (H, W, xi) are cached a call peaks at about three fields besides
-    rhs.  out and scratch are the buffers screened_solve describes; the
-    scratch holds the Laplacian and the column pass's output in its
-    first field, the row transforms in its second, and every spectrum
-    after them, each one over the last.  Every FFT writes its output
-    there through out=.  The result never shares memory with the
-    scratch: with a scratch and no out, it is a fresh array.
+    Residual form: v = rhs + IDCT(g DCT(rhs - c)), g = -xi k / (1 + xi k)
+    with k = kappa_y + kappa_x and c = rhs[..., :1, :1], each grid's own
+    corner value.  g is 0 at frequency (0, 0), so c changes nothing in
+    exact arithmetic, but the spectrum stays as small as the grid's
+    variation.  A constant grid becomes exactly zero (a mean need not
+    round back to the constant) and xi = 0 gives a zero gain, so both
+    return rhs, up to the sign of a zero.
 
-    Residual form: v = rhs + e with (1 - xi laplacian) e = xi laplacian
-    rhs, the Laplacian of rhs taken in space.  A constant rhs has an
-    exactly zero Laplacian and xi = 0 a zero gain, so both return rhs
-    bitwise.
+    Only the reorder of each row before its forward FFT is a copy pass
+    of its own, and it subtracts c.  The row DCT is assembled straight
+    into even-odd row order for the column FFT, the inverse row spectrum
+    is built in natural row order straight from the column inverse FFT,
+    and the final add of rhs reads the even and the reversed odd half of
+    each row.  Every transform writes over one field, so with the gains
+    of (H, W, xi) cached a call peaks at about two fields besides rhs and
+    out.  out and scratch are the buffers screened_solve describes; the
+    scratch holds that field and then every spectrum, each over the
+    last, and every FFT writes there through out=.  The result never
+    shares memory with the scratch.
 
     Raises ValueError when rhs is not a stack of nonempty grids or xi
     is not a finite nonnegative scalar.
     """
     if np.ndim(xi) != 0:
         raise ValueError("xi must be a scalar, got shape %s" % (np.shape(xi),))
-    rhs, _ = _check_system(rhs, xi)
+    rhs = _check_rhs(rhs)
+    xi = float(xi)
+    _check_xi(xi, xi)
     h, w = rhs.shape[-2:]
-    g_real, g_imag, twiddle, twiddle_conj = _column_gains(h, w, float(xi))
-    first = second = spectrum = lap_scratch = None
+    gains, twiddles = _column_gains(h, w, xi)
+    field = spectrum = None
     if scratch is not None:
-        if out is None:
-            out = np.empty(rhs.shape)
-        first, second = slot(scratch, (2,) + rhs.shape)
-        lap_scratch = scratch[rhs.size :]
-        spectrum = scratch[2 * rhs.size : _exact_scratch_size(rhs.shape)].view(np.complex128)
-    rows = _dct_rows(laplacian(rhs, out=first, scratch=lap_scratch), second, spectrum)
+        field = slot(scratch, rhs.shape)
+        spectrum = scratch[rhs.size : _exact_scratch_size(rhs.shape)].view(np.complex128)
+    rows = _dct_rows(rhs, rhs[..., :1, :1], field, spectrum)
     z = np.fft.rfft(rows, axis=-2, out=slot(spectrum, rhs.shape[:-2] + (h // 2 + 1, w), np.complex128))
-    z *= twiddle
-    z.real *= g_real
-    z.imag *= g_imag
-    z *= twiddle_conj
-    rows = np.fft.irfft(z, n=h, axis=-2, out=first)
+    z *= twiddles[0]
+    z.real *= gains[0]
+    z.imag *= gains[1]
+    z *= twiddles[1]
+    np.fft.irfft(z, n=h, axis=-2, out=rows)
     del z  # free the spectrum before the row transform allocates its own
-    return _idct_rows(rows, rhs, out, spectrum, second)
+    return _idct_rows(rows, rhs, out, spectrum)

@@ -307,18 +307,19 @@ def _idct_rows_reference(c):
 
 
 def exact_screened_solve_reference(rhs, xi):
-    """The DCT solve with every even-odd reorder as its own copy pass."""
+    """The DCT solve in residual form, rhs + IDCT(h DCT(rhs - corner)),
+    with the corner shift and every even-odd reorder as its own pass."""
     h, w = rhs.shape[-2:]
     kappa = [4.0 * np.sin(0.5 * np.pi / n * np.arange(n)) ** 2 for n in (h, w)]
     gain = np.add.outer(*kappa)
     gain *= xi
-    gain += 1.0
-    np.divide(xi, gain, out=gain)
+    # h = -xi k / (1 + xi k) as -1 / (1 + 1 / (xi k)), 0 where xi k is
+    with np.errstate(divide="ignore"):
+        gain = -1.0 / (1.0 + 1.0 / gain)
     half = h // 2 + 1
-    g_imag = np.zeros((half, w))
-    g_imag[1:] = gain[h - 1 : h - half : -1]
+    g_imag = gain[-np.arange(half)]
     twiddle = _twiddle_reference(h)[:, None]
-    rows = _dct_rows_reference(laplacian_reference(rhs))
+    rows = _dct_rows_reference(rhs - rhs[..., :1, :1])
     z = np.fft.rfft(_even_odd_reference(rows, -2), axis=-2)
     z *= twiddle
     z.real *= gain[:half]

@@ -130,6 +130,8 @@ BUFFERS = {
     "screened_solve": {"out", "scratch"},
     "divergence": {"out", "scratch"},
     "dual_step": {"out"},
+    "exact_screened_solve": {"out", "scratch"},
+    "laplacian": {"out", "scratch"},
 }
 
 
@@ -193,6 +195,33 @@ def test_divergence_and_dual_step_calls_pass_their_buffers():
     files = sorted(SOURCE.glob("*.py"))
     found = {
         path.name: calls_without_buffers(ast.parse(path.read_text(), str(path)), ("divergence", "dual_step"))
+        for path in files
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_rule_flags_exact_solve_and_laplacian_without_buffers():
+    code = (
+        "exact_screened_solve(rhs, xi, out=out, scratch=s)\n"
+        "solver.exact_screened_solve(rhs, xi, out=out)\n"
+        "exact_screened_solve(rhs, xi, scratch=s)\n"
+        "laplacian(v, out=d, scratch=s)\n"
+        "grid.laplacian(v, scratch=s)\n"
+        "laplacian(v, out=d)\n"
+        "laplacian(v)\n"
+    )
+    assert calls_without_buffers(ast.parse(code), ("exact_screened_solve", "laplacian")) == [2, 3, 5, 6, 7]
+
+
+def test_exact_solve_and_laplacian_calls_pass_their_buffers():
+    # The exact solve writes its field and spectra into the caller's
+    # scratch, and the defect's Laplacian its difference runs: without
+    # them each call allocates fields afresh.
+    files = sorted(SOURCE.glob("*.py"))
+    found = {
+        path.name: calls_without_buffers(
+            ast.parse(path.read_text(), str(path)), ("exact_screened_solve", "laplacian")
+        )
         for path in files
     }
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -611,6 +611,51 @@ def test_exact_screened_solve_keeps_constants_and_xi_zero():
         assert np.array_equal(exact_screened_solve(rhs, 0.0), rhs)
 
 
+def test_exact_screened_solve_shifts_each_grid_by_its_own_corner():
+    # Each grid of a stack gives up its own corner value before the
+    # transform: a stack of different constants comes back as it was,
+    # which a corner shared by the stack would not give.
+    rhs = np.array([0.3, -0.0, 1e300, 5e-324])[:, None, None] * np.ones((4, 6, 7))
+    for xi in (0.05, 2.5, 250.0):
+        assert np.array_equal(exact_screened_solve(rhs, xi), rhs)
+
+
+def test_exact_screened_solve_is_as_accurate_under_a_large_offset():
+    # Without the shift, the offset's spectrum rounds every frequency:
+    # 7.3e-10 here, against 1.09e-10 with it.
+    for shape in ((31, 47), (2, 7, 9), (128, 128)):
+        rhs = Splitmix64(7).normals(int(np.prod(shape))).reshape(shape)
+        for xi in (0.05, 2.5, 250.0):
+            shifted = exact_screened_solve(rhs + 1e6, xi) - 1e6
+            assert np.max(np.abs(shifted - exact_screened_solve(rhs, xi))) <= 2 * np.spacing(1e6)
+
+
+def test_exact_screened_solve_keeps_a_nan_in_its_grid():
+    rhs = Splitmix64(8).normals(84).reshape(2, 6, 7)
+    rhs[0, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        v = exact_screened_solve(rhs, 2.5)
+    assert np.isnan(v[0]).any()
+    assert_bitwise(v[1], exact_screened_solve(rhs[1], 2.5))
+
+
+def test_screened_solve_with_zeros_over_many_chunks_in_an_exact_scratch():
+    # The masks of the cells where xi is 0 live in each chunk's defect
+    # entries, so the smallest scratch serves a solve of several chunks,
+    # also when out is rhs and the iterate between chunks takes the
+    # scratch.
+    shape = (2, 13, 11)
+    rhs, xi, v0 = solver_inputs(shape, 418)
+    fresh = screened_solve(rhs, xi, v0, 45)
+    assert np.array_equal(fresh[..., ::3, ::2], rhs[..., ::3, ::2])
+    for target in ("new", "rhs"):
+        r = rhs.copy()
+        out = np.full(shape, np.nan) if target == "new" else r
+        scratch = np.full(solve_scratch_size(shape), np.nan)
+        assert screened_solve(r, xi, v0, 45, out=out, scratch=scratch) is out
+        assert_bitwise(out, fresh)
+
+
 @pytest.mark.parametrize("lead", LEADS, ids=["grid", "stack"])
 def test_screened_solve_scalar_xi_is_the_exact_solve(lead):
     # A scalar xi takes the exact DCT solve whatever v0 and sweeps are;
