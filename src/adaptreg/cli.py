@@ -21,7 +21,6 @@ from .denoise import run_denoise
 from .flow import FlowParams, run_flow
 from .imageio import (
     flow_to_color,
-    grayscale_heatmap,
     read_flo,
     read_pnm,
     write_flo,
@@ -139,8 +138,7 @@ def cmd_denoise(args) -> int:
             if record.iter % every == 0:
                 path = "%s.lambda%04d.pgm" % (args.output, record.iter)
                 # a constant weight is a float
-                lam = np.broadcast_to(state.lam, state.f.shape)
-                write_pnm(path, grayscale_heatmap(lam, 0.0, 1.0))
+                write_pnm(path, np.broadcast_to(state.lam, state.f.shape))
 
     rows, on_check = _history_recorder(args, dump)
     u, _ = run_denoise(f, params, on_check=on_check)
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--input", required=True, help="input PGM/PPM (PPM is averaged to gray)")
     d.add_argument("--output", required=True, help="output PGM path")
     _add_solver_flags(d, mu=0.16, eta=0.08, alpha=0.01, beta=1.0, theta=1.0, iters=150)
-    d.add_argument("--dump-lambda-every", type=int, metavar="K", help="write the fidelity-weight field as a heatmap every K >= 1 iterations")
+    d.add_argument("--dump-lambda-every", type=int, metavar="K", help="write the fidelity-weight field as an 8-bit PGM every K >= 1 iterations")
     d.add_argument("--metrics-ref", metavar="CLEAN", help="clean reference for PSNR/SSIM")
     d.add_argument("--csv", metavar="PATH", help="write the metric rows to this CSV (needs --metrics-ref)")
     d.set_defaults(func=cmd_denoise)

@@ -1,5 +1,5 @@
-"""File formats and visualizations: binary PNM, Middlebury .flo, flow
-color coding, and grayscale heatmaps.
+"""File formats and visualizations: binary PNM, Middlebury .flo and
+flow color coding.
 
 All multi-byte .flo fields are little-endian regardless of host; PNM
 16-bit samples are big-endian per the format. Images read as float64 in
@@ -8,33 +8,19 @@ All multi-byte .flo fields are little-endian regardless of host; PNM
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .grid import vector_grid
 
 FLO_MAGIC = 202021.25
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
-
-
-def _next_token(buf: bytes, pos: int):
-    while pos < len(buf):
-        ch = buf[pos : pos + 1]
-        if ch == b"#":
-            nl = buf.find(b"\n", pos)
-            if nl < 0:
-                raise ValueError("malformed PNM header: unterminated comment")
-            pos = nl + 1
-        elif ch in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(buf) and buf[pos : pos + 1] not in _WHITESPACE and buf[pos : pos + 1] != b"#":
-        pos += 1
-    if start == pos:
-        raise ValueError("malformed PNM header: missing field")
-    return buf[start:pos], pos
+# The header after the magic: width, height and maxval as ASCII digits,
+# each after a run of whitespace and #-to-newline comments (a run that
+# may be empty only before the width), then one whitespace byte.
+_SEP = rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*\n)"
+_PNM_HEADER = re.compile(_SEP + rb"*(\d+)" + _SEP + rb"+(\d+)" + _SEP + rb"+(\d+)[ \t\r\n\x0b\x0c]")
 
 
 def read_pnm(path) -> np.ndarray:
@@ -56,25 +42,21 @@ def _read_pnm_samples(path):
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise ValueError("unsupported PNM magic %r (need binary P5 or P6)" % magic)
-    pos = 2
-    fields = []
-    for _ in range(3):
-        token, pos = _next_token(data, pos)
-        if not token.isdigit():
-            raise ValueError("malformed PNM header: non-numeric field %r" % token)
-        fields.append(int(token))
-    width, height, maxval = fields
+    header = _PNM_HEADER.match(data, 2)
+    if header is None:
+        raise ValueError(
+            "malformed PNM header: expected width, height and maxval as ASCII digits, "
+            "separated by whitespace or # comments, then one whitespace byte"
+        )
+    width, height, maxval = (int(field) for field in header.groups())
     if width < 1 or height < 1:
         raise ValueError("malformed PNM header: empty image")
     if not 1 <= maxval <= 65535:
         raise ValueError("malformed PNM header: maxval %d out of range" % maxval)
-    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
-        raise ValueError("malformed PNM header: expected whitespace before payload")
-    pos += 1
     channels = 1 if magic == b"P5" else 3
     dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
     need = width * height * channels * dtype.itemsize
-    payload = data[pos : pos + need]
+    payload = data[header.end() : header.end() + need]
     if len(payload) < need:
         raise ValueError(
             "truncated PNM payload: need %d bytes, have %d" % (need, len(payload))
@@ -89,10 +71,11 @@ def _read_pnm_samples(path):
 def write_pnm(path, img: np.ndarray, maxval: int = 255):
     """Write a grid as binary PGM (2-D) or PPM (H, W, 3).
 
-    Float input is clamped to [0,1] and quantized with round-half-to-
-    even; uint8 input is written as-is (maxval must then be 255).  An
-    empty image or a non-finite sample raises ValueError, as read_pnm
-    would reject the file.
+    Float and bool input is clamped to [0,1] and quantized with round-
+    half-to-even; uint8 input is written as-is (maxval must then be 255).
+    Any other integer dtype raises ValueError rather than be clamped to
+    {0, maxval}, and so do an empty image and a non-finite sample, as
+    read_pnm would reject the file.
     """
     img = np.asarray(img)
     if img.ndim == 2:
@@ -109,6 +92,8 @@ def write_pnm(path, img: np.ndarray, maxval: int = 255):
         if maxval != 255:
             raise ValueError("uint8 input requires maxval 255")
         q = img
+    elif np.issubdtype(img.dtype, np.integer):
+        raise ValueError("write_pnm takes uint8, bool or float samples, not %s" % img.dtype)
     else:
         if not np.all(np.isfinite(img)):
             raise ValueError("image samples must be finite")
@@ -221,11 +206,3 @@ def flow_to_color(u: np.ndarray, max_magnitude: float | None = None) -> np.ndarr
         out[..., ch] = np.floor(255.0 * col).astype(np.uint8)
     return out
 
-
-def grayscale_heatmap(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Affine map of [lo, hi] to 8-bit gray, clamped outside."""
-    if lo >= hi:
-        raise ValueError("lo must be strictly below hi")
-    u = np.asarray(u, dtype=np.float64)
-    scaled = np.clip((u - lo) / (hi - lo), 0.0, 1.0)
-    return np.rint(scaled * 255.0).astype(np.uint8)

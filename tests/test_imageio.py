@@ -1,4 +1,4 @@
-"""Binary PNM and .flo round-trips, flow color coding, heatmaps."""
+"""Binary PNM and .flo round-trips and flow color coding."""
 
 import re
 import struct
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from adaptreg.imageio import (
     color_wheel,
     flow_to_color,
-    grayscale_heatmap,
     read_flo,
     read_pnm,
     write_flo,
@@ -113,6 +112,20 @@ def test_pnm_uint8_passthrough(tmp_path):
         write_pnm(path, img, maxval=65535)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint32])
+def test_write_pnm_rejects_integers_other_than_uint8(tmp_path, dtype):
+    # as floats, these labels would be clamped to [0, 255, 255]
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        write_pnm(tmp_path / "i.pgm", np.array([[0, 5, 100]], dtype=dtype))
+    assert not (tmp_path / "i.pgm").exists()
+
+
+def test_write_pnm_bool_is_black_and_white(tmp_path):
+    path = tmp_path / "b.pgm"
+    write_pnm(path, np.array([[False, True]]))
+    assert path.read_bytes().endswith(bytes([0, 255]))
+
+
 def test_pnm_error_paths(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(b"P3\n1 1\n255\n0")
@@ -201,6 +214,45 @@ def test_flo_error_paths(tmp_path):
         read_flo(path)
 
 
+@pytest.mark.parametrize(
+    "raw, samples, maxval",
+    [
+        (b"P5#c\n2 1 255\n\x01\x02", [[1, 2]], 255),  # comment right after the magic
+        (b"P51 1 255\n\x07", [[7]], 255),  # no separator after the magic
+        (b"P5 2#c\n1 255\n\x01\x02", [[1, 2]], 255),  # comment right after a field
+        (b"P5\r\n2\r\n1\r\n7\n\x01\x02", [[1, 2]], 7),
+        (b"P5\t2\t1\t7\t\x01\x02", [[1, 2]], 7),
+        (b"P5\x0b2\x0b1\x0b7\x0b\x01\x02", [[1, 2]], 7),
+        (b"P5\x0c2\x0c1\x0c7\x0c\x01\x02", [[1, 2]], 7),
+        # one whitespace byte ends the header: the \n is the first sample
+        (b"P5 2 1 255\r\n\x05", [[10, 5]], 255),
+    ],
+)
+def test_pnm_header_grammar_accepts(tmp_path, raw, samples, maxval):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(raw)
+    assert np.array_equal(read_pnm(path), np.array(samples) / maxval)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"P5 2 1 # unterminated comment",
+        b"P5 x 1 255\n\x00\x00",
+        b"P5 +2 1 255\n\x00\x00",
+        b"P5 2 -1 255\n\x00\x00",
+        b"P5 \xd9\xa2 1 255\n\x00\x00",  # Arabic-Indic two, in UTF-8
+        b"P5 2 1 255#c\n\x00\x00",  # a comment right after the maxval
+        b"P5 2 1 255",  # end of file right after the maxval
+    ],
+)
+def test_pnm_header_grammar_rejects(tmp_path, raw):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="^malformed PNM header"):
+        read_pnm(path)
+
+
 def test_pnm_reads_the_first_of_concatenated_images(tmp_path):
     # Netpbm allows several images in one file, so bytes after the
     # payload are not an error.
@@ -212,7 +264,7 @@ def test_pnm_reads_the_first_of_concatenated_images(tmp_path):
 
 
 _SEP = rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*\n)"
-# The PNM header grammar, written independently of the reader's tokenizer.
+# The PNM header grammar, written out apart from the reader's pattern.
 _PNM_HEADER = re.compile(
     rb"P([56])" + _SEP + rb"*(\d+)" + _SEP + rb"+(\d+)" + _SEP + rb"+(\d+)[ \t\r\n\x0b\x0c]"
 )
@@ -335,11 +387,3 @@ def test_flow_to_color_default_norm_is_summed_formula_percentile():
     radius = np.sqrt(np.sum(u * u, axis=-1))
     explicit = flow_to_color(u, max_magnitude=float(np.percentile(radius, 99)))
     assert np.array_equal(flow_to_color(u), explicit)
-
-def test_grayscale_heatmap_affine_and_clamped():
-    u = np.array([[-1.0, 0.0, 0.5, 1.0, 2.0]])
-    out = grayscale_heatmap(u, 0.0, 1.0)
-    assert out.dtype == np.uint8
-    assert list(out[0]) == [0, 0, 128, 255, 255]
-    with pytest.raises(ValueError):
-        grayscale_heatmap(u, 1.0, 1.0)

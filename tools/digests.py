@@ -149,8 +149,8 @@ def library_runs(size: int, iters: int) -> dict:
 def cli_runs(workdir: Path) -> dict:
     """The three runs of acceptance criterion 15 (at --threads 1, each
     with --history-csv), one run of denoise, segment and flow that scores
-    against a reference (metric CSV, scores, color flow), and one run per
-    synth generator."""
+    against a reference (metric CSV, scores, color flow; the denoise run
+    also dumps its weight field), and one run per synth generator."""
     side = [0.25 if x < 24 else 0.75 for x in range(48)]
     write_pnm(workdir / "clean.pgm", [side] * 48)
     write_pnm(workdir / "noisy.pgm", add_gaussian_noise([side] * 48, 0.08, seed=0))
@@ -173,8 +173,12 @@ def cli_runs(workdir: Path) -> dict:
                     ["s.pgm", "s.json", "history.csv"]),
         "flow": (flow + ["--out-flo", "{out}/f.flo", "--warps", "2", "--iters", "15"] + history,
                  ["f.flo", "history.csv"]),
+        # At the default beta 1 the dumped weight is 1 - alpha (gray 252)
+        # everywhere, and a dump of one gray level hides its rounding.
         "denoise-scored": (denoise + ["--iters", "10", "--metrics-ref", "{in}/clean.pgm",
-                                      "--csv", "{out}/m.csv"], ["d.pgm", "m.csv"]),
+                                      "--csv", "{out}/m.csv", "--dump-lambda-every", "5",
+                                      "--beta", "0.02"],
+                           ["d.pgm", "m.csv", "d.pgm.lambda0005.pgm", "d.pgm.lambda0010.pgm"]),
         "segment-scored": (segment + ["--iters", "10", "--gt", "{in}/gt.pgm",
                                       "--out-json", "{out}/s.json"], ["s.json"]),
         "flow-scored": (flow + ["--warps", "1", "--iters", "10", "--gt", "{in}/gt.flo",
