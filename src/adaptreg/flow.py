@@ -15,7 +15,11 @@ ceil((1 - tau0)/dtau) steps; A and ft stay fixed between outer warps.
 Inner iterations follow the shared pattern: the gradient auxiliaries of
 both components first (they read only v), weights from the explicit
 residual, r by scalar shrink, u by a per-pixel 2x2 rank-one solve of
-(mu theta I + lambda A A^T) u = mu theta (v - w) + lambda (ft - r) A,
+(mu theta I + lambda A A^T) u = mu theta (v - w) + lambda (ft - r) A
+in closed form, one correction along A,
+
+    u = (v - w) + lambda (ft - r - A . (v - w)) / (mu theta + lambda |A|^2) A,
+
 then one screened v-solve over the component-first (2, H, W) stack
 (exact by the DCT for a constant weight, a float lambda and so a scalar
 xi; else red-black Gauss-Seidel sweeps), and dual ascent.  The
@@ -87,6 +91,14 @@ def tau_schedule(tau0: float, dtau: float, k: int) -> float:
     return min(1.0, tau0 + k * dtau)
 
 
+def _frames(f1, f2):
+    """The two frames as float64 grids of one shape, else ValueError."""
+    f1, f2 = scalar_grid(f1), scalar_grid(f2)
+    if f1.shape != f2.shape:
+        raise ValueError("frames must share a shape")
+    return f1, f2
+
+
 def linearize(f1: np.ndarray, f2: np.ndarray, u0: np.ndarray, tau: float):
     """Symmetric warp linearization; returns (A, ft) with ft unfolded.
 
@@ -94,10 +106,7 @@ def linearize(f1: np.ndarray, f2: np.ndarray, u0: np.ndarray, tau: float):
     difference and A the tau-mixed central gradient of the warps, the
     mix consistent with the symmetric warp at tau = 0.5.
     """
-    f1 = scalar_grid(f1)
-    f2 = scalar_grid(f2)
-    if f1.shape != f2.shape:
-        raise ValueError("frames must share a shape")
+    f1, f2 = _frames(f1, f2)
     f1w = warp_bilinear(f1, u0, scale=tau)
     f2w = warp_bilinear(f2, u0, scale=-(1.0 - tau))
     a = (1.0 - tau) * central_gradient(f2w) + tau * central_gradient(f1w)
@@ -150,10 +159,7 @@ class FlowState:
     term at u and the regularizer at grad v."""
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams, u0=None):
-        self.f1 = scalar_grid(f1)
-        self.f2 = scalar_grid(f2)
-        if self.f1.shape != self.f2.shape:
-            raise ValueError("frames must share a shape")
+        self.f1, self.f2 = _frames(f1, f2)
         self.params = params
         shape = self.f1.shape
         zero = np.zeros(shape + (2,))
@@ -232,39 +238,31 @@ class FlowState:
 
 
 def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
-    """Per-pixel rank-one solve of (mu theta I + lambda A A^T) u = b,
-    b = mu theta (v - w) + lambda (ft - r) A, written into state.u,
-    which it returns.
+    """Per-pixel rank-one solve of (mu theta I + lambda A A^T) u =
+    mu theta (v - w) + lambda (ft - r) A in closed form, one correction
+    along A from base = v - w:
 
-    Written so that lambda = 0 or A = 0 returns v - w bitwise; the
-    general case matches a direct 2x2 inversion to machine precision.
-    The work runs on the component-first (2, H, W) views, where the
-    (H, W) factors broadcast over the leading axis; on planar fields
-    these are contiguous planes, as are the planes of state.u that take
-    the result.  Sums and
-    products are accumulated in place with their operands swapped where
-    that saves a temporary, which rounds the same.
+        u = base + lambda (ft - r - A . base) / (mu theta + lambda |A|^2) A
+
+    written into state.u, which it returns.  Where lambda = 0 or A = 0
+    it returns v - w exactly, though a -0.0 there may come back as +0.0
+    (the correction is a signed zero added to it).  The work runs on
+    the component-first (2, H, W) views, where the (H, W) factors
+    broadcast over the leading axis; on planar fields these are
+    contiguous planes, as are the planes of state.u that take the
+    result.
     """
-    mu_theta = params.mu * params.theta
     a = np.moveaxis(state.A, -1, 0)
     base = np.moveaxis(state.v - state.w, -1, 0)
-    coeff = state.lam * (state.ft - state.r)
-    # b = mu theta base + coeff A
-    b = mu_theta * base
-    b += coeff * a
-    # scale = lambda (A . b) / (mu theta (mu theta + lambda |A|^2))
-    scale = a[0] * b[0]
-    scale += a[1] * b[1]
-    scale *= state.lam
+    gain = state.ft - state.r
+    gain -= a[0] * base[0]
+    gain -= a[1] * base[1]
+    gain *= state.lam
     den = a[0] * a[0]
     den += a[1] * a[1]
     den *= state.lam
-    den += mu_theta
-    den *= mu_theta
-    scale /= den
-    # u = base + (coeff / mu theta - scale) A
-    gain = coeff / mu_theta
-    gain -= scale
+    den += params.mu * params.theta
+    gain /= den
     u = np.multiply(gain, a, out=np.moveaxis(state.u, -1, 0))
     u += base
     return state.u
@@ -321,10 +319,7 @@ def run_flow(f1: np.ndarray, f2: np.ndarray, params: FlowParams, on_check=None):
     u is returned as a C-contiguous (H, W, 2) array.  The state writes
     its fields in place, so on_check must copy whatever it keeps of them.
     """
-    f1 = scalar_grid(f1)
-    f2 = scalar_grid(f2)
-    if f1.shape != f2.shape:
-        raise ValueError("frames must share a shape")
+    f1, f2 = _frames(f1, f2)
     pyramid = [(f1, f2)]
     for _ in range(params.pyramid_levels - 1):
         a, b = pyramid[-1]

@@ -18,9 +18,12 @@ FLO_MAGIC = 202021.25
 
 # The header after the magic: width, height and maxval as ASCII digits,
 # each after a run of whitespace and #-to-newline comments (a run that
-# may be empty only before the width), then one whitespace byte.
+# may be empty only before the width), then one whitespace byte.  A field
+# has at most 4300 digits, the most that int() converts by default.
 _SEP = rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*\n)"
-_PNM_HEADER = re.compile(_SEP + rb"*(\d+)" + _SEP + rb"+(\d+)" + _SEP + rb"+(\d+)[ \t\r\n\x0b\x0c]")
+_FIELD = rb"(\d{1,4300})"
+_PNM_HEADER = re.compile(_SEP + rb"*" + _FIELD + _SEP + rb"+" + _FIELD + _SEP + rb"+" + _FIELD
+                         + rb"[ \t\r\n\x0b\x0c]")
 
 
 def read_pnm(path) -> np.ndarray:

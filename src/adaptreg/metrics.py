@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .grid import gaussian_kernel
+from .grid import convolve_gaussian, gaussian_kernel
 
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
@@ -35,18 +35,6 @@ def psnr(u, ref) -> float:
     return -10.0 * math.log10(mse)
 
 
-def _filter_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable valid-mode correlation with a symmetric 1-D kernel."""
-    n = kernel.size
-    out = np.zeros((img.shape[0] - n + 1, img.shape[1]))
-    for t in range(n):
-        out += kernel[t] * img[t : t + out.shape[0], :]
-    out2 = np.zeros((out.shape[0], img.shape[1] - n + 1))
-    for t in range(n):
-        out2 += kernel[t] * out[:, t : t + out2.shape[1]]
-    return out2
-
-
 def check_ssim_shape(shape) -> None:
     """Raise ValueError unless images of this shape fit one SSIM window."""
     n = gaussian_kernel(SSIM_SIGMA).size
@@ -54,23 +42,35 @@ def check_ssim_shape(shape) -> None:
         raise ValueError("images must be at least %dx%d for SSIM" % (n, n))
 
 
+def _windows(img: np.ndarray, radius: int) -> np.ndarray:
+    """Gaussian window means of img at the pixels whose whole window
+    lies inside it, as a C-contiguous array."""
+    smoothed = convolve_gaussian(img.T, SSIM_SIGMA).T
+    h, w = img.shape
+    return np.ascontiguousarray(smoothed[radius : h - radius, radius : w - radius])
+
+
 def ssim(u, ref) -> float:
     """Mean structural similarity, 11x11 Gaussian window (sigma 1.5),
-    K1 = 0.01, K2 = 0.03, dynamic range 1.
+    K1 = 0.01, K2 = 0.03, dynamic range 1, over the pixels whose whole
+    window lies inside the image.
 
-    The local statistics are written symmetrically in both arguments,
-    so ssim(u, u) is exactly 1.
+    The window means are grid.convolve_gaussian's, taken on the
+    transpose so that the first pass runs down the columns; away from
+    the border they add the same products in the same order as a
+    valid-mode correlation, columns first.  The local statistics are
+    written symmetrically in both arguments, so ssim(u, u) is exactly 1.
     """
     u, ref = _check_same_shape(u, ref)
     check_ssim_shape(u.shape)
-    kernel = gaussian_kernel(SSIM_SIGMA)
+    radius = gaussian_kernel(SSIM_SIGMA).size // 2
     c1 = SSIM_K1**2
     c2 = SSIM_K2**2
-    mu1 = _filter_valid(u, kernel)
-    mu2 = _filter_valid(ref, kernel)
-    s11 = _filter_valid(u * u, kernel) - mu1 * mu1
-    s22 = _filter_valid(ref * ref, kernel) - mu2 * mu2
-    s12 = _filter_valid(u * ref, kernel) - mu1 * mu2
+    mu1 = _windows(u, radius)
+    mu2 = _windows(ref, radius)
+    s11 = _windows(u * u, radius) - mu1 * mu1
+    s22 = _windows(ref * ref, radius) - mu2 * mu2
+    s12 = _windows(u * ref, radius) - mu1 * mu2
     num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
     den = (mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)
     return float(np.mean(num / den))

@@ -332,17 +332,15 @@ def exact_screened_solve_reference(rhs, xi):
 
 
 def flow_update_u_reference(state, params):
-    """The per-pixel flow u-solve as written on interleaved (H, W, 2)
-    fields, with (H, W) factors broadcast over a trailing axis."""
-    mu_theta = params.mu * params.theta
+    """The per-pixel flow u-solve in closed form, one correction along A
+    from v - w, as written on interleaved (H, W, 2) fields with (H, W)
+    factors broadcast over a trailing axis."""
     a = state.A
     base = state.v - state.w
-    coeff = state.lam * (state.ft - state.r)
-    b = mu_theta * base + coeff[..., None] * a
-    ab = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    gap = state.ft - state.r - a[..., 0] * base[..., 0] - a[..., 1] * base[..., 1]
     asq = a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]
-    scale = state.lam * ab / (mu_theta * (mu_theta + state.lam * asq))
-    return base + ((coeff / mu_theta) - scale)[..., None] * a
+    gain = state.lam * gap / (params.mu * params.theta + state.lam * asq)
+    return base + gain[..., None] * a
 
 
 def weight_fields_reference(rho, params):
@@ -462,6 +460,34 @@ def reference_color_wheel():
                 "MR": (255, 0, 255 - t),
             }[name])
     return np.array(rows, dtype=np.float64)
+
+
+def filter_valid_reference(img, kernel):
+    """Separable valid-mode correlation with a symmetric 1-D kernel,
+    down the columns first."""
+    n = kernel.size
+    out = np.zeros((img.shape[0] - n + 1, img.shape[1]))
+    for t in range(n):
+        out += kernel[t] * img[t : t + out.shape[0], :]
+    out2 = np.zeros((out.shape[0], img.shape[1] - n + 1))
+    for t in range(n):
+        out2 += kernel[t] * out[:, t : t + out2.shape[1]]
+    return out2
+
+
+def ssim_valid_reference(u, ref):
+    """SSIM's formula over valid-mode window means, in the package's
+    operation order."""
+    kernel = gaussian_kernel(1.5)
+    c1, c2 = 0.01**2, 0.03**2
+    mu1 = filter_valid_reference(u, kernel)
+    mu2 = filter_valid_reference(ref, kernel)
+    s11 = filter_valid_reference(u * u, kernel) - mu1 * mu1
+    s22 = filter_valid_reference(ref * ref, kernel) - mu2 * mu2
+    s12 = filter_valid_reference(u * ref, kernel) - mu1 * mu2
+    num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
+    den = (mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)
+    return float(np.mean(num / den))
 
 
 def ssim_direct(a, b):

@@ -317,6 +317,13 @@ def test_error_exit_codes(tmp_path):
                   "--iters", "1", "--gt", str(pgt)]) == 2
 
 
+def test_pnm_header_field_beyond_int_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5 " + b"1" * 5000 + b" 1 255\n")
+    assert entry(["denoise", "--input", str(path), "--output", str(tmp_path / "x.pgm")]) == 2
+    assert "malformed PNM header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["denoise", "segment", "flow"])
 def test_bad_reference_exits_2_before_solving(tmp_path, capsys, command):
     # the reference is read and shape-checked first: no output, no history

@@ -2,6 +2,7 @@
 and the warp/pyramid drivers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,6 +361,36 @@ def test_update_u_matches_dense_2x2_solve():
     b = mu_theta * (st.v - st.w) + (st.lam * (st.ft - st.r))[..., None] * st.A
     ref = np.linalg.solve(mat, b[..., None])[..., 0]
     assert np.max(np.abs(u - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0], ids=["A~1", "A~10"])
+def test_update_u_matches_exact_rank_one_solve(scale):
+    # At flow's defaults mu theta = 1e-3, so lambda |A|^2 dominates the
+    # denominator.  The oracle is the closed form in exact rationals on
+    # the stored floats, at 200 sampled pixels of criterion 12's fields.
+    n = 100
+    rng = Splitmix64(21)
+    sp = flow_solver()
+    st = FlowState(np.zeros((n, n)), np.zeros((n, n)), FlowParams(solver=sp))
+    st.v = rng.normals(n * n * 2).reshape(n, n, 2)
+    st.w = rng.normals(n * n * 2).reshape(n, n, 2)
+    st.A = rng.normals(n * n * 2).reshape(n, n, 2) * scale
+    st.ft = rng.normals(n * n).reshape(n, n)
+    st.r = rng.normals(n * n).reshape(n, n)
+    st.lam = rng.uniforms(n * n).reshape(n, n) * 0.99
+    u = update_u(st, sp)
+    mu_theta = Fraction(sp.mu) * Fraction(sp.theta)
+    worst = 0.0
+    for k in Splitmix64(7).permutation(n * n)[:200]:
+        px = np.unravel_index(k, (n, n))
+        base = [Fraction(st.v[px][c]) - Fraction(st.w[px][c]) for c in (0, 1)]
+        a = [Fraction(st.A[px][c]) for c in (0, 1)]
+        lam = Fraction(st.lam[px])
+        gap = Fraction(st.ft[px]) - Fraction(st.r[px]) - a[0] * base[0] - a[1] * base[1]
+        gain = lam * gap / (mu_theta + lam * (a[0] * a[0] + a[1] * a[1]))
+        for c in (0, 1):
+            worst = max(worst, abs(float(base[c] + gain * a[c] - Fraction(u[px][c]))))
+    assert worst <= 1e-13
 
 
 def test_update_v_w_full_fidelity_skips_smoothing():

@@ -226,6 +226,9 @@ def test_flo_error_paths(tmp_path):
         (b"P5\x0c2\x0c1\x0c7\x0c\x01\x02", [[1, 2]], 7),
         # one whitespace byte ends the header: the \n is the first sample
         (b"P5 2 1 255\r\n\x05", [[10, 5]], 255),
+        # int() converts at most 4300 digits, leading zeros included
+        pytest.param(b"P5 " + b"0" * 4299 + b"2 1 255\n\x01\x02", [[1, 2]], 255,
+                     id="width-of-4300-digits"),
     ],
 )
 def test_pnm_header_grammar_accepts(tmp_path, raw, samples, maxval):
@@ -244,6 +247,9 @@ def test_pnm_header_grammar_accepts(tmp_path, raw, samples, maxval):
         b"P5 \xd9\xa2 1 255\n\x00\x00",  # Arabic-Indic two, in UTF-8
         b"P5 2 1 255#c\n\x00\x00",  # a comment right after the maxval
         b"P5 2 1 255",  # end of file right after the maxval
+        pytest.param(b"P5 " + b"1" * 5000 + b" 1 255\n", id="width-of-5000-digits"),
+        pytest.param(b"P5 2 " + b"1" * 5000 + b" 255\n", id="height-of-5000-digits"),
+        pytest.param(b"P5 2 1 " + b"0" * 4998 + b"255\n", id="maxval-of-5001-digits"),
     ],
 )
 def test_pnm_header_grammar_rejects(tmp_path, raw):

@@ -13,7 +13,7 @@ from adaptreg.metrics import (
     ssim,
 )
 from adaptreg.synth import Splitmix64
-from helpers import ssim_direct
+from helpers import ssim_direct, ssim_valid_reference
 
 
 def test_psnr_identical_is_infinite():
@@ -59,6 +59,16 @@ def test_ssim_matches_patchwise_oracle():
     a = rng.uniforms(1024).reshape(32, 32)
     b = np.clip(a + 0.1 * rng.normals(1024).reshape(32, 32), 0.0, 1.0)
     assert abs(ssim(a, b) - ssim_direct(a, b)) <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(23, 37), (97, 512)], ids=["odd", "512-wide"])
+def test_ssim_equals_valid_mode_windows_bitwise(shape):
+    # The 512-wide image is 97 rows high: its transpose, which the
+    # smoothing runs on, takes 4 bands of 168 rows.
+    rng = Splitmix64(shape[0] + shape[1])
+    a = rng.uniforms(shape[0] * shape[1]).reshape(shape)
+    b = np.clip(a + 0.1 * rng.normals(a.size).reshape(shape), 0.0, 1.0)
+    assert ssim(a, b) == ssim_valid_reference(a, b)
 
 
 def test_ssim_symmetric():
