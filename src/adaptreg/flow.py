@@ -295,15 +295,13 @@ def _downsample(f: np.ndarray) -> np.ndarray:
 
 
 def _upsample_flow(u: np.ndarray, shape) -> np.ndarray:
-    """Nearest-neighbor 2x upsampling with doubled magnitudes, padded or
-    cropped to the target shape."""
-    up = np.repeat(np.repeat(u, 2, axis=0), 2, axis=1) * 2.0
-    h, w = shape
-    up = up[:h, :w]
-    pad_h, pad_w = h - up.shape[0], w - up.shape[1]
-    if pad_h or pad_w:
-        up = np.pad(up, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")
-    return up
+    """Nearest-neighbor 2x upsampling with doubled magnitudes to the
+    target shape: a row or column beyond twice the coarse side repeats
+    the coarse edge."""
+    h, w = u.shape[:2]
+    rows = np.minimum(np.arange(shape[0]) // 2, h - 1)
+    cols = np.minimum(np.arange(shape[1]) // 2, w - 1)
+    return (2.0 * u).take(rows, axis=0).take(cols, axis=1)
 
 
 def run_flow(f1: np.ndarray, f2: np.ndarray, params: FlowParams, on_check=None):

@@ -299,23 +299,30 @@ def convolve_gaussian(
     return out
 
 
-def _along(axis: int, index) -> tuple:
-    """An index that applies `index` along axis -1 or -2."""
+def _along(axis: int, *bounds) -> tuple:
+    """An index that takes slice(*bounds) along axis -1 or -2."""
+    index = slice(*bounds)
     return (Ellipsis, index) if axis == -1 else (Ellipsis, index, slice(None))
 
 
 def _pad_symmetric(u, radius, axis, padded):
     """np.pad(u, radius, mode="symmetric") along axis, written into padded."""
     n = u.shape[axis]
+    flip = _along(axis, None, None, -1)
+    padded[_along(axis, radius, radius + n)] = u
     if radius > n:
-        padding = [(0, 0)] * u.ndim
-        padding[axis] = (radius, radius)
-        padded[...] = np.pad(u, padding, mode="symmetric")
+        # Mirror the part written so far outward on both sides, each step
+        # at most its width, so every mirror lies a multiple of n from u.
+        lo, hi = radius, radius + n
+        while lo:
+            step = min(lo, hi - lo)
+            padded[_along(axis, lo - step, lo)] = padded[_along(axis, lo, lo + step)][flip]
+            padded[_along(axis, hi, hi + step)] = padded[_along(axis, hi - step, hi)][flip]
+            lo, hi = lo - step, hi + step
         return
-    reverse = u[_along(axis, slice(None, None, -1))]
-    padded[_along(axis, slice(radius, radius + n))] = u
-    padded[_along(axis, slice(radius))] = reverse[_along(axis, slice(n - radius, None))]
-    padded[_along(axis, slice(radius + n, None))] = reverse[_along(axis, slice(radius))]
+    reverse = u[flip]
+    padded[_along(axis, radius)] = reverse[_along(axis, n - radius, None)]
+    padded[_along(axis, radius + n, None)] = reverse[_along(axis, radius)]
 
 
 def _convolve_axis(u, k, radius, axis, out, scratch):
@@ -382,8 +389,5 @@ def warp_bilinear(f: np.ndarray, displacement: np.ndarray, scale: float = 1.0) -
     """
     if f.shape != displacement.shape[:2]:
         raise ValueError("image and displacement shapes do not match")
-    h, w = f.shape
-    ys, xs = np.meshgrid(
-        np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
-    )
+    ys, xs = np.indices(f.shape, dtype=np.float64)
     return bilinear_sample(f, xs + scale * displacement[..., 0], ys + scale * displacement[..., 1])

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .grid import convolve_gaussian, gaussian_kernel
+from .prox import vector_norm
 
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
@@ -76,30 +77,37 @@ def ssim(u, ref) -> float:
     return float(np.mean(num / den))
 
 
+def _pair_counts(pred, gt):
+    """The distinct (predicted, ground-truth) label pairs of two label
+    maps as the columns of a (2, n) array, and the pixels of each."""
+    pred = np.asarray(pred)
+    gt = np.asarray(gt)
+    if pred.shape != gt.shape:
+        raise ValueError("label maps must share a shape")
+    return np.unique(np.stack([pred.ravel(), gt.ravel()]), axis=1, return_counts=True)
+
+
+def _claims(pairs, counts) -> list:
+    """The columns of the pairs that the greedy matching claims, in the
+    order it claims them."""
+    claims = {}
+    used_gt = set()
+    for k in np.lexsort((pairs[1], pairs[0], -counts)):
+        p, g = int(pairs[0, k]), int(pairs[1, k])
+        if p not in claims and g not in used_gt:
+            claims[p] = k
+            used_gt.add(g)
+    return list(claims.values())
+
+
 def match_labels(pred: np.ndarray, gt: np.ndarray) -> dict:
     """Greedy injective matching predicted -> ground-truth label.
 
     Pairs are claimed in order of decreasing intersection size (ties by
     label value), each side used at most once.
     """
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise ValueError("label maps must share a shape")
-    pairs, counts = np.unique(
-        np.stack([pred.ravel(), gt.ravel()]), axis=1, return_counts=True
-    )
-    order = sorted(
-        range(len(counts)), key=lambda k: (-counts[k], pairs[0, k], pairs[1, k])
-    )
-    mapping: dict = {}
-    used_gt = set()
-    for k in order:
-        p, g = int(pairs[0, k]), int(pairs[1, k])
-        if p not in mapping and g not in used_gt:
-            mapping[p] = g
-            used_gt.add(g)
-    return mapping
+    pairs, counts = _pair_counts(pred, gt)
+    return {int(pairs[0, k]): int(pairs[1, k]) for k in _claims(pairs, counts)}
 
 
 def label_scores(pred: np.ndarray, gt: np.ndarray):
@@ -107,21 +115,14 @@ def label_scores(pred: np.ndarray, gt: np.ndarray):
 
     precision counts correctly matched pixels against all pixels whose
     predicted label found a match; recall against all pixels whose
-    ground-truth label was matched.
+    ground-truth label was matched.  All three totals are sums over the
+    counts of the label pairs that the matching is made from.
     """
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    mapping = match_labels(pred, gt)
-    correct = 0
-    pred_total = 0
-    gt_total = 0
-    matched_gt = set(mapping.values())
-    for p, g in mapping.items():
-        sel = pred == p
-        correct += int(np.count_nonzero(sel & (gt == g)))
-        pred_total += int(np.count_nonzero(sel))
-    for g in matched_gt:
-        gt_total += int(np.count_nonzero(gt == g))
+    pairs, counts = _pair_counts(pred, gt)
+    claims = np.array(_claims(pairs, counts), dtype=np.intp)
+    correct = int(np.sum(counts[claims]))
+    pred_total = int(np.sum(counts[np.isin(pairs[0], pairs[0, claims])]))
+    gt_total = int(np.sum(counts[np.isin(pairs[1], pairs[1, claims])]))
     precision = correct / pred_total if pred_total else 0.0
     recall = correct / gt_total if gt_total else 0.0
     f_measure = (
@@ -138,11 +139,10 @@ def _check_flow_pair(u, gt):
 
 
 def aee(u, gt) -> float:
-    """Average endpoint error: mean Euclidean distance per pixel."""
+    """Average endpoint error: the mean over pixels of prox.vector_norm
+    of u - gt."""
     u, gt = _check_flow_pair(u, gt)
-    dx = u[..., 0] - gt[..., 0]
-    dy = u[..., 1] - gt[..., 1]
-    return float(np.mean(np.sqrt(dx * dx + dy * dy)))
+    return float(np.mean(vector_norm(u - gt)))
 
 
 def aae(u, gt) -> float:

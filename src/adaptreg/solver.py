@@ -16,8 +16,7 @@ screened_system, in buffers from v_step_buffers, and take their dual
 step with dual_step, which forms the new w and the primal residual from
 one u - v.
 
-The driver itself is single-threaded over iterations; any parallelism
-lives inside the per-pixel updates and is bitwise deterministic.
+The package runs on one thread, so a run is bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -504,17 +503,11 @@ def screened_solve(
         return out
     zeros = least == 0.0
     v = v0
-    if sweeps > _CHUNK:
-        # Every chunk's defect reads rhs, so the iterate between chunks
-        # takes out only when out cannot be rhs.
-        if out is None:
-            out = np.empty(rhs.shape)
-        between = out
-        if np.may_share_memory(out, rhs):
-            between = slot(scratch, rhs.shape, start=rhs.size)
-        for _ in range((sweeps - 1) // _CHUNK):
-            v = _correct(rhs, xi, v, _CHUNK, between, scratch, zeros)
-        sweeps -= (sweeps - 1) // _CHUNK * _CHUNK
+    # the iterate between chunks, in the scratch's second field
+    between = slot(scratch, rhs.shape, start=rhs.size) if sweeps > _CHUNK else None
+    while sweeps > _CHUNK:
+        v = _correct(rhs, xi, v, _CHUNK, between, scratch, zeros)
+        sweeps -= _CHUNK
     return _correct(rhs, xi, v, sweeps, out, scratch, zeros)
 
 

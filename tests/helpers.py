@@ -74,6 +74,43 @@ def matched_accuracy(pred, gt):
     return correct / gt.size
 
 
+# Frozen label matching and scores, as they were before the package
+# formed both from one table of label-pair counts: a sorted-key greedy
+# claim, and count passes over the maps per matched label.
+
+
+def match_labels_reference(pred, gt):
+    pred = np.asarray(pred)
+    gt = np.asarray(gt)
+    pairs, counts = np.unique(np.stack([pred.ravel(), gt.ravel()]), axis=1, return_counts=True)
+    order = sorted(range(len(counts)), key=lambda k: (-counts[k], pairs[0, k], pairs[1, k]))
+    mapping = {}
+    used_gt = set()
+    for k in order:
+        p, g = int(pairs[0, k]), int(pairs[1, k])
+        if p not in mapping and g not in used_gt:
+            mapping[p] = g
+            used_gt.add(g)
+    return mapping
+
+
+def label_scores_reference(pred, gt):
+    pred = np.asarray(pred)
+    gt = np.asarray(gt)
+    mapping = match_labels_reference(pred, gt)
+    correct = pred_total = gt_total = 0
+    for p, g in mapping.items():
+        sel = pred == p
+        correct += int(np.count_nonzero(sel & (gt == g)))
+        pred_total += int(np.count_nonzero(sel))
+    for g in set(mapping.values()):
+        gt_total += int(np.count_nonzero(gt == g))
+    precision = correct / pred_total if pred_total else 0.0
+    recall = correct / gt_total if gt_total else 0.0
+    f_measure = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f_measure
+
+
 def sector_precisions(labels, gt, disc_label=4):
     """Per-sector precision on the junction fixture, disc masked out."""
     mask = gt != disc_label
@@ -513,6 +550,72 @@ def ssim_direct(a, b):
     return float(np.mean(vals))
 
 
+def _difference_matrices(h, w):
+    """Dense forward differences Dx, Dy of an (h, w) grid flattened in C
+    order, zero on the last column (Dx) and on the last row (Dy)."""
+    n = h * w
+    index = np.arange(n).reshape(h, w)
+    dx = np.zeros((n, n))
+    dy = np.zeros((n, n))
+    for d, here, there in ((dx, index[:, :-1], index[:, 1:]), (dy, index[:-1], index[1:])):
+        d[here.ravel(), there.ravel()] = 1.0
+        d[here.ravel(), here.ravel()] = -1.0
+    return dx, dy
+
+
+def denoise_minimizer_reference(f, lam, mu, eta):
+    """The minimizer u* of E(u) = sum lam huber_mu(f - u) + (1 - lam)
+    huber_eta(|grad u|) for a float lam, by semismooth Newton from u = f,
+    and the gradient of E at u*, both of f's shape.
+
+    The Hessian is lam/mu on the diagonal where |f - u| <= mu, plus
+    (1 - lam) D^T B D, with D the dense forward differences and B, per
+    pixel, I/eta where |grad u| <= eta and (I - n n^T)/|grad u| elsewhere
+    (n = grad u/|grad u|); a 1e-12 ridge keeps it regular.  Each step
+    halves its length until the Armijo condition holds up to the rounding
+    of E, and the iteration stops once max |grad E| <= 1e-14, or after
+    100 steps."""
+    f = np.asarray(f, dtype=np.float64)
+    dx, dy = _difference_matrices(*f.shape)
+    y = f.ravel()
+
+    def parts(x):
+        gx, gy = dx @ x, dy @ x
+        # max(|grad u|, eta), which no quotient below can make 0/0
+        return gx, gy, np.maximum(np.hypot(gx, gy), eta)
+
+    def energy(x):
+        reg = huber_reference(np.hypot(dx @ x, dy @ x), eta)
+        return float(np.sum(lam * huber_reference(y - x, mu)) + np.sum((1.0 - lam) * reg))
+
+    def gradient(x):
+        gx, gy, s = parts(x)
+        data = -lam * np.clip((y - x) / mu, -1.0, 1.0)
+        return data + (1.0 - lam) * (dx.T @ (gx / s) + dy.T @ (gy / s))
+
+    x = y.copy()
+    g = gradient(x)
+    for _ in range(100):
+        if np.max(np.abs(g)) <= 1e-14:
+            break
+        gx, gy, s = parts(x)
+        inside = s <= eta
+        nx, ny = gx / s, gy / s
+        b11 = np.where(inside, 1.0 / eta, ny * ny / s)
+        b22 = np.where(inside, 1.0 / eta, nx * nx / s)
+        b12 = np.where(inside, 0.0, -nx * ny / s)
+        hess = (dx.T * b11) @ dx + (dx.T * b12) @ dy + (dy.T * b12) @ dx + (dy.T * b22) @ dy
+        hess *= 1.0 - lam
+        hess[np.diag_indices_from(hess)] += np.where(np.abs(y - x) <= mu, lam / mu, 0.0) + 1e-12
+        step = np.linalg.solve(hess, -g)
+        e0, slope, t = energy(x), float(g @ step), 1.0
+        while energy(x + t * step) > e0 + 1e-4 * t * slope + 1e-15 * abs(e0) and t > 1e-10:
+            t *= 0.5
+        x = x + t * step
+        g = gradient(x)
+    return x.reshape(f.shape), g.reshape(f.shape)
+
+
 # State builders of the three problems, and the checks of what each
 # state keeps between iterations.  A builder's constant flag picks the
 # problem's constant weight instead of an adaptive one.
@@ -665,6 +768,18 @@ def flow_steady_state(n, constant, anisotropic=True):
     ap = AdaptiveParams(beta=10.0, alpha=0.01, constant_lambda=0.4 if constant else None)
     fp = FlowParams(solver=flow_solver(adaptive=ap), anisotropic_reg=anisotropic)
     return _warm(FlowState(f1, f2, fp))
+
+
+def upsample_flow_reference(u, shape):
+    """Frozen pyramid upsampling: repeat each vector 2x2 with doubled
+    magnitude, crop, and pad the edge to the target shape."""
+    up = np.repeat(np.repeat(u, 2, axis=0), 2, axis=1) * 2.0
+    h, w = shape
+    up = up[:h, :w]
+    pad_h, pad_w = h - up.shape[0], w - up.shape[1]
+    if pad_h or pad_w:
+        up = np.pad(up, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")
+    return up
 
 
 def flow_energy_reference(st, params):

@@ -1,5 +1,6 @@
 """Denoising: per-step updates against closed forms, and solver-level
-behavior (fixed points, energy descent under heavy damping, GD oracle)."""
+behavior (fixed points, energy descent under heavy damping, a Newton
+oracle)."""
 
 import math
 import resource
@@ -15,8 +16,8 @@ from adaptreg.denoise import (
     update_u,
     update_v,
 )
-from adaptreg.grid import divergence, gradient
-from adaptreg.prox import huber, huber_vec, shrink
+from adaptreg.grid import divergence
+from adaptreg.prox import shrink
 from adaptreg.solver import SolverParams
 from adaptreg.synth import Splitmix64, add_gaussian_noise, biased_noise_image
 from adaptreg.metrics import ssim
@@ -26,6 +27,7 @@ from helpers import (
     assert_same_bits,
     denoise_energy_reference,
     denoise_iterate_reference,
+    denoise_minimizer_reference,
     denoise_steady_state,
     halfplane_params,
     make_scene,
@@ -118,38 +120,19 @@ def test_update_v_matches_dense_solve():
     assert float(np.sqrt(np.mean((v - ref) ** 2))) <= 1e-6
 
 
-def test_matches_gradient_descent_on_constant_weight_model():
-    # Independent minimizer of the same composite objective: plain
-    # gradient descent on lam*phi_mu(f-u) + (1-lam)*phi_eta(|grad u|).
-    rng = Splitmix64(11)
-    f = rng.uniforms(256).reshape(16, 16)
-    lam0, mu, eta = 0.5, 0.16, 0.08
-    ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=lam0)
-    sp = SolverParams(
-        mu=mu, eta=eta, theta=1.0, adaptive=ap,
-        max_iters=1500, tol_primal=1e-12, gs_sweeps=40,
-    )
-    u_admm, _ = run_denoise(f, sp)
-
-    def energy(u):
-        return float(
-            np.sum(lam0 * huber(f - u, mu))
-            + np.sum((1.0 - lam0) * huber_vec(gradient(u), eta))
-        )
-
-    def grad_energy(u):
-        g_data = -lam0 * np.clip((f - u) / mu, -1.0, 1.0)
-        gu = gradient(u)
-        norm = np.sqrt(np.sum(gu**2, axis=-1))
-        scale = np.where(norm > eta, 1.0 / np.maximum(norm, 1e-300), 1.0 / eta)
-        return g_data - (1.0 - lam0) * divergence(gu * scale[..., None])
-
-    u_gd = f.copy()
-    for _ in range(40000):
-        u_gd -= 0.02 * grad_energy(u_gd)
-
-    assert abs(energy(u_admm) - energy(u_gd)) <= 1e-10
-    assert np.max(np.abs(u_admm - u_gd)) <= 1e-8
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
+def test_matches_newton_minimizer_of_constant_weight_model(lam):
+    # An independent minimizer of the same composite objective,
+    # lam*phi_mu(f-u) + (1-lam)*phi_eta(|grad u|): semismooth Newton
+    # with dense forward differences.
+    f = Splitmix64(11).uniforms(256).reshape(16, 16)
+    mu, eta = 0.16, 0.08
+    u_star, grad = denoise_minimizer_reference(f, lam, mu, eta)
+    assert np.max(np.abs(grad)) <= 1e-13
+    ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=lam)
+    sp = SolverParams(mu=mu, eta=eta, theta=1.0, adaptive=ap, max_iters=1500, tol_primal=1e-12)
+    u, _ = run_denoise(f, sp)
+    assert np.max(np.abs(u - u_star)) <= 1e-10
 
 
 def test_denoising_improves_ssim_on_noisy_step():

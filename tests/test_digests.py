@@ -15,6 +15,7 @@ RUNS = (
        for reg in ("anisotropic", "isotropic")
        for levels in (1, 2)
        for kind in ("adaptive", "constant")]
+    + ["flow-anisotropic-2level-odd"]
     + ["cli-%s%s" % (cmd, kind)
        for cmd in ("denoise", "segment", "flow")
        for kind in ("", "-scored")]

@@ -30,6 +30,7 @@ from helpers import (
     flow_state,
     flow_update_u_reference,
     random_flow_state,
+    upsample_flow_reference,
 )
 
 
@@ -453,6 +454,21 @@ def test_pyramid_halves_only_frames_of_at_least_16_px():
     _, history = run_flow(f1, f2, fp, on_check=lambda state, record: shapes.append(state.f1.shape))
     assert len(history) == 6
     assert shapes == [(8, 8)] * 2 + [(16, 16)] * 2 + [(32, 32)] * 2
+
+
+@pytest.mark.parametrize(
+    "coarse, fine",
+    [((8, 8), (16, 16)), ((8, 8), (17, 17)), ((8, 9), (17, 18)), ((5, 3), (11, 7)),
+     ((5, 3), (9, 5)), ((1, 1), (2, 2)), ((1, 1), (3, 3)), ((1, 1), (2, 3))],
+    ids=["even", "odd", "odd-rows-and-columns", "odd-narrow", "cropped", "1x1-to-2x2",
+         "1x1-to-3x3", "1x1-to-2x3"],
+)
+def test_upsample_flow_equals_frozen_repeat_crop_and_pad(coarse, fine):
+    # A fine level has twice the coarse side or one more, whose last row
+    # or column repeats the coarse edge.
+    u = Splitmix64(807).normals(coarse[0] * coarse[1] * 2).reshape(coarse + (2,))
+    u[0, 0] = (-0.0, 0.0)
+    assert_same_bits(flow._upsample_flow(u, fine), upsample_flow_reference(u, fine))
 
 
 def test_pyramid_collapses_on_tiny_frames():

@@ -15,6 +15,7 @@ from adaptreg.grid import (
     gradient,
     laplacian,
     scalar_grid,
+    smoothing_scratch_size,
     vector_grid,
     warp_bilinear,
 )
@@ -280,6 +281,23 @@ def test_convolve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.3 * u.nbytes
+
+
+def test_narrow_field_smoothing_peak_memory():
+    # Along x, a 70000x1 field at sigma 2 mirrors its one column 6 times
+    # on each side.  With out and scratch given, the mirror steps' copies
+    # peak at 3.0 fields; np.pad's padded array and its own temporaries
+    # took 19.
+    u = rand_grid(Splitmix64(110), 70000, 1)
+    out = np.empty_like(u)
+    scratch = np.empty(smoothing_scratch_size(u.shape, 2.0))
+    tracemalloc.start()
+    try:
+        convolve_gaussian(u, 2.0, out=out, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * u.nbytes
 
 
 def test_gaussian_kernel_normalized():

@@ -13,7 +13,12 @@ from adaptreg.metrics import (
     ssim,
 )
 from adaptreg.synth import Splitmix64
-from helpers import ssim_direct, ssim_valid_reference
+from helpers import (
+    label_scores_reference,
+    match_labels_reference,
+    ssim_direct,
+    ssim_valid_reference,
+)
 
 
 def test_psnr_identical_is_infinite():
@@ -124,6 +129,39 @@ def test_label_scores_hand_values():
     assert p == pytest.approx(0.75)
     assert r == pytest.approx(0.75)
     assert f == pytest.approx(0.75)
+
+
+def _labels(rng, shape, values, dtype=np.int64):
+    """A random map over the given label values."""
+    values = np.asarray(values)
+    pick = rng.raw(int(np.prod(shape))) % np.uint64(values.size)
+    return values[pick.astype(np.intp)].reshape(shape).astype(dtype)
+
+
+LABEL_CASES = {
+    # 3x4 maps over 2 or 3 labels: equal pair counts are common
+    "ties": lambda rng: (_labels(rng, (3, 4), [0, 1, 2]), _labels(rng, (3, 4), [0, 1])),
+    "negative": lambda rng: (_labels(rng, (6, 5), [-3, -1, 0, 2]), _labels(rng, (6, 5), [-2, -1, 4])),
+    "more-predicted": lambda rng: (_labels(rng, (5, 7), range(6)), _labels(rng, (5, 7), [3, 9])),
+    "more-ground-truth": lambda rng: (_labels(rng, (8, 8), [1, 2]), _labels(rng, (8, 8), range(7))),
+    "single-label": lambda rng: (np.full((4, 6), 7), _labels(rng, (4, 6), [0, 1, 2])),
+    "uint8-int64": lambda rng: (_labels(rng, (9, 4), [0, 200, 255], np.uint8),
+                                _labels(rng, (9, 4), [-5, 0, 300])),
+    "bool-int8": lambda rng: (_labels(rng, (5, 5), [0, 1], bool), _labels(rng, (5, 5), [-1, 0, 1], np.int8)),
+    "int8-uint16": lambda rng: (_labels(rng, (7, 3), [-128, 0, 127], np.int8),
+                                _labels(rng, (7, 3), [0, 65535], np.uint16)),
+}
+
+
+@pytest.mark.parametrize("case", list(LABEL_CASES))
+def test_label_matching_and_scores_equal_frozen_references(case):
+    # The pair-count table gives the parent's mapping, in its claim order,
+    # and score tuples equal to per-label count passes over the maps.
+    rng = Splitmix64(806)
+    for _ in range(50):
+        pred, gt = LABEL_CASES[case](rng)
+        assert list(match_labels(pred, gt).items()) == list(match_labels_reference(pred, gt).items())
+        assert label_scores(pred, gt) == label_scores_reference(pred, gt)
 
 
 def test_aee_values():

@@ -10,6 +10,7 @@ prints.  The runs:
     denoise-{adaptive,constant}
     segment-{adaptive,constant}                    4 labels
     flow-{anisotropic,isotropic}-{1,2}level-{adaptive,constant}
+    flow-anisotropic-2level-odd                    adaptive, frames of side SIZE + 1
     cli-{denoise,segment,flow}                     the criterion-15 runs
     cli-{denoise,segment,flow}-scored              metrics against a reference
     cli-synth-{junction,rectangles,biased,shifted-pair,texture}
@@ -131,18 +132,23 @@ def library_runs(size: int, iters: int) -> dict:
         outputs = {"labels": labels, "c": state.c, "degenerate": state.degenerate_events}
         digests["segment-" + kind] = run.finish(outputs)
 
-    f1, f2, _ = shifted_pair(smooth_texture(size, seed=5), (1.0, 0.5))
+    def flow(side, reg, levels, constant):
+        f1, f2, _ = shifted_pair(smooth_texture(side, seed=5), (1.0, 0.5))
+        sp = SolverParams(mu=0.01, eta=0.01, theta=0.1, adaptive=_adaptive(10.0, 1.0, constant),
+                          max_iters=iters, tol_primal=1e-12)
+        fp = FlowParams(solver=sp, n_warps=2, pyramid_levels=levels,
+                        anisotropic_reg=reg == "anisotropic")
+        run = _Run("flow")
+        u, _ = run_flow(f1, f2, fp, on_check=run.on_check)
+        return run.finish({"u": u})
+
     for reg in ("anisotropic", "isotropic"):
         for levels in (1, 2):
             for kind, constant in (("adaptive", None), ("constant", 0.99)):
-                sp = SolverParams(mu=0.01, eta=0.01, theta=0.1,
-                                  adaptive=_adaptive(10.0, 1.0, constant),
-                                  max_iters=iters, tol_primal=1e-12)
-                fp = FlowParams(solver=sp, n_warps=2, pyramid_levels=levels,
-                                anisotropic_reg=reg == "anisotropic")
-                run = _Run("flow")
-                u, _ = run_flow(f1, f2, fp, on_check=run.on_check)
-                digests["flow-%s-%dlevel-%s" % (reg, levels, kind)] = run.finish({"u": u})
+                digests["flow-%s-%dlevel-%s" % (reg, levels, kind)] = flow(size, reg, levels, constant)
+    # An odd side, so that upsampling the coarse level repeats its last
+    # row and column.
+    digests["flow-anisotropic-2level-odd"] = flow(size + 1, "anisotropic", 2, None)
     return digests
 
 
