@@ -243,9 +243,9 @@ def cmd_synth(args) -> int:
     elif args.generator == "shifted-pair":
         base = _read_gray(args.input) if args.input else synth.smooth_texture(args.size, args.seed)
         f1, f2, gt = synth.shifted_pair(base, (args.shift[0], args.shift[1]))
+        write_flo(out + "_gt.flo", gt)  # first: it rejects a shift that float32 cannot hold
         write_pnm(out + "_1.pgm", f1)
         write_pnm(out + "_2.pgm", f2)
-        write_flo(out + "_gt.flo", gt)
     else:
         image = synth.smooth_texture(args.size, args.seed, args.sigma)
         write_pnm(out + ".pgm", image)

@@ -12,9 +12,12 @@ tau starts at tau0 (0.5 keeps the energy symmetric in the two frames)
 and grows by dtau per inner iteration, clamped to exactly 1 after
 ceil((1 - tau0)/dtau) steps; A and ft stay fixed between outer warps.
 
-Inner iterations follow the shared pattern: the gradient auxiliaries of
-both components first (they read only v), weights from the explicit
-residual, r by scalar shrink, u by a per-pixel 2x2 rank-one solve of
+Inner iterations are those of the linear-data state that flow shares
+with denoising (denoise.LinearState, its module docstring gives the
+order), with two components, b = ft and A the linearization's field:
+the gradient auxiliaries of both components first (they read only v),
+weights from the explicit residual, r by scalar shrink, u by the
+per-pixel rank-one solve of
 (mu theta I + lambda A A^T) u = mu theta (v - w) + lambda (ft - r) A
 in closed form, one correction along A,
 
@@ -24,24 +27,20 @@ then one screened v-solve over the component-first (2, H, W) stack
 (exact by the DCT for a constant weight, a float lambda and so a scalar
 xi; else red-black Gauss-Seidel sweeps), and dual ascent.  The
 regularizer is per-partial-derivative by default (anisotropic_reg), or
-isotropic per component when disabled.
+isotropic per component when disabled.  FlowState adds tau, the warps'
+relinearization and the planar layout.
 
 The (H, W, 2) fields u, v, w and A of a FlowState are views of
 C-contiguous (2, H, W) memory (component-planar): each component is one
 contiguous plane, elementwise results of such fields inherit that
-layout, and the component-first stack that gradient and the v-solve
-take is a plain view.  update_u works per component on those planes.
-The steps write z, lambda (when it is a field), r, u, v and w into the
-state's own arrays, so code that keeps a field across an iteration must
-copy it.
-
-Each intermediate is computed once and shared.  The dual step
-(solver.dual_step) forms u - v as a C-contiguous component-first stack,
-from which it takes both the new w and the primal residual, kept as a
-number.  FlowState._form_intermediates forms the data gap ft - A . u
-and the component gradients of v, which the energy and the next
-iteration read; it runs at the end of every iteration, in the
-constructor and in relinearize.
+layout, and the component-first stack that gradient, the u-step and the
+v-solve take is a plain view.  The steps write z, lambda (when it is a
+field), r, u, v and w into the state's own arrays, and everything else
+into the state's workspace, so a steady-state iteration allocates
+nothing of field size; code that keeps a field across an iteration must
+copy it.  The kept intermediates (the data gap ft - A . u, grad v and,
+for the isotropic regularizer, |grad v|) are formed at the end of every
+iteration, in the constructor and in relinearize.
 """
 
 from __future__ import annotations
@@ -51,11 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# weight_fields, divergence, gradient, shrink, shrink_vec, screened_solve: bound for the tracer only
 from .adaptive import weight_fields
+from .denoise import LinearState, _copy, _dot, _stack, update_u, update_v_w
 from .grid import central_gradient, divergence, gradient, scalar_grid, vector_grid, warp_bilinear
-from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec
-from .solver import (SolverParams, check_count, dual_step, run_admm, screened_solve, screened_system, slot,
-                     v_step_buffers)
+from .prox import shrink, shrink_vec
+from .solver import SolverParams, check_count, run_admm, screened_solve
 
 
 @dataclass
@@ -118,173 +118,55 @@ def linearize(f1: np.ndarray, f2: np.ndarray, u0: np.ndarray, tau: float):
 _linearize = linearize
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-
-
-def _component_gradient(v: np.ndarray) -> np.ndarray:
-    """Gradients of both components of an (H, W, 2) field, (2, H, W, 2)."""
-    return gradient(np.moveaxis(v, -1, 0))
-
-
-def _planar(field: np.ndarray) -> np.ndarray:
-    """A float64 copy of an (H, W, 2) field, as an (H, W, 2) view of
-    C-contiguous (2, H, W) memory."""
-    out = np.empty((2,) + field.shape[:-1])
-    out[...] = np.moveaxis(field, -1, 0)
-    return np.moveaxis(out, 0, -1)
-
-
-class FlowState:
-    """Velocity ADMM fields plus the frozen linearization (A, ft).
+class FlowState(LinearState):
+    """Velocity ADMM fields plus the frozen linearization (A, ft): the
+    two-component LinearState with b = ft.
 
     u and v start at the seed u0 (zero if None), w at zero, and the
     constructor linearizes around u0 at tau0.  A seed that is not a
     finite (H, W, 2) field on the frames' grid raises ValueError.
     u, v, w and A are (H, W, 2) views of C-contiguous (2, H, W) memory,
-    as _planar makes them at construction and in relinearize; fields
+    as denoise._copy makes them at construction and in relinearize; fields
     assigned in another layout give the same results, only slower.  The
     gradient auxiliary z is component-first, (2, H, W, 2), as grad v
-    is.  lam is an (H, W) field, or a float that broadcasts against the
-    fields when the weight is constant.  iterate writes the fields in
-    place (see the module docstring); solve_scratch, xi and rhs are the
-    v-step's buffers, allocated once (solver.v_step_buffers).
+    is.  The regularizer is params.anisotropic_reg at construction, kept
+    as anisotropic: the kept intermediates follow it (only the isotropic
+    one forms |grad v|).  Besides what LinearState keeps, relinearize
+    re-forms the kept intermediates, and tau follows the count of inner
+    iterations."""
 
-    It keeps three values of the current fields: gap, the data gap
-    ft - A . u, and grad_v, the component gradients of v, both read by
-    the energy and the next iteration; and residual, the primal residual
-    of the last dual step (0.0 at the start, where u = v).  A field
-    assigned or written from outside is not seen by them until
-    relinearize, which re-forms gap and grad_v.  energy() takes the data
-    term at u and the regularizer at grad v."""
+    b = property(lambda self: self.ft)
+    solver = property(lambda self: self.params.solver)
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, params: FlowParams, u0=None):
         self.f1, self.f2 = _frames(f1, f2)
         self.params = params
+        self.anisotropic = params.anisotropic_reg
         shape = self.f1.shape
         zero = np.zeros(shape + (2,))
         seed = zero if u0 is None else vector_grid(u0)
         if seed.shape != zero.shape:
             raise ValueError("the seed u0 must have the frames' shape %s, got %s"
                              % (zero.shape, seed.shape))
-        self.u = _planar(seed)
-        self.v = _planar(seed)
-        self.w = _planar(zero)
-        self.r = np.zeros(shape, dtype=np.float64)
-        self.z = np.zeros((2,) + shape + (2,), dtype=np.float64)
-        self.lam = np.ones(shape, dtype=np.float64)
-        self.solve_scratch, self.xi, self.rhs = v_step_buffers((2,) + shape, shape)
+        self._start(seed, np.zeros((2,) + shape + (2,)), params.solver.adaptive.smoothing_sigma)
         self.tau_count = 0
         self.tau = tau_schedule(params.tau0, params.dtau, 0)
-        self.residual = 0.0
         self.relinearize()
 
     def relinearize(self):
         """Re-expand the data term around the current field at the
         current tau; the prior is folded into ft."""
         a, ft = _linearize(self.f1, self.f2, self.u, self.tau)
-        self.A = _planar(a)
-        self.ft = ft + _dot(self.A, self.u)
+        self.A = _copy(a)
+        self.ft = ft + _dot(_stack(self.A), _stack(self.u))
         self._form_intermediates()
-
-    def _form_intermediates(self):
-        """The data gap ft - A . u and the component gradients of v."""
-        # Gap first: on the 128^2 flow benchmark this order took fewer
-        # minor faults per pass (median 2.8k against 4.5k over 64
-        # passes), though the count swings several-fold with the heap.
-        self.gap = self.ft - _dot(self.A, self.u)
-        self.grad_v = _component_gradient(self.v)
 
     def iterate(self):
-        p = self.params
-        sp = p.solver
-        if p.anisotropic_reg:
-            shrink(self.grad_v, sp.eta, out=self.z)
-        else:
-            shrink_vec(self.grad_v, sp.eta, out=self.z)
-        self.grad_v = None
-        adaptive = sp.adaptive.constant_lambda is None
-        self.lam = weight_fields(
-            envelope_at(self.gap, self.r, sp.mu) if adaptive else None, sp.adaptive, out=self.lam
-        )
-        shrink(self.gap, sp.mu, out=self.r)
-        self.gap = None
-        update_u(self, sp)
-        update_v_w(self, sp, rhs=self.rhs, xi=self.xi, scratch=self.solve_scratch)
-        self._form_intermediates()
+        self._step(update_u, update_v_w)
         self.tau_count += 1
-        self.tau = tau_schedule(p.tau0, p.dtau, self.tau_count)
+        self.tau = tau_schedule(self.params.tau0, self.params.dtau, self.tau_count)
 
-    def energy(self) -> float:
-        sp = self.params.solver
-        g = self.grad_v
-        # One Huber call per component: on a 128^2 state, one call on the
-        # whole (2, H, W, 2) stack peaked 1.1 to 1.2 fields higher under
-        # tracemalloc, and with the anisotropic regularizer it took twice
-        # as long (435-449 against 227-229 us, best of 7 in two runs;
-        # 2-core Xeon, numpy 2.4.6).
-        if self.params.anisotropic_reg:
-            h = huber(g[0], sp.eta)
-            reg = h[..., 0] + h[..., 1]
-            h = huber(g[1], sp.eta)
-            reg += h[..., 0] + h[..., 1]
-        else:
-            reg = huber_vec(g[0], sp.eta)
-            reg += huber_vec(g[1], sp.eta)
-        reg *= 1.0 - self.lam
-        data = huber(self.gap, sp.mu)
-        data *= self.lam
-        return float(np.sum(data) + np.sum(reg))
-
-
-def update_u(state: FlowState, params: SolverParams) -> np.ndarray:
-    """Per-pixel rank-one solve of (mu theta I + lambda A A^T) u =
-    mu theta (v - w) + lambda (ft - r) A in closed form, one correction
-    along A from base = v - w:
-
-        u = base + lambda (ft - r - A . base) / (mu theta + lambda |A|^2) A
-
-    written into state.u, which it returns.  Where lambda = 0 or A = 0
-    it returns v - w exactly, though a -0.0 there may come back as +0.0
-    (the correction is a signed zero added to it).  The work runs on
-    the component-first (2, H, W) views, where the (H, W) factors
-    broadcast over the leading axis; on planar fields these are
-    contiguous planes, as are the planes of state.u that take the
-    result.
-    """
-    a = np.moveaxis(state.A, -1, 0)
-    base = np.moveaxis(state.v - state.w, -1, 0)
-    gain = state.ft - state.r
-    gain -= a[0] * base[0]
-    gain -= a[1] * base[1]
-    gain *= state.lam
-    den = a[0] * a[0]
-    den += a[1] * a[1]
-    den *= state.lam
-    den += params.mu * params.theta
-    gain /= den
-    u = np.multiply(gain, a, out=np.moveaxis(state.u, -1, 0))
-    u += base
-    return state.u
-
-
-def update_v_w(state: FlowState, params: SolverParams, *, rhs=None, xi=None, scratch=None) -> None:
-    """One screened v-solve over the component-first (2, H, W) stack
-    (exact for a float lambda, gs_sweeps Gauss-Seidel sweeps from v for
-    a weight field) from the gradient auxiliaries z, then dual ascent.
-    rhs, xi and scratch are the buffers of solver.v_step_buffers, or
-    None: rhs takes the divergence of z and then the right-hand side,
-    xi's head takes xi (solver.screened_system), and the flat scratch
-    takes the divergence's bands, u + w, the solve and u - v.  The solve
-    writes v into state.v in place, and the new u - v gives both the new
-    w and the primal residual, kept as state.residual.  u - v is formed
-    as a C-contiguous (2, H, W) stack, so the residual sums in that
-    order whatever the fields' layout."""
-    u, v, w = (np.moveaxis(a, -1, 0) for a in (state.u, state.v, state.w))
-    div_z = divergence(state.z, out=rhs, scratch=scratch)
-    rhs, xi = screened_system(div_z, u, w, state.lam, params, xi=xi, scratch=scratch)
-    screened_solve(rhs, xi, v, params.gs_sweeps, out=v, scratch=scratch)
-    state.residual = dual_step(u, v, w, out=slot(scratch, v.shape))
+    energy = LinearState.energy
 
 
 def _downsample(f: np.ndarray) -> np.ndarray:

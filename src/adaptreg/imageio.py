@@ -112,7 +112,8 @@ def write_pnm(path, img: np.ndarray, maxval: int = 255):
 def read_flo(path) -> np.ndarray:
     """Read a Middlebury .flo file as a float64 (H, W, 2) field.
 
-    The file must end with the payload; trailing bytes raise ValueError.
+    The file must end with the payload; trailing bytes, and a NaN or an
+    infinity in it, raise ValueError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -135,14 +136,17 @@ def read_flo(path) -> np.ndarray:
             "trailing data in flow file: %d bytes after the payload" % (len(payload) - need)
         )
     samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return samples.reshape(height, width, 2)
+    return vector_grid(samples.reshape(height, width, 2))
 
 
 def write_flo(path, u: np.ndarray):
     """Write a nonempty, finite (H, W, 2) field as .flo (float32
-    little-endian); anything else raises ValueError."""
+    little-endian); anything else, and a field with a value beyond
+    float32's range, raises ValueError before the file is opened."""
     u = vector_grid(u)
     h, w = u.shape[:2]
+    if np.max(np.abs(u)) > np.finfo(np.float32).max:
+        raise ValueError("flow field has values beyond the float32 range of .flo")
     with open(path, "wb") as fh:
         fh.write(np.array([FLO_MAGIC], dtype="<f4").tobytes())
         fh.write(np.array([w, h], dtype="<i4").tobytes())

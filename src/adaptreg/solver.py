@@ -11,10 +11,12 @@ same driver through a small duck-typed state protocol:
     state.lam           fidelity weight in [0, 1], a float or a field
     state.residual      RMS of u - v of the last dual step
 
-The three problem states form their v-step's system with
-screened_system, in buffers from v_step_buffers, and take their dual
-step with dual_step, which forms the new w and the primal residual from
-one u - v.
+The three problems run on two state bodies: denoising and optical flow
+share the linear-data state of module denoise (a K-component field,
+K = 1 and K = 2), and segmentation has its own.  Both form their
+v-step's system with screened_system, in buffers from v_step_buffers,
+and take their dual step with dual_step, which forms the new w and the
+primal residual from one u - v.
 
 The package runs on one thread, so a run is bitwise deterministic.
 """

@@ -448,6 +448,15 @@ def test_non_finite_synth_parameters_exit_2(tmp_path, capsys, generator, flag, v
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_shift_beyond_float32_exits_2(tmp_path, capsys):
+    # finite, but the ground truth .flo stores float32
+    rc = entry(["synth", "shifted-pair", "--out", str(tmp_path / "s"), "--size", "8",
+                "--shift", "1e300", "0"])
+    assert rc == 2
+    assert "float32" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("generator", ["rectangles", "texture", "biased", "shifted-pair"])
 def test_synth_empty_canvas_exits_2(tmp_path, capsys, generator):
     assert entry(["synth", generator, "--out", str(tmp_path / "s"), "--size", "0"]) == 2

@@ -3,18 +3,18 @@ behavior (fixed points, energy descent under heavy damping, a Newton
 oracle)."""
 
 import math
-import resource
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from adaptreg import denoise
 from adaptreg.adaptive import AdaptiveParams
 from adaptreg.denoise import (
     DenoiseState,
     run_denoise,
     update_u,
-    update_v,
+    update_v_w,
 )
 from adaptreg.grid import divergence
 from adaptreg.prox import shrink
@@ -28,7 +28,8 @@ from helpers import (
     denoise_energy_reference,
     denoise_iterate_reference,
     denoise_minimizer_reference,
-    denoise_steady_state,
+    divergence_reference,
+    gradient_reference,
     halfplane_params,
     make_scene,
     moreau_envelope_bruteforce,
@@ -99,7 +100,9 @@ def test_update_u_agreeing_targets_short_circuit():
 def test_update_v_full_fidelity_skips_smoothing():
     st = random_denoise_state(506)
     st.lam = np.ones_like(st.lam)  # xi = 0
-    assert np.array_equal(update_v(st, st.params), st.u + st.w)
+    w0 = st.w.copy()
+    update_v_w(st, st.params)
+    assert np.array_equal(st.v, st.u + w0)
 
 
 def test_update_v_keeps_constants():
@@ -107,17 +110,19 @@ def test_update_v_keeps_constants():
     st = DenoiseState(np.full((5, 5), 0.4), p)
     st.lam = np.full((5, 5), 0.5)
     st.w = np.zeros((5, 5))
-    assert np.array_equal(update_v(st, p), st.u)
+    update_v_w(st, p)
+    assert np.array_equal(st.v, st.u)
+    assert np.array_equal(st.w, np.zeros((5, 5)))
 
 
 def test_update_v_matches_dense_solve():
     st = random_denoise_state(507, n=8, params=adaptive_defaults(gs_sweeps=500))
     p = st.params
-    v = update_v(st, p)
     xi = (1.0 - st.lam) / (p.eta * p.theta)
     rhs = st.u + st.w - xi * divergence(st.z)
+    update_v_w(st, p)
     ref = np.linalg.solve(assemble_screened_matrix(xi), rhs.ravel()).reshape(8, 8)
-    assert float(np.sqrt(np.mean((v - ref) ** 2))) <= 1e-6
+    assert float(np.sqrt(np.mean((st.v - ref) ** 2))) <= 1e-6
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
@@ -133,6 +138,30 @@ def test_matches_newton_minimizer_of_constant_weight_model(lam):
     sp = SolverParams(mu=mu, eta=eta, theta=1.0, adaptive=ap, max_iters=1500, tol_primal=1e-12)
     u, _ = run_denoise(f, sp)
     assert np.max(np.abs(u - u_star)) <= 1e-10
+
+
+def test_frozen_weight_field_fixed_point_solves_g_not_the_energy_gradient(monkeypatch):
+    # With a weight field frozen, the fixed point solves G(u) = 0, with
+    # G(u) = -lam clip((f - u)/mu, -1, 1) - (1 - lam) div psi(grad u) and
+    # psi(g) = g / max(eta, |g|): the v-system takes xi = (1 - lam)/(eta
+    # theta) pointwise outside the Laplacian.  That is not the gradient of
+    # the frozen-weight energy, whose (1 - lam) sits inside the divergence.
+    n, mu, eta = 32, 0.16, 0.08
+    left = np.arange(n)[None, :] < n // 2
+    f = np.where(left, 0.3, 0.7) + 0.1 * (Splitmix64(17).uniforms(n * n).reshape(n, n) - 0.5)
+    lam = np.where(left, 0.7, 0.2) * np.ones((n, 1))
+    monkeypatch.setattr(denoise, "weight_fields", lambda rho, params, **buffers: lam)
+    ap = AdaptiveParams(beta=1.0, alpha=0.01)
+    sp = SolverParams(mu=mu, eta=eta, theta=1.0, adaptive=ap, max_iters=3000, tol_primal=2e-16)
+    u, history = run_denoise(f, sp)
+    assert history[-1].primal_residual <= 2e-16
+    g = gradient_reference(u)
+    psi = g / np.maximum(eta, np.sqrt(np.sum(g * g, axis=-1)))[..., None]
+    data = lam * np.clip((f - u) / mu, -1.0, 1.0)
+    stationarity = -data - (1.0 - lam) * divergence_reference(psi)
+    energy_gradient = -data - divergence_reference((1.0 - lam)[..., None] * psi)
+    assert np.max(np.abs(stationarity)) < 1e-12
+    assert np.max(np.abs(energy_gradient)) > 0.1
 
 
 def test_denoising_improves_ssim_on_noisy_step():
@@ -311,15 +340,3 @@ def test_iterations_match_frozen_reference(shape, constant):
 
     run_denoise(f, params, on_check=check)
     assert len(records) == 6
-
-
-def test_steady_state_takes_no_fresh_pages():
-    # Without the workspace, five 512^2 adaptive iterations took 3097
-    # minor faults (about 1.75 fields faulted in fresh per iteration);
-    # the bound is a tenth of that.
-    st = denoise_steady_state(512, False)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(5):
-        st.iterate()
-        st.energy()
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 300

@@ -163,11 +163,16 @@ def test_write_pnm_rejects_non_finite_samples(tmp_path, bad):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("shape", [(0, 5, 2), (5, 0, 2)])
-def test_write_flo_rejects_empty_fields(tmp_path, shape):
+@pytest.mark.parametrize("field, message", [
+    pytest.param(np.zeros((0, 5, 2)), "empty", id="shape0"),
+    pytest.param(np.zeros((5, 0, 2)), "empty", id="shape1"),
+    # finite, but float32's largest value is 3.4028235e38
+    pytest.param(np.array([[[1e300, 0.0], [0.0, -3.5e38]]]), "float32", id="beyond-float32"),
+])
+def test_write_flo_rejects_unwritable_fields(tmp_path, field, message):
     path = tmp_path / "e.flo"
-    with pytest.raises(ValueError, match="empty"):
-        write_flo(path, np.zeros(shape))
+    with pytest.raises(ValueError, match=message):
+        write_flo(path, field)
     assert not path.exists()
 
 
@@ -195,6 +200,15 @@ def test_flo_independent_byte_fixture(tmp_path):
     assert u[0, 0, 1] == -2.0
     assert u[0, 1, 0] == 0.5
     assert u[0, 1, 1] == 3.25
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_read_flo_rejects_non_finite_payload(tmp_path, bad):
+    path = tmp_path / "n.flo"
+    path.write_bytes(struct.pack("<f", 202021.25) + struct.pack("<ii", 2, 1)
+                     + struct.pack("<ffff", 1.0, bad, 0.5, 3.25))
+    with pytest.raises(ValueError, match="non-finite"):
+        read_flo(path)
 
 
 def test_flo_error_paths(tmp_path):

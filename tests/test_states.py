@@ -4,11 +4,11 @@ state keeps between iterations, what it forms once per iteration, what
 it writes in place and what it allocates."""
 
 import copy
+import resource
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from types import ModuleType
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,7 @@ from helpers import (
 @dataclass
 class Problem:
     name: str
-    module: ModuleType
+    modules: tuple  # the modules whose bindings of a kernel the state calls
     state: Callable  # state(constant): a smoothed state, adaptive or constant
     steady: Callable  # steady(n, constant): a state after two iterations
     random: Callable  # random(k): the k-th state of random fields
@@ -49,43 +49,49 @@ class Problem:
     in_place: tuple  # attributes that iterate() keeps and writes into
     planar: tuple  # (..., 2) fields that are views of component-first memory
     allocation: dict  # {(n, constant): bound}, in fields of the frame
-    v_step: Callable  # v_step(state): the v-step through the state's own buffers
+    v_step: Callable  # v_step(state): the v-step and dual step through the state's own buffers
     frame: str = "f"
     misfit_over_gap: bool = False  # forms an envelope every iteration, over its gap
     relinearize: dict = field(default_factory=dict)  # calls of one relinearize
+    pages: dict = field(default_factory=dict)  # {(n, constant): bound}, in minor faults over 5 iterations
 
 
 def flow_problem(regularizer):
+    # Flow's iteration is the linear-data state of module denoise, which
+    # calls the kernels through denoise's bindings; relinearize folds the
+    # prior into ft through flow's binding of _dot.
     aniso = regularizer == "anisotropic"
     return Problem(
-        "flow-" + regularizer, flow, state=partial(flow_state, anisotropic=aniso),
+        "flow-" + regularizer, (denoise, flow), state=partial(flow_state, anisotropic=aniso),
         steady=partial(flow_steady_state, anisotropic=aniso),
         random=lambda k: random_flow_state(730 + k, n=4, anisotropic=aniso),
         energy=flow_energy_reference, kept=assert_flow_intermediates,
-        once=("dual_step", "_dot"), in_place=("z", "r", "w", "u", "v", "solve_scratch"),
-        planar=("u", "v", "w", "A"), allocation={(128, False): 14, (128, True): 14},
-        v_step=lambda st: flow.update_v_w(st, st.params.solver, rhs=st.rhs, xi=st.xi, scratch=st.solve_scratch),
+        once=("dual_step", "_dot"), in_place=("z", "r", "w", "u", "v", "workspace"),
+        planar=("u", "v", "w", "A"), allocation={(128, False): 1, (128, True): 1},
+        v_step=lambda st: flow.update_v_w(st, st.params.solver),
         frame="f1", relinearize={"gradient": 1, "_dot": 2, "_form_intermediates": 1},
+        pages={(512, False): 300},
     )
 
 
 # Allocation bounds in fields: an iteration with its energy took 13.0
 # for segment with 4 labels at 128^2 (16.0 adaptive before its v-step
-# formed xi and the right-hand side in buffers it keeps), 12.3 for flow
-# when these were set, and 12 to 14 for denoise before its workspace.
+# formed xi and the right-hand side in buffers it keeps); 0.40 and 0.50
+# for anisotropic and isotropic flow with the linear-data workspace
+# (12.3 and 8.2 before it); and 12 to 14 for denoise before its workspace.
 PROBLEMS = [
     Problem(
-        "denoise", denoise, state=denoise_state, steady=denoise_steady_state,
+        "denoise", (denoise,), state=denoise_state, steady=denoise_steady_state,
         random=lambda k: random_denoise_state(311 + k, n=9),
         energy=denoise_energy_reference, kept=assert_denoise_intermediates,
         once=("dual_step", "vector_norm"), in_place=("u", "v", "w", "r", "z", "workspace"),
         planar=("z",),
         allocation={(n, c): 1 for n in (128, 512) for c in (False, True)},
-        v_step=lambda st: denoise.update_v(st, st.params, rhs=st.workspace.rhs, xi=st.workspace.field,
-                                           scratch=st.workspace.solve),
+        v_step=lambda st: denoise.update_v_w(st, st.params),
+        pages={(512, False): 300},
     ),
     Problem(
-        "segment", segment, state=segment_state, steady=segment_steady_state,
+        "segment", (segment,), state=segment_state, steady=segment_steady_state,
         random=lambda k: random_segment_state(650 + k),
         energy=segment_energy_reference, kept=assert_segment_intermediates,
         once=("dual_step",), in_place=("z", "r", "w", "u", "v", "solve_scratch", "grad_v"),
@@ -96,12 +102,15 @@ PROBLEMS = [
     flow_problem("isotropic"),
 ]
 
-ALLOCATION = [
-    pytest.param(case, n, constant, bound,
-                 id="%s-%d-%s" % (case.name, n, "constant" if constant else "adaptive"))
-    for case in PROBLEMS
-    for (n, constant), bound in case.allocation.items()
-]
+
+def per_size(column):
+    """(case, n, constant, bound) of one {(n, constant): bound} column."""
+    return [
+        pytest.param(case, n, constant, bound,
+                     id="%s-%d-%s" % (case.name, n, "constant" if constant else "adaptive"))
+        for case in PROBLEMS
+        for (n, constant), bound in getattr(case, column).items()
+    ]
 
 
 @pytest.fixture(params=PROBLEMS, ids=lambda case: case.name)
@@ -114,26 +123,30 @@ def constant(request):
     return request.param
 
 
-def spy(monkeypatch, owner, name, log, note):
-    """Wrap owner.name so that every call appends note(*args, **kwargs) to log."""
-    kernel = getattr(owner, name)
+def spy(monkeypatch, owners, name, log, note):
+    """Wrap name in every owner that binds it so that every call appends
+    note(*args, **kwargs) to log."""
+    for owner in owners:
+        if not hasattr(owner, name):
+            continue
+        kernel = getattr(owner, name)
 
-    def wrapped(*args, **kwargs):
-        log.append(note(*args, **kwargs))
-        return kernel(*args, **kwargs)
+        def wrapped(*args, _kernel=kernel, **kwargs):
+            log.append(note(*args, **kwargs))
+            return _kernel(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, wrapped)
+        monkeypatch.setattr(owner, name, wrapped)
 
 
 def assert_formed_once_per_iteration(monkeypatch, case, constant, names):
-    """Each named kernel of the problem module, or the state's
+    """Each named kernel of the problem's modules, or the state's
     _form_intermediates, runs once in each of six iterations, plus what
     one relinearize calls before the fourth; energy() calls none."""
     st = case.state(constant)
     calls = []
     for name in names:
-        owner = st if name == "_form_intermediates" else case.module
-        spy(monkeypatch, owner, name, calls, lambda *a, _name=name, **k: _name)
+        owners = (st,) if name == "_form_intermediates" else case.modules
+        spy(monkeypatch, owners, name, calls, lambda *a, _name=name, **k: _name)
     once = Counter(dict.fromkeys(names, 1))
     for k in range(6):
         expected = once
@@ -199,8 +212,8 @@ def test_envelope_only_for_a_weight_field(monkeypatch, case, constant):
     # f - c that the r-step shrank.
     st = case.state(constant)
     residuals, over_gap = [], []
-    spy(monkeypatch, case.module, "weight_fields", residuals, lambda rho, *a, **k: rho)
-    spy(monkeypatch, case.module, "envelope_at", over_gap,
+    spy(monkeypatch, case.modules, "weight_fields", residuals, lambda rho, *a, **k: rho)
+    spy(monkeypatch, case.modules, "envelope_at", over_gap,
         lambda x, *a, **buffers: buffers.get("out") is x)
     for _ in range(3):
         st.iterate()
@@ -233,7 +246,7 @@ def test_iterate_writes_the_fields_in_place(case, constant):
     assert_planar(st, case.planar)
 
 
-@pytest.mark.parametrize("case, n, constant, bound", ALLOCATION)
+@pytest.mark.parametrize("case, n, constant, bound", per_size("allocation"))
 def test_steady_state_allocation_is_bounded(case, n, constant, bound):
     # numpy copies a broadcast operand through an iteration buffer of
     # np.getbufsize() entries per ufunc call, 128 KiB for complex128
@@ -252,10 +265,25 @@ def test_steady_state_allocation_is_bounded(case, n, constant, bound):
     assert peak < bound * getattr(st, case.frame).nbytes
 
 
+@pytest.mark.parametrize("case, n, constant, bound", per_size("pages"))
+def test_steady_state_takes_no_fresh_pages(case, n, constant, bound):
+    # Without the workspace, five 512^2 adaptive denoise iterations took
+    # 3097 minor faults (about 1.75 fields faulted in fresh per
+    # iteration), and anisotropic flow's took 10100 before it shared
+    # the workspace; the bound is a tenth of denoise's.
+    st = case.steady(n, constant)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        st.iterate()
+        st.energy()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= bound
+
+
 def test_v_step_with_the_states_buffers_allocates_nothing_of_field_size(case, constant):
     # The right-hand side, xi, u + w, the solve, segment's projection and
-    # flow's u - v all go into the state's own buffers, so only numpy's
-    # iteration buffers remain, shrunk as above: 0.05 fields at 256^2.
+    # the dual step's u - v all go into the state's own buffers, so only
+    # numpy's iteration buffers remain, shrunk as above: 0.05 fields at
+    # 256^2.
     st = case.steady(256, constant)
     case.v_step(st)
     bufsize = np.setbufsize(1024)
