@@ -15,9 +15,12 @@ label-major.  One iteration runs these steps on the whole stack:
                  u-step, the energy and the next weight step
     u            u_i = max(0, v_i - w_i - (lambda_i/theta) d_i
                                 - (tau_excl/theta) sum_{j != i} u_j)
-    v            one screened solve (exact by the DCT for a constant
-                 weight, a float lambda and so a scalar xi; else
-                 Gauss-Seidel sweeps), projected onto sum_i v_i = 1
+    v            the screened solves, with sum_i v_i = 1: for a weight
+                 field, Gauss-Seidel sweeps on the whole stack, then
+                 the projection onto that sum; for a constant weight (a
+                 float lambda, so a scalar xi), the projection of the
+                 right-hand side, the exact DCT solve of the first
+                 n - 1 labels and the last label as 1 minus their sum
     w            w += u - v by solver.dual_step, from the u - v that
                  also gives the primal residual, kept as a number
 
@@ -31,15 +34,17 @@ The steps write z, lambda (when it is a field), r, u, v, w and grad v
 into the state's own arrays, so code that keeps a field across an
 iteration must copy it.  The v-step forms its right-hand side and xi in
 buffers the state allocates once, solves into v through the state's
-solve scratch and projects v in place; the dual step forms u - v in
-the scratch.  z and grad v are component-planar: (n, H, W, 2) views of
-(2, n, H, W) memory.
+solve scratch and projects in place (v after the sweeps, the right-hand
+side before the exact solve); the dual step forms u - v in the scratch.
+z and grad v are component-planar: (n, H, W, 2) views of (2, n, H, W)
+memory.
 
 The final labeling is the pixelwise argmax of the memberships.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -66,20 +71,55 @@ class SegmentParams:
             raise ValueError("tau_excl must be nonnegative and finite")
 
 
+def _runs(ordered: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, stop) per center: the run of the sorted values nearest to
+    it by |v - c|, ties to the lower index, as np.argmin over the
+    centers assigns them (unless two distinct centers lie within the
+    rounding of a distance of each other, where np.argmin can also tie
+    outside the interval between them).  A center equal to one of lower
+    index takes an empty run.  Of two value-adjacent centers c_p < c_q,
+    p keeps the values below c_p and q those from c_q on; on [c_p, c_q),
+    where the comparison is monotone in the value, q's run starts at the
+    first value that it wins, found by binary search."""
+    value, kept = np.unique(centers, return_index=True)
+    at = np.searchsorted(ordered, value).tolist()
+    cuts = [0]
+    for k in range(len(kept) - 1):
+        cp, cq = value[k], value[k + 1]
+        tie = kept[k + 1] < kept[k]
+
+        def beats(x):
+            dq, dp = abs(x - cq), abs(x - cp)
+            return dq < dp or (tie and dq == dp)
+
+        cuts.append(bisect.bisect_left(ordered, True, at[k], at[k + 1], key=beats))
+    cuts.append(len(ordered))
+    start = np.zeros(len(centers), dtype=np.intp)
+    stop = np.zeros_like(start)
+    start[kept], stop[kept] = cuts[:-1], cuts[1:]
+    return start, stop
+
+
 def _lloyd_1d(values: np.ndarray, centers: np.ndarray, iters: int = 50) -> np.ndarray:
-    """Plain 1-D k-means refinement; a center whose cluster empties is
-    reseeded at the value farthest from all surviving centers."""
+    """Plain 1-D k-means refinement, returned sorted.  Each iteration
+    assigns every value to its nearest center (ties to the lower index)
+    and moves each center to the mean of its values; a center whose
+    cluster empties is reseeded at the value farthest from all the
+    iteration's centers, and the loop stops once no center moved by
+    1e-12.  In 1-D the clusters are runs of the sorted values, so the
+    values are sorted once and an iteration takes n - 1 binary searches
+    and n means over runs; only an iteration where a cluster empties
+    forms the dense distances, for the reseed."""
     centers = centers.astype(np.float64).copy()
+    ordered = np.sort(values)
     for _ in range(iters):
-        dist = np.abs(values[None, :] - centers[:, None])
-        nearest = np.argmin(dist, axis=0)
+        start, stop = _runs(ordered, centers)
+        far = None
+        if np.any(start == stop):
+            far = values[np.argmax(np.min(np.abs(values[None, :] - centers[:, None]), axis=0))]
         moved = 0.0
         for i in range(len(centers)):
-            member = values[nearest == i]
-            if member.size:
-                new = member.mean()
-            else:
-                new = values[np.argmax(np.min(dist, axis=0))]
+            new = ordered[start[i] : stop[i]].mean() if stop[i] > start[i] else far
             moved = max(moved, abs(new - centers[i]))
             centers[i] = new
         if moved < 1e-12:
@@ -90,8 +130,9 @@ def _lloyd_1d(values: np.ndarray, centers: np.ndarray, iters: int = 50) -> np.nd
 def warm_start_labels(f: np.ndarray, n_labels: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic intensity warm start (u, c): c_i from 1-D k-means on
     a Gaussian (sigma 1) low-pass copy of f (seeded at evenly spaced
-    quantiles), and one-hot memberships u (n, H, W) that assign each
-    pixel to the c_i nearest its raw value.
+    quantiles; _lloyd_1d, over the copy's values sorted once), and
+    one-hot memberships u (n, H, W) that assign each pixel to the c_i
+    nearest its raw value, ties to the lower c_i.
 
     The relaxed iteration cannot separate region intensities that start
     collapsed: under a per-pixel random layout the first c step averages
@@ -145,9 +186,10 @@ def update_u(state: SegmentState, params: SegmentParams, d: np.ndarray) -> np.nd
     sp = params.solver
     base = state.v - state.w
     # (lambda / theta) d goes through later before the suffix sums
-    # overwrite it
+    # overwrite it; a float lambda scales d in the one multiply
     later = np.empty_like(base)
-    np.multiply(np.divide(state.lam, sp.theta, out=later), d, out=later)
+    scale = np.divide(state.lam, sp.theta, out=later) if np.ndim(state.lam) else state.lam / sp.theta
+    np.multiply(scale, d, out=later)
     base -= later
     u = state.u
     # later[i] = u_{i+1} + ... + u_{n-1} at the start of the sweep; the
@@ -165,23 +207,35 @@ def update_u(state: SegmentState, params: SegmentParams, d: np.ndarray) -> np.nd
 
 
 def update_v_all(state: SegmentState, params: SegmentParams, *, rhs=None, xi=None, scratch=None) -> None:
-    """One screened solve over the (n, H, W) label stack, then projection
-    onto sum_i v_i = 1, both written into state.v.  The solve is exact
-    for a float lambda (scalar xi) and gs_sweeps Gauss-Seidel sweeps from
-    v for a weight field.  rhs, xi and scratch are the buffers of
-    solver.v_step_buffers, or None: rhs takes the divergence of z and
-    then the right-hand side, xi's head takes xi (solver.screened_system),
-    and the flat scratch takes the divergence's bands, u + w, the solve
-    and the projection's correction.
+    """The v-step: the screened systems of the (n, H, W) label stack,
+    solved and projected onto sum_i v_i = 1, written into state.v.  rhs,
+    xi and scratch are the buffers of solver.v_step_buffers, or None: rhs
+    takes the divergence of z and then the right-hand side, xi's head
+    takes xi (solver.screened_system), and the flat scratch takes the
+    divergence's bands, u + w, the solve and the projection's correction.
 
-    Each label's system only reads that label's own fields, so the
-    stacked solve matches solving the labels one by one.
+    For a weight field, each label's system only reads that label's own
+    fields and xi_i, so one stacked solve of gs_sweeps Gauss-Seidel
+    sweeps from v matches solving the labels one by one, and v is
+    projected after it.  For a float lambda, xi is one scalar, and the
+    exact solve S keeps constants (S 1 = 1), so it commutes with the
+    projection: the right-hand side is projected first, the exact solve
+    runs on the first n - 1 labels only, and the last label is
+    1 - sum_{i<n-1} v_i.  That equals solving every label and then
+    projecting up to rounding.
     """
     sp = params.solver
+    v = state.v
     div_z = divergence(state.z, out=rhs, scratch=scratch)
     rhs, xi = screened_system(div_z, state.u, state.w, state.lam, sp, xi=xi, scratch=scratch)
-    screened_solve(rhs, xi, state.v, sp.gs_sweeps, out=state.v, scratch=scratch)
-    project_stack_sum_to_one(state.v, out=state.v, scratch=slot(scratch, state.f.shape))
+    correction = slot(scratch, state.f.shape)
+    if np.ndim(xi):
+        screened_solve(rhs, xi, v, sp.gs_sweeps, out=v, scratch=scratch)
+        project_stack_sum_to_one(v, out=v, scratch=correction)
+    else:
+        project_stack_sum_to_one(rhs, out=rhs, scratch=correction)
+        screened_solve(rhs[:-1], xi, v[:-1], sp.gs_sweeps, out=v[:-1], scratch=scratch)
+        np.subtract(1.0, np.sum(v[:-1], axis=0, out=v[-1]), out=v[-1])
 
 
 def extract_labels(state: SegmentState) -> np.ndarray:

@@ -390,6 +390,30 @@ def weight_fields_reference(rho, params):
     return shrink_reference(nu, params.alpha)
 
 
+def lloyd_1d_reference(values, centers, iters=50):
+    """The dense 1-D k-means of segment._lloyd_1d before it sorted the
+    values, frozen: every iteration forms all |v - c| and takes
+    np.argmin over the centers; a center whose cluster empties is
+    reseeded at the value farthest from all of the iteration's
+    centers."""
+    centers = centers.astype(np.float64).copy()
+    for _ in range(iters):
+        dist = np.abs(values[None, :] - centers[:, None])
+        nearest = np.argmin(dist, axis=0)
+        moved = 0.0
+        for i in range(len(centers)):
+            member = values[nearest == i]
+            if member.size:
+                new = member.mean()
+            else:
+                new = values[np.argmax(np.min(dist, axis=0))]
+            moved = max(moved, abs(new - centers[i]))
+            centers[i] = new
+        if moved < 1e-12:
+            break
+    return np.sort(centers)
+
+
 def _label_misfit(s, i, mu):
     return envelope_reference(s.f - s.c[i], s.r[i], mu)
 

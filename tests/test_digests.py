@@ -11,6 +11,7 @@ spec.loader.exec_module(digests)
 
 RUNS = (
     ["denoise-adaptive", "denoise-constant", "segment-adaptive", "segment-constant"]
+    + ["segment-constant-2label", "segment-constant-odd"]
     + ["flow-%s-%dlevel-%s" % (reg, levels, kind)
        for reg in ("anisotropic", "isotropic")
        for levels in (1, 2)

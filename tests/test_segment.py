@@ -3,11 +3,13 @@ stacked iteration against a label-by-label reference, and membership
 invariants."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adaptreg.grid import divergence
+from adaptreg import segment, solver
+from adaptreg.grid import convolve_gaussian, divergence
 from adaptreg.prox import project_stack_sum_to_one
 from adaptreg.segment import (
     SegmentState,
@@ -23,7 +25,9 @@ from adaptreg.synth import Splitmix64, add_gaussian_noise, noisy_rectangles
 from helpers import (
     assemble_screened_matrix,
     assert_same_bits,
+    divergence_reference,
     exclusivity_sum_reference,
+    lloyd_1d_reference,
     random_label_state,
     seg_params,
     segment_energy_reference,
@@ -78,6 +82,74 @@ def test_warm_start_is_deterministic():
     b = warm_start_labels(f, 3)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
+
+
+LLOYD_IMAGES = {
+    "rectangles-reseeded": (lambda: noisy_rectangles(128, seed=0)[0], 4),
+    "constant": (lambda: np.full((12, 10), 0.6), 4),
+    "two-level": (lambda: np.where(np.arange(32)[None, :] < 16, 0.2, 0.8) * np.ones((32, 32)), 4),
+    "1x1": (lambda: np.full((1, 1), 0.3), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(LLOYD_IMAGES))
+def test_warm_start_equals_the_dense_lloyd_reference(name, monkeypatch):
+    image, n = LLOYD_IMAGES[name]
+    f = image()
+    u, c = warm_start_labels(f, n)
+    monkeypatch.setattr(segment, "_lloyd_1d", lloyd_1d_reference)
+    u_ref, c_ref = warm_start_labels(f, n)
+    assert_same_bits(u, u_ref)
+    assert np.all(np.abs(c - c_ref) <= 4 * np.spacing(np.abs(c_ref)))
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [("rectangles-reseeded", [4713, 2596, 9075, 0]), ("constant", [120, 0, 0, 0])],
+)
+def test_first_lloyd_iteration_empties_clusters(name, counts):
+    # the fixtures above reach the reseed: one cluster empties at the
+    # quantile seeds of the rectangles, three of the constant image
+    image, n = LLOYD_IMAGES[name]
+    fs = convolve_gaussian(image(), 1.0).ravel()
+    seeds = np.quantile(fs, (np.arange(n) + 0.5) / n)
+    start, stop = segment._runs(np.sort(fs), seeds)
+    assert (stop - start).tolist() == counts
+
+
+@pytest.mark.parametrize("seeds", [[0.25, 0.75], [0.75, 0.25], [0.5, 0.25, 0.75]],
+                         ids=["ascending", "descending", "three"])
+def test_lloyd_midpoint_ties_go_to_the_lower_index(seeds):
+    # dyadic values, so every distance and midpoint is exact: 0.5 sits
+    # on the midpoint of the seeds 0.25 and 0.75
+    values = np.array([1.0, 0.5, 0.0, 0.75, 0.5, 0.25, 0.5])
+    seeds = np.array(seeds)
+    c = segment._lloyd_1d(values, seeds)
+    assert np.all(np.abs(c - lloyd_1d_reference(values, seeds))
+                  <= 4 * np.spacing(np.abs(c)))
+    # and the first assignment is np.argmin's, ties to the lower index
+    ordered = np.sort(values)
+    assert np.array_equal(_run_labels(ordered, seeds),
+                          np.argmin(np.abs(ordered[None] - seeds[:, None]), axis=0))
+
+
+def _run_labels(ordered, centers):
+    """The center whose run holds each sorted value, -1 where none does."""
+    start, stop = segment._runs(ordered, centers)
+    nearest = np.full(ordered.size, -1)
+    for i, (a, b) in enumerate(zip(start, stop)):
+        nearest[a:b] = i
+    return nearest
+
+
+def test_runs_assign_as_argmin_with_duplicate_and_unsorted_centers():
+    rng = Splitmix64(612)
+    values = np.sort(np.concatenate([np.round(rng.uniforms(400) * 64) / 64, rng.uniforms(100)]))
+    for trial in range(40):
+        n = 2 + trial % 5
+        centers = np.round(rng.uniforms(n) * 16) / 16  # dyadic: exact midpoints, duplicates
+        assert np.array_equal(_run_labels(values, centers),
+                              np.argmin(np.abs(values[None] - centers[:, None]), axis=0))
 
 
 def test_misfit_formula():
@@ -196,6 +268,55 @@ def test_update_v_all_matches_dense_solve():
     ref = project_stack_sum_to_one(ref)
     update_v_all(st, params)
     assert float(np.sqrt(np.mean((st.v - ref) ** 2))) <= 1e-6
+
+
+def _constant_label_state(n, h, w, lam):
+    rng = Splitmix64(613 + 10 * n + h * w)
+    shape = (n, h, w)
+    return SimpleNamespace(
+        f=rng.uniforms(h * w).reshape(h, w),
+        u=rng.uniforms(n * h * w).reshape(shape),
+        v=rng.normals(n * h * w).reshape(shape) * 0.3 + 0.5,
+        w=rng.normals(n * h * w).reshape(shape) * 0.1,
+        z=rng.normals(n * h * w * 2).reshape(shape + (2,)) * 0.2,
+        lam=lam,
+    )
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (7, 1), (2, 2), (9, 8)])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_constant_weight_v_step_matches_per_label_exact_solves_then_projection(n, h, w, lam):
+    st = _constant_label_state(n, h, w, lam)
+    params = seg_params(n_labels=n)
+    sp = params.solver
+    xi = (1.0 - lam) / (sp.eta * sp.theta)
+    rhs = st.u + st.w - xi * divergence_reference(st.z)
+    ref = project_stack_sum_to_one(np.stack([solver.exact_screened_solve(r, xi) for r in rhs]))
+    scratch, xi_buffer, rhs_buffer = solver.v_step_buffers(st.u.shape, st.u.shape)
+    update_v_all(st, params, rhs=rhs_buffer, xi=xi_buffer, scratch=scratch)
+    assert np.max(np.abs(st.v - ref)) <= 1e-13
+    assert np.max(np.abs(np.sum(st.v, axis=0) - 1.0)) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("const", [0.3, None], ids=["constant", "weight-field"])
+def test_constant_weight_v_step_solves_one_label_fewer_and_sweeps_none(const, monkeypatch):
+    img, _ = noisy_rectangles(9, seed=4)
+    img = img[:, :8]
+    st = SegmentState(img, seg_params(3, beta=0.05, const=const, sigma=1.5))
+    exact, swept = [], []
+    for name, seen in (("exact_screened_solve", exact), ("_sweep", swept)):
+        def spy(first, *args, real=getattr(solver, name), seen=seen, **kwargs):
+            seen.append(first.shape)
+            return real(first, *args, **kwargs)
+        monkeypatch.setattr(solver, name, spy)
+    for _ in range(3):
+        st.iterate()
+    if const is None:
+        # the sweeps' planes hold the whole stack: 4 sub-lattices of 3 labels
+        assert exact == [] and len(swept) == 3 and all(s[:2] == (4, 3) for s in swept)
+    else:
+        assert exact == [(2, 9, 8)] * 3 and swept == []
 
 
 def test_extract_labels_argmax_with_low_tie():

@@ -9,6 +9,8 @@ prints.  The runs:
 
     denoise-{adaptive,constant}
     segment-{adaptive,constant}                    4 labels
+    segment-constant-2label                        2 labels
+    segment-constant-odd                           4 labels, image of side SIZE + 1
     flow-{anisotropic,isotropic}-{1,2}level-{adaptive,constant}
     flow-anisotropic-2level-odd                    adaptive, frames of side SIZE + 1
     cli-{denoise,segment,flow}                     the criterion-15 runs
@@ -122,15 +124,22 @@ def library_runs(size: int, iters: int) -> dict:
         u, _ = run_denoise(noisy, sp, on_check=run.on_check)
         digests["denoise-" + kind] = run.finish({"u": u})
 
-    image = noisy_rectangles(size, seed=1)[0]
-    for kind, constant in (("adaptive", None), ("constant", 0.2)):
+    def segment(side, n_labels, constant):
+        image = noisy_rectangles(side, seed=1)[0]
         sp = SolverParams(mu=0.5, eta=0.5, theta=1.0, adaptive=_adaptive(0.05, 1.5, constant),
                           max_iters=iters, tol_primal=1e-12)
         run = _Run("segment")
-        labels, state, _ = run_segment(image, SegmentParams(solver=sp, n_labels=4),
+        labels, state, _ = run_segment(image, SegmentParams(solver=sp, n_labels=n_labels),
                                        on_check=run.on_check)
         outputs = {"labels": labels, "c": state.c, "degenerate": state.degenerate_events}
-        digests["segment-" + kind] = run.finish(outputs)
+        return run.finish(outputs)
+
+    for kind, constant in (("adaptive", None), ("constant", 0.2)):
+        digests["segment-" + kind] = segment(size, 4, constant)
+    # Two labels, where a constant weight's exact solve takes one label
+    # of the two; and an odd side, for the exact solve's odd transforms.
+    digests["segment-constant-2label"] = segment(size, 2, 0.2)
+    digests["segment-constant-odd"] = segment(size + 1, 4, 0.2)
 
     def flow(side, reg, levels, constant):
         f1, f2, _ = shifted_pair(smooth_texture(side, seed=5), (1.0, 0.5))
