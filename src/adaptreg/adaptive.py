@@ -44,8 +44,9 @@ class AdaptiveParams:
         before the exponential; 0 disables smoothing.
     constant_lambda : float or None
         If set, lambda is this constant as a float and the residual is
-        ignored (constant-regularization baseline).  The v-steps then
-        get a scalar xi, which screened_solve solves exactly by the DCT.
+        ignored (constant-regularization baseline).  Segmentation's
+        v-step then gets a scalar xi, which screened_solve solves exactly
+        by the DCT, as it solves every v-step of denoising and flow.
     """
 
     beta: float

@@ -6,42 +6,53 @@ with lambda driven by the data residual.  Denoising is the one-component
 case of a state for a K-component field u with a pointwise linear data
 term lambda * phi_mu(b - A . u) (the data term of TV-L1 optical flow):
 here A is the identity and b = f, while flow.FlowState takes K = 2, an
-(H, W, 2) field A and b = ft.  ADMM splits u = v, soft-shrinks the
-auxiliaries r (data) and z (gradient), and alternates:
+(H, W, 2) field A and b = ft.  ADMM splits u = v, with scaled dual w and
+penalty theta, and z = grad v, with scaled dual y and penalty rho (the
+split Bregman form of the regularizer: Goldstein & Osher, SIAM J.
+Imaging Sci. 2009; Wang, Yang, Yin & Zhang, SIAM J. Imaging Sci. 2008).
+The data term keeps its auxiliary r, the soft shrink of the data gap.
+One iteration:
 
-    z            shrink of grad v, a vector shrink per component (per
-                 partial derivative with flow's anisotropic regularizer);
-                 it reads only v, so it runs first, from the grad v and
-                 |grad v| the last iteration formed
+    P            grad v - y into z, from the grad v the last iteration
+                 formed
     nu, lambda   from the explicit residual envelope_at(b - A . u, r, mu)
                  = |r| + (b - A . u - r)^2 / (2 mu) at the previous r
                  (taken literally from the update sequence, not
                  recomputed); a constant weight never reads it, so it is
                  not formed
+    z            the prox of t phi_eta at P, t = (1 - lambda)/rho, in
+                 place: P (1 - t / max(|P|, eta + t)), per vector of a
+                 component (huber_prox_vec), or per partial derivative
+                 with flow's anisotropic regularizer (huber_prox)
     r            shrink(b - A . u | mu), from the same data gap
     u            pointwise solve of (mu theta I + lambda A A^T) u
                      = mu theta (v - w) + lambda (b - r) A
                  in closed form (update_u); for A = 1 that is
                  (lambda + mu theta) u = mu theta (v - w) + lambda (f - r)
-    v            screened system (1 - xi Laplacian) v = u + w - xi div z
-                 over the (K, H, W) stack, xi = (1 - lambda)/(eta theta):
-                 a constant weight is a float lambda, so xi is a scalar
-                 and screened_solve solves exactly by the DCT; a weight
-                 field takes red-black Gauss-Seidel sweeps
-    w            w + u - v
+    v            screened system (1 - xi Laplacian) v = u + w - xi div(z + y)
+                 over the (K, H, W) stack, with the scalar xi = rho/theta,
+                 which screened_solve solves exactly by the DCT, for a
+                 constant weight and a weight field alike
+    w, y         w + u - v, then y + z - grad v
+
+The weight enters only the pointwise z-step, so every v-system has the
+one scalar xi, and the fixed point is a stationary point of the
+weighted energy, with 1 - lambda inside the divergence.  rho is one
+constant per run (split_weight): the least regularizer weight 1 - lambda
+the run can take, over eta.  For a constant weight that is
+(1 - lambda)/eta, so xi = (1 - lambda)/(eta theta).
 
 Initialization u = v = f, everything else zero.  A constant image is a
 fixed point: the first iteration already has a zero primal residual.
 
 Each intermediate is computed once and shared.  The dual step
 (solver.dual_step) forms u - v, from which it takes the new w and then
-the primal residual, kept as a number.  After it, at the end of every
-iteration (and in the constructor), LinearState._form_intermediates
-forms grad v, |grad v| (not with the anisotropic regularizer, which
-never reads it) and the data gap b - A . u of the new fields: the energy
-reads them, and so does the next iteration (huber_vec and shrink_vec
-both read the norm, the weights and the r-step the gap).  energy() only
-reads what is kept.
+the primal residual, kept as a number; the stop test reads only that
+residual.  The v-step then forms grad v of the new v, for the dual step
+of y, and the end of every iteration (and the constructor, with grad v)
+forms the data gap b - A . u (LinearState._form_intermediates): the
+energy reads both, and so does the next iteration (P, the weights and
+the r-step).  energy() only reads what is kept.
 
 The state's fields are its public attributes.  Every step reads them
 through component-first views taken when it runs (_stack), so a field
@@ -50,8 +61,8 @@ intermediates do not see it until they are formed again.
 
 Workspace: a state allocates one _Workspace at construction and reuses
 it for every iteration, so a steady-state iteration allocates nothing of
-field size.  The steps write u, v, w, r, z and a weight field lambda in
-place: the v-step builds its right-hand side in the workspace's rhs
+field size.  The steps write u, v, w, r, z, y and a weight field lambda
+in place: the v-step builds its right-hand side in the workspace's rhs
 stack and the solve writes v over the old v.  A float lambda, as a
 constant-weight run leaves it, is replaced by a field when a weight
 field is next formed.  The workspace's slots share memory across the
@@ -65,8 +76,9 @@ import numpy as np
 
 from .adaptive import weight_fields
 from .grid import divergence, gradient, scalar_grid, smoothing_scratch_size
-from .prox import envelope_at, huber, huber_vec, shrink, shrink_vec, vector_norm
-from .solver import SolverParams, dual_step, run_admm, screened_solve, screened_system, slot, v_step_buffers
+# shrink_vec: bound for the tracer only
+from .prox import envelope_at, huber, huber_prox, huber_prox_vec, huber_vec, shrink, shrink_vec, vector_norm
+from .solver import SolverParams, dual_step, run_admm, screened_solve, slot, v_step_buffers
 
 
 class _Workspace:
@@ -78,29 +90,30 @@ class _Workspace:
     stack.  Between v-solves, the arena's start holds other slots in turn:
 
         the smoothing's scratch                  weights
+        the anisotropic z-step's factor          z-step
         the u-step's K + 3 temporaries           u-step
         u - v                                    dual step
-        grad v (2K fields, in z's layout)        end of iteration -> energy
-        and |grad v| (K fields)                  and next z-step
+        grad v (2K fields, component-planar      v-step -> energy and next P
+        like z)
+        and then |P| (K fields), and the         isotropic z-step
+        factor over it
 
-    and b - A . u sits past the smoothing's part and |grad v| (end of
+    and b - A . u sits past the smoothing's part and |P| (end of
     iteration -> energy and next r-step).  The field slot takes the
-    envelope, xi, the A . u products of the gap, the energy's terms and
+    envelope, t, the A . u products of the gap, the energy's terms and
     the signs of the shrinks; the rhs stack takes the v-step's
-    right-hand side, the signs of the anisotropic z-step and the energy's
-    scratch, and the |grad v| slots the anisotropic regularizer's Huber
-    terms."""
+    right-hand side, the squares of |P| and then eta + t of the z-step,
+    and the energy's scratch, and the |P| slots the energy's norms and
+    the anisotropic regularizer's Huber terms."""
 
-    def __init__(self, shape, sigma: float, interleaved: bool):
+    def __init__(self, shape, sigma: float):
         k, grid = shape[0], shape[1:]
         n = grid[0] * grid[1]
         gap_at = max(3 * k * n, smoothing_scratch_size(grid, sigma))
         self.solve, self.field, self.rhs = v_step_buffers(shape, grid, gap_at + n)
         self.smoothing = self.solve[:gap_at]
         self.temps = self.solve[: (k + 3) * n].reshape((k + 3,) + grid)
-        grad = self.solve[: 2 * k * n]
-        planar = np.moveaxis(grad.reshape((2,) + shape), 0, -1)
-        self.grad = grad.reshape(shape + (2,)) if interleaved else planar
+        self.grad = _planar(self.solve, shape + (2,))
         self.norm = self.solve[2 * k * n : 3 * k * n].reshape(shape)
         self.gap = self.solve[gap_at : gap_at + n].reshape(grid)
 
@@ -127,22 +140,39 @@ def _dot(a: np.ndarray, u: np.ndarray, *, out=None, scratch=None) -> np.ndarray:
     return out
 
 
+def _planar(buffer: np.ndarray, shape) -> np.ndarray:
+    """A (..., 2) array of this shape over a free buffer, component-planar:
+    a view of (2, ...) memory."""
+    return np.moveaxis(slot(buffer, shape[-1:] + shape[:-1]), 0, -1)
+
+
+def split_weight(params: SolverParams) -> float:
+    """The weight omega of the split z = grad v, whose penalty is
+    rho = omega/eta and whose v-system takes xi = omega/(eta theta):
+    the least regularizer weight 1 - lambda the run can take, which is
+    1 - constant_lambda for a constant weight and alpha for a weight
+    field (lambda <= 1 - alpha).  Where that is 0 (constant_lambda 1, or
+    alpha 0), omega is 1, the largest regularizer weight."""
+    ap = params.adaptive
+    omega = ap.alpha if ap.constant_lambda is None else 1.0 - ap.constant_lambda
+    return omega if omega > 0.0 else 1.0
+
+
 class LinearState:
     """Fields of the ADMM for a K-component field u with the data term
     lambda phi_mu(b - A . u): u, v, w (u's shape), r and lam ((H, W), lam
-    a float when the weight is constant), z (grad v's shape) and the
-    workspace.
+    a float when the weight is constant), z and y (grad v's shape) and
+    the workspace.
 
     A subclass sets params and its data, calls _start and forms the
     intermediates.  It gives b, A (its (H, W, K) field, or None for the
     identity of one component), solver (its SolverParams) and, if True,
     anisotropic (the z-step and the energy take the regularizer per
-    partial derivative; it is fixed once the intermediates are formed).
-    Its iterate calls _step with its own module's bindings of the u- and
-    v-steps, and it binds energy as is; both sit in the subclass itself,
-    where a wrapper can replace them per problem.  The state writes its
-    fields in place (see the module docstring), so code that keeps a
-    field across an iteration must copy it.  grad v, |grad v| and
+    partial derivative).  Its iterate calls _step with its own module's
+    bindings of the u- and v-steps, and it binds energy as is; both sit
+    in the subclass itself, where a wrapper can replace them per problem.
+    The state writes its fields in place (see the module docstring), so
+    code that keeps a field across an iteration must copy it.  grad v and
     b - A . u of the current fields sit in the workspace, and residual is
     the primal residual of the last dual step (0.0 at the start, where
     u = v).  energy() takes the data term at u and the regularizer at
@@ -150,48 +180,61 @@ class LinearState:
 
     anisotropic = False
 
-    def _start(self, u0: np.ndarray, z: np.ndarray, sigma: float):
-        """u and v as copies of u0 (see _copy), w and r zero, lam one, z the
-        given zero auxiliary, the workspace for a smoothing sigma and a zero
-        residual; the caller then forms the intermediates."""
+    def _start(self, u0: np.ndarray, sigma: float):
+        """u and v as copies of u0 (see _copy), w, r, z and y zero, lam one,
+        the workspace for a smoothing sigma and a zero residual; the caller
+        then forms the intermediates.  z and y are component-planar, views
+        of (2, K, H, W) memory, of shape (H, W, 2) for one component and
+        (K, H, W, 2) for more."""
         self.u = _copy(u0)
         self.v = _copy(u0)
         self.w = np.zeros_like(self.u)
         self.r = np.zeros(u0.shape[:2])
-        self.z = z
+        shape = _stack(u0).shape
+        grad_shape = (shape if u0.ndim == 3 else shape[1:]) + (2,)
+        self.z, self.y = (_planar(np.zeros(2 * self.u.size), grad_shape) for _ in range(2))
         self.lam = np.ones(u0.shape[:2])
-        # grad v in z's layout: the z-step's shrinks then run over matching strides
-        self.workspace = _Workspace(_stack(u0).shape, sigma, z.flags.c_contiguous)
+        self.workspace = _Workspace(shape, sigma)
         self.residual = 0.0
 
     def _form_intermediates(self):
-        """grad v, |grad v| and b - A . u into their workspace slots."""
+        """grad v and b - A . u into their workspace slots."""
+        gradient(_stack(self.v), out=self.workspace.grad)
+        self._form_gap()
+
+    def _form_gap(self):
+        """b - A . u into its workspace slot."""
         ws = self.workspace
-        gradient(_stack(self.v), out=ws.grad)
-        if not self.anisotropic:
-            vector_norm(ws.grad, out=ws.norm, scratch=ws.rhs)
         u = _stack(self.u)
         au = u[0] if self.A is None else _dot(_stack(self.A), u, out=ws.gap, scratch=ws.field)
         np.subtract(self.b, au, out=ws.gap)
 
     def _step(self, u_step, v_w_step):
         """One iteration, with the u-step u_step and the v-step and dual
-        step v_w_step."""
+        steps v_w_step."""
         p = self.solver
         ws = self.workspace
         z = self.z.reshape(ws.grad.shape)
-        if self.anisotropic:
-            for g, zk in zip(ws.grad, z):
-                shrink(g, p.eta, out=zk, scratch=slot(ws.rhs, g.shape))
-        else:
-            shrink_vec(ws.grad, p.eta, norm=ws.norm, out=z)
+        # P before the weights, whose scratch overwrites grad v
+        np.subtract(ws.grad, self.y.reshape(z.shape), out=z)
         adaptive = p.adaptive.constant_lambda is None
-        rho = envelope_at(ws.gap, self.r, p.mu, out=ws.field, scratch=ws.temps[0]) if adaptive else None
-        self.lam = weight_fields(rho, p.adaptive, out=self.lam, scratch=ws.smoothing)
+        envelope = envelope_at(ws.gap, self.r, p.mu, out=ws.field, scratch=ws.temps[0]) if adaptive else None
+        self.lam = weight_fields(envelope, p.adaptive, out=self.lam, scratch=ws.smoothing)
+        # t = (1 - lambda)/rho, 0-d for a float lambda
+        t = np.subtract(1.0, self.lam, out=slot(ws.field, np.shape(self.lam)))
+        t /= split_weight(p) / p.eta
+        knee = slot(ws.rhs, t.shape)
+        if self.anisotropic:
+            # over the derivative-first (2, K, H, W) views, where t broadcasts
+            first = np.moveaxis(z, -1, 0)
+            huber_prox(first, t, p.eta, out=first, scratch=np.moveaxis(ws.grad, -1, 0), knee=knee)
+        else:
+            norm = vector_norm(z, out=ws.norm, scratch=ws.rhs)
+            huber_prox_vec(z, t, p.eta, norm=norm, out=z, scratch=norm, knee=knee)
         shrink(ws.gap, p.mu, out=self.r, scratch=ws.field)
         u_step(self, p)
         v_w_step(self, p)
-        self._form_intermediates()
+        self._form_gap()
 
     def energy(self) -> float:
         p = self.solver
@@ -207,10 +250,10 @@ class LinearState:
         for k, g in enumerate(ws.grad):
             term = ws.rhs[0] if k else reg
             if self.anisotropic:
-                h = huber(g, p.eta, out=slot(ws.norm, g.shape), scratch=slot(ws.rhs, g.shape))
+                h = huber(g, p.eta, out=_planar(ws.norm, g.shape), scratch=_planar(ws.rhs, g.shape))
                 np.add(h[..., 0], h[..., 1], out=term)
             else:
-                huber_vec(g, p.eta, norm=ws.norm[k], out=term, scratch=ws.rhs[-1])
+                huber_vec(g, p.eta, out=term, scratch=ws.norm[k])
             if k:
                 reg += term
         reg *= np.subtract(1.0, self.lam, out=ws.rhs[0])
@@ -218,10 +261,10 @@ class LinearState:
 
 
 class DenoiseState(LinearState):
-    """Fields of the denoising ADMM: f, u, v, w, r, z, lam.
+    """Fields of the denoising ADMM: f, u, v, w, r, z, y, lam.
 
     The one-component LinearState with A the identity and b = f.  u, v,
-    w and r are (H, W); z is component-planar, an (H, W, 2) view of
+    w and r are (H, W); z and y are component-planar, (H, W, 2) views of
     (2, H, W) memory."""
 
     A = None
@@ -231,8 +274,7 @@ class DenoiseState(LinearState):
     def __init__(self, f: np.ndarray, params: SolverParams):
         self.f = scalar_grid(f)
         self.params = params
-        z = np.moveaxis(np.zeros((2,) + self.f.shape), 0, -1)
-        self._start(self.f, z, params.adaptive.smoothing_sigma)
+        self._start(self.f, params.adaptive.smoothing_sigma)
         self._form_intermediates()
 
     def iterate(self):
@@ -287,23 +329,30 @@ def update_u(state: LinearState, params: SolverParams) -> np.ndarray:
 
 
 def update_v_w(state: LinearState, params: SolverParams) -> None:
-    """One screened v-solve over the component-first (K, H, W) stack
-    (exact for a float lambda, gs_sweeps Gauss-Seidel sweeps from v for
-    a weight field) from the gradient auxiliaries z, then dual ascent,
-    in the state's workspace: the rhs stack takes the divergence of z
-    and then the right-hand side, the field slot xi
-    (solver.screened_system), and the arena the divergence's bands,
-    u + w, the solve and u - v.  The solve writes v into state.v in
-    place, and the new u - v gives both the new w and the primal
-    residual, kept as state.residual.  u - v is formed as a C-contiguous
-    (K, H, W) stack, so the residual sums in that order whatever the
-    fields' layout."""
+    """The v-step and the two dual steps, over the component-first
+    (K, H, W) stack, in the state's workspace.  The v-step solves
+
+        (1 - xi Laplacian) v = u + w - xi div(z + y),   xi = rho/theta,
+
+    exactly: xi is one scalar (split_weight), so screened_solve takes the
+    DCT solve whatever the weight, and writes v into state.v in place.  y
+    takes z + y, the rhs stack its divergence and then the right-hand
+    side, and the arena the divergence's bands, u + w, the solve and
+    u - v.  The new u - v gives both the new w and the primal residual,
+    kept as state.residual; it is formed as a C-contiguous (K, H, W)
+    stack, so the residual sums in that order whatever the fields'
+    layout.  Last, grad v of the new v goes into the workspace, and y,
+    which holds z + y, becomes y + z - grad v."""
     ws = state.workspace
     u, v, w = _stack(state.u), _stack(state.v), _stack(state.w)
-    div_z = divergence(state.z.reshape(ws.grad.shape), out=ws.rhs, scratch=ws.solve)
-    rhs, xi = screened_system(div_z, u, w, state.lam, params, xi=ws.field, scratch=ws.solve)
+    zy = np.add(state.z, state.y, out=state.y).reshape(ws.grad.shape)
+    xi = split_weight(params) / (params.eta * params.theta)
+    rhs = divergence(zy, out=ws.rhs, scratch=ws.solve)
+    rhs *= xi
+    np.subtract(np.add(u, w, out=slot(ws.solve, rhs.shape)), rhs, out=rhs)
     screened_solve(rhs, xi, v, params.gs_sweeps, out=v, scratch=ws.solve)
     state.residual = dual_step(u, v, w, out=slot(ws.solve, v.shape))
+    zy -= gradient(v, out=ws.grad)
 
 
 def run_denoise(f: np.ndarray, params: SolverParams, on_check=None):

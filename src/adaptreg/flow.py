@@ -15,32 +15,33 @@ ceil((1 - tau0)/dtau) steps; A and ft stay fixed between outer warps.
 Inner iterations are those of the linear-data state that flow shares
 with denoising (denoise.LinearState, its module docstring gives the
 order), with two components, b = ft and A the linearization's field:
-the gradient auxiliaries of both components first (they read only v),
-weights from the explicit residual, r by scalar shrink, u by the
-per-pixel rank-one solve of
-(mu theta I + lambda A A^T) u = mu theta (v - w) + lambda (ft - r) A
+P = grad v - y of both components first, weights from the explicit
+residual, the gradient split z by the prox of t phi_eta at P
+(t = (1 - lambda)/rho), r by scalar shrink, u by the per-pixel rank-one
+solve of (mu theta I + lambda A A^T) u = mu theta (v - w) + lambda (ft - r) A
 in closed form, one correction along A,
 
     u = (v - w) + lambda (ft - r - A . (v - w)) / (mu theta + lambda |A|^2) A,
 
-then one screened v-solve over the component-first (2, H, W) stack
-(exact by the DCT for a constant weight, a float lambda and so a scalar
-xi; else red-black Gauss-Seidel sweeps), and dual ascent.  The
-regularizer is per-partial-derivative by default (anisotropic_reg), or
-isotropic per component when disabled.  FlowState adds tau, the warps'
-relinearization and the planar layout.
+then one screened v-solve over the component-first (2, H, W) stack,
+exact by the DCT for either weight (the scalar xi = rho/theta), and
+dual ascent on w and y.  The regularizer is per-partial-derivative by
+default (anisotropic_reg: the z-step's prox runs per partial
+derivative), or isotropic per component when disabled.  FlowState adds
+tau, the warps' relinearization and the planar layout.
 
 The (H, W, 2) fields u, v, w and A of a FlowState are views of
 C-contiguous (2, H, W) memory (component-planar): each component is one
 contiguous plane, elementwise results of such fields inherit that
 layout, and the component-first stack that gradient, the u-step and the
-v-solve take is a plain view.  The steps write z, lambda (when it is a
-field), r, u, v and w into the state's own arrays, and everything else
-into the state's workspace, so a steady-state iteration allocates
-nothing of field size; code that keeps a field across an iteration must
-copy it.  The kept intermediates (the data gap ft - A . u, grad v and,
-for the isotropic regularizer, |grad v|) are formed at the end of every
-iteration, in the constructor and in relinearize.
+v-solve take is a plain view.  z and y, (2, H, W, 2), are views of
+(2, 2, H, W) memory, one plane per partial derivative and component.
+The steps write z, y, lambda (when it is a field), r, u, v and w into
+the state's own arrays, and everything else into the state's workspace,
+so a steady-state iteration allocates nothing of field size; code that
+keeps a field across an iteration must copy it.  The kept intermediates
+(grad v, formed by the v-step, and the data gap ft - A . u) are formed
+in the constructor and in relinearize too.
 """
 
 from __future__ import annotations
@@ -128,12 +129,11 @@ class FlowState(LinearState):
     u, v, w and A are (H, W, 2) views of C-contiguous (2, H, W) memory,
     as denoise._copy makes them at construction and in relinearize; fields
     assigned in another layout give the same results, only slower.  The
-    gradient auxiliary z is component-first, (2, H, W, 2), as grad v
-    is.  The regularizer is params.anisotropic_reg at construction, kept
-    as anisotropic: the kept intermediates follow it (only the isotropic
-    one forms |grad v|).  Besides what LinearState keeps, relinearize
-    re-forms the kept intermediates, and tau follows the count of inner
-    iterations."""
+    gradient split z and its dual y are component-first, (2, H, W, 2),
+    as grad v is, and planar per partial derivative.  The regularizer is
+    params.anisotropic_reg at construction, kept as anisotropic.
+    Besides what LinearState keeps, relinearize re-forms the kept
+    intermediates, and tau follows the count of inner iterations."""
 
     b = property(lambda self: self.ft)
     solver = property(lambda self: self.params.solver)
@@ -148,7 +148,7 @@ class FlowState(LinearState):
         if seed.shape != zero.shape:
             raise ValueError("the seed u0 must have the frames' shape %s, got %s"
                              % (zero.shape, seed.shape))
-        self._start(seed, np.zeros((2,) + shape + (2,)), params.solver.adaptive.smoothing_sigma)
+        self._start(seed, params.solver.adaptive.smoothing_sigma)
         self.tau_count = 0
         self.tau = tau_schedule(params.tau0, params.dtau, 0)
         self.relinearize()

@@ -1,14 +1,16 @@
-"""Proximal kernels: Huber loss, soft shrinkage, and the label-stack projection.
+"""Proximal kernels: Huber loss, soft shrinkage, the Huber prox, and the
+label-stack projection.
 
 The Huber loss is the Moreau-Yosida envelope of the absolute value,
 
     phi_mu(x) = inf_r { |r| + (x - r)^2 / (2 mu) },
 
 whose minimizer is the soft shrinkage T(x | mu); envelope_at evaluates
-the objective at a given r.
+the objective at a given r.  huber_prox and huber_prox_vec are the
+proximal maps of t phi_mu itself.
 
-Kernel contract of huber, huber_vec, envelope_at, shrink, shrink_vec and
-vector_norm:
+Kernel contract of huber, huber_vec, envelope_at, shrink, shrink_vec,
+huber_prox, huber_prox_vec and vector_norm:
 
 * the two components of a 2-vector field (last axis) are read directly,
   never reduced over, so a vector field may be interleaved or
@@ -17,8 +19,9 @@ vector_norm:
 * those buffers can be passed by keyword: out for the result and
   scratch for the one intermediate; a kernel given none allocates them.
   out must not share memory with an input, except where a kernel says
-  so; huber_vec and shrink_vec can read a precomputed norm= |v|, which
-  they do not write;
+  so; huber_vec, shrink_vec and huber_prox_vec can read a precomputed
+  norm= |v|, which only huber_prox_vec's scratch may overwrite; the Huber
+  prox also takes knee for mu + t;
 * the result is bitwise equal, sign of zero included, to the textbook
   formula evaluated with full-size temporaries (NaN stays NaN, its
   payload may differ);
@@ -145,12 +148,62 @@ def shrink_vec(v, t: float, *, norm=None, out=None):
     return out
 
 
+def _prox_factor(ax, t, mu: float, out, knee):
+    """1 - t / max(ax, mu + t) into out, which may be ax; knee, shaped like
+    t, takes mu + t of an array t."""
+    if np.ndim(t):
+        t = np.asarray(t, dtype=np.float64)
+        reach = np.add(t, mu, out=knee)
+    else:
+        t = float(t)
+        reach = t + mu
+    np.maximum(ax, reach, out=out)
+    np.divide(t, out, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def huber_prox(x, t, mu: float, *, out=None, scratch=None, knee=None):
+    """Proximal map of t phi_mu at x, the minimizer d of
+    t phi_mu(d) + (d - x)^2 / 2: x mu/(mu + t) where |x| <= mu + t, else
+    x - t sign(x), as the one formula
+
+        x (1 - t / max(|x|, mu + t)).
+
+    t >= 0 may be an array that broadcasts against x.  t = 0 returns x,
+    and x = 0 gives a zero of x's sign; mu + t > 0, so nothing divides by
+    zero.  scratch, shaped like x, takes |x| and then the factor; knee,
+    shaped like an array t, takes mu + t.  out may be x itself."""
+    x = np.asarray(x, dtype=np.float64)
+    factor = np.abs(x, out=np.empty(x.shape) if scratch is None else scratch)
+    _prox_factor(factor, t, mu, factor, knee)
+    out = np.multiply(x, factor, out=out)
+    return out if out.ndim else float(out)
+
+
+def huber_prox_vec(v, t, mu: float, *, norm=None, out=None, scratch=None, knee=None):
+    """Proximal map of t phi_mu(|.|) at 2-vectors (last axis),
+    v (1 - t / max(|v|, mu + t)), each component scaled by the one
+    factor; see huber_prox.  t broadcasts against |v|.  With norm given,
+    |v| is read from it; scratch, shaped like |v|, takes the factor and
+    may be norm itself.  out may be v itself."""
+    v = np.asarray(v, dtype=np.float64)
+    if norm is None:
+        norm = vector_norm(v)
+    factor = _prox_factor(norm, t, mu, np.empty(norm.shape) if scratch is None else scratch, knee)
+    out = np.empty(v.shape) if out is None else out
+    np.multiply(v[..., 1], factor, out=out[..., 1])
+    np.multiply(v[..., 0], factor, out=out[..., 0])
+    return out
+
+
 def project_stack_sum_to_one(arr: np.ndarray, *, out=None, scratch=None) -> np.ndarray:
     """Euclidean projection of a (n, H, W) stack onto {sum_i v_i(x) = 1}.
 
     Subtracts (sum_i v_i - 1)/n from every layer pointwise.  out, if
-    given, receives the projection and may be arr; scratch, if given, is
-    a free (H, W) field that takes the correction.
+    given, receives the projection and may be arr; an out of fewer
+    layers receives only the projection of arr's leading len(out) layers,
+    the correction still formed from all n.  scratch, if given, is a free
+    (H, W) field that takes the correction.
     """
     n = arr.shape[0]
     if n == 0:
@@ -158,4 +211,4 @@ def project_stack_sum_to_one(arr: np.ndarray, *, out=None, scratch=None) -> np.n
     correction = np.sum(arr, axis=0, out=scratch)
     correction -= 1.0
     correction /= n
-    return np.subtract(arr, correction, out=out)
+    return np.subtract(arr if out is None else arr[: len(out)], correction, out=out)

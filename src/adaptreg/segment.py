@@ -19,8 +19,8 @@ label-major.  One iteration runs these steps on the whole stack:
                  field, Gauss-Seidel sweeps on the whole stack, then
                  the projection onto that sum; for a constant weight (a
                  float lambda, so a scalar xi), the projection of the
-                 right-hand side, the exact DCT solve of the first
-                 n - 1 labels and the last label as 1 minus their sum
+                 first n - 1 right-hand sides, their exact DCT solve
+                 and the last label as 1 minus their sum
     w            w += u - v by solver.dual_step, from the u - v that
                  also gives the primal residual, kept as a number
 
@@ -34,8 +34,9 @@ The steps write z, lambda (when it is a field), r, u, v, w and grad v
 into the state's own arrays, so code that keeps a field across an
 iteration must copy it.  The v-step forms its right-hand side and xi in
 buffers the state allocates once, solves into v through the state's
-solve scratch and projects in place (v after the sweeps, the right-hand
-side before the exact solve); the dual step forms u - v in the scratch.
+solve scratch and projects in place (v after the sweeps, the solved
+right-hand sides before the exact solve); the dual step forms u - v in
+the scratch.
 z and grad v are component-planar: (n, H, W, 2) views of (2, n, H, W)
 memory.
 
@@ -132,7 +133,9 @@ def warm_start_labels(f: np.ndarray, n_labels: int) -> tuple[np.ndarray, np.ndar
     a Gaussian (sigma 1) low-pass copy of f (seeded at evenly spaced
     quantiles; _lloyd_1d, over the copy's values sorted once), and
     one-hot memberships u (n, H, W) that assign each pixel to the c_i
-    nearest its raw value, ties to the lower c_i.
+    nearest its raw value, ties to the lower c_i, as np.argmin over the
+    centers does (see _runs): the raw values are sorted once, and each
+    pixel is looked up among the first values of the runs of _runs.
 
     The relaxed iteration cannot separate region intensities that start
     collapsed: under a per-pixel random layout the first c step averages
@@ -150,7 +153,13 @@ def warm_start_labels(f: np.ndarray, n_labels: int) -> tuple[np.ndarray, np.ndar
     fs = convolve_gaussian(f, 1.0)
     seeds = np.quantile(fs, (np.arange(n_labels) + 0.5) / n_labels)
     c = _lloyd_1d(fs.ravel(), seeds)
-    assignment = np.argmin(np.abs(f[None] - c[:, None, None]), axis=0)
+    # c is sorted, so the nonempty runs of the sorted raw values come in
+    # label order, and a pixel takes the last run whose first value is at
+    # most its own
+    ordered = np.sort(f, axis=None)
+    start, stop = _runs(ordered, c)
+    held = np.flatnonzero(stop > start)
+    assignment = held[np.searchsorted(ordered[start[held[1:]]], f, side="right")]
     u = (assignment[None] == np.arange(n_labels)[:, None, None]).astype(np.float64)
     return u, c
 
@@ -219,10 +228,10 @@ def update_v_all(state: SegmentState, params: SegmentParams, *, rhs=None, xi=Non
     sweeps from v matches solving the labels one by one, and v is
     projected after it.  For a float lambda, xi is one scalar, and the
     exact solve S keeps constants (S 1 = 1), so it commutes with the
-    projection: the right-hand side is projected first, the exact solve
-    runs on the first n - 1 labels only, and the last label is
-    1 - sum_{i<n-1} v_i.  That equals solving every label and then
-    projecting up to rounding.
+    projection: the first n - 1 right-hand sides are projected (with the
+    correction formed from the whole stack), the exact solve runs on
+    them only, and the last label is 1 - sum_{i<n-1} v_i.  That equals
+    solving every label and then projecting up to rounding.
     """
     sp = params.solver
     v = state.v
@@ -233,8 +242,9 @@ def update_v_all(state: SegmentState, params: SegmentParams, *, rhs=None, xi=Non
         screened_solve(rhs, xi, v, sp.gs_sweeps, out=v, scratch=scratch)
         project_stack_sum_to_one(v, out=v, scratch=correction)
     else:
-        project_stack_sum_to_one(rhs, out=rhs, scratch=correction)
-        screened_solve(rhs[:-1], xi, v[:-1], sp.gs_sweeps, out=v[:-1], scratch=scratch)
+        # only the n - 1 right-hand sides that are solved
+        head = project_stack_sum_to_one(rhs, out=rhs[:-1], scratch=correction)
+        screened_solve(head, xi, v[:-1], sp.gs_sweeps, out=v[:-1], scratch=scratch)
         np.subtract(1.0, np.sum(v[:-1], axis=0, out=v[-1]), out=v[-1])
 
 

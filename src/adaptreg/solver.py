@@ -3,8 +3,8 @@
 The three problems (denoising, segmentation, optical flow) plug into the
 same driver through a small duck-typed state protocol:
 
-    state.iterate()     run one full update sweep (weights first, then
-                        r, z, u, v, w in the documented order)
+    state.iterate()     run one full update sweep, in the order its
+                        module documents
     state.energy()      data term at u plus regularizer at grad v: it
                         can read below the minimum while u != v
     state.u             the solution the driver hands back
@@ -13,10 +13,14 @@ same driver through a small duck-typed state protocol:
 
 The three problems run on two state bodies: denoising and optical flow
 share the linear-data state of module denoise (a K-component field,
-K = 1 and K = 2), and segmentation has its own.  Both form their
-v-step's system with screened_system, in buffers from v_step_buffers,
-and take their dual step with dual_step, which forms the new w and the
-primal residual from one u - v.
+K = 1 and K = 2), and segmentation has its own.  Both take their
+v-step's buffers from v_step_buffers and their dual step with
+dual_step, which forms the new w and the primal residual from one
+u - v.  Segmentation forms its v-step's system with screened_system, a
+field xi for a weight field; the linear-data state splits z = grad v as
+well, so its v-system (1 - xi laplacian) v = u + w - xi div(z + y) has
+one scalar xi = rho/theta for either weight, and it forms that system
+itself.
 
 The package runs on one thread, so a run is bitwise deterministic.
 """
@@ -43,14 +47,16 @@ class SolverParams:
     the driver stops at max_iters or after the first iteration whose
     primal residual is at most tol_primal.
     gs_sweeps is the exact number of inner Gauss-Seidel passes of each
-    v-update with a spatially varying weight (screened_solve); the inner
-    solve has no early exit.  The passes run in float32 on the correction
-    to a float64 defect, in chunks of at most 20 that each restart from a
-    fresh float64 defect, so more passes keep converging to float64
-    accuracy.  A constant weight
-    (adaptive.constant_lambda set) is a float lambda, so xi is a scalar
-    and screened_solve takes the exact DCT solve, on which gs_sweeps has
-    no effect.
+    segmentation v-update with a weight field, the one v-system with a
+    spatially varying xi (screened_solve); the inner solve has no early
+    exit.  The passes run in float32 on the correction to a float64
+    defect, in chunks of at most 20 that each restart from a fresh
+    float64 defect, so more passes keep converging to float64 accuracy.
+    Every other v-system has a scalar xi: a segmentation run with a
+    constant weight (adaptive.constant_lambda set, a float lambda), and
+    every denoising and flow run, whose gradient split moves the weight
+    out of the v-system.  screened_solve solves those exactly by the DCT,
+    and gs_sweeps has no effect on them.
     Non-finite mu, eta, theta or tol_primal, and max_iters or gs_sweeps
     that are not integers, raise ValueError.
     """
@@ -131,8 +137,8 @@ def slot(buffer, shape, dtype=np.float64, start: int = 0) -> np.ndarray:
 
 
 def screened_system(div_z, u, w, lam, params: SolverParams, *, xi=None, scratch=None):
-    """The system (1 - xi laplacian) v = u + w - xi div z of every
-    state's v-step, as (rhs, xi): xi = (1 - lam)/(eta theta) in lam's
+    """The system (1 - xi laplacian) v = u + w - xi div z of the
+    segmentation v-step, as (rhs, xi): xi = (1 - lam)/(eta theta) in lam's
     shape, a 0-d array for a float lam, and rhs written over div_z, the
     divergence of z that the caller passes.  xi, if given, is a free
     buffer that takes xi, and scratch a free buffer whose head takes

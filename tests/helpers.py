@@ -414,6 +414,15 @@ def lloyd_1d_reference(values, centers, iters=50):
     return np.sort(centers)
 
 
+def warm_start_assignment_reference(f, c):
+    """The one-hot memberships of segment.warm_start_labels before it
+    looked pixels up among runs of sorted values, frozen: the dense
+    (n, H, W) np.argmin of |f - c_i| over the centers, ties to the lower
+    index, and a one-hot compare."""
+    assignment = np.argmin(np.abs(f[None] - c[:, None, None]), axis=0)
+    return (assignment[None] == np.arange(len(c))[:, None, None]).astype(np.float64)
+
+
 def _label_misfit(s, i, mu):
     return envelope_reference(s.f - s.c[i], s.r[i], mu)
 
@@ -477,25 +486,48 @@ def segment_energy_reference(s, params):
     return total + params.tau_excl * float(np.sum(overlap))
 
 
+def split_weight_reference(adaptive):
+    """The weight omega of the split z = grad v: the least regularizer
+    weight 1 - lambda (1 - constant_lambda, or alpha for a weight field),
+    or 1 where that is 0."""
+    least = adaptive.alpha if adaptive.constant_lambda is None else 1.0 - adaptive.constant_lambda
+    return least if least > 0.0 else 1.0
+
+
+def huber_prox_reference(x, t, mu):
+    """The minimizer of t phi_mu(d) + (d - x)^2/2, as one formula."""
+    return x * (1.0 - t / np.maximum(np.abs(x), mu + t))
+
+
+def huber_prox_vec_reference(v, t, mu):
+    """The minimizer of t phi_mu(|d|) + |d - v|^2/2 over 2-vectors."""
+    norm = np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+    factor = 1.0 - t / np.maximum(norm, mu + t)
+    return np.stack((v[..., 0] * factor, v[..., 1] * factor), axis=-1)
+
+
 def denoise_iterate_reference(s, params):
-    """One denoising iteration on the fields of s (f, u, v, w, r, z, lam),
-    in the documented step order, from the textbook formulas with one
-    fresh temporary per operation: no buffer is reused, no intermediate
-    shared.  z comes out interleaved; a constant weight stays a float."""
+    """One denoising iteration on the fields of s (f, u, v, w, r, z, y,
+    lam), in the documented step order, from the textbook formulas with
+    one fresh temporary per operation: no buffer is reused, no
+    intermediate shared.  z and y come out interleaved; a constant weight
+    stays a float."""
     mu, eta, theta = params.mu, params.eta, params.theta
-    s.z = shrink_vec_reference(gradient_reference(s.v), eta)
+    omega = split_weight_reference(params.adaptive)
+    rho = omega / eta
+    p = gradient_reference(s.v) - s.y
     q = s.f - s.u
     s.lam = weight_fields_reference(envelope_reference(q, s.r, mu), params.adaptive)
+    t = (1.0 - s.lam) / rho
+    s.z = huber_prox_vec_reference(p, t, eta)
     s.r = shrink_reference(q, mu)
     base = s.v - s.w
     s.u = base + s.lam * ((s.f - s.r) - base) / (s.lam + mu * theta)
-    xi = (1.0 - s.lam) / (eta * theta)
-    rhs = s.u + s.w - xi * divergence_reference(s.z)
-    if np.ndim(xi):
-        s.v = screened_sweep_reference(rhs, xi, s.v, params.gs_sweeps)
-    else:
-        s.v = exact_screened_solve_reference(rhs, xi)
+    xi = omega / (eta * theta)
+    rhs = s.u + s.w - xi * divergence_reference(s.z + s.y)
+    s.v = exact_screened_solve_reference(rhs, xi)
     s.w = s.w + (s.u - s.v)
+    s.y = (s.y + s.z) - gradient_reference(s.v)
 
 
 def denoise_energy_reference(s, params):
@@ -666,6 +698,7 @@ def random_denoise_state(seed, n=6, params=None):
     st.r = rng.normals(n * n).reshape(n, n) * 0.1
     st.z = rng.normals(n * n * 2).reshape(n, n, 2) * 0.2
     st.lam = rng.uniforms(n * n).reshape(n, n) * 0.99
+    st.y = rng.normals(n * n * 2).reshape(n, n, 2) * 0.1
     st._form_intermediates()
     return st
 
@@ -689,9 +722,7 @@ def denoise_steady_state(n, constant):
 
 def assert_denoise_intermediates(st):
     ws = st.workspace
-    g = gradient(st.v[None])
-    assert_same_bits(ws.grad, g)
-    assert_same_bits(ws.norm, np.sqrt(np.sum(g * g, axis=-1)))
+    assert_same_bits(ws.grad, gradient(st.v[None]))
     assert_same_bits(ws.gap, st.f - st.u)
     assert_same_bits(st.residual, rms(st.u - st.v))
 
@@ -840,6 +871,4 @@ def assert_flow_intermediates(st):
     g = gradient(np.moveaxis(st.v, -1, 0))
     assert_same_bits(ws.gap, st.ft - _dot_reference(st.A, st.u))
     assert_same_bits(ws.grad, g)
-    if not st.params.anisotropic_reg:
-        assert_same_bits(ws.norm, np.sqrt(np.sum(g * g, axis=-1)))
     assert_same_bits(st.residual, component_first_rms(st.u - st.v))

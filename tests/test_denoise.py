@@ -3,6 +3,7 @@ behavior (fixed points, energy descent under heavy damping, a Newton
 oracle)."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,10 +17,13 @@ from adaptreg.denoise import (
     update_u,
     update_v_w,
 )
-from adaptreg.grid import divergence
+from adaptreg.flow import FlowParams, FlowState
+from adaptreg.grid import divergence, gradient
 from adaptreg.prox import shrink
-from adaptreg.solver import SolverParams
-from adaptreg.synth import Splitmix64, add_gaussian_noise, biased_noise_image
+from adaptreg.solver import SolverParams, rms, run_admm
+from adaptreg.segment import run_segment
+from adaptreg.synth import (Splitmix64, add_gaussian_noise, biased_noise_image, noisy_rectangles, shifted_pair,
+                            smooth_texture)
 from adaptreg.metrics import ssim
 from helpers import (
     adaptive_defaults,
@@ -34,6 +38,7 @@ from helpers import (
     make_scene,
     moreau_envelope_bruteforce,
     random_denoise_state,
+    seg_params,
 )
 
 
@@ -97,12 +102,14 @@ def test_update_u_agreeing_targets_short_circuit():
 
 
 
-def test_update_v_full_fidelity_skips_smoothing():
-    st = random_denoise_state(506)
-    st.lam = np.ones_like(st.lam)  # xi = 0
-    w0 = st.w.copy()
-    update_v_w(st, st.params)
-    assert np.array_equal(st.v, st.u + w0)
+def test_full_fidelity_z_step_keeps_p():
+    # lambda = 1 gives the z-step t = 0, whose prox returns P = grad v - y
+    # bitwise.
+    ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=1.0)
+    st = random_denoise_state(506, params=adaptive_defaults(adaptive=ap))
+    p = gradient_reference(st.v) - st.y
+    st.iterate()
+    assert np.array_equal(st.z, p)
 
 
 def test_update_v_keeps_constants():
@@ -115,14 +122,20 @@ def test_update_v_keeps_constants():
     assert np.array_equal(st.w, np.zeros((5, 5)))
 
 
-def test_update_v_matches_dense_solve():
-    st = random_denoise_state(507, n=8, params=adaptive_defaults(gs_sweeps=500))
+@pytest.mark.parametrize("constant", [None, 0.3], ids=["adaptive", "constant"])
+def test_update_v_matches_dense_solve(constant):
+    # The scalar xi = rho/theta for either weight, so the solve is exact.
+    ap = AdaptiveParams(beta=1.0, alpha=0.01, constant_lambda=constant)
+    st = random_denoise_state(507, n=8, params=adaptive_defaults(adaptive=ap))
     p = st.params
-    xi = (1.0 - st.lam) / (p.eta * p.theta)
-    rhs = st.u + st.w - xi * divergence(st.z)
+    # rho = alpha/eta for a weight field and (1 - lambda)/eta for a constant
+    xi = (0.01 if constant is None else 1.0 - constant) / (p.eta * p.theta)
+    rhs = st.u + st.w - xi * divergence(st.z + st.y)
+    y = st.y + st.z
     update_v_w(st, p)
-    ref = np.linalg.solve(assemble_screened_matrix(xi), rhs.ravel()).reshape(8, 8)
-    assert float(np.sqrt(np.mean((st.v - ref) ** 2))) <= 1e-6
+    ref = np.linalg.solve(assemble_screened_matrix(np.full((8, 8), xi)), rhs.ravel()).reshape(8, 8)
+    assert float(np.sqrt(np.mean((st.v - ref) ** 2))) <= 1e-12
+    assert np.array_equal(st.y, y - gradient_reference(st.v))
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
@@ -140,12 +153,14 @@ def test_matches_newton_minimizer_of_constant_weight_model(lam):
     assert np.max(np.abs(u - u_star)) <= 1e-10
 
 
-def test_frozen_weight_field_fixed_point_solves_g_not_the_energy_gradient(monkeypatch):
-    # With a weight field frozen, the fixed point solves G(u) = 0, with
-    # G(u) = -lam clip((f - u)/mu, -1, 1) - (1 - lam) div psi(grad u) and
-    # psi(g) = g / max(eta, |g|): the v-system takes xi = (1 - lam)/(eta
-    # theta) pointwise outside the Laplacian.  That is not the gradient of
-    # the frozen-weight energy, whose (1 - lam) sits inside the divergence.
+def test_frozen_weight_field_fixed_point_is_a_stationary_point_of_the_energy(monkeypatch):
+    # With a weight field frozen, the fixed point solves the gradient of
+    # the frozen-weight energy, whose (1 - lam) sits inside the
+    # divergence: grad E(u) = -lam clip((f - u)/mu, -1, 1)
+    # - div((1 - lam) psi(grad u)), with psi(g) = g / max(eta, |g|).  The
+    # weight enters only the pointwise z-step, and the v-system has one
+    # scalar xi.  G(u), with (1 - lam) outside the divergence, is not
+    # zero there.
     n, mu, eta = 32, 0.16, 0.08
     left = np.arange(n)[None, :] < n // 2
     f = np.where(left, 0.3, 0.7) + 0.1 * (Splitmix64(17).uniforms(n * n).reshape(n, n) - 0.5)
@@ -160,8 +175,64 @@ def test_frozen_weight_field_fixed_point_solves_g_not_the_energy_gradient(monkey
     data = lam * np.clip((f - u) / mu, -1.0, 1.0)
     stationarity = -data - (1.0 - lam) * divergence_reference(psi)
     energy_gradient = -data - divergence_reference((1.0 - lam)[..., None] * psi)
-    assert np.max(np.abs(stationarity)) < 1e-12
-    assert np.max(np.abs(energy_gradient)) > 0.1
+    assert np.max(np.abs(energy_gradient)) < 1e-12
+    assert np.max(np.abs(stationarity)) > 0.1
+
+
+@pytest.mark.parametrize("alpha, constant, omega", [(0.0, None, 1.0), (0.1, None, 0.1), (0.0, 0.0, 1.0),
+                                                    (0.0, 0.3, 0.7), (0.0, 1.0, 1.0)],
+                         ids=["alpha-0", "alpha-0.1", "lambda-0", "lambda-0.3", "lambda-1"])
+def test_split_penalty_and_its_fallback_give_finite_runs(alpha, constant, omega):
+    # rho = omega/eta: the least regularizer weight (alpha, or 1 - lambda),
+    # and 1 where that is 0.  Every run finishes finite, and raises no
+    # warning: lambda = 1 makes t = 0, a constant image P = 0.
+    ap = AdaptiveParams(beta=0.05, alpha=alpha, smoothing_sigma=2.0, constant_lambda=constant)
+    sp = adaptive_defaults(adaptive=ap, max_iters=60, tol_primal=1e-9)
+    assert denoise.split_weight(sp) == omega
+    f = biased_noise_image(make_scene(32), 0.3, "half", seed=2)
+    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise", over="raise"):
+        warnings.simplefilter("error")
+        for image in (f, np.full((8, 8), 0.4)):
+            u, history = run_denoise(image, sp)
+            assert np.all(np.isfinite(u)) and math.isfinite(history[-1].energy)
+        assert np.array_equal(u, np.full((8, 8), 0.4))
+
+
+def test_adaptive_run_continues_past_the_first_iteration():
+    # The weights come before the z-step, so the first z-step already
+    # reads a weight below one (t > 0) and moves v off f: a non-constant
+    # image does not stop at iteration 1 with a zero residual.
+    f = biased_noise_image(make_scene(32), 0.3, "half", seed=2)
+    u, history = run_denoise(f, adaptive_defaults(max_iters=50, tol_primal=1e-6))
+    assert history[0].primal_residual > 1e-3
+    assert len(history) > 1
+    assert not np.array_equal(u, f)
+
+
+def test_converged_constant_runs_also_close_the_gradient_split():
+    # The stop test reads rms(u - v) only; a converged constant run has
+    # rms(z - grad v) within the same tolerance: the c05 constants (those
+    # under their cap) and flow under either regularizer.
+    noisy = biased_noise_image(make_scene(128), 0.3, "half", seed=0)
+    converged = 0
+    for constant in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        sp = SolverParams(mu=0.16, eta=0.08, theta=1.0,
+                          adaptive=AdaptiveParams(beta=1.0, alpha=0.0, constant_lambda=constant),
+                          max_iters=300, tol_primal=1e-9)
+        st = DenoiseState(noisy, sp)
+        _, history = run_admm(st, sp)
+        if history[-1].primal_residual <= sp.tol_primal:
+            converged += 1
+            assert rms(st.z - gradient_reference(st.v)) <= sp.tol_primal
+    assert converged == 7
+    f1, f2, _ = shifted_pair(smooth_texture(32, seed=5), (1.0, 0.0))
+    for anisotropic in (True, False):
+        sp = SolverParams(mu=0.01, eta=0.3, theta=0.1, max_iters=400, tol_primal=1e-7,
+                          adaptive=AdaptiveParams(beta=10.0, alpha=0.01, constant_lambda=0.4))
+        st = FlowState(f1, f2, FlowParams(solver=sp, anisotropic_reg=anisotropic))
+        _, history = run_admm(st, sp)
+        assert history[-1].primal_residual <= sp.tol_primal
+        assert rms(st.z - gradient(np.moveaxis(st.v, -1, 0))) <= sp.tol_primal
 
 
 def test_denoising_improves_ssim_on_noisy_step():
@@ -221,7 +292,10 @@ def test_energy_descends_after_burn_in(image, const, theta):
     assert u.max() <= img.max() + 0.1
 
 
-def test_residual_decreases_monotonically_under_heavy_damping():
+def test_admm_sequence_decreases_monotonically_under_heavy_damping():
+    # For ADMM, theta |dv|^2 + rho |grad dv|^2 + theta |dw|^2 + rho |dy|^2
+    # between consecutive iterates cannot grow (He & Yuan, Numer. Math.
+    # 2015), though the primal residual rms(u - v) may.
     n = 128
     step = np.full((n, n), 0.25)
     step[:, n // 2 :] = 0.75
@@ -232,11 +306,23 @@ def test_residual_decreases_monotonically_under_heavy_damping():
         mu=0.16, eta=0.08, theta=10.0, adaptive=ap,
         max_iters=500, tol_primal=1e-6,
     )
-    _, hist = run_denoise(noisy, sp)
-    res = [r.primal_residual for r in hist]
-    for a, b in zip(res, res[1:]):
+    rho = 0.5 / sp.eta
+    st = DenoiseState(noisy, sp)
+    last = [(st.v.copy(), st.w.copy(), st.y.copy())]
+    sequence = []
+
+    def record(state, rec):
+        v, w, y = last[-1]
+        dv = state.v - v
+        sequence.append(sp.theta * np.sum(dv * dv) + rho * np.sum(gradient_reference(dv) ** 2)
+                        + sp.theta * np.sum((state.w - w) ** 2) + rho * np.sum((state.y - y) ** 2))
+        last.append((state.v.copy(), state.w.copy(), state.y.copy()))
+
+    _, hist = run_denoise(noisy, sp, on_check=record)
+    assert len(sequence) == len(hist) > 10
+    for a, b in zip(sequence, sequence[1:]):
         assert b <= a
-    assert res[-1] <= 1e-6
+    assert hist[-1].primal_residual <= 1e-6
 
 
 def test_quality_peaks_at_interior_constant_weight():
@@ -257,10 +343,11 @@ def test_quality_peaks_at_interior_constant_weight():
     assert all(scores[i] > scores[i + 1] for i in range(k, len(scores) - 1))
 
 
-def test_result_insensitive_to_inner_sweep_count():
-    # An adaptive weight, so every v-step is a Gauss-Seidel solve (a
-    # constant one takes the exact solve and ignores gs_sweeps).  Both
-    # runs converge; their outputs differ in the last bits only.
+def test_only_segmentation_reads_the_inner_sweep_count():
+    # Denoising solves every v-step exactly, an adaptive run too, so
+    # gs_sweeps changes no bit of it; a segmentation weight field takes
+    # gs_sweeps Gauss-Seidel sweeps, so both of its runs converge, to
+    # outputs that differ in the last bits only.
     clean = make_scene(64)
     noisy = add_gaussian_noise(clean, 0.16, seed=3)
     out = {}
@@ -271,10 +358,18 @@ def test_result_insensitive_to_inner_sweep_count():
             max_iters=200, tol_primal=1e-9, gs_sweeps=sweeps,
         )
         u, hist = run_denoise(noisy, sp)
-        assert hist[-1].primal_residual <= sp.tol_primal
-        out[sweeps] = u
-    assert not np.array_equal(out[20], out[100])
-    assert abs(ssim(out[20], clean) - ssim(out[100], clean)) < 0.002
+        out[sweeps] = u, [(r.primal_residual, r.mean_lambda) for r in hist]
+    assert np.array_equal(out[20][0], out[100][0])
+    assert out[20][1] == out[100][1]
+    memberships = {}
+    image, _ = noisy_rectangles(32, seed=1)
+    for sweeps in (20, 100):
+        params = seg_params(n_labels=3, beta=0.05, iters=300, tol=1e-8, sweeps=sweeps, sigma=1.5)
+        _, state, hist = run_segment(image, params)
+        assert hist[-1].primal_residual <= 1e-8
+        memberships[sweeps] = state.u
+    assert not np.array_equal(memberships[20], memberships[100])
+    assert np.max(np.abs(memberships[20] - memberships[100])) < 1e-6
 
 
 def test_run_is_deterministic():
@@ -321,7 +416,7 @@ def test_iterations_match_frozen_reference(shape, constant):
     # field and every history figure must agree bit for bit.
     f = biased_noise_image(make_scene(128)[: shape[0], : shape[1]], 0.3, "half", seed=4)
     params = halfplane_params(constant)
-    fields = ("f", "u", "v", "w", "r", "z", "lam")
+    fields = ("f", "u", "v", "w", "r", "z", "y", "lam")
     ref = SimpleNamespace(**{k: getattr(DenoiseState(f, params), k) for k in fields})
     records = []
 

@@ -10,7 +10,8 @@ digests = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(digests)
 
 RUNS = (
-    ["denoise-adaptive", "denoise-constant", "segment-adaptive", "segment-constant"]
+    ["denoise-adaptive", "denoise-constant", "denoise-adaptive-alpha0"]
+    + ["segment-adaptive", "segment-constant"]
     + ["segment-constant-2label", "segment-constant-odd"]
     + ["flow-%s-%dlevel-%s" % (reg, levels, kind)
        for reg in ("anisotropic", "isotropic")

@@ -17,7 +17,8 @@ from adaptreg.flow import (
     update_u,
     update_v_w,
 )
-from adaptreg.grid import central_gradient
+from adaptreg.adaptive import AdaptiveParams
+from adaptreg.grid import central_gradient, gradient
 from adaptreg.metrics import aee
 from adaptreg.prox import shrink
 from adaptreg.synth import Splitmix64, shifted_pair, smooth_texture
@@ -398,13 +399,16 @@ def test_update_u_matches_exact_rank_one_solve(scale):
     assert worst <= 1e-13
 
 
-def test_update_v_w_full_fidelity_skips_smoothing():
-    st = random_flow_state(706)
-    st.lam = np.ones_like(st.lam)
-    u0, w0 = st.u.copy(), st.w.copy()
-    update_v_w(st, st.params.solver)
-    for comp in (0, 1):
-        assert np.array_equal(st.v[..., comp], u0[..., comp] + w0[..., comp])
+@pytest.mark.parametrize("anisotropic", [True, False], ids=["anisotropic", "isotropic"])
+def test_full_fidelity_z_step_keeps_p(anisotropic):
+    # lambda = 1 gives the z-step t = 0, whose prox returns P = grad v - y
+    # bitwise, per partial derivative or per vector.
+    st = random_flow_state(706, anisotropic=anisotropic)
+    st.params.solver.adaptive = AdaptiveParams(beta=10.0, alpha=0.01, constant_lambda=1.0)
+    st.y = Splitmix64(707).normals(st.y.size).reshape(st.y.shape)
+    p = gradient(np.moveaxis(st.v, -1, 0)) - st.y
+    st.iterate()
+    assert np.array_equal(st.z, p)
 
 
 def test_zero_motion_stays_exactly_zero():

@@ -32,6 +32,7 @@ from helpers import (
     seg_params,
     segment_energy_reference,
     segment_iterate_reference,
+    warm_start_assignment_reference,
 )
 
 
@@ -101,6 +102,45 @@ def test_warm_start_equals_the_dense_lloyd_reference(name, monkeypatch):
     u_ref, c_ref = warm_start_labels(f, n)
     assert_same_bits(u, u_ref)
     assert np.all(np.abs(c - c_ref) <= 4 * np.spacing(np.abs(c_ref)))
+
+
+ASSIGNMENT_IMAGES = {
+    **{"rectangles-%d" % seed: (lambda seed=seed: noisy_rectangles(128, seed=seed)[0], 4)
+       for seed in range(6)},
+    "constant": LLOYD_IMAGES["constant"],
+    "1x1": LLOYD_IMAGES["1x1"],
+}
+
+
+@pytest.mark.parametrize("name", list(ASSIGNMENT_IMAGES))
+def test_warm_start_assignment_equals_the_dense_reference(name):
+    image, n = ASSIGNMENT_IMAGES[name]
+    f = image()
+    u, c = warm_start_labels(f, n)
+    assert_same_bits(u, warm_start_assignment_reference(f, c))
+
+
+@pytest.mark.parametrize(
+    "centers",
+    [[0.125, 0.375, 0.875], [0.2, 0.2, 0.7], sorted(Splitmix64(613).uniforms(5).tolist())],
+    ids=["dyadic", "duplicate", "random"],
+)
+def test_warm_start_assignment_ties_on_midpoints_go_to_the_lower_index(centers, monkeypatch):
+    # Values on the midpoint of each two adjacent centers (exact for the
+    # dyadic ones, so both distances tie), a step to either side of it,
+    # the centers themselves and values beyond them.
+    c = np.array(centers)
+    monkeypatch.setattr(segment, "_lloyd_1d", lambda values, seeds: c)
+    mid = (c[:-1] + c[1:]) / 2.0
+    values = np.concatenate([mid, np.nextafter(mid, -1.0), np.nextafter(mid, 2.0), c,
+                             [-1.0, 0.0, 1.0, 2.0], Splitmix64(614).uniforms(40)])
+    f = values.reshape(1, -1)
+    u, c_out = warm_start_labels(f, len(c))
+    assert c_out is c
+    assert_same_bits(u, warm_start_assignment_reference(f, c))
+    if centers[0] == 0.125:
+        # 0.25 and 0.625 tie, and go to the lower of their two centers
+        assert u[0, 0, 0] == 1.0 and u[1, 0, 1] == 1.0
 
 
 @pytest.mark.parametrize(

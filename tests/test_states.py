@@ -52,6 +52,7 @@ class Problem:
     v_step: Callable  # v_step(state): the v-step and dual step through the state's own buffers
     frame: str = "f"
     misfit_over_gap: bool = False  # forms an envelope every iteration, over its gap
+    forms: str = "_form_intermediates"  # the method that ends an iteration, forming what is kept
     relinearize: dict = field(default_factory=dict)  # calls of one relinearize
     pages: dict = field(default_factory=dict)  # {(n, constant): bound}, in minor faults over 5 iterations
 
@@ -59,17 +60,19 @@ class Problem:
 def flow_problem(regularizer):
     # Flow's iteration is the linear-data state of module denoise, which
     # calls the kernels through denoise's bindings; relinearize folds the
-    # prior into ft through flow's binding of _dot.
+    # prior into ft through flow's binding of _dot.  The linear-data
+    # state's v-step forms grad v, so an iteration ends by forming only
+    # the gap.
     aniso = regularizer == "anisotropic"
     return Problem(
         "flow-" + regularizer, (denoise, flow), state=partial(flow_state, anisotropic=aniso),
         steady=partial(flow_steady_state, anisotropic=aniso),
         random=lambda k: random_flow_state(730 + k, n=4, anisotropic=aniso),
         energy=flow_energy_reference, kept=assert_flow_intermediates,
-        once=("dual_step", "_dot"), in_place=("z", "r", "w", "u", "v", "workspace"),
-        planar=("u", "v", "w", "A"), allocation={(128, False): 1, (128, True): 1},
+        once=("dual_step", "_dot"), in_place=("z", "y", "r", "w", "u", "v", "workspace"),
+        planar=("u", "v", "w", "A", "z", "y"), allocation={(128, False): 1, (128, True): 1},
         v_step=lambda st: flow.update_v_w(st, st.params.solver),
-        frame="f1", relinearize={"gradient": 1, "_dot": 2, "_form_intermediates": 1},
+        frame="f1", relinearize={"gradient": 1, "_dot": 2, "_form_gap": 1}, forms="_form_gap",
         pages={(512, False): 300},
     )
 
@@ -84,11 +87,11 @@ PROBLEMS = [
         "denoise", (denoise,), state=denoise_state, steady=denoise_steady_state,
         random=lambda k: random_denoise_state(311 + k, n=9),
         energy=denoise_energy_reference, kept=assert_denoise_intermediates,
-        once=("dual_step", "vector_norm"), in_place=("u", "v", "w", "r", "z", "workspace"),
-        planar=("z",),
+        once=("dual_step", "vector_norm"), in_place=("u", "v", "w", "r", "z", "y", "workspace"),
+        planar=("z", "y"),
         allocation={(n, c): 1 for n in (128, 512) for c in (False, True)},
         v_step=lambda st: denoise.update_v_w(st, st.params),
-        pages={(512, False): 300},
+        pages={(512, False): 300}, forms="_form_gap",
     ),
     Problem(
         "segment", (segment,), state=segment_state, steady=segment_steady_state,
@@ -139,13 +142,13 @@ def spy(monkeypatch, owners, name, log, note):
 
 
 def assert_formed_once_per_iteration(monkeypatch, case, constant, names):
-    """Each named kernel of the problem's modules, or the state's
-    _form_intermediates, runs once in each of six iterations, plus what
-    one relinearize calls before the fourth; energy() calls none."""
+    """Each named kernel of the problem's modules, or the state's own
+    _form method, runs once in each of six iterations, plus what one
+    relinearize calls before the fourth; energy() calls none."""
     st = case.state(constant)
     calls = []
     for name in names:
-        owners = (st,) if name == "_form_intermediates" else case.modules
+        owners = (st,) if name.startswith("_form") else case.modules
         spy(monkeypatch, owners, name, calls, lambda *a, _name=name, **k: _name)
     once = Counter(dict.fromkeys(names, 1))
     for k in range(6):
@@ -185,10 +188,11 @@ def test_gradient_formed_once_per_iteration(monkeypatch, case, constant):
 
 
 def test_dual_step_and_intermediates_formed_once_per_iteration(monkeypatch, case, constant):
-    # The dual step's u - v serves the primal residual; denoise's |grad v|
-    # and flow's A . u for the gap are formed once, whatever run_admm then
-    # reads.  relinearize folds the prior into ft with one more A . u.
-    names = case.once + ("_form_intermediates",)
+    # The dual step's u - v serves the primal residual; denoise's |P| for
+    # the z-step and flow's A . u for the gap are formed once, whatever
+    # run_admm then reads.  relinearize folds the prior into ft with one
+    # more A . u.
+    names = case.once + (case.forms,)
     assert_formed_once_per_iteration(monkeypatch, case, constant, names)
 
 

@@ -8,6 +8,7 @@ hashes the files it writes, its history CSV among them, and what it
 prints.  The runs:
 
     denoise-{adaptive,constant}
+    denoise-adaptive-alpha0                        alpha 0, where the split's penalty falls back
     segment-{adaptive,constant}                    4 labels
     segment-constant-2label                        2 labels
     segment-constant-odd                           4 labels, image of side SIZE + 1
@@ -66,9 +67,9 @@ from adaptreg.cli import entry
 from adaptreg.imageio import write_flo, write_pnm
 
 FIELDS = {
-    "denoise": ("u", "v", "w", "r", "z", "lam"),
+    "denoise": ("u", "v", "w", "r", "z", "y", "lam"),
     "segment": ("u", "v", "w", "r", "z", "lam", "c"),
-    "flow": ("u", "v", "w", "r", "z", "lam", "A", "ft"),
+    "flow": ("u", "v", "w", "r", "z", "y", "lam", "A", "ft"),
 }
 
 
@@ -107,18 +108,19 @@ class _Run:
         return self.h.hexdigest()
 
 
-def _adaptive(beta: float, sigma: float, constant):
+def _adaptive(beta: float, sigma: float, constant, alpha: float = 0.01):
     if constant is None:
-        return AdaptiveParams(beta=beta, alpha=0.01, smoothing_sigma=sigma)
-    return AdaptiveParams(beta=beta, alpha=0.01, constant_lambda=constant)
+        return AdaptiveParams(beta=beta, alpha=alpha, smoothing_sigma=sigma)
+    return AdaptiveParams(beta=beta, alpha=alpha, constant_lambda=constant)
 
 
 def library_runs(size: int, iters: int) -> dict:
     digests = {}
     clean = noisy_rectangles(size, noise_levels=(0.0, 0.0, 0.0, 0.0))[0]
     noisy = biased_noise_image(clean, 0.3, "half", seed=2)
-    for kind, constant in (("adaptive", None), ("constant", 0.5)):
-        sp = SolverParams(mu=0.16, eta=0.08, theta=1.0, adaptive=_adaptive(1.0, 1.0, constant),
+    for kind, constant, alpha in (("adaptive", None, 0.01), ("constant", 0.5, 0.01),
+                                  ("adaptive-alpha0", None, 0.0)):
+        sp = SolverParams(mu=0.16, eta=0.08, theta=1.0, adaptive=_adaptive(1.0, 1.0, constant, alpha),
                           max_iters=iters, tol_primal=1e-12)
         run = _Run("denoise")
         u, _ = run_denoise(noisy, sp, on_check=run.on_check)
