@@ -47,12 +47,18 @@ fixed point: the first iteration already has a zero primal residual.
 
 Each intermediate is computed once and shared.  The dual step
 (solver.dual_step) forms u - v, from which it takes the new w and then
-the primal residual, kept as a number; the stop test reads only that
-residual.  The v-step then forms grad v of the new v, for the dual step
-of y, and the end of every iteration (and the constructor, with grad v)
-forms the data gap b - A . u (LinearState._form_intermediates): the
+the primal residual, kept as a number.  The v-step then forms grad v of
+the new v, for the dual step of y, and the end of every iteration forms
+the data gap b - A . u (LinearState._form_gap; the constructor and
+flow's relinearize form both, LinearState._form_intermediates): the
 energy reads both, and so does the next iteration (P, the weights and
 the r-step).  energy() only reads what is kept.
+
+The stop test reads the kept residual.  Where rms(u - v) is at most
+tol_primal, an iteration that would stop, the v-step also forms
+rms(z - grad v) and keeps the larger of the two, so a run stops only
+once both constraints hold; the other iterations keep rms(u - v) and
+pay no pass for the split's residual.
 
 The state's fields are its public attributes.  Every step reads them
 through component-first views taken when it runs (_stack), so a field
@@ -78,7 +84,7 @@ from .adaptive import weight_fields
 from .grid import divergence, gradient, scalar_grid, smoothing_scratch_size
 # shrink_vec: bound for the tracer only
 from .prox import envelope_at, huber, huber_prox, huber_prox_vec, huber_vec, shrink, shrink_vec, vector_norm
-from .solver import SolverParams, dual_step, run_admm, screened_solve, slot, v_step_buffers
+from .solver import SolverParams, dual_step, rms, run_admm, screened_solve, slot, v_step_buffers
 
 
 class _Workspace:
@@ -96,7 +102,8 @@ class _Workspace:
         grad v (2K fields, component-planar      v-step -> energy and next P
         like z)
         and then |P| (K fields), and the         isotropic z-step
-        factor over it
+        factor over it; or z - grad v            v-step, where it would stop
+        (2K fields)
 
     and b - A . u sits past the smoothing's part and |P| (end of
     iteration -> energy and next r-step).  The field slot takes the
@@ -175,7 +182,8 @@ class LinearState:
     code that keeps a field across an iteration must copy it.  grad v and
     b - A . u of the current fields sit in the workspace, and residual is
     the primal residual of the last dual step (0.0 at the start, where
-    u = v).  energy() takes the data term at u and the regularizer at
+    u = v), or the split's rms(z - grad v) where that is larger and the
+    former is at most tol_primal (see update_v_w).  energy() takes the data term at u and the regularizer at
     grad v."""
 
     anisotropic = False
@@ -341,8 +349,11 @@ def update_v_w(state: LinearState, params: SolverParams) -> None:
     u - v.  The new u - v gives both the new w and the primal residual,
     kept as state.residual; it is formed as a C-contiguous (K, H, W)
     stack, so the residual sums in that order whatever the fields'
-    layout.  Last, grad v of the new v goes into the workspace, and y,
-    which holds z + y, becomes y + z - grad v."""
+    layout.  Then grad v of the new v goes into the workspace, and y,
+    which holds z + y, becomes y + z - grad v.  Last, where that
+    residual is at most tol_primal, z - grad v goes into the arena past
+    grad v, derivative-first, and state.residual takes its rms where
+    that is larger: the run stops only if the split holds too."""
     ws = state.workspace
     u, v, w = _stack(state.u), _stack(state.v), _stack(state.w)
     zy = np.add(state.z, state.y, out=state.y).reshape(ws.grad.shape)
@@ -353,6 +364,11 @@ def update_v_w(state: LinearState, params: SolverParams) -> None:
     screened_solve(rhs, xi, v, params.gs_sweeps, out=v, scratch=ws.solve)
     state.residual = dual_step(u, v, w, out=slot(ws.solve, v.shape))
     zy -= gradient(v, out=ws.grad)
+    if state.residual <= params.tol_primal:
+        # an iteration that would stop: the split's residual counts too
+        first = np.moveaxis(state.z.reshape(zy.shape), -1, 0)
+        gap = np.subtract(first, np.moveaxis(ws.grad, -1, 0), out=slot(ws.solve, first.shape, start=ws.grad.size))
+        state.residual = max(state.residual, rms(gap, out=gap))
 
 
 def run_denoise(f: np.ndarray, params: SolverParams, on_check=None):

@@ -54,8 +54,7 @@ import numpy as np
 from .adaptive import weight_fields
 from .grid import convolve_gaussian, divergence, gradient, scalar_grid
 from .prox import envelope_at, huber_vec, project_stack_sum_to_one, shrink, shrink_vec
-from .solver import (SolverParams, check_count, dual_step, run_admm, screened_solve, screened_system, slot,
-                     v_step_buffers)
+from .solver import SolverParams, check_count, dual_step, run_admm, screened_solve, slot, v_step_buffers
 
 DEGENERATE_REGION_WEIGHT = 1e-12
 
@@ -215,12 +214,26 @@ def update_u(state: SegmentState, params: SegmentParams, d: np.ndarray) -> np.nd
     return u
 
 
+def screened_system(div_z, u, w, lam, params: SolverParams, *, xi=None, scratch=None):
+    """The system (1 - xi laplacian) v = u + w - xi div z of the v-step,
+    as (rhs, xi): xi = (1 - lam)/(eta theta) in lam's shape, a 0-d array
+    for a float lam, and rhs written over div_z, the divergence of z that
+    the caller passes.  xi, if given, is a free buffer that takes xi, and
+    scratch a free buffer whose head takes u + w; without them both are
+    allocated."""
+    xi = np.subtract(1.0, lam, out=slot(xi, np.shape(lam)))
+    xi /= params.eta * params.theta
+    div_z *= xi
+    np.subtract(np.add(u, w, out=slot(scratch, div_z.shape)), div_z, out=div_z)
+    return div_z, xi
+
+
 def update_v_all(state: SegmentState, params: SegmentParams, *, rhs=None, xi=None, scratch=None) -> None:
     """The v-step: the screened systems of the (n, H, W) label stack,
     solved and projected onto sum_i v_i = 1, written into state.v.  rhs,
     xi and scratch are the buffers of solver.v_step_buffers, or None: rhs
     takes the divergence of z and then the right-hand side, xi's head
-    takes xi (solver.screened_system), and the flat scratch takes the
+    takes xi (screened_system), and the flat scratch takes the
     divergence's bands, u + w, the solve and the projection's correction.
 
     For a weight field, each label's system only reads that label's own

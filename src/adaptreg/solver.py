@@ -9,18 +9,19 @@ same driver through a small duck-typed state protocol:
                         can read below the minimum while u != v
     state.u             the solution the driver hands back
     state.lam           fidelity weight in [0, 1], a float or a field
-    state.residual      RMS of u - v of the last dual step
+    state.residual      RMS of u - v of the last dual step; the
+                        linear-data state may read a larger residual
+                        of its gradient split where that is at most
+                        tol_primal
 
 The three problems run on two state bodies: denoising and optical flow
 share the linear-data state of module denoise (a K-component field,
 K = 1 and K = 2), and segmentation has its own.  Both take their
 v-step's buffers from v_step_buffers and their dual step with
 dual_step, which forms the new w and the primal residual from one
-u - v.  Segmentation forms its v-step's system with screened_system, a
-field xi for a weight field; the linear-data state splits z = grad v as
-well, so its v-system (1 - xi laplacian) v = u + w - xi div(z + y) has
-one scalar xi = rho/theta for either weight, and it forms that system
-itself.
+u - v.  Each module forms its own v-system and solves it with
+screened_solve: segmentation's xi is a field for a weight field, and
+the linear-data state's is one scalar xi = rho/theta for either weight.
 
 The package runs on one thread, so a run is bitwise deterministic.
 """
@@ -134,20 +135,6 @@ def slot(buffer, shape, dtype=np.float64, start: int = 0) -> np.ndarray:
     if buffer is None:
         return np.empty(shape, dtype)
     return buffer.reshape(-1)[start:].view(dtype)[: math.prod(shape)].reshape(shape)
-
-
-def screened_system(div_z, u, w, lam, params: SolverParams, *, xi=None, scratch=None):
-    """The system (1 - xi laplacian) v = u + w - xi div z of the
-    segmentation v-step, as (rhs, xi): xi = (1 - lam)/(eta theta) in lam's
-    shape, a 0-d array for a float lam, and rhs written over div_z, the
-    divergence of z that the caller passes.  xi, if given, is a free
-    buffer that takes xi, and scratch a free buffer whose head takes
-    u + w; without them both are allocated."""
-    xi = np.subtract(1.0, lam, out=slot(xi, np.shape(lam)))
-    xi /= params.eta * params.theta
-    div_z *= xi
-    np.subtract(np.add(u, w, out=slot(scratch, div_z.shape)), div_z, out=div_z)
-    return div_z, xi
 
 
 def v_step_buffers(shape, xi_shape, least: int = 0):
